@@ -64,7 +64,6 @@ from scanvar.simulate import (
 )
 from scanvar.variance import (
     SummabilityReport,
-    VarianceReport,
     finite_m_variance_exact,
     joint_law_exact,
     summability_check,

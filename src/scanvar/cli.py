@@ -30,17 +30,9 @@ from scanvar.kernels import (
     ValidationError,
     family_diagnostics,
 )
-from scanvar.ordering import check_peskun_ordering, check_scan_ordering
+from scanvar.ordering import OrderingReport, check_peskun_ordering, check_scan_ordering
 from scanvar.simulate import estimate_variance
-from scanvar.variance import (
-    VarianceReport,
-    finite_m_variance_exact,
-    summability_check,
-    var_lambda_rand,
-    var_lambda_strat,
-    var_lambda_strat_series,
-    var_limit,
-)
+from scanvar.variance import finite_m_variance_exact, summability_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -198,25 +190,26 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if diag.passes else EXIT_VALIDATION
 
 
+def _compare_row(rep: OrderingReport) -> list[str]:
+    return [
+        _fmt(rep.lam),
+        _fmt(rep.var_strat),
+        _fmt(rep.var_rand),
+        _fmt(rep.gap),
+        _fmt(rep.gap_lower_bound),
+        rep.method,
+    ]
+
+
 def _compare_rows(model: Model, grid, method: str, series_terms: int, tol: float):
-    fam, f = model.family, model.f
-    rows: list[list[str]] = []
+    """CSV rows of the scan comparison, and its failures; the ordering and
+    the gap bound are asserted only for two kernels."""
+    reports = check_scan_ordering(
+        model.family, model.f, grid, method=method, series_terms=series_terms, tol=tol
+    )
     failures: list[str] = []
-    if fam.k == 2:
-        reports = check_scan_ordering(
-            fam, f, grid, method=method, series_terms=series_terms, tol=tol
-        )
+    if model.family.k == 2:
         for rep in reports:
-            rows.append(
-                [
-                    _fmt(rep.lam),
-                    _fmt(rep.var_strat),
-                    _fmt(rep.var_rand),
-                    _fmt(rep.gap),
-                    _fmt(rep.gap_lower_bound),
-                    rep.method,
-                ]
-            )
             if not rep.ordering_holds:
                 failures.append(
                     f"scan-order comparison violated at lambda={rep.lam:g}: "
@@ -228,48 +221,7 @@ def _compare_rows(model: Model, grid, method: str, series_terms: int, tol: float
                     f"gap {rep.gap:.3g} below its certified bound "
                     f"{rep.gap_lower_bound:.3g} beyond {tol:g}"
                 )
-    else:
-        for lam in grid:
-            lam = float(lam)
-            if lam >= 1.0 - 1e-12:
-                continue
-            if method == "series":
-                v_strat, trunc = var_lambda_strat_series(fam, f, lam, series_terms)
-            else:
-                v_strat = var_lambda_strat(fam, f, lam, method=method)
-            v_rand = var_lambda_rand(fam, f, lam)
-            rep = VarianceReport(
-                lam=lam,
-                var_strat=v_strat,
-                var_rand=v_rand,
-                gap=v_rand - v_strat,
-                gap_lower_bound=float("nan"),
-                method=method,
-            )
-            rows.append(
-                [
-                    _fmt(rep.lam),
-                    _fmt(rep.var_strat),
-                    _fmt(rep.var_rand),
-                    _fmt(rep.gap),
-                    _fmt(rep.gap_lower_bound),
-                    rep.method,
-                ]
-            )
-        if summability_check(fam).absolutely_summable:
-            v_strat = var_limit(fam, f, "strat")
-            v_rand = var_limit(fam, f, "rand")
-            rows.append(
-                [
-                    _fmt(1.0),
-                    _fmt(v_strat),
-                    _fmt(v_rand),
-                    _fmt(v_rand - v_strat),
-                    _fmt(float("nan")),
-                    "limit",
-                ]
-            )
-    return rows, failures
+    return [_compare_row(rep) for rep in reports], failures
 
 
 def _cmd_compare(args) -> int:
@@ -334,22 +286,11 @@ def _cmd_limit(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    v_strat = var_limit(fam, f, "strat")
-    v_rand = var_limit(fam, f, "rand")
-    print(f"limit var_strat: {_fmt(v_strat)}")
-    print(f"limit var_rand:  {_fmt(v_rand)}")
+    (rep,) = check_scan_ordering(fam, f, ())
+    print(f"limit var_strat: {_fmt(rep.var_strat)}")
+    print(f"limit var_rand:  {_fmt(rep.var_rand)}")
     if args.out:
-        rows = [
-            [
-                _fmt(1.0),
-                _fmt(v_strat),
-                _fmt(v_rand),
-                _fmt(v_rand - v_strat),
-                _fmt(0.0 if fam.k == 2 else float("nan")),
-                "limit",
-            ]
-        ]
-        _emit(_csv(COMPARE_HEADER, rows), args.out)
+        _emit(_csv(COMPARE_HEADER, [_compare_row(rep)]), args.out)
     return EXIT_OK
 
 
@@ -357,8 +298,8 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     fam, f = model.family, model.f
     sim = dict(model.simulation or {})
-    steps = args.steps or int(sim.get("steps", 4096))
-    replicas = args.replicas or int(sim.get("replicas", 200))
+    steps = args.steps if args.steps is not None else int(sim.get("steps", 4096))
+    replicas = args.replicas if args.replicas is not None else int(sim.get("replicas", 200))
     seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
     schemes = [sim["scheme"]] if "scheme" in sim else ["strat", "rand"]
     rows = []

@@ -4,9 +4,14 @@ A block vector holds one function per cycle phase. The embedding operator
 sends phase i to kernel i applied to the phase-sigma(i) component, which is
 exactly the blockwise kernel action composed with the forward cyclic shift.
 That factorisation gives the adjoint by inspection (shift back after the
-blockwise action) and a clean self-adjoint / skew split. Dense nk x nk
-realizations back the resolvent solves; they are materialised lazily and
-cached, and every solve is a direct factorisation with a residual guard.
+blockwise action) and a clean self-adjoint / skew split.
+
+Every operator solved here is block-cyclic: phase q reads one n x n block
+applied to phase q + step, step = +1 or -1. So (I - lam Op) x = b is solved
+by elimination around the cycle: one n x n factorisation of
+I - lam^k M_1 ... M_k in the first phase, then k back-substitutions, with a
+residual guard on the full block system. Dense nk x nk realizations serve
+only as test oracles.
 """
 
 from __future__ import annotations
@@ -224,11 +229,81 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
     raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
 
 
-class CycleEmbedding:
-    """Cached dense realizations of the embedding and related operators.
+def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """(blocks, step) of a selector: phase q of the operator is blocks[q]
+    applied to phase q + step. The symmetric part has this form only for
+    k <= 2, where both its terms read the same phase."""
+    k = len(mats)
+    if op == "embed":
+        return list(mats), 1
+    if op == "embed_adjoint" or op == "shift_inv_diag":
+        return [mats[q - 1] for q in range(k)], -1
+    if op == "shift_diag":
+        return [mats[(q + 1) % k] for q in range(k)], 1
+    if op == "symmetric":
+        if k > 2:
+            raise ValueError(
+                f"the symmetric part is not block-cyclic for k = {k} > 2 kernels"
+            )
+        return [(mats[q] + mats[q - 1]) / 2.0 for q in range(k)], 1
+    raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
 
-    The cache is filled lazily, one realization per selector, and read-only
-    afterwards; instances are safe for concurrent reads.
+
+def _cycle_solve(
+    blocks: Sequence[np.ndarray],
+    step: int,
+    lam: float,
+    rhs: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Solve x_q = rhs_q + lam * blocks[q] @ x_{q+step} for every phase q.
+
+    Substituting each phase into the one before it around the cycle leaves
+    one n x n system (I - lam^k M) x_0 = r, with M the product of the blocks
+    in visiting order; the other phases follow by back-substitution. At
+    lam = 1 the rank-one term ones * weights' pins the constant direction,
+    which is valid only when every phase of rhs is centred for weights and
+    the blocks leave weights invariant; the solution is then the centred
+    one. The residual of the full block system must stay within
+    RESOLVENT_RTOL of rhs in the weighted norm, which also rejects a
+    non-centred rhs at lam = 1.
+    """
+    k, n = rhs.shape
+    order = [(j * step) % k for j in range(k)]
+    reduced = rhs[0].copy()
+    prod = lam * blocks[0]
+    for q in order[1:]:
+        reduced += prod @ rhs[q]
+        prod = prod @ (lam * blocks[q])
+    system = np.eye(n) - prod
+    if lam == 1.0:
+        system += np.outer(np.ones(n), weights)
+    x = np.empty((k, n))
+    try:
+        x[0] = np.linalg.solve(system, reduced)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(f"cycle system singular at lam={lam}") from err
+    for j in range(k - 1, 0, -1):
+        q = order[j]
+        x[q] = rhs[q] + lam * (blocks[q] @ x[order[(j + 1) % k]])
+    ahead = np.roll(x, -step, axis=0)
+    residual = x - rhs - lam * np.stack([m @ v for m, v in zip(blocks, ahead)])
+    res_norm = float(np.sqrt(np.sum(residual**2 @ weights)))
+    rhs_norm = float(np.sqrt(np.sum(rhs**2 @ weights)))
+    if res_norm > RESOLVENT_RTOL * max(rhs_norm, 1e-300):
+        raise np.linalg.LinAlgError(
+            f"resolvent residual {res_norm:.3g} exceeds "
+            f"{RESOLVENT_RTOL:g} * {rhs_norm:.3g}"
+        )
+    return x
+
+
+class CycleEmbedding:
+    """Resolvent solves for one family, plus dense realizations as oracles.
+
+    Solves eliminate around the cycle (see _cycle_solve) and never build a
+    kn x kn matrix. Realizations are filled lazily, one per selector, and
+    read-only afterwards; instances are safe for concurrent reads.
     """
 
     def __init__(self, family: KernelFamily):
@@ -241,6 +316,7 @@ class CycleEmbedding:
         return np.tile(self.family.pi.weights, self.family.k)
 
     def realization(self, op: str) -> np.ndarray:
+        """Dense kn x kn matrix of a selector, for tests to compare against."""
         if op not in OPERATORS:
             raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
         if op not in self._realizations:
@@ -250,37 +326,22 @@ class CycleEmbedding:
         return self._realizations[op]
 
     def resolvent_solve(self, op: str, lam: float, rhs: BlockVector) -> BlockVector:
-        """Solve (I - lam * Op) x = rhs by direct dense factorisation.
+        """Solve (I - lam * Op) x = rhs by elimination around the cycle.
 
         Requires 0 <= lam < 1; the solution is checked to reproduce the
-        right-hand side within RESOLVENT_RTOL in the weighted norm.
+        right-hand side within RESOLVENT_RTOL in the weighted norm. The
+        "symmetric" selector needs k <= 2.
         """
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {lam}")
         _check_block(self.family, rhs)
-        mat = self.realization(op)
-        system = np.eye(mat.shape[0]) - lam * mat
-        b = rhs.flat()
-        try:
-            x = np.linalg.solve(system, b)
-        except np.linalg.LinAlgError as err:  # cannot occur for lam < 1; guarded anyway
-            raise np.linalg.LinAlgError(
-                f"resolvent system singular for selector {op!r} at lam={lam}"
-            ) from err
-        w = self.weights
-        residual = system @ x - b
-        res_norm = float(np.sqrt(np.dot(w, residual**2)))
-        rhs_norm = float(np.sqrt(np.dot(w, b**2)))
-        if res_norm > RESOLVENT_RTOL * max(rhs_norm, 1e-300):
-            raise np.linalg.LinAlgError(
-                f"resolvent residual {res_norm:.3g} exceeds "
-                f"{RESOLVENT_RTOL:g} * {rhs_norm:.3g}"
-            )
-        return BlockVector(x.reshape(self.family.k, self.family.n))
+        blocks, step = _cycle_row(op, self.family.matrices)
+        x = _cycle_solve(blocks, step, lam, rhs.values, self.family.pi.weights)
+        return BlockVector(x)
 
 
 def resolvent_solve(
     op: str, fam: KernelFamily, lam: float, rhs: BlockVector
 ) -> BlockVector:
-    """One-off resolvent solve; sweeps should reuse a CycleEmbedding."""
+    """Resolvent solve for a family; see CycleEmbedding.resolvent_solve."""
     return CycleEmbedding(fam).resolvent_solve(op, lam, rhs)

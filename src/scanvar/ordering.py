@@ -11,6 +11,7 @@ central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +20,11 @@ import numpy as np
 from scanvar.embedding import (
     BlockVector,
     CycleEmbedding,
+    _cycle_row,
+    _cycle_solve,
     block_inner,
-    embedding_realization,
+    skew_part,
+    symmetric_part,
 )
 from scanvar.kernels import (
     Dist,
@@ -29,12 +33,12 @@ from scanvar.kernels import (
     NUMERIC_TOL,
     PSD_TOL,
     Observable,
+    SummabilityError,
     ValidationError,
     lazy,
     make_family,
 )
 from scanvar.variance import (
-    summability_check,
     var_lambda_rand,
     var_lambda_strat,
     var_limit,
@@ -123,6 +127,11 @@ class VariationalIdentityReport:
     passes: bool
 
 
+def _is_limit(lam: float) -> bool:
+    """A grid value within 1e-12 of one stands for the discount-one limit."""
+    return abs(lam - 1.0) <= 1e-12
+
+
 def _centered_block(fam: KernelFamily, f: Observable) -> BlockVector:
     fc = f.values - float(np.dot(fam.pi.weights, f.values))
     return BlockVector(np.tile(fc, (fam.k, 1)))
@@ -132,7 +141,8 @@ def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Certified lower bound on var_rand - var_strat for a two-kernel family.
 
     Evaluates the skew term of the variational identity at its optimiser:
-    three block resolvent solves and one quadratic form, scaled by 2/k.
+    three block resolvent solves, the symmetric and skew parts applied
+    blockwise, and one quadratic form, scaled by 2/k.
     Nonnegative by construction and zero at lam = 0 or for identical kernels.
     """
     if fam.k != 2:
@@ -144,13 +154,9 @@ def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     emb = CycleEmbedding(fam)
     fbar = _centered_block(fam, f)
     forward = emb.resolvent_solve("embed", lam, fbar)
-    sym = emb.realization("symmetric")
-    h = BlockVector(
-        (forward.flat() - lam * (sym @ forward.flat())).reshape(fam.k, fam.n)
-    )
+    h = BlockVector(forward.values - lam * symmetric_part(fam, forward).values)
     g_hat = emb.resolvent_solve("embed_adjoint", lam, h)
-    skew = (emb.realization("embed") - emb.realization("embed_adjoint")) / 2.0
-    a_g = BlockVector((skew @ g_hat.flat()).reshape(fam.k, fam.n))
+    a_g = skew_part(fam, g_hat)
     y = emb.resolvent_solve("symmetric", lam, a_g)
     return (2.0 / fam.k) * lam * lam * block_inner(a_g, y, fam.pi)
 
@@ -164,51 +170,46 @@ def check_scan_ordering(
     include_limit: bool = True,
     tol: float = NUMERIC_TOL,
 ) -> list[OrderingReport]:
-    """Compare the two scan schemes on a discount grid for a two-kernel family.
+    """Compare the two scan schemes on a discount grid.
 
-    Appends a limit report (discount one) whenever the summability check
-    passes; its bound is zero, the weakest certified value there.
+    A grid value within 1e-12 of one stands for the limit; any other value
+    outside [0, 1) raises ValueError. Appends a limit report (discount one)
+    when asked and the cycle passes the summability check. The certified
+    gap bound is a two-kernel statement: for two kernels it is zero in the
+    limit, the weakest certified value there; for any other number of
+    kernels it is NaN, not computed, and bound_holds is vacuously true.
     """
-    if fam.k != 2:
-        raise ValueError(f"the scan comparison needs exactly two kernels, got {fam.k}")
+    two = fam.k == 2
+
+    def report(lam, v_strat, v_rand, bound, method):
+        gap = v_rand - v_strat
+        return OrderingReport(
+            lam=lam,
+            var_rand=v_rand,
+            var_strat=v_strat,
+            gap=gap,
+            gap_lower_bound=bound,
+            ordering_holds=bool(gap >= -tol),
+            bound_holds=bool(math.isnan(bound) or gap >= bound - tol),
+            method=method,
+        )
+
+    grid = [float(lam) for lam in lambda_grid]
     reports = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        if lam >= 1.0 - 1e-12:
+    for lam in grid:
+        if _is_limit(lam):
             continue  # the limit row is appended below
         v_strat = var_lambda_strat(fam, f, lam, method=method, series_terms=series_terms)
         v_rand = var_lambda_rand(fam, f, lam)
-        gap = v_rand - v_strat
-        bound = gap_lower_bound(fam, f, lam)
-        reports.append(
-            OrderingReport(
-                lam=lam,
-                var_rand=v_rand,
-                var_strat=v_strat,
-                gap=gap,
-                gap_lower_bound=bound,
-                ordering_holds=bool(gap >= -tol),
-                bound_holds=bool(gap >= bound - tol),
-                method=method,
-            )
-        )
-    wants_limit = include_limit or any(float(x) >= 1.0 - 1e-12 for x in lambda_grid)
-    if wants_limit and summability_check(fam).absolutely_summable:
-        v_strat = var_limit(fam, f, "strat")
+        bound = gap_lower_bound(fam, f, lam) if two else math.nan
+        reports.append(report(lam, v_strat, v_rand, bound, method))
+    if include_limit or any(_is_limit(lam) for lam in grid):
+        try:
+            v_strat = var_limit(fam, f, "strat")
+        except SummabilityError:
+            return reports
         v_rand = var_limit(fam, f, "rand")
-        gap = v_rand - v_strat
-        reports.append(
-            OrderingReport(
-                lam=1.0,
-                var_rand=v_rand,
-                var_strat=v_strat,
-                gap=gap,
-                gap_lower_bound=0.0,
-                ordering_holds=bool(gap >= -tol),
-                bound_holds=bool(gap >= -tol),
-                method="limit",
-            )
-        )
+        reports.append(report(1.0, v_strat, v_rand, 0.0 if two else math.nan, "limit"))
     return reports
 
 
@@ -366,44 +367,38 @@ def check_peskun_ordering(
 ) -> PeskunOrderingReport:
     """Check that the dominating two-kernel family has the smaller cycle
     variance on every grid point, with a limit row when both families pass
-    the summability check."""
+    the summability check. Grid values are read as in check_scan_ordering."""
     _check_comparable(fam_a, fam_b)
     if fam_a.k != 2:
         raise ValueError(f"the cycle comparison needs exactly two kernels, got {fam_a.k}")
     comparison = peskun_dominates(fam_a, fam_b)
+
+    def row(lam, va, vb, method):
+        return PeskunRow(
+            lam=lam,
+            var_strat_a=va,
+            var_strat_b=vb,
+            difference=vb - va,
+            holds=bool(vb - va >= -tol),
+            method=method,
+        )
+
     rows = []
     for lam in lambda_grid:
         lam = float(lam)
-        if lam >= 1.0 - 1e-12:
+        if _is_limit(lam):
             continue
         va = var_lambda_strat(fam_a, f, lam)
         vb = var_lambda_strat(fam_b, f, lam)
-        rows.append(
-            PeskunRow(
-                lam=lam,
-                var_strat_a=va,
-                var_strat_b=vb,
-                difference=vb - va,
-                holds=bool(vb - va >= -tol),
-            )
-        )
-    if (
-        include_limit
-        and summability_check(fam_a).absolutely_summable
-        and summability_check(fam_b).absolutely_summable
-    ):
-        va = var_limit(fam_a, f, "strat")
-        vb = var_limit(fam_b, f, "strat")
-        rows.append(
-            PeskunRow(
-                lam=1.0,
-                var_strat_a=va,
-                var_strat_b=vb,
-                difference=vb - va,
-                holds=bool(vb - va >= -tol),
-                method="limit",
-            )
-        )
+        rows.append(row(lam, va, vb, "resolvent"))
+    if include_limit:
+        try:
+            va = var_limit(fam_a, f, "strat")
+            vb = var_limit(fam_b, f, "strat")
+        except SummabilityError:
+            pass
+        else:
+            rows.append(row(1.0, va, vb, "limit"))
     return PeskunOrderingReport(
         rows=tuple(rows),
         comparison=comparison,
@@ -441,18 +436,28 @@ class BetaPath:
         ]
 
     def _fbar(self, f: Observable) -> np.ndarray:
-        return np.tile(f.values, (self.k, 1)).reshape(-1)
+        return np.tile(f.values, (self.k, 1))
 
     def delta(self, f: Observable, lam: float, beta: float) -> float:
         """Resolvent quadratic form of the blended embedding at the constant
         block built from f."""
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {lam}")
-        mat = embedding_realization("embed", self.blocks(beta))
         fbar = self._fbar(f)
-        x = np.linalg.solve(np.eye(mat.shape[0]) - lam * mat, fbar)
-        w = np.tile(self.pi.weights, self.k)
-        return float(np.dot(w, fbar * x))
+        x = _cycle_solve(self.blocks(beta), 1, lam, fbar, self.pi.weights)
+        return float(np.sum((fbar * x) @ self.pi.weights))
+
+    def _shifted_resolvents(
+        self, f: Observable, lam: float, beta: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Forward and backward shifted-diagonal resolvents of the blend at
+        the constant block built from f, as (k, n) arrays."""
+        blend = self.blocks(beta)
+        fbar = self._fbar(f)
+        w = self.pi.weights
+        forward = _cycle_solve(*_cycle_row("shift_diag", blend), lam, fbar, w)
+        backward = _cycle_solve(*_cycle_row("shift_inv_diag", blend), lam, fbar, w)
+        return forward, backward
 
     def derivative(self, f: Observable, lam: float, beta: float) -> float:
         """Closed-form derivative of delta along the path.
@@ -463,22 +468,12 @@ class BetaPath:
         """
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {lam}")
-        blend = self.blocks(beta)
-        eye = np.eye(self.k * self.n)
-        fbar = self._fbar(f)
-        fwd_mat = embedding_realization("shift_diag", blend)
-        bwd_mat = embedding_realization("shift_inv_diag", blend)
-        forward = np.linalg.solve(eye - lam * fwd_mat, fbar)
-        backward = np.linalg.solve(eye - lam * bwd_mat, fbar)
+        forward, backward = self._shifted_resolvents(f, lam, beta)
         diffs = [
             b - a for a, b in zip(self.family_a.matrices, self.family_b.matrices)
         ]
-        fwd_blocks = forward.reshape(self.k, self.n)
-        applied = np.stack([d @ fwd_blocks[i] for i, d in enumerate(diffs)])
-        w = self.pi.weights
-        return lam * float(
-            np.sum((backward.reshape(self.k, self.n) * applied) @ w)
-        )
+        applied = np.stack([d @ forward[i] for i, d in enumerate(diffs)])
+        return lam * float(np.sum((backward * applied) @ self.pi.weights))
 
 
 def beta_derivative(
@@ -541,9 +536,6 @@ def palindrome_check(
     for cycle, indices in _palindrome_cycles(p):
         kernels = [generators[j - 1] for j in cycle]
         fam = make_family(pi.weights, kernels)
-        k, n = fam.k, fam.n
-        eye = np.eye(k * n)
-        fbar = np.tile(f.values, (k, 1)).reshape(-1)
         for index in indices:
             perturbed = list(kernels)
             perturbed[index - 1] = lazy(perturbed[index - 1], perturbation)
@@ -552,15 +544,8 @@ def palindrome_check(
             gaps = []
             derivs = []
             for beta in beta_grid:
-                blend = path.blocks(float(beta))
-                fwd = np.linalg.solve(
-                    eye - lam * embedding_realization("shift_diag", blend), fbar
-                )
-                bwd = np.linalg.solve(
-                    eye - lam * embedding_realization("shift_inv_diag", blend), fbar
-                )
-                comp = slice((index - 1) * n, index * n)
-                gaps.append(float(np.abs(fwd[comp] - bwd[comp]).max()))
+                fwd, bwd = path._shifted_resolvents(f, lam, float(beta))
+                gaps.append(float(np.abs(fwd[index - 1] - bwd[index - 1]).max()))
                 derivs.append(path.derivative(f, lam, float(beta)))
             case = PalindromeCase(
                 cycle=tuple(cycle),

@@ -1,20 +1,23 @@
 """Exact discounted and limiting variances for the two scan schemes.
 
 The discounted variance of the deterministic cycle is available two ways:
-one dense resolvent solve on the embedded block space, or direct summation
-of the covariance series with a reported truncation bound. Limits as the
-discount approaches one are exact linear solves on the centered subspace
-(deflating the constant direction), never a naive substitution. Observables
-are centered internally, so inputs need not be pre-centered.
+one resolvent solve on the embedded block space, eliminated around the
+cycle to a single n x n system, or direct summation of the covariance
+series with a reported truncation bound. The random scan is the same solve
+with one block, the mixed kernel. Limits as the discount approaches one are
+the same solves at discount one on the centered subspace (deflating the
+constant direction), never a naive substitution. Observables are centered
+internally, so inputs need not be pre-centered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from scanvar.embedding import BlockVector, CycleEmbedding, block_inner
+from scanvar.embedding import BlockVector, _cycle_solve, block_inner
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -35,7 +38,6 @@ JOINT_LAW_MAX_CELLS = 1_000_000
 __all__ = [
     "DEFAULT_SERIES_TERMS",
     "SCHEMES",
-    "VarianceReport",
     "SummabilityReport",
     "var_lambda_strat",
     "var_lambda_strat_series",
@@ -49,29 +51,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class VarianceReport:
-    """Per-discount variance summary for both schemes.
-
-    `gap_lower_bound` is NaN unless supplied by the two-kernel comparison
-    machinery; `truncation_bound` is set only by the series method.
-    """
-
-    lam: float
-    var_strat: float
-    var_rand: float
-    gap: float
-    gap_lower_bound: float
-    method: str
-    truncation_bound: float | None = None
-
-
-@dataclass(frozen=True)
 class SummabilityReport:
     """Spectral check that full-cycle products contract centered functions."""
 
     absolutely_summable: bool
     cycle_contraction: float
-    per_phase: tuple[float, ...]
 
 
 def _centered_values(f: Observable, pi: Dist) -> np.ndarray:
@@ -98,6 +82,18 @@ def series_truncation_bound(f_norm_sq: float, lam: float, terms: int) -> float:
     return 2.0 * f_norm_sq * lam ** (terms + 1) / (1.0 - lam)
 
 
+def _cycle_variance(
+    blocks: Sequence[np.ndarray], f: Observable, pi: Dist, lam: float
+) -> float:
+    """(2/k) sum_q <f, y_q> - |f|^2 for the centered f, where the block
+    vector y solves y_q = f + lam * blocks[q] y_{q+1}; lam lies in [0, 1]."""
+    fc = _centered_values(f, pi)
+    fbar = BlockVector(np.tile(fc, (len(blocks), 1)))
+    y = _cycle_solve(blocks, 1, lam, fbar.values, pi.weights)
+    norm_sq = float(np.dot(pi.weights, fc * fc))
+    return (2.0 / len(blocks)) * block_inner(fbar, BlockVector(y), pi) - norm_sq
+
+
 def var_lambda_strat(
     fam: KernelFamily,
     f: Observable,
@@ -107,17 +103,14 @@ def var_lambda_strat(
 ) -> float:
     """Discounted asymptotic variance of the deterministic cycle.
 
-    The resolvent method solves one block system of size n*k; the series
-    method sums the discounted covariances directly (its truncation bound is
-    available from var_lambda_strat_series). Both agree within the bound.
+    The resolvent method solves one block system of size n*k by elimination
+    around the cycle; the series method sums the discounted covariances
+    directly (its truncation bound is available from
+    var_lambda_strat_series). Both agree within the bound.
     """
     _check_lam(lam)
     if method == "resolvent":
-        fc = _centered_values(f, fam.pi)
-        fbar = BlockVector(np.tile(fc, (fam.k, 1)))
-        x = CycleEmbedding(fam).resolvent_solve("embed", lam, fbar)
-        norm_sq = float(np.dot(fam.pi.weights, fc * fc))
-        return (2.0 / fam.k) * block_inner(fbar, x, fam.pi) - norm_sq
+        return _cycle_variance(fam.matrices, f, fam.pi, lam)
     if method == "series":
         value, _ = var_lambda_strat_series(fam, f, lam, series_terms)
         return value
@@ -159,60 +152,35 @@ def var_lambda_strat_series(
 def var_lambda_rand(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Discounted asymptotic variance of the uniformly mixed kernel."""
     _check_lam(lam)
-    fc = _centered_values(f, fam.pi)
-    weights = fam.pi.weights
-    norm_sq = float(np.dot(weights, fc * fc))
-    mixed = random_scan(fam).matrix
-    x = np.linalg.solve(np.eye(fam.n) - lam * mixed, fc)
-    return 2.0 * float(np.dot(weights, fc * x)) - norm_sq
+    return _cycle_variance([random_scan(fam).matrix], f, fam.pi, lam)
 
 
-def _deflated_solve(mat: np.ndarray, pi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - mat) x = rhs on the centered subspace.
+def summability_check(fam: KernelFamily) -> SummabilityReport:
+    """Spectral radius of the full-cycle product on the centered subspace.
 
-    Adding the rank-one term ones * pi' pins the constant direction, so the
-    system is nonsingular exactly when I - mat is invertible on centered
-    functions, and returns the centered solution for centered input.
+    The centered product from any phase is a cyclic rotation of the product
+    of the centered kernels K_i - 1 pi', so all phases share one spectrum
+    and the product from phase 1 suffices. A radius below one makes the
+    covariance series absolutely summable for every observable, which is
+    the sufficient condition checked here.
     """
-    n = mat.shape[0]
-    system = np.eye(n) - mat + np.outer(np.ones(n), pi)
-    return np.linalg.solve(system, rhs)
-
-
-def summability_check(fam: KernelFamily, f: Observable | None = None) -> SummabilityReport:
-    """Spectral radius of every full-cycle product on the centered subspace.
-
-    A radius below one makes the covariance series absolutely summable for
-    every observable, which is the sufficient condition checked here (the
-    observable argument is accepted for interface symmetry).
-    """
-    pi = fam.pi.weights
-    ones = np.ones(fam.n)
-    radii = []
-    for q in range(1, fam.k + 1):
-        cycle = compose_cycle(fam, q, fam.k).matrix
-        eigs = np.linalg.eigvals(cycle - np.outer(ones, pi))
-        radii.append(float(np.abs(eigs).max()))
-    contraction = max(radii)
+    cycle = compose_cycle(fam, 1, fam.k).matrix
+    eigs = np.linalg.eigvals(cycle - np.outer(np.ones(fam.n), fam.pi.weights))
+    contraction = float(np.abs(eigs).max())
     return SummabilityReport(
         absolutely_summable=bool(contraction < 1.0),
         cycle_contraction=contraction,
-        per_phase=tuple(radii),
     )
 
 
 def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     """Limiting variance as the discount approaches one.
 
-    strat: the double covariance series is resummed as a geometric series in
-    full cycles plus the k-1 partial-cycle terms, which turns it into one
-    deflated solve per phase. rand: one deflated solve against the mixed
-    kernel, guarded by an eigenvalue-multiplicity check.
+    Both schemes take the discounted route at discount one, where the solve
+    deflates the constant direction. strat is guarded by the summability
+    check, rand by an eigenvalue-multiplicity check on the mixed kernel.
     """
     _check_scheme(scheme)
-    pi = fam.pi.weights
-    fc = _centered_values(f, fam.pi)
-    norm_sq = float(np.dot(pi, fc * fc))
     if scheme == "rand":
         mixed = random_scan(fam).matrix
         eigs = np.linalg.eigvals(mixed)
@@ -222,29 +190,14 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
                 f"mixed kernel has eigenvalue 1 with multiplicity {ones_count}; "
                 "the chain is reducible and the limit is undefined"
             )
-        x = _deflated_solve(mixed, pi, fc)
-        return 2.0 * float(np.dot(pi, fc * x)) - norm_sq
+        return _cycle_variance([mixed], f, fam.pi, 1.0)
     report = summability_check(fam)
     if not report.absolutely_summable:
         raise SummabilityError(
             f"cycle contraction {report.cycle_contraction:.6g} is not below 1; "
             "the covariance series does not converge absolutely"
         )
-    k = fam.k
-    mats = fam.matrices
-    # rhs accumulates the partial-cycle images of f plus the full-cycle image,
-    # via the same cross-phase recursion as the series method.
-    h = np.tile(fc, (k, 1))
-    rhs = np.zeros((k, fam.n))
-    for _ in range(k):
-        h = np.stack([mats[q] @ h[(q + 1) % k] for q in range(k)])
-        rhs += h
-    total = 0.0
-    for q in range(k):
-        cycle = compose_cycle(fam, q + 1, k).matrix
-        x = _deflated_solve(cycle, pi, rhs[q])
-        total += float(np.dot(pi, fc * x))
-    return norm_sq + (2.0 / k) * total
+    return _cycle_variance(fam.matrices, f, fam.pi, 1.0)
 
 
 def finite_m_variance_exact(

@@ -29,6 +29,18 @@ def write_model(path, **overrides):
     return str(path)
 
 
+THREE_KERNEL_MODEL = {
+    "states": 3,
+    "pi": [0.25, 0.25, 0.5],
+    "kernels": [
+        [[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.1, 0.1, 0.8]],
+        [[0.2, 0.4, 0.4], [0.4, 0.4, 0.2], [0.2, 0.1, 0.7]],
+        [[0.6, 0.0, 0.4], [0.0, 0.2, 0.8], [0.2, 0.4, 0.4]],
+    ],
+    "f": [1.0, -2.0, 0.5],
+}
+
+
 class TestLoadModel:
     def test_well_formed(self, tmp_path):
         model = load_model(write_model(tmp_path / "m.json"))
@@ -120,6 +132,38 @@ class TestCompare:
         assert code == EXIT_OK
         row = out.splitlines()[1].split(",")
         assert row[4] == "nan"
+
+    @pytest.mark.parametrize("method", ["resolvent", "series"])
+    def test_three_kernel_csv_bytes(self, tmp_path, capsys, method):
+        path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)
+        out = tmp_path / "out.csv"
+        args = ["compare", "--model", path, "--lambda", "0.3,0.9", "--method", method]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (
+            "lambda,var_strat,var_rand,gap,gap_lower_bound,method\n"
+            f"0.3,1.48746344,1.50323301,0.0157695627,nan,{method}\n"
+            f"0.9,1.5980428,1.79947998,0.201437171,nan,{method}\n"
+            "1,1.59592294,1.85492701,0.259004063,nan,limit\n"
+        ).encode()
+
+    @pytest.mark.parametrize("command", ["compare", "peskun"])
+    @pytest.mark.parametrize("grid", ["1.5", "0.3,-0.5", "0.3,1.0000001"])
+    def test_discount_outside_unit_interval_rejected(self, tmp_path, capsys, command, grid):
+        path = write_model(tmp_path / "m.json")
+        code = main([command, "--model", path, "--model-b", path, "--lambda", grid])
+        captured = capsys.readouterr()
+        assert code == EXIT_ASSERTION
+        assert "discount must lie in [0, 1)" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["compare", "peskun"])
+    def test_discount_within_1e12_of_one_is_limit_row(self, tmp_path, capsys, command):
+        path = write_model(tmp_path / "m.json")
+        grid = "0.5,1,1.0000000000001,0.9999999999999"
+        code = main([command, "--model", path, "--model-b", path, "--lambda", grid])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert [line.split(",")[-1] for line in lines[1:]] == ["resolvent", "limit"]
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         path = write_model(
@@ -229,6 +273,27 @@ class TestLimitAndSimulate:
             fields = line.split(",")
             estimate, se, exact = (float(x) for x in fields[3:])
             assert abs(estimate - exact) <= 5 * se
+
+
+    @pytest.mark.parametrize(
+        "sizes", [["--steps", "0", "--replicas", "0"], ["--steps", "0", "--replicas", "5"]]
+    )
+    def test_simulate_zero_sizes_rejected(self, tmp_path, capsys, sizes):
+        path = write_model(tmp_path / "m.json")
+        code = main(["simulate", "--model", path, "--seed", "1", *sizes])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert "validation error" in captured.err
+        assert captured.out == ""
+
+    def test_limit_csv_matches_compare_limit_row(self, tmp_path, capsys):
+        path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)
+        out = tmp_path / "limit.csv"
+        assert main(["limit", "--model", path, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["compare", "--model", path, "--lambda", "1"]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+        assert out.read_text().splitlines()[1].endswith(",nan,limit")
 
 
 class TestDemo:

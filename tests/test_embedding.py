@@ -5,8 +5,10 @@ import pytest
 
 import helpers
 from scanvar.embedding import (
+    OPERATORS,
     BlockVector,
     CycleEmbedding,
+    _cycle_solve,
     apply_embedding,
     apply_embedding_adjoint,
     block_inner,
@@ -263,6 +265,39 @@ class TestResolvent:
         a = emb.resolvent_solve("embed_adjoint", lam, phi)
         b = emb.resolvent_solve("shift_inv_diag", lam, phi)
         np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_every_selector_matches_dense_solve(self, k):
+        rng = np.random.default_rng(100 + k)
+        fam = helpers.random_family(rng, 6, k)
+        emb = CycleEmbedding(fam)
+        phi = random_block(rng, fam)
+        for op in OPERATORS:
+            if op == "symmetric" and k > 2:
+                continue
+            for lam in (0.0, 0.4, 0.99):
+                dense = np.linalg.solve(
+                    np.eye(k * fam.n) - lam * emb.realization(op), phi.flat()
+                )
+                solved = emb.resolvent_solve(op, lam, phi).flat()
+                assert np.abs(solved - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_symmetric_needs_at_most_two_kernels(self):
+        rng = np.random.default_rng(20)
+        fam = helpers.random_family(rng, 3, 3)
+        with pytest.raises(ValueError):
+            CycleEmbedding(fam).resolvent_solve("symmetric", 0.5, random_block(rng, fam))
+
+    def test_discount_one_needs_centred_rhs(self):
+        rng = np.random.default_rng(21)
+        fam = helpers.random_family(rng, 5, 3)
+        w = fam.pi.weights
+        rhs = rng.standard_normal((3, 5))
+        centred = rhs - (rhs @ w)[:, None]
+        x = _cycle_solve(fam.matrices, 1, 1.0, centred, w)
+        np.testing.assert_allclose(x @ w, 0.0, atol=1e-14)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cycle_solve(fam.matrices, 1, 1.0, rhs, w)
 
     def test_realization_cache_reused(self, e1):
         emb = CycleEmbedding(e1)

@@ -83,6 +83,25 @@ class TestCheckScanOrdering:
         reports = check_scan_ordering(fam, e1_f, [0.5])
         assert all(rep.method != "limit" for rep in reports)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_any_number_of_kernels_has_nan_bound(self, k):
+        rng = np.random.default_rng(41 + k)
+        fam = helpers.random_family(rng, 5, k)
+        f = helpers.random_centered(rng, fam)
+        reports = check_scan_ordering(fam, f, [0.3, 0.9])
+        assert [rep.method for rep in reports] == ["resolvent", "resolvent", "limit"]
+        for rep in reports:
+            assert np.isnan(rep.gap_lower_bound) and rep.bound_holds
+        assert reports[1].var_strat == pytest.approx(var_lambda_strat(fam, f, 0.9), abs=1e-12)
+        assert reports[2].var_rand == pytest.approx(var_limit(fam, f, "rand"), abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.5, 1.0 + 1e-9, -0.5])
+    def test_discount_outside_unit_interval_raises(self, e1, e1_f, lam):
+        with pytest.raises(ValueError):
+            check_scan_ordering(e1, e1_f, [0.5, lam])
+        with pytest.raises(ValueError):
+            check_peskun_ordering(e1, e1, e1_f, [0.5, lam])
+
     def test_series_method_threads_through(self, e1, e1_f):
         rep = check_scan_ordering(e1, e1_f, [0.5], method="series", include_limit=False)[0]
         assert rep.method == "series"

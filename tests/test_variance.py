@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from scanvar.embedding import CycleEmbedding
 from scanvar.kernels import (
     Observable,
     ReducibilityError,
@@ -133,6 +134,18 @@ class TestSummability:
         )
 
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_contraction_shared_by_every_rotation(self, k):
+        rng = np.random.default_rng(34 + k)
+        fam = helpers.random_family(rng, 6, k)
+        centre = np.outer(np.ones(fam.n), fam.pi.weights)
+        contraction = summability_check(fam).cycle_contraction
+        for q in range(1, k + 1):
+            cycle = helpers.cycle_product(fam.matrices, q, k) - centre
+            radius = float(np.abs(np.linalg.eigvals(cycle)).max())
+            assert contraction == pytest.approx(radius, abs=1e-12)
+
+
 class TestVarLimit:
     def test_e1_anchors(self, e1, e1_f):
         assert var_limit(e1, e1_f, "strat") == pytest.approx(
@@ -170,6 +183,22 @@ class TestVarLimit:
             coeffs = np.polyfit(hs, vals, 2)
             extrapolated = float(np.polyval(coeffs, 0.0))
             assert abs(extrapolated - limit) <= 1e-4 * max(1.0, abs(limit))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_strat_matches_dense_deflated_block_solve(self, k):
+        # (I - E + 1 w') y = fbar with w = pi (x) 1 / k on the kn x kn oracle
+        rng = np.random.default_rng(35 + k)
+        fam = helpers.random_family(rng, 6, k)
+        f = helpers.random_centered(rng, fam)
+        emb = CycleEmbedding(fam)
+        w = emb.weights
+        system = np.eye(k * fam.n) - emb.realization("embed")
+        system += np.outer(np.ones(k * fam.n), w / k)
+        fbar = np.tile(f.values, k)
+        y = np.linalg.solve(system, fbar)
+        norm_sq = float(np.dot(fam.pi.weights, f.values**2))
+        expected = (2.0 / k) * float(np.dot(w, fbar * y)) - norm_sq
+        assert var_limit(fam, f, "strat") == pytest.approx(expected, rel=1e-12)
 
     def test_reducible_rand_raises(self, e1_f):
         with pytest.raises(ReducibilityError):
