@@ -25,6 +25,7 @@ from scanvar.kernels import (
     KernelFamily,
     NUMERIC_TOL,
     Observable,
+    ReducibilityError,
     StateSpace,
     SummabilityError,
     ValidationError,
@@ -392,10 +393,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except ValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SummabilityError as err:
+    except (ValidationError, SummabilityError, ReducibilityError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ValueError, np.linalg.LinAlgError) as err:

@@ -447,17 +447,22 @@ class BetaPath:
         x = _cycle_solve(self.blocks(beta), 1, lam, fbar, self.pi.weights)
         return float(np.sum((fbar * x) @ self.pi.weights))
 
-    def _shifted_resolvents(
+    def _resolvents_and_derivative(
         self, f: Observable, lam: float, beta: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, float]:
         """Forward and backward shifted-diagonal resolvents of the blend at
-        the constant block built from f, as (k, n) arrays."""
+        the constant block built from f, as (k, n) arrays, and the
+        derivative of delta that they give."""
         blend = self.blocks(beta)
         fbar = self._fbar(f)
         w = self.pi.weights
         forward = _cycle_solve(*_cycle_row("shift_diag", blend), lam, fbar, w)
         backward = _cycle_solve(*_cycle_row("shift_inv_diag", blend), lam, fbar, w)
-        return forward, backward
+        diffs = [
+            b - a for a, b in zip(self.family_a.matrices, self.family_b.matrices)
+        ]
+        applied = np.stack([d @ forward[i] for i, d in enumerate(diffs)])
+        return forward, backward, lam * float(np.sum((backward * applied) @ w))
 
     def derivative(self, f: Observable, lam: float, beta: float) -> float:
         """Closed-form derivative of delta along the path.
@@ -468,12 +473,7 @@ class BetaPath:
         """
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {lam}")
-        forward, backward = self._shifted_resolvents(f, lam, beta)
-        diffs = [
-            b - a for a, b in zip(self.family_a.matrices, self.family_b.matrices)
-        ]
-        applied = np.stack([d @ forward[i] for i, d in enumerate(diffs)])
-        return lam * float(np.sum((backward * applied) @ self.pi.weights))
+        return self._resolvents_and_derivative(f, lam, beta)[2]
 
 
 def beta_derivative(
@@ -544,9 +544,9 @@ def palindrome_check(
             gaps = []
             derivs = []
             for beta in beta_grid:
-                fwd, bwd = path._shifted_resolvents(f, lam, float(beta))
+                fwd, bwd, deriv = path._resolvents_and_derivative(f, lam, float(beta))
                 gaps.append(float(np.abs(fwd[index - 1] - bwd[index - 1]).max()))
-                derivs.append(path.derivative(f, lam, float(beta)))
+                derivs.append(deriv)
             case = PalindromeCase(
                 cycle=tuple(cycle),
                 distinguished_index=index,

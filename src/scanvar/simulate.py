@@ -2,11 +2,11 @@
 
 Reproducibility contract: a path is a pure function of the configuration.
 State draws invert the cumulative row at a uniform variate, taking the
-first index whose cumulative weight strictly exceeds the draw. Randomness
-is consumed in a fixed documented order (initial state, then per step:
-kernel index if the scheme is rand, then one transition uniform per updated
-coordinate), and replica r of a run always uses derive_seed(seed, r), so
-replicas can run in any order or in parallel without changing results.
+first index whose cumulative weight strictly exceeds the draw. A path
+reads default_rng(seed) in a fixed documented order: one start uniform
+per coordinate, then (rand only) integers(0, k, transitions), then
+random((transitions, width)). Replica r uses derive_seed(seed, r), so
+results are bit-identical under any replica order or lockstep blocking.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Length, replication, seeding and scheme for one simulation run.
+    """Length, seeding and scheme for one simulation run.
 
     The default burn-in of zero starts the chain stationary, which is the
     regime every exact reference quantity assumes; burn-in is provided for
@@ -41,7 +41,6 @@ class SimulationConfig:
     """
 
     steps: int
-    replicas: int = 1
     seed: int = 0
     scheme: str = "strat"
     burn_in: int = 0
@@ -49,8 +48,6 @@ class SimulationConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError(f"steps must be at least 1, got {self.steps}")
-        if self.replicas < 1:
-            raise ValidationError(f"replicas must be at least 1, got {self.replicas}")
         if self.scheme not in SIM_SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {SIM_SCHEMES}, got {self.scheme!r}"
@@ -78,10 +75,52 @@ class VarianceEstimate:
     replicas_used: int
 
 
-def _draw(cum_row: np.ndarray, u: float) -> int:
-    """First index whose cumulative weight strictly exceeds u."""
-    idx = int(np.searchsorted(cum_row, u, side="right"))
-    return min(idx, cum_row.shape[0] - 1)
+# Most draws (replicas x recorded steps x coordinates) one lockstep block holds.
+BLOCK_DRAWS = 2**20
+
+
+def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds):
+    """Advance one path per seed together, yielding blocks of paths.
+
+    Blocks are int64 (steps, replicas, width) arrays, width k for embedded
+    and 1 otherwise. Slot s holds at recorded time i the coordinate
+    (s + i + burn_in) mod width, so slot 0 is the strat or rand path and
+    the embedded diagonal component: at transition t slot s goes through
+    kernel (s + t) mod k (rand: the drawn choice) and its coordinate moves
+    on by one. A draw counts the cumulative row entries not above the
+    uniform, which is searchsorted(side="right"); leaving out the last
+    entry caps the count at n - 1, as the rows are nondecreasing.
+    """
+    k, n = fam.k, fam.n
+    width = k if cfg.scheme == "embedded" else 1
+    transitions = cfg.burn_in + cfg.steps - 1
+    pi_cum = np.cumsum(fam.pi.weights)[:-1]
+    cum = np.cumsum(np.stack(fam.matrices), axis=2)[..., :-1].reshape(k * n, n - 1)
+    phase = np.arange(transitions)[:, None] + np.arange(width)
+    # slot s reads the uniform of the coordinate it holds
+    columns = phase % width
+    block = max(1, BLOCK_DRAWS // ((cfg.burn_in + cfg.steps) * width))
+    for first in range(0, len(seeds), block):
+        chunk = seeds[first : first + block]
+        start = np.empty((len(chunk), width, 1))
+        uniforms = np.empty((transitions, len(chunk), width, 1))
+        if cfg.scheme == "rand":
+            offsets = np.empty(uniforms.shape[:3], dtype=np.int64)
+        else:
+            offsets = np.broadcast_to((phase % k * n)[:, None, :], uniforms.shape[:3])
+        for r, seed in enumerate(chunk):
+            rng = np.random.default_rng(seed)
+            start[r, :, 0] = rng.random(width)
+            if cfg.scheme == "rand":
+                offsets[:, r, 0] = rng.integers(0, k, size=transitions) * n
+            moves = rng.random((transitions, width))
+            uniforms[:, r, :, 0] = np.take_along_axis(moves, columns, axis=1)
+        states = np.empty((transitions + 1, len(chunk), width), dtype=np.int64)
+        np.sum(pi_cum <= start, axis=-1, out=states[0])
+        for t in range(transitions):
+            rows = cum[offsets[t] + states[t]]
+            np.sum(rows <= uniforms[t], axis=-1, out=states[t + 1])
+        yield states[cfg.burn_in :]
 
 
 def simulate(fam: KernelFamily, cfg: SimulationConfig) -> SamplePath:
@@ -91,48 +130,12 @@ def simulate(fam: KernelFamily, cfg: SimulationConfig) -> SamplePath:
     target; step t applies the scheme's kernel(s) for that step. Output is
     fully determined by (fam, cfg).
     """
-    rng = np.random.default_rng(cfg.seed)
-    k, n = fam.k, fam.n
-    pi_cum = np.cumsum(fam.pi.weights)
-    cums = [np.cumsum(m, axis=1) for m in fam.matrices]
-    transitions = cfg.burn_in + cfg.steps - 1
-
-    if cfg.scheme == "embedded":
-        states = np.empty((cfg.steps, k), dtype=np.int64)
-        current = np.array([_draw(pi_cum, rng.random()) for _ in range(k)])
-        if cfg.burn_in == 0:
-            states[0] = current
-        step_uniforms = rng.random((transitions, k))
-        for t in range(1, transitions + 1):
-            nxt = np.empty(k, dtype=np.int64)
-            for b in range(k):
-                # coordinate sigma(b+1) is refreshed through kernel b+1
-                nxt[(b + 1) % k] = _draw(
-                    cums[b][current[b]], step_uniforms[t - 1, b]
-                )
-            current = nxt
-            if t >= cfg.burn_in:
-                states[t - cfg.burn_in] = current
-        return SamplePath(states=states, scheme=cfg.scheme)
-
-    states = np.empty(cfg.steps, dtype=np.int64)
-    x = _draw(pi_cum, rng.random())
-    if cfg.burn_in == 0:
-        states[0] = x
-    if cfg.scheme == "rand":
-        kernel_choice = rng.integers(0, k, size=transitions)
-        step_uniforms = rng.random(transitions)
-        for t in range(1, transitions + 1):
-            x = _draw(cums[kernel_choice[t - 1]][x], step_uniforms[t - 1])
-            if t >= cfg.burn_in:
-                states[t - cfg.burn_in] = x
-    else:  # strat: step t applies the kernel at cycle phase (t-1) mod k
-        step_uniforms = rng.random(transitions)
-        for t in range(1, transitions + 1):
-            x = _draw(cums[(t - 1) % k][x], step_uniforms[t - 1])
-            if t >= cfg.burn_in:
-                states[t - cfg.burn_in] = x
-    return SamplePath(states=states, scheme=cfg.scheme)
+    (slots,) = _lockstep(fam, cfg, [cfg.seed])
+    width = slots.shape[2]
+    # coordinate j at recorded time i sits in slot (j - i - burn_in) mod width
+    times = np.arange(cfg.steps)[:, None] + cfg.burn_in
+    states = np.take_along_axis(slots[:, 0], (np.arange(width) - times) % width, axis=1)
+    return SamplePath(states if cfg.scheme == "embedded" else states[:, 0], cfg.scheme)
 
 
 def extract_embedded_component(path: SamplePath) -> SamplePath:
@@ -165,16 +168,13 @@ def estimate_variance(
     """
     if replicas < 2:
         raise ValidationError(f"need at least 2 replicas, got {replicas}")
+    cfg = SimulationConfig(steps=steps, scheme=scheme)
     fc = f.values - float(np.dot(fam.pi.weights, f.values))
-    values = np.empty(replicas)
-    for r in range(replicas):
-        cfg = SimulationConfig(
-            steps=steps, replicas=1, seed=derive_seed(seed, r), scheme=scheme
-        )
-        path = simulate(fam, cfg)
-        if scheme == "embedded":
-            path = extract_embedded_component(path)
-        values[r] = np.sqrt(steps) * float(fc[path.states].mean())
+    blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)])
+    # each replica's mean runs over one C-contiguous row, as for a lone path
+    values = np.sqrt(steps) * np.concatenate(
+        [np.ascontiguousarray(fc[b[:, :, 0].T]).mean(axis=1) for b in blocks]
+    )
     point = float(np.var(values, ddof=1))
     deviations_sq = (values - values.mean()) ** 2
     standard_error = float(np.sqrt(np.var(deviations_sq, ddof=1) / replicas))

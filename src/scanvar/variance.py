@@ -187,8 +187,8 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
         ones_count = int(np.sum(np.abs(eigs - 1.0) < 1e-8))
         if ones_count > 1:
             raise ReducibilityError(
-                f"mixed kernel has eigenvalue 1 with multiplicity {ones_count}; "
-                "the chain is reducible and the limit is undefined"
+                f"mixed kernel has {ones_count} eigenvalues within 1e-8 of 1, so "
+                "the chain is reducible or too close to it; the limit is refused"
             )
         return _cycle_variance([mixed], f, fam.pi, 1.0)
     report = summability_check(fam)
@@ -252,7 +252,7 @@ def joint_law_exact(fam: KernelFamily, m: int, scheme: str) -> np.ndarray:
     """
     if m < 0:
         raise ValueError(f"horizon must be nonnegative, got {m}")
-    if scheme not in ("strat", "embedded", "embedded-component"):
+    if scheme not in ("strat", "embedded"):
         raise ValueError(
             f"scheme must be 'strat' or 'embedded', got {scheme!r}"
         )

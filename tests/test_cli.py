@@ -62,6 +62,17 @@ class TestLoadModel:
         assert "row 0" in message
         assert "0.01" in message
 
+    @pytest.mark.parametrize("excess", [1e-7, 5e-11])
+    def test_row_sum_fault_named_once(self, tmp_path, excess):
+        bad = [[0.9 + excess, 0.1], [0.1, 0.9]]
+        path = write_model(tmp_path / "m.json", kernels=[bad, helpers.E1_P2])
+        with pytest.raises(ValidationError) as err:
+            load_model(path)
+        header, *problems = str(err.value).splitlines()
+        assert path in header
+        assert len(problems) == 1
+        assert "kernel 1 row 0 sums to" in problems[0]
+
     def test_nonreversible_reports_residual(self, tmp_path):
         path = write_model(
             tmp_path / "m.json", kernels=[[[0.9, 0.1], [0.2, 0.8]], helpers.E1_P2]
@@ -247,6 +258,15 @@ class TestLimitAndSimulate:
         path = write_model(tmp_path / "m.json", kernels=[eye, eye])
         assert main(["limit", "--model", path]) == EXIT_VALIDATION
         assert "not absolutely summable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["limit", "compare"])
+    def test_near_reducible_rand_limit_refused(self, tmp_path, capsys, command):
+        sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
+        path = write_model(tmp_path / "m.json", kernels=[sticky, sticky])
+        assert main([command, "--model", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "within 1e-8 of 1" in err
 
     def test_simulate_csv(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json")

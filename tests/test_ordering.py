@@ -11,6 +11,7 @@ from scanvar.kernels import (
     ValidationError,
     gibbs_kernel,
     inner,
+    lazy,
     make_family,
     random_reversible,
 )
@@ -357,6 +358,35 @@ class TestPalindrome:
         for case in report.cases:
             assert case.min_derivative == pytest.approx(0.0, abs=1e-13)
             assert max(abs(d) for d in case.derivatives) <= 1e-13
+
+    def test_one_resolvent_pair_per_beta(self, monkeypatch):
+        import scanvar.ordering as ordering
+
+        rng = np.random.default_rng(48)
+        pi = helpers.random_dist(rng, 4)
+        gens = [random_reversible(pi, s) for s in (100, 200)]
+        f = Observable(rng.standard_normal(4))
+        betas = [0.0, 0.4, 1.0]
+        calls = []
+        solve = ordering._cycle_solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(ordering, "_cycle_solve", counted)
+        report = palindrome_check(gens, pi, 0.5, f, beta_grid=betas)
+        assert len(calls) == 2 * len(report.cases) * len(betas)
+        monkeypatch.undo()
+        for case in report.cases:
+            kernels = [gens[j - 1] for j in case.cycle]
+            perturbed = list(kernels)
+            index = case.distinguished_index - 1
+            perturbed[index] = lazy(perturbed[index], 0.5)
+            path = BetaPath(
+                make_family(pi.weights, kernels), make_family(pi.weights, perturbed)
+            )
+            assert case.derivatives == tuple(path.derivative(f, 0.5, b) for b in betas)
 
     def test_needs_two_generators(self):
         pi = Dist([0.5, 0.5])

@@ -1,5 +1,7 @@
 """Tests for the seeded simulators and the replicated variance estimator."""
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,6 +16,9 @@ from scanvar.simulate import (
     simulate,
 )
 from scanvar.variance import finite_m_variance_exact, joint_law_exact
+
+# the package re-exports the function `simulate` under the module's name
+simulate_module = importlib.import_module("scanvar.simulate")
 
 
 class TestSeeding:
@@ -193,3 +198,77 @@ class TestEstimateVariance:
             assert abs(est.point - exact) <= 3.0 * est.standard_error
             errors.append(est.standard_error)
         assert errors[0] > errors[1] > errors[2]
+
+
+SCHEMES = ("strat", "rand", "embedded")
+
+
+def _estimate_from(values):
+    """Point estimate and standard error as estimate_variance forms them."""
+    deviations_sq = (values - values.mean()) ** 2
+    return (
+        float(np.var(values, ddof=1)),
+        float(np.sqrt(np.var(deviations_sq, ddof=1) / values.size)),
+    )
+
+
+class TestReferenceSimulator:
+    """The lockstep loop against the scalar reference simulator, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_paths(self, k, scheme):
+        rng = np.random.default_rng(60 + k)
+        fam = helpers.random_family(rng, 5, k)
+        for burn_in in (0, 1, 4):
+            for steps in (1, 2, 37):
+                seed = 9 + steps
+                cfg = SimulationConfig(steps, seed, scheme, burn_in)
+                got = simulate(fam, cfg).states
+                expected = helpers.reference_path(fam, scheme, seed, steps, burn_in)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_estimates_across_blocks(self, monkeypatch, k, scheme):
+        rng = np.random.default_rng(70 + k)
+        fam = helpers.random_family(rng, 4, k)
+        f = Observable(rng.standard_normal(4))
+        steps, replicas = 50, 23
+        seeds = [derive_seed(5, r) for r in range(replicas)]
+        values = helpers.reference_estimate(fam, f, steps, seeds, scheme)
+        expected = _estimate_from(values)
+        one_block = estimate_variance(fam, f, steps, replicas, 5, scheme)
+        # several blocks, the last one short
+        monkeypatch.setattr(simulate_module, "BLOCK_DRAWS", 3 * steps * fam.k)
+        blocked = estimate_variance(fam, f, steps, replicas, 5, scheme)
+        for est in (one_block, blocked):
+            assert (est.point, est.standard_error) == expected
+            assert est.replicas_used == replicas
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_permuted_seeds(self, monkeypatch, e1, scheme):
+        seeds = [derive_seed(3, r) for r in range(12)]
+        permuted = [seeds[i] for i in np.random.default_rng(1).permutation(12)]
+        monkeypatch.setattr(simulate_module, "BLOCK_DRAWS", 5 * 40 * 2)
+        cfg = SimulationConfig(steps=40, scheme=scheme)
+        blocks = simulate_module._lockstep(e1, cfg, permuted)
+        slots = np.concatenate(list(blocks), axis=1)
+        for r, seed in enumerate(permuted):
+            path = helpers.reference_path(e1, scheme, seed, 40)
+            if scheme == "embedded":
+                path = path[np.arange(40), np.arange(40) % 2]
+            np.testing.assert_array_equal(slots[:, r, 0], path)
+
+    @pytest.mark.parametrize(
+        "scheme, point, standard_error",
+        [
+            ("strat", 2.9105015065562183, 0.29162201341863586),
+            ("rand", 2.8348063559987438, 0.2966787838685329),
+            ("embedded", 2.7075274811557795, 0.22572127778895174),
+        ],
+    )
+    def test_pinned_e1_estimates(self, e1, e1_f, scheme, point, standard_error):
+        est = estimate_variance(e1, e1_f, 4096, 200, 7, scheme)
+        assert (est.point, est.standard_error) == (point, standard_error)
