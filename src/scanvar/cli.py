@@ -145,10 +145,30 @@ def load_model(path: str) -> Model:
     )
     grid = raw.get("lambda_grid")
     if grid is not None:
+        numbers = isinstance(grid, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in grid
+        )
+        if not numbers:
+            raise ModelFormatError(f"{path}: field 'lambda_grid' must be a list of numbers")
         grid = tuple(float(x) for x in grid)
     sim = raw.get("simulation")
-    if sim is not None and not isinstance(sim, dict):
-        raise ModelFormatError(f"{path}: field 'simulation' must be an object")
+    if sim is not None:
+        if not isinstance(sim, dict):
+            raise ModelFormatError(f"{path}: field 'simulation' must be an object")
+        sim = dict(sim)
+        for key in ("steps", "replicas", "seed"):
+            if key in sim:
+                value = sim[key]
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ModelFormatError(
+                        f"{path}: field 'simulation.{key}' must be an integer, "
+                        f"got {sim[key]!r}"
+                    )
+                sim[key] = value
+        if "scheme" in sim and not isinstance(sim["scheme"], str):
+            raise ModelFormatError(f"{path}: field 'simulation.scheme' must be a string")
     return Model(
         family=family, f=Observable(f_values), lambda_grid=grid, simulation=sim
     )
@@ -299,9 +319,9 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     fam, f = model.family, model.f
     sim = dict(model.simulation or {})
-    steps = args.steps if args.steps is not None else int(sim.get("steps", 4096))
-    replicas = args.replicas if args.replicas is not None else int(sim.get("replicas", 200))
-    seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
+    steps = args.steps if args.steps is not None else sim.get("steps", 4096)
+    replicas = args.replicas if args.replicas is not None else sim.get("replicas", 200)
+    seed = args.seed if args.seed is not None else sim.get("seed", 0)
     schemes = [sim["scheme"]] if "scheme" in sim else ["strat", "rand"]
     rows = []
     for scheme in schemes:

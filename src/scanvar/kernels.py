@@ -8,8 +8,8 @@ geometry lives in the inner product weighted by the target distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -260,7 +260,9 @@ class KernelFamily:
     Construction validates everything: positive target weights, stochastic
     kernels (via the Kernel type) and detailed balance within
     REVERSIBILITY_TOL relative to each kernel's largest flow. Values are
-    immutable afterwards and safe to share across threads.
+    immutable afterwards and safe to share across threads. Derived data
+    (the mixed kernel, the cycle contraction) is computed on first use and
+    kept with the family.
     """
 
     space: StateSpace
@@ -306,6 +308,24 @@ class KernelFamily:
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(k.matrix for k in self.kernels)
+
+    @cached_property
+    def _mixed(self) -> Kernel:
+        """The value of random_scan."""
+        if self.k == 1:
+            return self.kernels[0]
+        if self.k == 2:  # two-term addition is commutative bit for bit
+            return Kernel((self.matrices[0] + self.matrices[1]) / 2.0)
+        stack = np.stack(self.matrices).reshape(self.k, -1)
+        return Kernel(_exact_sum(stack).reshape(self.n, self.n) / self.k)
+
+    @cached_property
+    def _cycle_contraction(self) -> float:
+        """Spectral radius of the phase-1 full-cycle product minus 1 pi',
+        the one eigenproblem of variance.summability_check."""
+        cycle = compose_cycle(self, 1, self.k).matrix
+        eigs = np.linalg.eigvals(cycle - np.outer(np.ones(self.n), self.pi.weights))
+        return float(np.abs(eigs).max())
 
 
 def make_family(pi, kernels, labels=None) -> KernelFamily:
@@ -360,23 +380,52 @@ def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:
     return Kernel(out)
 
 
+def _exact_sum(stack: np.ndarray) -> np.ndarray:
+    """Exactly rounded sums down the first axis, bit-identical to math.fsum
+    on every column; finite entries whose sums cannot overflow.
+
+    This is fsum's partials algorithm run on all columns at once. Each
+    incoming row cascades through the partials with one TwoSum per slot,
+    leaving the rounding error in the slot and carrying the rounded sum up
+    to the next free slot, so k rows need k slots. The partials are then
+    added from the top until a step is inexact, and fsum's half-way
+    correction rounds up when the next nonzero partial below has the sign
+    of the error. fsum drops zero partials where these slots keep them:
+    a zero slot leaves every step it takes part in unchanged.
+    """
+    partials = np.zeros_like(stack)
+    for m, x in enumerate(stack):
+        for j in range(m):
+            y = partials[j]
+            swap = np.abs(x) < np.abs(y)
+            big, small = np.where(swap, y, x), np.where(swap, x, y)
+            x = big + small
+            partials[j] = small - (x - big)
+        partials[m] = x
+    hi = np.zeros(stack.shape[1:])
+    lo = np.zeros_like(hi)
+    below = np.zeros_like(hi)  # first nonzero partial under the inexact step
+    inexact = np.zeros(hi.shape, dtype=bool)
+    for y in partials[::-1]:
+        below = np.where(inexact & (below == 0.0), y, below)
+        total = hi + y
+        lo = np.where(inexact, lo, y - (total - hi))
+        hi = np.where(inexact, hi, total)
+        inexact |= lo != 0.0
+    twice = 2.0 * lo
+    up = hi + twice
+    same_sign = ((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0))
+    return np.where(same_sign & (up - hi == twice), up, hi)
+
+
 def random_scan(fam: KernelFamily) -> Kernel:
     """Entrywise mean of the family: one uniformly chosen kernel per step.
 
     Entries are summed with exact rounding, so any reordering of the family
-    produces the bit-identical result.
+    produces the bit-identical result. The kernel is built once per family
+    and is read-only.
     """
-    if fam.k == 1:
-        return fam.kernels[0]
-    if fam.k == 2:  # two-term addition is commutative bit for bit
-        return Kernel((fam.matrices[0] + fam.matrices[1]) / 2.0)
-    stack = np.stack(fam.matrices).reshape(fam.k, -1)
-    sums = np.fromiter(
-        (math.fsum(stack[:, j]) for j in range(stack.shape[1])),
-        dtype=float,
-        count=stack.shape[1],
-    )
-    return Kernel(sums.reshape(fam.n, fam.n) / fam.k)
+    return fam._mixed
 
 
 def gibbs_kernel(joint: Dist, grid: tuple[int, int], coordinate: int) -> Kernel:

@@ -25,7 +25,6 @@ from scanvar.kernels import (
     ReducibilityError,
     SummabilityError,
     ValidationError,
-    compose_cycle,
     random_scan,
 )
 
@@ -162,11 +161,10 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     of the centered kernels K_i - 1 pi', so all phases share one spectrum
     and the product from phase 1 suffices. A radius below one makes the
     covariance series absolutely summable for every observable, which is
-    the sufficient condition checked here.
+    the sufficient condition checked here. The eigenproblem is solved
+    once per family.
     """
-    cycle = compose_cycle(fam, 1, fam.k).matrix
-    eigs = np.linalg.eigvals(cycle - np.outer(np.ones(fam.n), fam.pi.weights))
-    contraction = float(np.abs(eigs).max())
+    contraction = fam._cycle_contraction
     return SummabilityReport(
         absolutely_summable=bool(contraction < 1.0),
         cycle_contraction=contraction,

@@ -7,6 +7,8 @@ library bug cannot hide in both routes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from scanvar.kernels import Dist, Kernel, KernelFamily, Observable, make_family, random_reversible
@@ -53,6 +55,13 @@ def lazified(fam: KernelFamily, holds) -> KernelFamily:
         (1.0 - a) * m + a * np.eye(fam.n) for a, m in zip(holds, fam.matrices)
     ]
     return make_family(fam.pi.weights, mats)
+
+
+def fsum_mean(fam: KernelFamily) -> np.ndarray:
+    """Entrywise mean of the family's matrices, one math.fsum per entry."""
+    stack = np.stack(fam.matrices).reshape(fam.k, -1)
+    sums = [math.fsum(stack[:, j]) for j in range(stack.shape[1])]
+    return np.array(sums).reshape(fam.n, fam.n) / fam.k
 
 
 def cycle_product(mats, q: int, s: int) -> np.ndarray:

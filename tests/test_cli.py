@@ -89,6 +89,36 @@ class TestLoadModel:
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("compare", {"lambda_grid": 0.5}, "'lambda_grid'"),
+            ("compare", {"lambda_grid": ["a"]}, "'lambda_grid'"),
+            ("simulate", {"simulation": {"steps": "many"}}, "'simulation.steps'"),
+            ("simulate", {"simulation": {"seed": "x"}}, "'simulation.seed'"),
+            ("simulate", {"simulation": {"steps": 2.5}}, "'simulation.steps'"),
+            ("simulate", {"simulation": {"replicas": True}}, "'simulation.replicas'"),
+            ("simulate", {"simulation": {"scheme": 1}}, "'simulation.scheme'"),
+        ],
+    )
+    def test_malformed_optional_field_is_parse_error(
+        self, tmp_path, capsys, command, overrides, field
+    ):
+        path = write_model(tmp_path / "m.json", **overrides)
+        assert main([command, "--model", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: ")
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_integral_simulation_sizes_accepted(self, tmp_path):
+        path = write_model(
+            tmp_path / "m.json", simulation={"steps": 64.0, "replicas": 10, "seed": 3}
+        )
+        sim = load_model(path).simulation
+        assert sim == {"steps": 64, "replicas": 10, "seed": 3}
+        assert all(type(v) is int for v in sim.values())
+
     def test_dimension_mismatch_listed(self, tmp_path):
         path = write_model(tmp_path / "m.json", f=[1.0, -1.0, 0.0])
         with pytest.raises(ValidationError) as err:
@@ -305,6 +335,21 @@ class TestLimitAndSimulate:
         assert code == EXIT_VALIDATION
         assert "validation error" in captured.err
         assert captured.out == ""
+
+    def test_limit_solves_each_eigenproblem_once(self, tmp_path, capsys, monkeypatch):
+        # the cycle contraction (printed, then guarding the strat limit) and
+        # the rand limit's guard on the mixed kernel
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)
+        assert main(["limit", "--model", path]) == EXIT_OK
+        assert calls == [(3, 3), (3, 3)]
 
     def test_limit_csv_matches_compare_limit_row(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)

@@ -1,7 +1,13 @@
 """Unit tests for distributions, kernels, families and constructors."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import helpers
 from scanvar.kernels import (
@@ -24,7 +30,23 @@ from scanvar.kernels import (
     random_scan,
     sigma,
     validate_family,
+    _exact_sum,
 )
+
+# Finite summands whose column sums cannot overflow: any magnitude down to
+# subnormals, signed zeros, and signed powers of two that make ties.
+SUMMANDS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-1074, 8)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+def assert_fsum_bits(stack):
+    expected = np.array([math.fsum(column) for column in stack.T])
+    np.testing.assert_array_equal(
+        _exact_sum(stack).view(np.int64), expected.view(np.int64)
+    )
 
 
 class TestInnerAndCenter:
@@ -219,6 +241,49 @@ class TestRandomScan:
         for order in ((1, 2, 0), (2, 0, 1), (2, 1, 0)):
             shuffled = make_family(fam.pi.weights, [fam.matrices[i] for i in order])
             np.testing.assert_array_equal(random_scan(shuffled).matrix, base)
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (30, 3), (12, 5), (150, 8)])
+    def test_matches_per_entry_fsum(self, n, k):
+        fam = helpers.random_family(np.random.default_rng(n * k), n, k)
+        np.testing.assert_array_equal(random_scan(fam).matrix, helpers.fsum_mean(fam))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_every_permutation_same_bits(self, k):
+        fam = helpers.random_family(np.random.default_rng(40 + k), 5, k)
+        base = random_scan(fam).matrix
+        for order in itertools.permutations(range(k)):
+            shuffled = make_family(fam.pi.weights, [fam.matrices[i] for i in order])
+            np.testing.assert_array_equal(random_scan(shuffled).matrix, base)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_built_once_and_read_only(self, k):
+        fam = helpers.random_family(np.random.default_rng(k), 6, k)
+        kernel = random_scan(fam)
+        assert random_scan(fam) is kernel
+        with pytest.raises(ValueError):
+            kernel.matrix[0, 0] = 0.5
+
+
+class TestExactSum:
+    @given(arrays(np.float64, st.tuples(st.integers(3, 8), st.integers(1, 30)), elements=SUMMANDS))
+    def test_matches_fsum_bit_for_bit(self, stack):
+        assert_fsum_bits(stack)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2**-53, 2**-106],  # just above half an ulp: rounds up
+            [1.0, 2**-53, -(2**-106)],  # just below: rounds down
+            [1.0, -(2**-54), -(2**-107)],  # just beyond half an ulp below 1
+            [2**-1000, 2**-1053, 2**-1074],  # just above, with subnormal parts
+            [1e16, 1.0, 1e-16],
+            [1.0, 2**-53, 2**-106, 0.0],
+        ],
+    )
+    def test_half_way_ties_in_every_order(self, values):
+        stack = np.array(list(itertools.permutations(values))).T
+        assert_fsum_bits(stack)
+        assert len(set(_exact_sum(stack).tolist())) == 1
 
 
 class TestGibbsKernel:

@@ -103,6 +103,24 @@ class TestCheckScanOrdering:
         with pytest.raises(ValueError):
             check_peskun_ordering(e1, e1, e1_f, [0.5, lam])
 
+    def test_k8_sweep_sums_the_mixed_kernel_once(self, monkeypatch):
+        import scanvar.kernels as kernels
+
+        rng = np.random.default_rng(88)
+        fam = helpers.random_family(rng, 10, 8)
+        f = helpers.random_centered(rng, fam)
+        calls = []
+        exact_sum = kernels._exact_sum
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return exact_sum(stack)
+
+        monkeypatch.setattr(kernels, "_exact_sum", counted)
+        reports = check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99])
+        assert [rep.method for rep in reports] == ["resolvent"] * 4 + ["limit"]
+        assert calls == [(8, 100)]
+
     def test_series_method_threads_through(self, e1, e1_f):
         rep = check_scan_ordering(e1, e1_f, [0.5], method="series", include_limit=False)[0]
         assert rep.method == "series"

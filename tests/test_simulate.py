@@ -104,22 +104,30 @@ class TestExtraction:
             extract_embedded_component(path)
 
 
+def lockstep_paths(fam, scheme, steps, seeds):
+    """Slot 0 of one lockstep run, one (steps,) row per seed: the strat or
+    rand path, or the embedded chain's diagonal component. The first 50
+    rows are checked against simulate() and extract_embedded_component."""
+    cfg = SimulationConfig(steps=steps, scheme=scheme)
+    blocks = simulate_module._lockstep(fam, cfg, seeds)
+    paths = np.concatenate([b[:, :, 0] for b in blocks], axis=1).T
+    for row, seed in zip(paths[:50], seeds):
+        path = simulate(fam, SimulationConfig(steps=steps, seed=seed, scheme=scheme))
+        if scheme == "embedded":
+            path = extract_embedded_component(path)
+        np.testing.assert_array_equal(row, path.states)
+    return paths
+
+
 class TestStationarity:
     def test_fixed_time_marginals_match_target(self, e1):
         # across independent replicas the marginal at any fixed time is the
         # target; binomial 4-sigma bands per state
         replicas = 3000
         horizon = 9
+        seeds = [derive_seed(123, r) for r in range(replicas)]
         for scheme in ("rand", "strat", "embedded"):
-            states = np.empty((replicas, horizon), dtype=np.int64)
-            for r in range(replicas):
-                cfg = SimulationConfig(
-                    steps=horizon, seed=derive_seed(123, r), scheme=scheme
-                )
-                path = simulate(e1, cfg)
-                if scheme == "embedded":
-                    path = extract_embedded_component(path)
-                states[r] = path.states
+            states = lockstep_paths(e1, scheme, horizon, seeds)
             for t in (0, 4, 8):
                 for x in range(2):
                     p = e1.pi.weights[x]
@@ -133,16 +141,12 @@ class TestEmbeddingLawAgreement:
         # the extracted component chain and the directly simulated cycle chain
         # should be statistically indistinguishable on (X0, X1, X2)
         replicas = 12000
+        seeds = [derive_seed(777, r) for r in range(replicas)]
         counts = {}
         for label, scheme in (("direct", "strat"), ("extracted", "embedded")):
+            s = lockstep_paths(e1, scheme, 3, seeds)
             table = np.zeros((2, 2, 2))
-            for r in range(replicas):
-                cfg = SimulationConfig(steps=3, seed=derive_seed(777, r), scheme=scheme)
-                path = simulate(e1, cfg)
-                if scheme == "embedded":
-                    path = extract_embedded_component(path)
-                s = path.states
-                table[s[0], s[1], s[2]] += 1
+            np.add.at(table, (s[:, 0], s[:, 1], s[:, 2]), 1)
             counts[label] = table.reshape(-1)
         contingency = np.stack([counts["direct"], counts["extracted"]])
         _, p_value, _, _ = stats.chi2_contingency(contingency)
