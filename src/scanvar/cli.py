@@ -190,7 +190,12 @@ def _csv(header: str, rows: list[list[str]]) -> str:
 
 def _grid(args, model: Model) -> tuple[float, ...]:
     if args.lambdas:
-        return tuple(float(x) for x in args.lambdas.split(","))
+        try:
+            return tuple(float(x) for x in args.lambdas.split(","))
+        except ValueError as err:
+            raise ModelFormatError(
+                f"--lambda must be a comma-separated list of numbers, got {args.lambdas!r}"
+            ) from err
     if model.lambda_grid:
         return model.lambda_grid
     return DEFAULT_GRID

@@ -10,8 +10,9 @@ Every operator solved here is block-cyclic: phase q reads one n x n block
 applied to phase q + step, step = +1 or -1. So (I - lam Op) x = b is solved
 by elimination around the cycle: one n x n factorisation of
 I - lam^k M_1 ... M_k in the first phase, then k back-substitutions, with a
-residual guard on the full block system. Dense nk x nk realizations serve
-only as test oracles.
+residual guard on the full block system. The product M_1 ... M_k does not
+depend on lam; for the embed, adjoint and symmetric rows the family keeps
+it. Dense nk x nk realizations serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from scanvar.kernels import (
     KernelFamily,
     Observable,
     ValidationError,
+    _cycle_product,
 )
 
 # Relative residual allowed for a resolvent solve.
@@ -249,33 +251,58 @@ def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], i
     raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
 
 
+def _row_product(blocks: Sequence[np.ndarray], step: int) -> np.ndarray:
+    """Unscaled product of the blocks in visiting order: blocks[0] @
+    blocks[step] @ blocks[2 step] @ ... (indices mod k)."""
+    k = len(blocks)
+    return _cycle_product([blocks[(j * step) % k] for j in range(k)])
+
+
+def _family_row(fam: KernelFamily, op: str) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """(blocks, step, product) of a selector on a family. The product does
+    not depend on the discount; the family keeps it for the embed,
+    embed_adjoint and symmetric rows (the forward and backward cycle
+    products and the mixed kernel to the power k)."""
+    blocks, step = _cycle_row(op, fam.matrices)
+    if op == "embed":
+        return blocks, step, fam._cycle
+    if op == "embed_adjoint":
+        return blocks, step, fam._cycle_reversed
+    if op == "symmetric":
+        return blocks, step, fam._mixed_cycle
+    return blocks, step, _row_product(blocks, step)
+
+
 def _cycle_solve(
     blocks: Sequence[np.ndarray],
     step: int,
     lam: float,
     rhs: np.ndarray,
     weights: np.ndarray,
+    product: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve x_q = rhs_q + lam * blocks[q] @ x_{q+step} for every phase q.
 
     Substituting each phase into the one before it around the cycle leaves
-    one n x n system (I - lam^k M) x_0 = r, with M the product of the blocks
-    in visiting order; the other phases follow by back-substitution. At
-    lam = 1 the rank-one term ones * weights' pins the constant direction,
-    which is valid only when every phase of rhs is centred for weights and
-    the blocks leave weights invariant; the solution is then the centred
-    one. The residual of the full block system must stay within
-    RESOLVENT_RTOL of rhs in the weighted norm, which also rejects a
+    one n x n system (I - lam^k M) x_0 = r, with M = `product`, the
+    unscaled product of the blocks in visiting order (see _row_product;
+    computed here when not given), and r reduced from rhs by k - 1
+    matrix-vector products; the other phases follow by back-substitution.
+    At lam = 1 the rank-one term ones * weights' pins the constant
+    direction, which is valid only when every phase of rhs is centred for
+    weights and the blocks leave weights invariant; the solution is then
+    the centred one. The residual of the full block system must stay
+    within RESOLVENT_RTOL of rhs in the weighted norm, which also rejects a
     non-centred rhs at lam = 1.
     """
     k, n = rhs.shape
     order = [(j * step) % k for j in range(k)]
-    reduced = rhs[0].copy()
-    prod = lam * blocks[0]
-    for q in order[1:]:
-        reduced += prod @ rhs[q]
-        prod = prod @ (lam * blocks[q])
-    system = np.eye(n) - prod
+    if product is None:
+        product = _row_product(blocks, step)
+    reduced = rhs[order[-1]]
+    for q in reversed(order[:-1]):
+        reduced = rhs[q] + lam * (blocks[q] @ reduced)
+    system = np.eye(n) - lam**k * product
     if lam == 1.0:
         system += np.outer(np.ones(n), weights)
     x = np.empty((k, n))
@@ -335,8 +362,8 @@ class CycleEmbedding:
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {lam}")
         _check_block(self.family, rhs)
-        blocks, step = _cycle_row(op, self.family.matrices)
-        x = _cycle_solve(blocks, step, lam, rhs.values, self.family.pi.weights)
+        blocks, step, prod = _family_row(self.family, op)
+        x = _cycle_solve(blocks, step, lam, rhs.values, self.family.pi.weights, prod)
         return BlockVector(x)
 
 

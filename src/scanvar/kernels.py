@@ -8,12 +8,11 @@ geometry lives in the inner product weighted by the target distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from scanvar.seeding import derive_seed
 
@@ -25,6 +24,8 @@ REVERSIBILITY_TOL = 1e-10
 NUMERIC_TOL = 1e-10
 # Eigenvalue threshold for positive-semidefiniteness verdicts.
 PSD_TOL = 1e-10
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -261,8 +262,9 @@ class KernelFamily:
     kernels (via the Kernel type) and detailed balance within
     REVERSIBILITY_TOL relative to each kernel's largest flow. Values are
     immutable afterwards and safe to share across threads. Derived data
-    (the mixed kernel, the cycle contraction) is computed on first use and
-    kept with the family.
+    (the mixed kernel, the cycle products of the resolvent solves, the
+    cycle contraction and the summability verdict) is computed on first
+    use and kept with the family.
     """
 
     space: StateSpace
@@ -320,12 +322,118 @@ class KernelFamily:
         return Kernel(_exact_sum(stack).reshape(self.n, self.n) / self.k)
 
     @cached_property
+    def _cycle(self) -> np.ndarray:
+        """K_1 K_2 ... K_k, read-only: the phase-1 full-cycle product, which
+        the summability check centres and the embed row's resolvent solves
+        scale by the discount."""
+        return _readonly(_cycle_product(self.matrices))
+
+    @cached_property
+    def _cycle_reversed(self) -> np.ndarray:
+        """K_k ... K_2 K_1, read-only: the product of the adjoint row."""
+        return _readonly(_cycle_product(self.matrices[::-1]))
+
+    @cached_property
+    def _mixed_cycle(self) -> np.ndarray:
+        """The mixed kernel to the power k, read-only: the product of the
+        symmetric row, whose every block is the mixed kernel for k <= 2."""
+        return _readonly(_cycle_product((self._mixed.matrix,) * self.k))
+
+    @cached_property
     def _cycle_contraction(self) -> float:
         """Spectral radius of the phase-1 full-cycle product minus 1 pi',
         the one eigenproblem of variance.summability_check."""
-        cycle = compose_cycle(self, 1, self.k).matrix
-        eigs = np.linalg.eigvals(cycle - np.outer(np.ones(self.n), self.pi.weights))
-        return float(np.abs(eigs).max())
+        centred = self._cycle - np.outer(np.ones(self.n), self.pi.weights)
+        return float(np.abs(np.linalg.eigvals(centred)).max())
+
+    @cached_property
+    def _summable(self) -> bool:
+        """Whether the full cycle contracts centred functions, the guard of
+        variance.var_limit(strat): the norm certificate when it holds, else
+        _cycle_contraction below one."""
+        return (
+            _certifies_summability(self.pi.weights, self.matrices)
+            or self._cycle_contraction < 1.0
+        )
+
+
+def _cycle_product(matrices) -> np.ndarray:
+    """Product of the matrices in the given order, multiplied from the
+    left: ((M_1 M_2) M_3) ... M_k."""
+    prod = matrices[0]
+    for m in matrices[1:]:
+        prod = prod @ m
+    return prod
+
+
+def _pi_symmetrised(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Symmetric part of S = D^{1/2} K D^{-1/2}, D = diag(pi), and the
+    Frobenius norm of its skew part.
+
+    S is similar to K and symmetric exactly when K is reversible for pi, so
+    the skew norm measures rounding and balance residual. The symmetric
+    part is normal, so by Bauer-Fike every eigenvalue of K lies within the
+    skew norm of one of the symmetric part's eigenvalues.
+    """
+    root = np.sqrt(weights)
+    s = root[:, None] * matrix / root[None, :]
+    return (s + s.T) / 2.0, float(np.linalg.norm(s - s.T)) / 2.0
+
+
+def _rounding_slack(weights: np.ndarray) -> float:
+    """Allowance for the rounding of a dense eigensolver on a kernel or on
+    its pi-symmetrisation: a backward error of 16 n eps per unit norm,
+    times pi_max / pi_min. That factor bounds the condition of the
+    kernel's eigenvector basis D^{-1/2} Q times its norm relative to S, so
+    it covers the nonsymmetric route that a symmetric shortcut must agree
+    with."""
+    return 16.0 * weights.size * _EPS * float(weights.max() / weights.min())
+
+
+def _certifies_summability(weights: np.ndarray, matrices) -> bool:
+    """A sufficient test of rho(K_1 ... K_k - 1 pi') < 1 that solves only
+    symmetric eigenproblems.
+
+    With pi invariant and unit row sums, the centred product is the product
+    of the centred factors A_i = K_i - 1 pi', so its radius is at most the
+    product of their pi-norms. Every factor's norm is at most its Jensen
+    bound sqrt(max row sum * max_j (pi K)_j / pi_j) plus twice its defect:
+    the largest deviation of a row sum, of (pi K)_j / pi_j or of the weight
+    total from one. Twice the sum of the defects times the product of
+    these bounds covers the error of the product identity itself. Factor i
+    also has the tighter bound max |eig(sym(S_i) - sqrt(pi) sqrt(pi)')| +
+    |skew(S_i)|_F. The kernels are tried in order against the others'
+    bounds, and the first whose product falls below one by the rounding
+    slack and the defect term certifies. A family whose kernels all have
+    a centred norm of one (identities, swaps, Gibbs projections) never
+    certifies. A kernel whose positive-entry graph is not strongly
+    connected is skipped without an eigenproblem: reversibility makes that
+    graph symmetric, so the kernel keeps the centred indicator of a class
+    fixed and its centred norm is one. Every kernel is skipped when the
+    slack leaves nothing below one. Skipping only forgoes the certificate.
+    """
+    total = float(weights.sum())
+    bounds, defects = [], []
+    for m in matrices:
+        rows = m.sum(axis=1)
+        ratio = (weights @ m) / weights
+        defect = max(float(np.abs(rows - 1.0).max()), float(np.abs(ratio - 1.0).max()))
+        defect += abs(total - 1.0)
+        bounds.append(math.sqrt(float(rows.max()) * float(ratio.max())) + 2.0 * defect)
+        defects.append(defect)
+    product_error = 2.0 * math.prod(max(b, 1.0) for b in bounds) * sum(defects)
+    limit = 1.0 - _rounding_slack(weights) - product_error
+    if limit <= 0.0:
+        return False
+    root = np.sqrt(weights)
+    for i, m in enumerate(matrices):
+        if not _strongly_connected(m):
+            continue
+        sym, skew = _pi_symmetrised(m, weights)
+        centred = float(np.abs(np.linalg.eigvalsh(sym - np.outer(root, root))).max())
+        if (centred + skew) * math.prod(bounds[:i] + bounds[i + 1 :]) < limit:
+            return True
+    return False
 
 
 def make_family(pi, kernels, labels=None) -> KernelFamily:
@@ -507,11 +615,28 @@ def lazy(kernel: Kernel, a: float) -> Kernel:
     return Kernel((1.0 - a) * kernel.matrix + a * np.eye(kernel.n))
 
 
+def _reaches_all(edges: np.ndarray) -> bool:
+    """True when every state is reachable from state 0 along the boolean
+    adjacency matrix `edges`; a breadth-first sweep, one frontier per step."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _strongly_connected(matrix: np.ndarray) -> bool:
+    """State 0 reaches every state along the positive entries, and every
+    state reaches state 0."""
+    edges = matrix > 0.0
+    return _reaches_all(edges) and _reaches_all(edges.T)
+
+
 def is_irreducible(kernel: Kernel) -> bool:
     """True when the positive-entry graph is strongly connected."""
-    graph = csr_matrix(kernel.matrix > 0.0)
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    return ncomp == 1
+    return _strongly_connected(kernel.matrix)
 
 
 def random_reversible(pi: Dist, seed: int, max_tries: int = 100) -> Kernel:

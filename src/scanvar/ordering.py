@@ -39,6 +39,9 @@ from scanvar.kernels import (
     make_family,
 )
 from scanvar.variance import (
+    _check_lam,
+    _solve,
+    _variance,
     var_lambda_rand,
     var_lambda_strat,
     var_limit,
@@ -132,33 +135,34 @@ def _is_limit(lam: float) -> bool:
     return abs(lam - 1.0) <= 1e-12
 
 
-def _centered_block(fam: KernelFamily, f: Observable) -> BlockVector:
-    fc = f.values - float(np.dot(fam.pi.weights, f.values))
-    return BlockVector(np.tile(fc, (fam.k, 1)))
+def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
+    """gap_lower_bound from its forward solve: the embed resolvent at the
+    centred constant block, which is var_lambda_strat's solve."""
+    if lam == 0.0:
+        return 0.0
+    emb = CycleEmbedding(fam)
+    fwd = BlockVector(forward)
+    h = BlockVector(forward - lam * symmetric_part(fam, fwd).values)
+    g_hat = emb.resolvent_solve("embed_adjoint", lam, h)
+    a_g = skew_part(fam, g_hat)
+    y = emb.resolvent_solve("symmetric", lam, a_g)
+    return (2.0 / fam.k) * lam * lam * block_inner(a_g, y, fam.pi)
 
 
 def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Certified lower bound on var_rand - var_strat for a two-kernel family.
 
     Evaluates the skew term of the variational identity at its optimiser:
-    three block resolvent solves, the symmetric and skew parts applied
-    blockwise, and one quadratic form, scaled by 2/k.
+    three block resolvent solves (the first is var_lambda_strat's), the
+    symmetric and skew parts applied blockwise, and one quadratic form,
+    scaled by 2/k.
     Nonnegative by construction and zero at lam = 0 or for identical kernels.
     """
     if fam.k != 2:
         raise ValueError(f"the gap bound needs exactly two kernels, got {fam.k}")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {lam}")
-    if lam == 0.0:
-        return 0.0
-    emb = CycleEmbedding(fam)
-    fbar = _centered_block(fam, f)
-    forward = emb.resolvent_solve("embed", lam, fbar)
-    h = BlockVector(forward.values - lam * symmetric_part(fam, forward).values)
-    g_hat = emb.resolvent_solve("embed_adjoint", lam, h)
-    a_g = skew_part(fam, g_hat)
-    y = emb.resolvent_solve("symmetric", lam, a_g)
-    return (2.0 / fam.k) * lam * lam * block_inner(a_g, y, fam.pi)
+    return _gap_bound(fam, _solve(fam, f, lam, "strat")[1], lam)
 
 
 def check_scan_ordering(
@@ -199,9 +203,16 @@ def check_scan_ordering(
     for lam in grid:
         if _is_limit(lam):
             continue  # the limit row is appended below
-        v_strat = var_lambda_strat(fam, f, lam, method=method, series_terms=series_terms)
+        _check_lam(lam)
+        bound = math.nan
+        if two:  # the gap bound's forward solve is var_lambda_strat's solve
+            fbar, forward = _solve(fam, f, lam, "strat")
+            bound = _gap_bound(fam, forward, lam)
+        if two and method == "resolvent":
+            v_strat = _variance(fbar, forward, fam.pi)
+        else:
+            v_strat = var_lambda_strat(fam, f, lam, method=method, series_terms=series_terms)
         v_rand = var_lambda_rand(fam, f, lam)
-        bound = gap_lower_bound(fam, f, lam) if two else math.nan
         reports.append(report(lam, v_strat, v_rand, bound, method))
     if include_limit or any(_is_limit(lam) for lam in grid):
         try:

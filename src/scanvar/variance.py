@@ -13,11 +13,10 @@ internally, so inputs need not be pre-centered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from scanvar.embedding import BlockVector, _cycle_solve, block_inner
+from scanvar.embedding import BlockVector, _cycle_solve, _family_row, block_inner
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -25,11 +24,17 @@ from scanvar.kernels import (
     ReducibilityError,
     SummabilityError,
     ValidationError,
+    _pi_symmetrised,
+    _rounding_slack,
     random_scan,
 )
 
 DEFAULT_SERIES_TERMS = 400
 SCHEMES = ("strat", "rand")
+
+# Distance from 1 within which an eigenvalue of the mixed kernel counts as a
+# second unit eigenvalue, refusing the random-scan limit.
+_NEAR_ONE = 1e-8
 
 # Table-size guard for exact joint laws.
 JOINT_LAW_MAX_CELLS = 1_000_000
@@ -81,16 +86,25 @@ def series_truncation_bound(f_norm_sq: float, lam: float, terms: int) -> float:
     return 2.0 * f_norm_sq * lam ** (terms + 1) / (1.0 - lam)
 
 
-def _cycle_variance(
-    blocks: Sequence[np.ndarray], f: Observable, pi: Dist, lam: float
-) -> float:
-    """(2/k) sum_q <f, y_q> - |f|^2 for the centered f, where the block
-    vector y solves y_q = f + lam * blocks[q] y_{q+1}; lam lies in [0, 1]."""
-    fc = _centered_values(f, pi)
-    fbar = BlockVector(np.tile(fc, (len(blocks), 1)))
-    y = _cycle_solve(blocks, 1, lam, fbar.values, pi.weights)
-    norm_sq = float(np.dot(pi.weights, fc * fc))
-    return (2.0 / len(blocks)) * block_inner(fbar, BlockVector(y), pi) - norm_sq
+def _solve(
+    fam: KernelFamily, f: Observable, lam: float, scheme: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fbar, y): the centred f tiled over the phases, and the solution of
+    y_q = fbar_q + lam * M_q y_{q+1}, with the family's kernels (the embed
+    row and its cached product) for strat and the mixed kernel alone for
+    rand; lam lies in [0, 1]."""
+    if scheme == "rand":
+        blocks, prod = [random_scan(fam).matrix], None
+    else:
+        blocks, _, prod = _family_row(fam, "embed")
+    fbar = np.tile(_centered_values(f, fam.pi), (len(blocks), 1))
+    return fbar, _cycle_solve(blocks, 1, lam, fbar, fam.pi.weights, prod)
+
+
+def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
+    """(2/k) sum_q <fbar_q, y_q> - |f|^2 for a solve of _solve."""
+    norm_sq = float(np.dot(pi.weights, fbar[0] * fbar[0]))
+    return (2.0 / len(fbar)) * block_inner(BlockVector(fbar), BlockVector(y), pi) - norm_sq
 
 
 def var_lambda_strat(
@@ -109,7 +123,7 @@ def var_lambda_strat(
     """
     _check_lam(lam)
     if method == "resolvent":
-        return _cycle_variance(fam.matrices, f, fam.pi, lam)
+        return _variance(*_solve(fam, f, lam, "strat"), fam.pi)
     if method == "series":
         value, _ = var_lambda_strat_series(fam, f, lam, series_terms)
         return value
@@ -151,7 +165,7 @@ def var_lambda_strat_series(
 def var_lambda_rand(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Discounted asymptotic variance of the uniformly mixed kernel."""
     _check_lam(lam)
-    return _cycle_variance([random_scan(fam).matrix], f, fam.pi, lam)
+    return _variance(*_solve(fam, f, lam, "rand"), fam.pi)
 
 
 def summability_check(fam: KernelFamily) -> SummabilityReport:
@@ -161,8 +175,10 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     of the centered kernels K_i - 1 pi', so all phases share one spectrum
     and the product from phase 1 suffices. A radius below one makes the
     covariance series absolutely summable for every observable, which is
-    the sufficient condition checked here. The eigenproblem is solved
-    once per family.
+    the sufficient condition checked here. The nonsymmetric eigenproblem
+    is solved once per family, for the printed radius; var_limit needs only
+    the verdict and first tries a certificate from symmetric eigenproblems
+    (see kernels._certifies_summability), falling back to this radius.
     """
     contraction = fam._cycle_contraction
     return SummabilityReport(
@@ -171,31 +187,51 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     )
 
 
+def _near_one_count(kernel: np.ndarray, weights: np.ndarray) -> int:
+    """Number of eigenvalues of a pi-reversible kernel within 1e-8 of 1.
+
+    Counted on the symmetric part of the pi-symmetrised kernel. Every
+    eigenvalue of the kernel lies within the Bauer-Fike radius (the skew
+    part's Frobenius norm plus the rounding slack) of one of the symmetric
+    part's, so the two counts agree unless an eigenvalue of the symmetric
+    part lies within that radius of the 1e-8 boundary; then the kernel's
+    own eigenvalues are counted. A radius of 1e-8 or more puts the unit
+    eigenvalue itself that close, so the kernel's eigenvalues are counted
+    without solving the symmetric problem first.
+    """
+    sym, skew = _pi_symmetrised(kernel, weights)
+    radius = skew + _rounding_slack(weights)
+    if radius < _NEAR_ONE:
+        dist = np.abs(np.linalg.eigvalsh(sym) - 1.0)
+        if not np.any(np.abs(dist - _NEAR_ONE) <= radius):
+            return int(np.sum(dist < _NEAR_ONE))
+    return int(np.sum(np.abs(np.linalg.eigvals(kernel) - 1.0) < _NEAR_ONE))
+
+
 def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     """Limiting variance as the discount approaches one.
 
     Both schemes take the discounted route at discount one, where the solve
-    deflates the constant direction. strat is guarded by the summability
-    check, rand by an eigenvalue-multiplicity check on the mixed kernel.
+    deflates the constant direction. strat is guarded by summability: a
+    certificate from symmetric eigenproblems when it holds, else the
+    summability check's radius. rand is guarded by an eigenvalue-multiplicity
+    check on the mixed kernel, counted on its symmetric part (see
+    _near_one_count).
     """
     _check_scheme(scheme)
     if scheme == "rand":
-        mixed = random_scan(fam).matrix
-        eigs = np.linalg.eigvals(mixed)
-        ones_count = int(np.sum(np.abs(eigs - 1.0) < 1e-8))
+        ones_count = _near_one_count(random_scan(fam).matrix, fam.pi.weights)
         if ones_count > 1:
             raise ReducibilityError(
                 f"mixed kernel has {ones_count} eigenvalues within 1e-8 of 1, so "
                 "the chain is reducible or too close to it; the limit is refused"
             )
-        return _cycle_variance([mixed], f, fam.pi, 1.0)
-    report = summability_check(fam)
-    if not report.absolutely_summable:
+    elif not fam._summable:
         raise SummabilityError(
-            f"cycle contraction {report.cycle_contraction:.6g} is not below 1; "
-            "the covariance series does not converge absolutely"
+            f"cycle contraction {summability_check(fam).cycle_contraction:.6g} "
+            "is not below 1; the covariance series does not converge absolutely"
         )
-    return _cycle_variance(fam.matrices, f, fam.pi, 1.0)
+    return _variance(*_solve(fam, f, 1.0, scheme), fam.pi)
 
 
 def finite_m_variance_exact(

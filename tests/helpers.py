@@ -177,3 +177,35 @@ def reference_estimate(
             states = states[np.arange(steps), np.arange(steps) % fam.k]
         values[r] = np.sqrt(steps) * float(fc[states].mean())
     return values
+
+
+def oracle_cycle_contraction(fam: KernelFamily) -> float:
+    """Spectral radius of the phase-1 cycle product minus 1 pi', by a plain
+    nonsymmetric eigenproblem."""
+    centre = np.outer(np.ones(fam.n), fam.pi.weights)
+    cycle = cycle_product(fam.matrices, 1, fam.k) - centre
+    return float(np.abs(np.linalg.eigvals(cycle)).max())
+
+
+def oracle_near_one_count(fam: KernelFamily) -> int:
+    """Eigenvalues of the mean kernel (fsum_mean, the same bits as the
+    library's mixed kernel) within 1e-8 of 1, by eigvals."""
+    return int(np.sum(np.abs(np.linalg.eigvals(fsum_mean(fam)) - 1.0) < 1e-8))
+
+
+def oracle_var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
+    """Limiting variance from one dense deflated solve: the kn x kn block
+    system (I - E + 1 w') y = fbar for strat, with E the embedding assembled
+    block by block and w = pi tiled / k, or the n x n system with the plain
+    mean kernel for rand; then 2 <fbar, y>_w - |f|^2."""
+    pi = fam.pi.weights
+    fc = f.values - float(np.dot(pi, f.values))
+    mats = list(fam.matrices) if scheme == "strat" else [sum(fam.matrices) / fam.k]
+    k, n = len(mats), fam.n
+    embed = np.zeros((k * n, k * n))
+    for q in range(k):
+        nxt = (q + 1) % k
+        embed[q * n : (q + 1) * n, nxt * n : (nxt + 1) * n] = mats[q]
+    w = np.tile(pi, k) / k
+    y = np.linalg.solve(np.eye(k * n) - embed + np.outer(np.ones(k * n), w), np.tile(fc, k))
+    return 2.0 * float(np.dot(w, np.tile(fc, k) * y)) - float(np.dot(pi, fc * fc))

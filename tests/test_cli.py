@@ -206,6 +206,37 @@ class TestCompare:
         assert code == EXIT_OK
         assert [line.split(",")[-1] for line in lines[1:]] == ["resolvent", "limit"]
 
+    @pytest.mark.parametrize("command", ["compare", "peskun"])
+    @pytest.mark.parametrize("grid", ["a", "0.3,,0.9", "0.3;0.9"])
+    def test_non_numeric_discount_is_parse_error(self, tmp_path, capsys, command, grid):
+        path = write_model(tmp_path / "m.json")
+        code = main([command, "--model", path, "--model-b", path, "--lambda", grid])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.err.startswith("parse error: --lambda must be")
+        assert repr(grid) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["compare", "peskun"])
+    def test_certifiable_model_solves_no_nonsymmetric_eigenproblem(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        rng = np.random.default_rng(75)
+        fam = helpers.random_family(rng, 6, 2)
+        model = {
+            "states": 6,
+            "pi": fam.pi.weights.tolist(),
+            "kernels": [m.tolist() for m in fam.matrices],
+            "f": rng.standard_normal(6).tolist(),
+        }
+        path = write_model(tmp_path / "m.json", **model)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        assert main([command, "--model", path, "--model-b", path]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].endswith(",limit")
+        assert calls == []
+
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         path = write_model(
             tmp_path / "m.json", kernels=[[[0.9, 0.1], [0.2, 0.8]], helpers.E1_P2]
@@ -337,8 +368,8 @@ class TestLimitAndSimulate:
         assert captured.out == ""
 
     def test_limit_solves_each_eigenproblem_once(self, tmp_path, capsys, monkeypatch):
-        # the cycle contraction (printed, then guarding the strat limit) and
-        # the rand limit's guard on the mixed kernel
+        # the cycle contraction, printed and then guarding the strat limit;
+        # the rand limit's guard is decided on the symmetrised mixed kernel
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -349,7 +380,7 @@ class TestLimitAndSimulate:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)
         assert main(["limit", "--model", path]) == EXIT_OK
-        assert calls == [(3, 3), (3, 3)]
+        assert calls == [(3, 3)]
 
     def test_limit_csv_matches_compare_limit_row(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)

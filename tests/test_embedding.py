@@ -299,6 +299,41 @@ class TestResolvent:
         with pytest.raises(np.linalg.LinAlgError):
             _cycle_solve(fam.matrices, 1, 1.0, rhs, w)
 
+    def test_cycle_product_cached_per_family_and_selector(self, monkeypatch):
+        # a four-point sweep with gap bounds builds the embed, embed_adjoint
+        # and symmetric products once each, and reuses the same objects;
+        # the summability check centres the same embed product
+        import scanvar.embedding as embedding
+        import scanvar.kernels as kernels
+        from scanvar.ordering import check_scan_ordering
+
+        fam = helpers.random_family(np.random.default_rng(71), 6, 2)
+        f = helpers.random_centered(np.random.default_rng(72), fam)
+        built = []
+        product = kernels._cycle_product
+
+        def counted(matrices):
+            built.append(len(matrices))
+            return product(matrices)
+
+        monkeypatch.setattr(kernels, "_cycle_product", counted)
+        check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99])
+        assert built == [2, 2, 2]
+        rows = ("embed", "embed_adjoint", "symmetric")
+        cached = {op: embedding._family_row(fam, op)[2] for op in rows}
+        for op, prod in cached.items():
+            blocks, step, again = embedding._family_row(fam, op)
+            assert again is prod
+            assert not prod.flags.writeable
+            np.testing.assert_array_equal(prod, embedding._row_product(blocks, step))
+        np.testing.assert_array_equal(
+            cached["embed"], helpers.cycle_product(fam.matrices, 1, 2)
+        )
+        check_scan_ordering(fam, f, [0.5])
+        monkeypatch.setattr(kernels, "compose_cycle", None)  # not rebuilt there
+        assert fam._cycle_contraction == helpers.oracle_cycle_contraction(fam)
+        assert built == [2, 2, 2]
+
     def test_realization_cache_reused(self, e1):
         emb = CycleEmbedding(e1)
         assert emb.realization("embed") is emb.realization("embed")

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -399,3 +402,35 @@ class TestIrreducibility:
 
     def test_cycle_is_irreducible(self):
         assert is_irreducible(Kernel([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: arrays(bool, (n, n), elements=st.booleans())
+        )
+    )
+    def test_matches_strong_components(self, edges):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        # self-loops keep every row stochastic and change no component
+        edges = edges | np.eye(len(edges), dtype=bool)
+        kernel = Kernel(edges / edges.sum(axis=1, keepdims=True))
+        ncomp, _ = connected_components(
+            csr_matrix(kernel.matrix > 0.0), directed=True, connection="strong"
+        )
+        assert is_irreducible(kernel) == (ncomp == 1)
+
+
+def test_cli_import_loads_no_scipy():
+    import scanvar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scanvar.__file__)))
+    code = (
+        "import sys; import scanvar.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -67,6 +67,32 @@ class TestCheckScanOrdering:
         assert rep.ordering_holds and rep.bound_holds
         assert rep.method == "resolvent"
 
+    def test_gap_bound_shares_the_strat_solve(self, monkeypatch):
+        # per discount: strat (shared with the bound's forward solve), rand,
+        # and the bound's adjoint and symmetric solves
+        import scanvar.embedding as embedding
+        import scanvar.variance as variance
+
+        fam = helpers.random_family(np.random.default_rng(73), 6, 2)
+        f = helpers.random_centered(np.random.default_rng(74), fam)
+        grid = [0.3, 0.6, 0.9, 0.99]
+        calls = []
+        solve = embedding._cycle_solve
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return solve(*args)
+
+        monkeypatch.setattr(embedding, "_cycle_solve", counted)
+        monkeypatch.setattr(variance, "_cycle_solve", counted)
+        reports = check_scan_ordering(fam, f, grid, include_limit=False)
+        assert len(calls) == 4 * len(grid)
+        monkeypatch.undo()
+        for lam, rep in zip(grid, reports):
+            assert rep.var_strat == var_lambda_strat(fam, f, lam)
+            assert rep.var_rand == var_lambda_rand(fam, f, lam)
+            assert rep.gap_lower_bound == gap_lower_bound(fam, f, lam)
+
     def test_e1_limit_row(self, e1, e1_f):
         reports = check_scan_ordering(e1, e1_f, [0.5])
         assert reports[-1].method == "limit"

@@ -1,0 +1,282 @@
+"""Symmetric shortcuts of the limit guards against the nonsymmetric route.
+
+The summability certificate and the random-scan guard must give the same
+decision as the eigenvalue problems they stand in for, and fall back to
+them whenever they cannot decide: on property-generated families and on
+pinned hostile ones.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import helpers
+from scanvar.kernels import (
+    Dist,
+    Kernel,
+    Observable,
+    ReducibilityError,
+    SummabilityError,
+    _certifies_summability,
+    gibbs_kernel,
+    lazy,
+    make_family,
+    metropolis_kernel,
+    random_reversible,
+)
+from scanvar.variance import _near_one_count, summability_check, var_limit
+
+KINDS = ("reversible", "metropolis", "gibbs", "lazy")
+
+
+@st.composite
+def families(draw, scales=(1.0, 1.0, 1.0, 1e-6, 1e-12), holds=(0.0, 0.3, 0.9, 1.0)):
+    """Families of up to five kernels on at most eight states, each kernel
+    a random reversible one, a Metropolised Dirichlet proposal, a Gibbs
+    coordinate update on a 2 x (n/2) grid (1 x n when n is odd) or a
+    random reversible kernel lazified by one of `holds`; one target weight
+    is scaled by one of `scales`."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(n) + 0.05
+    w[0] *= draw(st.sampled_from(scales))
+    pi = Dist(w / w.sum())
+    grid = (2, n // 2) if n % 2 == 0 else (1, n)
+    kernels = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=k, max_size=k)):
+        seed = int(rng.integers(2**62))
+        if kind == "reversible":
+            kernels.append(random_reversible(pi, seed))
+        elif kind == "metropolis":
+            proposal = Kernel(rng.dirichlet(np.full(n, 0.5), size=n))
+            kernels.append(metropolis_kernel(pi, proposal))
+        elif kind == "gibbs":
+            kernels.append(gibbs_kernel(pi, grid, draw(st.sampled_from([1, 2]))))
+        else:
+            hold = draw(st.sampled_from(holds))
+            kernels.append(lazy(random_reversible(pi, seed), hold))
+    fam = make_family(pi.weights, kernels)
+    f = Observable(rng.standard_normal(n))
+    return fam, f
+
+
+@given(families())
+def test_certificate_never_contradicts_the_contraction(case):
+    fam, _ = case
+    if _certifies_summability(fam.pi.weights, fam.matrices):
+        assert helpers.oracle_cycle_contraction(fam) < 1.0
+
+
+@given(families())
+def test_rand_guard_count_equals_eigvals_count(case):
+    fam, _ = case
+    mixed = helpers.fsum_mean(fam)
+    assert _near_one_count(mixed, fam.pi.weights) == helpers.oracle_near_one_count(fam)
+
+
+@given(families())
+def test_limit_decisions_match_the_eigvals_route(case):
+    fam, _ = case
+    assert fam._summable == (helpers.oracle_cycle_contraction(fam) < 1.0)
+    assert fam._summable == summability_check(fam).absolutely_summable
+
+
+# The decisions above are checked on every draw. The values are not checked
+# where the limit solve refuses valid input, a known fault: with a weight
+# near 1e-12 the residual guard can reject rounding-level residuals (see
+# test_tiny_weight_residual_refusal), and a family of identity kernels has a
+# contraction of exactly one that the eigvals route may round to just below
+# it, so the strat limit reaches a singular solve instead of SummabilityError.
+@given(families(scales=(1.0, 1.0, 1e-6), holds=(0.0, 0.3, 0.9)))
+def test_limit_values_match_dense_oracles(case):
+    fam, f = case
+    if helpers.oracle_cycle_contraction(fam) < 1.0:
+        assert var_limit(fam, f, "strat") == pytest.approx(
+            helpers.oracle_var_limit(fam, f, "strat"), rel=1e-8, abs=1e-12
+        )
+    else:
+        with pytest.raises(SummabilityError):
+            var_limit(fam, f, "strat")
+    if helpers.oracle_near_one_count(fam) == 1:
+        assert var_limit(fam, f, "rand") == pytest.approx(
+            helpers.oracle_var_limit(fam, f, "rand"), rel=1e-8, abs=1e-12
+        )
+    else:
+        with pytest.raises(ReducibilityError):
+            var_limit(fam, f, "rand")
+
+
+@pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True)
+def test_tiny_weight_residual_refusal():
+    # A valid, irreducible one-kernel family with pi_0 ~ 9e-13: the guard
+    # measures the residual against the weighted norm of the centred f,
+    # about 1.7e-8 here, and refuses a residual of about 1e-17 that comes
+    # from rounding. Both limits raise; the dense oracle has no trouble.
+    w = np.array([8.9417519e-13, 1.0])
+    w /= w.sum()
+    kernel = np.zeros((2, 2))
+    kernel[0] = [1.28558808e-02, 1.0 - 1.28558808e-02]
+    kernel[1, 0] = w[0] * kernel[0, 1] / w[1]
+    kernel[1, 1] = 1.0 - kernel[1, 0]
+    fam = make_family(w, [kernel])
+    f = Observable([-0.31055655, -0.3288239])
+    assert var_limit(fam, f, "strat") == pytest.approx(
+        helpers.oracle_var_limit(fam, f, "strat"), rel=1e-8
+    )
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Shapes of the np.linalg.eigvals calls made during a test."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigvalsh calls made during a test."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True)
+def test_identity_contraction_rounded_below_one():
+    # I - 1 pi' has radius exactly 1, which eigvals returns as 1 - 1.1e-16
+    # for this target, so the strat limit is attempted and its solve is
+    # singular instead of raising SummabilityError.
+    w = np.array([1.44590388e-06, 9.99998554e-01])
+    fam = make_family(w / w.sum(), [np.eye(2)])
+    with pytest.raises(SummabilityError):
+        var_limit(fam, Observable([1.0, 2.0]), "strat")
+
+
+def test_random_family_is_decided_without_eigvals(eigvals_calls):
+    fam = helpers.random_family(np.random.default_rng(61), 7, 2)
+    f = helpers.random_centered(np.random.default_rng(62), fam)
+    values = {scheme: var_limit(fam, f, scheme) for scheme in ("strat", "rand")}
+    assert eigvals_calls == []
+    for scheme, value in values.items():
+        assert value == pytest.approx(helpers.oracle_var_limit(fam, f, scheme), rel=1e-10)
+
+
+def test_gibbs_pair_falls_back(eigvals_calls):
+    joint = Dist(np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1]))
+    fam = make_family(joint.weights, [gibbs_kernel(joint, (2, 3), c) for c in (1, 2)])
+    f = Observable([1.0, -2.0, 0.5, 3.0, 0.0, -1.0])
+    assert not _certifies_summability(fam.pi.weights, fam.matrices)
+    value = var_limit(fam, f, "strat")
+    assert eigvals_calls == [(6, 6)]  # the fallback: the cycle contraction
+    assert summability_check(fam).absolutely_summable
+    assert value == pytest.approx(helpers.oracle_var_limit(fam, f, "strat"), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kernel", [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], ids=["identity", "swap"]
+)
+def test_norm_one_families_fall_back_and_raise(kernel):
+    fam = make_family([0.5, 0.5], [kernel, kernel])
+    assert not _certifies_summability(fam.pi.weights, fam.matrices)
+    with pytest.raises(SummabilityError):
+        var_limit(fam, Observable(helpers.E1_F), "strat")
+
+
+def test_near_reducible_two_state_counted_without_eigvals(eigvals_calls):
+    sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
+    fam = make_family([0.5, 0.5], [sticky, sticky])
+    assert _near_one_count(fam.matrices[0], fam.pi.weights) == 2
+    assert eigvals_calls == []
+    with pytest.raises(ReducibilityError, match="within 1e-8 of 1"):
+        var_limit(fam, Observable(helpers.E1_F), "rand")
+
+
+def test_eigenvalue_at_the_boundary_falls_back(eigvals_calls):
+    # eigenvalues 1 and 1 - 2p = 1 - 1e-8: on the boundary of the count
+    p = 5e-9
+    kernel = np.array([[1.0 - p, p], [p, 1.0 - p]])
+    count = _near_one_count(kernel, np.array([0.5, 0.5]))
+    assert eigvals_calls == [(2, 2)]
+    assert count == int(np.sum(np.abs(np.linalg.eigvals(kernel) - 1.0) < 1e-8))
+
+
+def tiny_weight_family(pi_1: float):
+    w = np.array([pi_1, 0.4, 0.6])
+    pi = Dist(w / w.sum())
+    return make_family(pi.weights, [random_reversible(pi, 3), random_reversible(pi, 13)])
+
+
+def test_tiny_target_weight_falls_back_and_matches_oracle(eigvals_calls):
+    fam = tiny_weight_family(1e-12)
+    f = Observable([5.0, -1.0, 2.0])
+    for scheme in ("strat", "rand"):
+        assert var_limit(fam, f, scheme) == pytest.approx(
+            helpers.oracle_var_limit(fam, f, scheme), rel=1e-9
+        )
+    # the rand guard's rounding slack grows with pi_max / pi_min, so the
+    # unit eigenvalue is within its radius of the 1e-8 boundary
+    assert eigvals_calls == [(3, 3)]
+
+
+def test_moderate_target_weights_decide_without_eigvals(eigvals_calls):
+    fam = tiny_weight_family(0.1)
+    for scheme in ("strat", "rand"):
+        var_limit(fam, Observable([5.0, -1.0, 2.0]), scheme)
+    assert eigvals_calls == []
+
+
+def test_skew_part_counts_in_the_certificate():
+    # a rotation of three states leaves the uniform target invariant but is
+    # not reversible: its symmetric part has centred norm 1/2, its centred
+    # norm is 1, and the cycle does not contract
+    rotation = np.roll(np.eye(3), 1, axis=1)
+    uniform = np.full(3, 1.0 / 3.0)
+    assert not _certifies_summability(uniform, [rotation])
+    assert _certifies_summability(uniform, [0.5 * rotation + 0.5 / 3.0])
+
+
+def test_verdict_does_not_depend_on_call_history(eigvalsh_calls):
+    # the certificate decides whether or not the contraction is known
+    fresh, checked = (helpers.random_family(np.random.default_rng(63), 7, 3) for _ in "ab")
+    summability_check(checked)
+    assert fresh._summable and checked._summable
+    assert eigvalsh_calls == [(7, 7), (7, 7)]
+
+
+def test_reducible_kernels_skip_the_symmetric_eigenproblem(eigvalsh_calls, eigvals_calls):
+    # each Gibbs update keeps the indicator of its conditioning slices fixed
+    joint = Dist(np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1]))
+    fam = make_family(joint.weights, [gibbs_kernel(joint, (2, 3), c) for c in (1, 2)])
+    assert fam._summable  # decided by the cycle contraction
+    assert eigvalsh_calls == []
+    assert eigvals_calls == [(6, 6)]
+
+
+def test_wide_guard_radius_counts_only_the_kernel(eigvalsh_calls, eigvals_calls):
+    # the rounding slack of a 1e-12 weight exceeds 1e-8: eigvals decides
+    fam = tiny_weight_family(1e-12)
+    count = _near_one_count(fam.matrices[0], fam.pi.weights)
+    assert count == int(np.sum(np.abs(np.linalg.eigvals(fam.matrices[0]) - 1.0) < 1e-8))
+    assert eigvalsh_calls == []
+    assert len(eigvals_calls) == 2
+
+
+def test_no_margin_left_skips_every_kernel(eigvalsh_calls):
+    # at pi_max / pi_min near 1e15 the rounding slack alone exceeds one
+    fam = tiny_weight_family(1e-15)
+    assert not _certifies_summability(fam.pi.weights, fam.matrices)
+    assert eigvalsh_calls == []
