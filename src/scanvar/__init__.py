@@ -38,14 +38,12 @@ from scanvar.kernels import (
     random_reversible,
     random_scan,
     sigma,
-    validate_family,
 )
 from scanvar.ordering import (
     BetaPath,
     OrderingReport,
     PeskunComparison,
     PeskunOrderingReport,
-    beta_derivative,
     bellman_value,
     check_peskun_ordering,
     check_scan_ordering,

@@ -5,7 +5,7 @@ Model files are JSON with fields `states` (a count or a list of labels),
 optional `simulation` block. All numeric CSV fields use 9 significant
 digits and LF line endings, so identical inputs give byte-identical files.
 
-Exit codes: 0 success, 1 validation failure, 2 assertion failure,
+Exit codes: 0 success, 1 validation failure, 2 assertion failure or usage error,
 3 I/O or parse error.
 """
 
@@ -33,7 +33,11 @@ from scanvar.kernels import (
 )
 from scanvar.ordering import OrderingReport, check_peskun_ordering, check_scan_ordering
 from scanvar.simulate import estimate_variance
-from scanvar.variance import finite_m_variance_exact, summability_check
+from scanvar.variance import (
+    DEFAULT_SERIES_TERMS,
+    finite_m_variance_exact,
+    summability_check,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -75,46 +79,8 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def load_model(path: str) -> Model:
-    """Parse and validate a JSON model file.
-
-    Parse problems raise ModelFormatError with field context; structural
-    problems raise ValidationError listing every violated invariant with
-    its residual.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ModelFormatError(f"cannot read {path}: {err}") from err
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(
-            f"{path} is not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
-        ) from err
-    if not isinstance(raw, dict):
-        raise ModelFormatError(f"{path}: top level must be an object")
-    for field in ("states", "pi", "kernels", "f"):
-        if field not in raw:
-            raise ModelFormatError(f"{path}: missing required field {field!r}")
-    states = raw["states"]
-    labels = None
-    if isinstance(states, int):
-        n = states
-    elif isinstance(states, list) and all(isinstance(s, str) for s in states):
-        n = len(states)
-        labels = tuple(states)
-    else:
-        raise ModelFormatError(
-            f"{path}: field 'states' must be a count or a list of labels"
-        )
-    try:
-        pi = np.asarray(raw["pi"], dtype=float)
-        f_values = np.asarray(raw["f"], dtype=float)
-        kernels = [np.asarray(m, dtype=float) for m in raw["kernels"]]
-    except (TypeError, ValueError) as err:
-        raise ModelFormatError(f"{path}: non-numeric entries: {err}") from err
-
+def _raise_problems(path: str, n: int, pi, f_values, kernels) -> None:
+    """Raise ValidationError listing every violated invariant of the raw data, if any."""
     problems: list[str] = []
     if pi.shape != (n,):
         problems.append(f"pi has shape {pi.shape}, expected ({n},)")
@@ -140,9 +106,57 @@ def load_model(path: str) -> Model:
         raise ValidationError(
             f"{path} failed validation:\n  " + "\n  ".join(problems)
         )
-    family = KernelFamily(
-        StateSpace(n, labels), Dist(pi), tuple(Kernel(m) for m in kernels)
-    )
+
+
+def load_model(path: str) -> Model:
+    """Parse and validate a JSON model file.
+
+    Parse problems raise ModelFormatError with field context. Data that the
+    domain types refuse raises ValidationError listing every violated
+    invariant with its residual, or with the type's message if none is listed.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ModelFormatError(f"cannot read {path}: {err}") from err
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ModelFormatError(
+            f"{path} is not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
+        ) from err
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: top level must be an object")
+    for field in ("states", "pi", "kernels", "f"):
+        if field not in raw:
+            raise ModelFormatError(f"{path}: missing required field {field!r}")
+    states = raw["states"]
+    labels = None
+    if isinstance(states, int) and not isinstance(states, bool):
+        n = states
+    elif isinstance(states, list) and all(isinstance(s, str) for s in states):
+        n = len(states)
+        labels = tuple(states)
+    else:
+        raise ModelFormatError(
+            f"{path}: field 'states' must be a count or a list of labels"
+        )
+    try:
+        pi = np.asarray(raw["pi"], dtype=float)
+        f_values = np.asarray(raw["f"], dtype=float)
+        kernels = [np.asarray(m, dtype=float) for m in raw["kernels"]]
+    except (TypeError, ValueError) as err:
+        raise ModelFormatError(f"{path}: non-numeric entries: {err}") from err
+
+    try:
+        family = KernelFamily(
+            StateSpace(n, labels), Dist(pi), tuple(Kernel(m) for m in kernels)
+        )
+    except ValidationError:
+        _raise_problems(path, n, pi, f_values, kernels)
+        raise
+    if f_values.shape != (n,):  # no type knows the observable's length
+        _raise_problems(path, n, pi, f_values, kernels)
     grid = raw.get("lambda_grid")
     if grid is not None:
         numbers = isinstance(grid, list) and all(
@@ -227,11 +241,12 @@ def _compare_row(rep: OrderingReport) -> list[str]:
     ]
 
 
-def _compare_rows(model: Model, grid, method: str, series_terms: int, tol: float):
-    """CSV rows of the scan comparison, and its failures; the ordering and
-    the gap bound are asserted only for two kernels."""
+def _cmd_compare(args) -> int:
+    """The scan comparison's CSV; the ordering and the gap bound are
+    asserted only for two kernels."""
+    model = load_model(args.model)
     reports = check_scan_ordering(
-        model.family, model.f, grid, method=method, series_terms=series_terms, tol=tol
+        model.family, model.f, _grid(args, model), args.method, args.series_terms, tol=args.tol
     )
     failures: list[str] = []
     if model.family.k == 2:
@@ -239,24 +254,15 @@ def _compare_rows(model: Model, grid, method: str, series_terms: int, tol: float
             if not rep.ordering_holds:
                 failures.append(
                     f"scan-order comparison violated at lambda={rep.lam:g}: "
-                    f"random-scan minus deterministic-scan gap {rep.gap:.3g} < -{tol:g}"
+                    f"random-scan minus deterministic-scan gap {rep.gap:.3g} < -{args.tol:g}"
                 )
             if not rep.bound_holds:
                 failures.append(
                     f"gap lower bound violated at lambda={rep.lam:g}: "
                     f"gap {rep.gap:.3g} below its certified bound "
-                    f"{rep.gap_lower_bound:.3g} beyond {tol:g}"
+                    f"{rep.gap_lower_bound:.3g} beyond {args.tol:g}"
                 )
-    return [_compare_row(rep) for rep in reports], failures
-
-
-def _cmd_compare(args) -> int:
-    model = load_model(args.model)
-    grid = _grid(args, model)
-    rows, failures = _compare_rows(
-        model, grid, args.method, args.series_terms, args.tol
-    )
-    _emit(_csv(COMPARE_HEADER, rows), args.out)
+    _emit(_csv(COMPARE_HEADER, [_compare_row(rep) for rep in reports]), args.out)
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     return EXIT_ASSERTION if failures else EXIT_OK
@@ -354,14 +360,59 @@ def _cmd_demo(args) -> int:
         json.dump(DEMO_MODEL, fh, indent=2)
         fh.write("\n")
     print(f"wrote {model_path}")
-    model = load_model(model_path)
-    rows, failures = _compare_rows(
-        model, model.lambda_grid or DEFAULT_GRID, args.method, args.series_terms, args.tol
+    return _cmd_compare(
+        argparse.Namespace(
+            model=model_path,
+            lambdas=None,
+            method=args.method,
+            series_terms=args.series_terms,
+            tol=args.tol,
+            out=out_csv,
+        )
     )
-    _emit(_csv(COMPARE_HEADER, rows), out_csv)
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    return EXIT_ASSERTION if failures else EXIT_OK
+
+
+# Each subcommand registers only the flags its handler reads, so any other
+# flag is a usage error.
+FLAGS = {
+    "model": ("--model", {"required": True, "help": "path to a JSON model file"}),
+    "model_b": ("--model-b", {"help": "model of the dominated family"}),
+    "lambdas": (
+        "--lambda", {"help": "comma-separated discount grid, overrides the model file"}
+    ),
+    "method": (
+        "--method",
+        {"choices": ("resolvent", "series"), "default": "resolvent",
+         "help": "evaluation route for the cycle variance"},
+    ),
+    "series_terms": ("--series-terms", {"type": int, "default": DEFAULT_SERIES_TERMS}),
+    "tol": ("--tol", {"type": float, "default": NUMERIC_TOL}),
+    "seed": ("--seed", {"type": int}),
+    "steps": ("--steps", {"type": int}),
+    "replicas": ("--replicas", {"type": int}),
+    "out": ("--out", {"help": "output file (default: stdout)"}),
+}
+
+COMMANDS = {  # name: (help, flags)
+    "validate": ("check a model file and report residuals", "model tol"),
+    "compare": (
+        "sweep the discount grid and compare the two scan schemes",
+        "model lambdas method series_terms tol out",
+    ),
+    "peskun": (
+        "compare cycle variances of a dominating and a dominated family",
+        "model model_b lambdas tol out",
+    ),
+    "limit": ("limiting variances plus the summability report", "model out"),
+    "simulate": (
+        "replicated empirical estimates next to exact references",
+        "model seed steps replicas out",
+    ),
+    "demo": (
+        "write the built-in two-state example and run compare on it",
+        "method series_terms tol out",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,37 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": "check a model file and report residuals",
-        "compare": "sweep the discount grid and compare the two scan schemes",
-        "peskun": "compare cycle variances of a dominating and a dominated family",
-        "limit": "limiting variances plus the summability report",
-        "simulate": "replicated empirical estimates next to exact references",
-        "demo": "write the built-in two-state example and run compare on it",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, dests) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "demo":
-            p.add_argument("--model", required=True, help="path to a JSON model file")
-        p.add_argument("--model-b", default=None, help="second model (peskun)")
-        p.add_argument(
-            "--lambda",
-            dest="lambdas",
-            default=None,
-            help="comma-separated discount grid, overrides the model file",
-        )
-        p.add_argument(
-            "--method",
-            choices=("resolvent", "series"),
-            default="resolvent",
-            help="evaluation route for the cycle variance",
-        )
-        p.add_argument("--series-terms", type=int, default=400)
-        p.add_argument("--tol", type=float, default=NUMERIC_TOL)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--replicas", type=int, default=None)
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        for dest in dests.split():
+            flag, options = FLAGS[dest]
+            p.add_argument(flag, dest=dest, **options)
         p.set_defaults(handler=globals()[f"_cmd_{name}"])
     return parser
 

@@ -28,16 +28,17 @@ from scanvar.kernels import (
     KernelFamily,
     Observable,
     ValidationError,
+    _check_lam,
     _cycle_product,
 )
 
 # Relative residual allowed for a resolvent solve.
 RESOLVENT_RTOL = 1e-10
 
-#: Valid operator selectors for realizations and resolvent solves:
-#: the embedding itself, its adjoint, its self-adjoint part, and the two
-#: shift-then-diagonal compositions used by blend derivatives.
-OPERATORS = ("embed", "embed_adjoint", "symmetric", "shift_diag", "shift_inv_diag")
+#: Valid operator selectors for realizations and resolvent solves: the
+#: embedding itself, its adjoint, its self-adjoint part, and the forward
+#: shift after the blockwise action, which blend derivatives pair with the adjoint.
+OPERATORS = ("embed", "embed_adjoint", "symmetric", "shift_diag")
 
 __all__ = [
     "RESOLVENT_RTOL",
@@ -211,24 +212,23 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
 
     Selectors: "embed" (blockwise action after forward shift),
     "embed_adjoint" (backward shift after blockwise action, equal to the
-    adjoint when the blocks are reversible), "symmetric" (their mean),
-    "shift_diag" and "shift_inv_diag" (shift after blockwise action,
-    forward and backward).
+    adjoint when the blocks are reversible), "symmetric" (their mean) and
+    "shift_diag" (forward shift after blockwise action).
     """
+    if op not in OPERATORS:
+        raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
     k = len(blocks)
     n = blocks[0].shape[0]
     diag = diag_realization(blocks)
     if op == "embed":
         return diag @ shift_realization(k, n, +1)
-    if op == "embed_adjoint" or op == "shift_inv_diag":
+    if op == "embed_adjoint":
         return shift_realization(k, n, -1) @ diag
     if op == "shift_diag":
         return shift_realization(k, n, +1) @ diag
-    if op == "symmetric":
-        fwd = diag @ shift_realization(k, n, +1)
-        bwd = shift_realization(k, n, -1) @ diag
-        return (fwd + bwd) / 2.0
-    raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
+    fwd = diag @ shift_realization(k, n, +1)  # symmetric
+    bwd = shift_realization(k, n, -1) @ diag
+    return (fwd + bwd) / 2.0
 
 
 def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
@@ -238,7 +238,7 @@ def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], i
     k = len(mats)
     if op == "embed":
         return list(mats), 1
-    if op == "embed_adjoint" or op == "shift_inv_diag":
+    if op == "embed_adjoint":
         return [mats[q - 1] for q in range(k)], -1
     if op == "shift_diag":
         return [mats[(q + 1) % k] for q in range(k)], 1
@@ -344,8 +344,6 @@ class CycleEmbedding:
 
     def realization(self, op: str) -> np.ndarray:
         """Dense kn x kn matrix of a selector, for tests to compare against."""
-        if op not in OPERATORS:
-            raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
         if op not in self._realizations:
             mat = embedding_realization(op, self.family.matrices)
             mat.setflags(write=False)
@@ -359,8 +357,7 @@ class CycleEmbedding:
         right-hand side within RESOLVENT_RTOL in the weighted norm. The
         "symmetric" selector needs k <= 2.
         """
-        if not 0.0 <= lam < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {lam}")
+        _check_lam(lam)
         _check_block(self.family, rhs)
         blocks, step, prod = _family_row(self.family, op)
         x = _cycle_solve(blocks, step, lam, rhs.values, self.family.pi.weights, prod)

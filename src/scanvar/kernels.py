@@ -54,7 +54,6 @@ __all__ = [
     "random_reversible",
     "is_irreducible",
     "family_diagnostics",
-    "validate_family",
 ]
 
 
@@ -74,6 +73,12 @@ class SummabilityError(RuntimeError):
 class ReducibilityError(RuntimeError):
     """The chain splits into several closed classes where a unique stationary
     regime is required."""
+
+
+def _check_lam(lam: float) -> None:
+    """Refuse a discount outside [0, 1); discount one has its own limit routes."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {lam}")
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -132,14 +137,9 @@ class Dist:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A real function on the state space, one value per state.
-
-    The `centered` flag is advisory: `center` sets it after subtracting the
-    mean under a given target.
-    """
+    """A real function on the state space, one value per state."""
 
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -457,7 +457,7 @@ def center(f: Observable, pi: Dist) -> Observable:
     if f.n != pi.n:
         raise ValidationError(f"dimension mismatch: f has {f.n}, target has {pi.n}")
     mean = float(np.dot(pi.weights, f.values))
-    return Observable(f.values - mean, centered=True)
+    return Observable(f.values - mean)
 
 
 def sigma(j: int, power: int, k: int) -> int:
@@ -655,7 +655,3 @@ def random_reversible(pi: Dist, seed: int, max_tries: int = 100) -> Kernel:
         f"no irreducible kernel found in {max_tries} attempts for seed {seed}"
     )
 
-
-def validate_family(fam: KernelFamily, tol: float = NUMERIC_TOL) -> FamilyDiagnostics:
-    """Report the family's residuals against `tol`; never raises."""
-    return family_diagnostics(fam.pi, fam.kernels, tol=tol)

@@ -35,11 +35,12 @@ from scanvar.kernels import (
     Observable,
     SummabilityError,
     ValidationError,
+    _check_lam,
     lazy,
     make_family,
 )
 from scanvar.variance import (
-    _check_lam,
+    DEFAULT_SERIES_TERMS,
     _solve,
     _variance,
     var_lambda_rand,
@@ -62,7 +63,6 @@ __all__ = [
     "variational_identity_check",
     "peskun_dominates",
     "check_peskun_ordering",
-    "beta_derivative",
     "palindrome_check",
 ]
 
@@ -130,9 +130,14 @@ class VariationalIdentityReport:
     passes: bool
 
 
-def _is_limit(lam: float) -> bool:
-    """A grid value within 1e-12 of one stands for the discount-one limit."""
-    return abs(lam - 1.0) <= 1e-12
+def _read_grid(lambda_grid, include_limit: bool) -> tuple[list[float], bool]:
+    """The grid's discounts, all checked before any solve, and whether a limit
+    row is asked for: by include_limit or by a grid value within 1e-12 of one."""
+    grid = [float(lam) for lam in lambda_grid]
+    discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
+    for lam in discounts:
+        _check_lam(lam)
+    return discounts, include_limit or len(discounts) < len(grid)
 
 
 def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
@@ -160,8 +165,7 @@ def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     """
     if fam.k != 2:
         raise ValueError(f"the gap bound needs exactly two kernels, got {fam.k}")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {lam}")
+    _check_lam(lam)
     return _gap_bound(fam, _solve(fam, f, lam, "strat")[1], lam)
 
 
@@ -170,7 +174,7 @@ def check_scan_ordering(
     f: Observable,
     lambda_grid: Sequence[float],
     method: str = "resolvent",
-    series_terms: int = 400,
+    series_terms: int = DEFAULT_SERIES_TERMS,
     include_limit: bool = True,
     tol: float = NUMERIC_TOL,
 ) -> list[OrderingReport]:
@@ -198,12 +202,9 @@ def check_scan_ordering(
             method=method,
         )
 
-    grid = [float(lam) for lam in lambda_grid]
+    discounts, limit = _read_grid(lambda_grid, include_limit)
     reports = []
-    for lam in grid:
-        if _is_limit(lam):
-            continue  # the limit row is appended below
-        _check_lam(lam)
+    for lam in discounts:
         bound = math.nan
         if two:  # the gap bound's forward solve is var_lambda_strat's solve
             fbar, forward = _solve(fam, f, lam, "strat")
@@ -214,7 +215,7 @@ def check_scan_ordering(
             v_strat = var_lambda_strat(fam, f, lam, method=method, series_terms=series_terms)
         v_rand = var_lambda_rand(fam, f, lam)
         reports.append(report(lam, v_strat, v_rand, bound, method))
-    if include_limit or any(_is_limit(lam) for lam in grid):
+    if limit:
         try:
             v_strat = var_limit(fam, f, "strat")
         except SummabilityError:
@@ -279,8 +280,7 @@ def variational_identity_check(
     at the optimiser g, where S and A are the self-adjoint and skew parts;
     random probes can only fall below it.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {lam}")
+    _check_lam(lam)
     w = pi.weights
     mat = kernel.matrix
     if mat.shape[0] != w.size or f.n != w.size:
@@ -379,10 +379,9 @@ def check_peskun_ordering(
     """Check that the dominating two-kernel family has the smaller cycle
     variance on every grid point, with a limit row when both families pass
     the summability check. Grid values are read as in check_scan_ordering."""
-    _check_comparable(fam_a, fam_b)
+    comparison = peskun_dominates(fam_a, fam_b)
     if fam_a.k != 2:
         raise ValueError(f"the cycle comparison needs exactly two kernels, got {fam_a.k}")
-    comparison = peskun_dominates(fam_a, fam_b)
 
     def row(lam, va, vb, method):
         return PeskunRow(
@@ -394,15 +393,13 @@ def check_peskun_ordering(
             method=method,
         )
 
+    discounts, limit = _read_grid(lambda_grid, include_limit)
     rows = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        if _is_limit(lam):
-            continue
+    for lam in discounts:
         va = var_lambda_strat(fam_a, f, lam)
         vb = var_lambda_strat(fam_b, f, lam)
         rows.append(row(lam, va, vb, "resolvent"))
-    if include_limit:
+    if limit:
         try:
             va = var_limit(fam_a, f, "strat")
             vb = var_limit(fam_b, f, "strat")
@@ -452,8 +449,7 @@ class BetaPath:
     def delta(self, f: Observable, lam: float, beta: float) -> float:
         """Resolvent quadratic form of the blended embedding at the constant
         block built from f."""
-        if not 0.0 <= lam < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {lam}")
+        _check_lam(lam)
         fbar = self._fbar(f)
         x = _cycle_solve(self.blocks(beta), 1, lam, fbar, self.pi.weights)
         return float(np.sum((fbar * x) @ self.pi.weights))
@@ -468,7 +464,7 @@ class BetaPath:
         fbar = self._fbar(f)
         w = self.pi.weights
         forward = _cycle_solve(*_cycle_row("shift_diag", blend), lam, fbar, w)
-        backward = _cycle_solve(*_cycle_row("shift_inv_diag", blend), lam, fbar, w)
+        backward = _cycle_solve(*_cycle_row("embed_adjoint", blend), lam, fbar, w)
         diffs = [
             b - a for a, b in zip(self.family_a.matrices, self.family_b.matrices)
         ]
@@ -482,16 +478,8 @@ class BetaPath:
         both, paired through the blockwise difference of the families;
         matches a central finite difference of delta.
         """
-        if not 0.0 <= lam < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {lam}")
+        _check_lam(lam)
         return self._resolvents_and_derivative(f, lam, beta)[2]
-
-
-def beta_derivative(
-    fam_a: KernelFamily, fam_b: KernelFamily, f: Observable, lam: float, beta: float
-) -> float:
-    """Derivative of the blended resolvent form at `beta`; see BetaPath."""
-    return BetaPath(fam_a, fam_b).derivative(f, lam, beta)
 
 
 @dataclass(frozen=True)
@@ -539,8 +527,7 @@ def palindrome_check(
     p = len(generators)
     if p < 2:
         raise ValueError(f"need at least two generators, got {p}")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {lam}")
+    _check_lam(lam)
     if beta_grid is None:
         beta_grid = np.linspace(0.0, 1.0, 11)
     cases = []

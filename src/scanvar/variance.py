@@ -24,6 +24,7 @@ from scanvar.kernels import (
     ReducibilityError,
     SummabilityError,
     ValidationError,
+    _check_lam,
     _pi_symmetrised,
     _rounding_slack,
     random_scan,
@@ -66,11 +67,6 @@ def _centered_values(f: Observable, pi: Dist) -> np.ndarray:
     if f.n != pi.n:
         raise ValidationError(f"observable has {f.n} values for {pi.n} states")
     return f.values - float(np.dot(pi.weights, f.values))
-
-
-def _check_lam(lam: float) -> None:
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"discount must lie in [0, 1), got {lam}")
 
 
 def _check_scheme(scheme: str) -> str:

@@ -44,7 +44,7 @@ def random_family(rng: np.random.Generator, n: int, k: int) -> KernelFamily:
 
 def random_centered(rng: np.random.Generator, fam: KernelFamily) -> Observable:
     v = rng.standard_normal(fam.n)
-    return Observable(v - float(np.dot(fam.pi.weights, v)), centered=True)
+    return Observable(v - float(np.dot(fam.pi.weights, v)))
 
 
 def lazified(fam: KernelFamily, holds) -> KernelFamily:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface and its file formats."""
 
+import argparse
 import json
 
 import numpy as np
@@ -14,6 +15,8 @@ from scanvar.cli import (
     load_model,
     main,
 )
+import scanvar.cli
+import scanvar.kernels
 from scanvar.kernels import ValidationError
 
 
@@ -27,6 +30,11 @@ def write_model(path, **overrides):
     model.update(overrides)
     path.write_text(json.dumps(model), encoding="utf-8")
     return str(path)
+
+
+def model_args(command, path):
+    """--model, and for peskun also --model-b, on the same file."""
+    return ["--model", path] + (["--model-b", path] if command == "peskun" else [])
 
 
 THREE_KERNEL_MODEL = {
@@ -111,6 +119,15 @@ class TestLoadModel:
         assert field in captured.err
         assert captured.out == ""
 
+    def test_boolean_state_count_is_parse_error(self, tmp_path, capsys):
+        path = write_model(tmp_path / "m.json", states=True, pi=[1.0], kernels=[[[1.0]]], f=[0.0])
+        assert main(["limit", "--model", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"parse error: {path}: field 'states' must be a count or a list of labels\n"
+        )
+        assert captured.out == ""
+
     def test_integral_simulation_sizes_accepted(self, tmp_path):
         path = write_model(
             tmp_path / "m.json", simulation={"steps": 64.0, "replicas": 10, "seed": 3}
@@ -118,6 +135,38 @@ class TestLoadModel:
         sim = load_model(path).simulation
         assert sim == {"steps": 64, "replicas": 10, "seed": 3}
         assert all(type(v) is int for v in sim.values())
+
+    def test_valid_model_diagnosed_once(self, tmp_path, monkeypatch):
+        calls = []
+        diagnose = scanvar.kernels.family_diagnostics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return diagnose(*args, **kwargs)
+
+        monkeypatch.setattr(scanvar.kernels, "family_diagnostics", counted)
+        monkeypatch.setattr(scanvar.cli, "family_diagnostics", counted)
+        load_model(write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"states": ["a", "a"]}, "state labels must be distinct"),
+            # raw flow imbalance 8e-11 passes the listed 1e-10, but it is
+            # 1.8e-10 of the kernel's largest flow 0.45
+            (
+                {"kernels": [[[0.1, 0.9], [0.9 - 1.6e-10, 0.1 + 1.6e-10]]]},
+                "kernel 1 breaks detailed balance: relative residual",
+            ),
+        ],
+    )
+    def test_unlisted_fault_keeps_the_type_message(self, tmp_path, overrides, message):
+        path = write_model(tmp_path / "m.json", **overrides)
+        with pytest.raises(ValidationError) as err:
+            load_model(path)
+        assert str(err.value).startswith(message)
+        assert path not in str(err.value)
 
     def test_dimension_mismatch_listed(self, tmp_path):
         path = write_model(tmp_path / "m.json", f=[1.0, -1.0, 0.0])
@@ -188,10 +237,10 @@ class TestCompare:
         ).encode()
 
     @pytest.mark.parametrize("command", ["compare", "peskun"])
-    @pytest.mark.parametrize("grid", ["1.5", "0.3,-0.5", "0.3,1.0000001"])
+    @pytest.mark.parametrize("grid", ["1.5", "0.3,-0.5", "0.3,1.0000001", "0.3,nan"])
     def test_discount_outside_unit_interval_rejected(self, tmp_path, capsys, command, grid):
         path = write_model(tmp_path / "m.json")
-        code = main([command, "--model", path, "--model-b", path, "--lambda", grid])
+        code = main([command, *model_args(command, path), "--lambda", grid])
         captured = capsys.readouterr()
         assert code == EXIT_ASSERTION
         assert "discount must lie in [0, 1)" in captured.err
@@ -201,7 +250,7 @@ class TestCompare:
     def test_discount_within_1e12_of_one_is_limit_row(self, tmp_path, capsys, command):
         path = write_model(tmp_path / "m.json")
         grid = "0.5,1,1.0000000000001,0.9999999999999"
-        code = main([command, "--model", path, "--model-b", path, "--lambda", grid])
+        code = main([command, *model_args(command, path), "--lambda", grid])
         lines = capsys.readouterr().out.splitlines()
         assert code == EXIT_OK
         assert [line.split(",")[-1] for line in lines[1:]] == ["resolvent", "limit"]
@@ -210,7 +259,7 @@ class TestCompare:
     @pytest.mark.parametrize("grid", ["a", "0.3,,0.9", "0.3;0.9"])
     def test_non_numeric_discount_is_parse_error(self, tmp_path, capsys, command, grid):
         path = write_model(tmp_path / "m.json")
-        code = main([command, "--model", path, "--model-b", path, "--lambda", grid])
+        code = main([command, *model_args(command, path), "--lambda", grid])
         captured = capsys.readouterr()
         assert code == EXIT_IO
         assert captured.err.startswith("parse error: --lambda must be")
@@ -233,7 +282,7 @@ class TestCompare:
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
-        assert main([command, "--model", path, "--model-b", path]) == EXIT_OK
+        assert main([command, *model_args(command, path)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1].endswith(",limit")
         assert calls == []
 
@@ -404,3 +453,81 @@ class TestDemo:
         lines = csv.read_text().splitlines()
         assert lines[0] == "lambda,var_strat,var_rand,gap,gap_lower_bound,method"
         assert lines[-1].startswith("1,")
+
+
+# The flags each subcommand registers, by destination; its handler reads
+# every one of them and no other flag is accepted.
+COMMAND_FLAGS = {
+    "validate": {"model", "tol"},
+    "compare": {"model", "lambdas", "method", "series_terms", "tol", "out"},
+    "peskun": {"model", "model_b", "lambdas", "tol", "out"},
+    "limit": {"model", "out"},
+    "simulate": {"model", "seed", "steps", "replicas", "out"},
+    "demo": {"method", "series_terms", "tol", "out"},
+}
+
+FLAG_ARGS = {
+    "model": ["--model", "m.json"],
+    "model_b": ["--model-b", "m.json"],
+    "lambdas": ["--lambda", "0.5"],
+    "method": ["--method", "series"],
+    "series_terms": ["--series-terms", "5"],
+    "tol": ["--tol", "1e-9"],
+    "seed": ["--seed", "1"],
+    "steps": ["--steps", "8"],
+    "replicas": ["--replicas", "2"],
+    "out": ["--out", "x.csv"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_handler_reads_every_registered_flag(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path / "m.json")
+        argv = [command]
+        for dest in ("model", "model_b", "seed", "steps", "replicas", "out"):  # enough to run
+            if dest in COMMAND_FLAGS[command]:
+                argv += FLAG_ARGS[dest]
+        args = scanvar.cli.build_parser().parse_args(argv)
+        registered = set(vars(args)) - {"command", "handler"}
+        assert registered == COMMAND_FLAGS[command]
+        reads = set()
+
+        class Recorded(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        assert args.handler(Recorded(**vars(args))) == EXIT_OK
+        assert reads & registered == registered
+
+    @pytest.mark.parametrize(
+        "command, dest",
+        [
+            (command, dest)
+            for command, flags in COMMAND_FLAGS.items()
+            for dest in FLAG_ARGS
+            if dest not in flags
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, command, dest):
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path / "m.json")
+        argv = [command, *FLAG_ARGS[dest]]
+        if command != "demo":
+            argv += FLAG_ARGS["model"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: " + " ".join(FLAG_ARGS[dest]) in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    def test_peskun_without_model_b_is_parse_error(self, tmp_path, capsys):
+        path = write_model(tmp_path / "m.json")
+        assert main(["peskun", "--model", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: peskun needs --model-b for the dominated family\n"
+        assert captured.out == ""

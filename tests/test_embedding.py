@@ -22,6 +22,7 @@ from scanvar.embedding import (
     symmetric_part,
 )
 from scanvar.kernels import Observable, compose_cycle, make_family, sigma
+from scanvar.ordering import BetaPath
 
 
 def random_block(rng, fam):
@@ -256,15 +257,22 @@ class TestResolvent:
             resolvent_solve("inverse", e1, 0.5, phi)
 
     def test_selector_consistency(self):
+        # a blend path at beta = 0 pairs the family's shift_diag and
+        # embed_adjoint resolvents, and "shift_inv_diag" is no selector
         rng = np.random.default_rng(18)
         fam = helpers.random_family(rng, 3, 3)
         emb = CycleEmbedding(fam)
-        phi = random_block(rng, fam)
+        f = Observable(rng.standard_normal(fam.n))
         lam = 0.6
-        # the adjoint selector and the backward shift-diagonal coincide
-        a = emb.resolvent_solve("embed_adjoint", lam, phi)
-        b = emb.resolvent_solve("shift_inv_diag", lam, phi)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+        path = BetaPath(fam, helpers.lazified(fam, 0.5))
+        forward, backward, _ = path._resolvents_and_derivative(f, lam, 0.0)
+        fbar = BlockVector.repeat(f, fam.k)
+        for op, x in (("shift_diag", forward), ("embed_adjoint", backward)):
+            np.testing.assert_allclose(
+                emb.resolvent_solve(op, lam, fbar).values, x, atol=1e-14
+            )
+        with pytest.raises(ValueError, match="unknown operator selector"):
+            emb.resolvent_solve("shift_inv_diag", lam, fbar)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_every_selector_matches_dense_solve(self, k):

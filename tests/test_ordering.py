@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import scanvar.variance
 from scanvar.kernels import (
     Dist,
     Kernel,
@@ -18,7 +19,6 @@ from scanvar.kernels import (
 from scanvar.ordering import (
     BetaPath,
     bellman_value,
-    beta_derivative,
     check_peskun_ordering,
     check_scan_ordering,
     gap_lower_bound,
@@ -323,13 +323,45 @@ class TestCheckPeskunOrdering:
         assert len(report.rows) >= 1
 
 
+# The rows of both checkers, which read a grid alike, without the limit row
+# unless a grid value asks for it.
+GRID_CHECKERS = pytest.mark.parametrize(
+    "limit_rows",
+    [
+        lambda fam, f, grid: check_scan_ordering(fam, f, grid, include_limit=False),
+        lambda fam, f, grid: check_peskun_ordering(
+            fam, fam, f, grid, include_limit=False
+        ).rows,
+    ],
+    ids=["scan", "peskun"],
+)
+
+
+@GRID_CHECKERS
+@pytest.mark.parametrize("one", [1.0, 1.0 + 1e-13, 1.0 - 1e-13])
+def test_grid_value_near_one_is_the_limit_row(e1, e1_f, limit_rows, one):
+    rows = limit_rows(e1, e1_f, [0.5, one])
+    assert [(r.lam, r.method) for r in rows] == [(0.5, "resolvent"), (1.0, "limit")]
+    assert [r.lam for r in limit_rows(e1, e1_f, [0.5])] == [0.5]
+
+
+@GRID_CHECKERS
+@pytest.mark.parametrize("bad", [1.5, float("nan")])
+def test_grid_checked_before_any_solve(e1, e1_f, monkeypatch, limit_rows, bad):
+    solves = []
+    monkeypatch.setattr(scanvar.variance, "_cycle_solve", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match=rf"discount must lie in \[0, 1\), got {bad}"):
+        limit_rows(e1, e1_f, [0.3, 1.0, bad])
+    assert solves == []
+
+
 class TestBetaDerivative:
     def test_equal_families_zero(self, e1, e1_f):
-        assert beta_derivative(e1, e1, e1_f, 0.5, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert BetaPath(e1, e1).derivative(e1_f, 0.5, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_lambda_zero(self, e1, e1_f):
         dominated = helpers.lazified(e1, 0.5)
-        assert beta_derivative(e1, dominated, e1_f, 0.0, 0.5) == pytest.approx(
+        assert BetaPath(e1, dominated).derivative(e1_f, 0.0, 0.5) == pytest.approx(
             0.0, abs=1e-14
         )
 

@@ -1,0 +1,138 @@
+"""Check that two scanvar source trees behave the same on the command line.
+
+    python3 tools/cli_parity.py OLD_SRC NEW_SRC
+
+Runs a fixed list of command lines, each in a fresh interpreter, against
+each `src/` directory: every subcommand with the flags it reads, on the
+two-state example e1 and on one generated model per benchmark workload
+(`bench/models.py`, same sizes), plus command lines that fail with a
+documented exit code. Each side runs in its own empty directory, so
+relative output paths print the same. Exit codes, stdout, stderr and the
+bytes of every file a command writes must agree; the script prints one
+line per command line and exits 1 on any difference. BLAS threads are
+pinned to one, so both sides round alike.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from models import BaseFamily  # noqa: E402
+
+RUN = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from scanvar.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+PINS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+E1 = {
+    "states": 2,
+    "pi": [0.5, 0.5],
+    "kernels": [[[0.9, 0.1], [0.1, 0.9]], [[0.6, 0.4], [0.4, 0.6]]],
+    "f": [1.0, -1.0],
+}
+E1_LAZY = dict(E1, kernels=[[[0.95, 0.05], [0.05, 0.95]], [[0.8, 0.2], [0.2, 0.8]]])
+
+
+def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
+    """name -> (model, its kernelwise identity blend, simulation sizes)."""
+    (models / "e1.json").write_text(json.dumps(E1))
+    (models / "e1-lazy.json").write_text(json.dumps(E1_LAZY))
+    out = {"e1": (models / "e1.json", models / "e1-lazy.json", ["--steps", "512", "--replicas", "40"])}
+    # one model per benchmark workload, at its size: (name, n, k, simulate sizes)
+    for name, n, k, sizes in (
+        ("exact-k2", 400, 2, ["--steps", "256", "--replicas", "20"]),
+        ("exact-k8", 150, 8, ["--steps", "256", "--replicas", "20"]),
+        ("simulate-k2", 30, 2, []),
+    ):
+        base = BaseFamily(1, n, k, hold=0.3)
+        path, path_b = models / f"{name}.json", models / f"{name}-lazy.json"
+        sim = {"steps": 2048, "replicas": 100, "seed": 5, "scheme": "embedded"}
+        base.op(1, 0).write(path, lambda_grid=[0.3, 0.6, 0.9, 0.99], simulation=sim)
+        base.op(1, 0, lazy=True).write(path_b)
+        out[name] = (path, path_b, sizes)
+    return out
+
+
+def command_lines(models: Path) -> list[list[str]]:
+    lines = [
+        ["demo"],
+        ["demo", "--out", "x.csv", "--method", "series", "--series-terms", "60", "--tol", "1e-9"],
+    ]
+    for model, lazy, sizes in write_models(models).values():
+        m, b = str(model), str(lazy)
+        lines += [
+            ["validate", "--model", m],
+            ["validate", "--model", m, "--tol", "1e-13"],
+            ["compare", "--model", m],
+            ["compare", "--model", m, "--out", "c.csv", "--tol", "1e-9"],
+            ["compare", "--model", m, "--method", "series", "--series-terms", "80",
+             "--lambda", "0.3,0.9,1", "--out", "s.csv"],
+            ["compare", "--model", m, "--method", "series", "--lambda", "0.5"],
+            ["peskun", "--model", m, "--model-b", b],
+            ["peskun", "--model", m, "--model-b", b, "--lambda", "0.2,1", "--out", "p.csv"],
+            ["peskun", "--model", b, "--model-b", m, "--tol", "1e-12"],
+            ["limit", "--model", m],
+            ["limit", "--model", m, "--out", "l.csv"],
+            ["simulate", "--model", m, "--seed", "3", *sizes],
+            ["simulate", "--model", m, "--seed", "4", "--out", "sim.csv", *sizes],
+        ]
+    m = str(models / "e1.json")
+    lines += [  # documented failures
+        ["peskun", "--model", m],
+        ["compare", "--model", str(models / "missing.json")],
+        ["compare", "--model", m, "--lambda", "1.5"],
+        ["peskun", "--model", m, "--model-b", m, "--lambda", "0.5,nan"],
+        ["compare", "--model", m, "--lambda", "0.3,a"],
+        ["simulate", "--model", m, "--steps", "0", "--replicas", "5", "--seed", "1"],
+    ]
+    return lines
+
+
+def run(src: str, argv: list[str], cwd: Path) -> tuple:
+    before = set(cwd.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, src, *argv],
+        cwd=cwd,
+        env={**os.environ, **PINS},
+        capture_output=True,
+        timeout=600,
+    )
+    written = {
+        str(p.relative_to(cwd)): p.read_bytes()
+        for p in sorted(cwd.rglob("*"))
+        if p.is_file() and p not in before
+    }
+    for p in written:
+        (cwd / p).unlink()
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
+def main(argv=None) -> int:
+    old, new = (str(Path(p).resolve()) for p in (argv or sys.argv[1:]))
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for d in ("models", "old", "new"):
+            (tmp / d).mkdir()
+        for line in command_lines(tmp / "models"):
+            a = run(old, line, tmp / "old")
+            b = run(new, line, tmp / "new")
+            same = a == b
+            differ += not same
+            label = " ".join(Path(x).name if "/" in x else x for x in line)
+            print(f"{'same' if same else 'DIFFERENT'} exit {a[0]}/{b[0]}: {label}", flush=True)
+    print(f"{differ} command line(s) differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
