@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,7 +204,7 @@ def _csv(header: str, rows: list[list[str]]) -> str:
 
 
 def _grid(args, model: Model) -> tuple[float, ...]:
-    if args.lambdas:
+    if args.lambdas is not None:
         try:
             return tuple(float(x) for x in args.lambdas.split(","))
         except ValueError as err:
@@ -372,6 +373,22 @@ def _cmd_demo(args) -> int:
     )
 
 
+class _Tolerance(argparse.Action):
+    """Stores --tol as a float, refusing a value that is not a finite
+    nonnegative number as a parse error before any handler runs."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            tol = float(values)
+        except ValueError:
+            tol = math.nan
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ModelFormatError(
+                f"--tol must be a finite nonnegative number, got {values!r}"
+            )
+        setattr(namespace, self.dest, tol)
+
+
 # Each subcommand registers only the flags its handler reads, so any other
 # flag is a usage error.
 FLAGS = {
@@ -386,7 +403,7 @@ FLAGS = {
          "help": "evaluation route for the cycle variance"},
     ),
     "series_terms": ("--series-terms", {"type": int, "default": DEFAULT_SERIES_TERMS}),
-    "tol": ("--tol", {"type": float, "default": NUMERIC_TOL}),
+    "tol": ("--tol", {"action": _Tolerance, "default": NUMERIC_TOL}),
     "seed": ("--seed", {"type": int}),
     "steps": ("--steps", {"type": int}),
     "replicas": ("--replicas", {"type": int}),
@@ -434,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)  # may raise _Tolerance's parse error
         return args.handler(args)
     except ModelFormatError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -10,8 +10,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from scanvar.kernels import Dist, Kernel, KernelFamily, Observable, make_family, random_reversible
+from scanvar.kernels import (
+    Dist,
+    Kernel,
+    KernelFamily,
+    Observable,
+    gibbs_kernel,
+    lazy,
+    make_family,
+    metropolis_kernel,
+    random_reversible,
+)
 
 E1_P1 = [[0.9, 0.1], [0.1, 0.9]]
 E1_P2 = [[0.6, 0.4], [0.4, 0.6]]
@@ -45,6 +56,41 @@ def random_family(rng: np.random.Generator, n: int, k: int) -> KernelFamily:
 def random_centered(rng: np.random.Generator, fam: KernelFamily) -> Observable:
     v = rng.standard_normal(fam.n)
     return Observable(v - float(np.dot(fam.pi.weights, v)))
+
+
+KINDS = ("reversible", "metropolis", "gibbs", "lazy")
+
+
+@st.composite
+def families(draw, scales=(1.0, 1.0, 1.0, 1e-6, 1e-12), holds=(0.0, 0.3, 0.9, 1.0)):
+    """Families of up to five kernels on at most eight states, each kernel
+    a random reversible one, a Metropolised Dirichlet proposal, a Gibbs
+    coordinate update on a 2 x (n/2) grid (1 x n when n is odd) or a
+    random reversible kernel lazified by one of `holds`; one target weight
+    is scaled by one of `scales`."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(n) + 0.05
+    w[0] *= draw(st.sampled_from(scales))
+    pi = Dist(w / w.sum())
+    grid = (2, n // 2) if n % 2 == 0 else (1, n)
+    kernels = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=k, max_size=k)):
+        seed = int(rng.integers(2**62))
+        if kind == "reversible":
+            kernels.append(random_reversible(pi, seed))
+        elif kind == "metropolis":
+            proposal = Kernel(rng.dirichlet(np.full(n, 0.5), size=n))
+            kernels.append(metropolis_kernel(pi, proposal))
+        elif kind == "gibbs":
+            kernels.append(gibbs_kernel(pi, grid, draw(st.sampled_from([1, 2]))))
+        else:
+            hold = draw(st.sampled_from(holds))
+            kernels.append(lazy(random_reversible(pi, seed), hold))
+    fam = make_family(pi.weights, kernels)
+    f = Observable(rng.standard_normal(n))
+    return fam, f
 
 
 def lazified(fam: KernelFamily, holds) -> KernelFamily:
@@ -110,6 +156,45 @@ def oracle_finite_m(fam: KernelFamily, f: Observable, m_steps: int, scheme: str)
                 kern = np.linalg.matrix_power(mean, j - i)
             total += 2.0 * float(np.dot(pi, fc * (kern @ fc)))
     return total / m_steps
+
+
+def oracle_finite_m_spectral(
+    fam: KernelFamily, f: Observable, m_steps: int, scheme: str
+) -> float:
+    """Variance of the M-step average from the eigenvalues of the dense
+    kn x kn realisation E of the cycle (block (q, q+1) = K_q; the one block
+    of the mean kernel for rand).
+
+    The lag-d image of the tiled f is E^d fbar, read at block q for the
+    starts of phase q. Lag d = a k + b (1 <= b <= k) from phase q occurs
+    C - a times, C = (M - 1 - q - b) // k + 1, so eigenvalue mu enters as
+    mu^b S_C(mu^k), S_C(x) = sum_{a<C} (C - a) x^a
+    = (C (1 - x) - x + x^(C+1)) / (1 - x)^2. The k eigenvalues with
+    mu^k = 1 carry the constant blocks, which the centred f does not see,
+    and are left out; the chain must be irreducible and aperiodic.
+    """
+    pi = fam.pi.weights
+    fc = f.values - float(np.dot(pi, f.values))
+    mats = list(fam.matrices) if scheme == "strat" else [sum(fam.matrices) / fam.k]
+    k, n = len(mats), fam.n
+    embed = np.zeros((k * n, k * n))
+    for q in range(k):
+        nxt = (q + 1) % k
+        embed[q * n : (q + 1) * n, nxt * n : (nxt + 1) * n] = mats[q]
+    mu, vecs = np.linalg.eig(embed)
+    coef = np.linalg.solve(vecs, np.tile(fc, k).astype(complex))
+    x = mu**k
+    keep = np.abs(x - 1.0) > 1e-8
+    mu, x, coef, vecs = mu[keep], x[keep], coef[keep], vecs[:, keep]
+    total = 0.0
+    for q in range(k):
+        left = (pi * fc) @ vecs[q * n : (q + 1) * n] * coef
+        for b in range(1, k + 1):
+            c = (m_steps - 1 - q - b) // k + 1
+            if c > 0:
+                sums = (c * (1.0 - x) - x + x ** (c + 1)) / (1.0 - x) ** 2
+                total += float(np.sum(left * mu**b * sums).real)
+    return float(np.dot(pi, fc * fc)) + 2.0 * total / m_steps
 
 
 def pi_adjoint(mat: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -256,7 +256,7 @@ class TestCompare:
         assert [line.split(",")[-1] for line in lines[1:]] == ["resolvent", "limit"]
 
     @pytest.mark.parametrize("command", ["compare", "peskun"])
-    @pytest.mark.parametrize("grid", ["a", "0.3,,0.9", "0.3;0.9"])
+    @pytest.mark.parametrize("grid", ["a", "0.3,,0.9", "0.3;0.9", pytest.param("", id="empty")])
     def test_non_numeric_discount_is_parse_error(self, tmp_path, capsys, command, grid):
         path = write_model(tmp_path / "m.json")
         code = main([command, *model_args(command, path), "--lambda", grid])
@@ -522,6 +522,24 @@ class TestFlags:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments: " + " ".join(FLAG_ARGS[dest]) in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("command", [c for c, fl in COMMAND_FLAGS.items() if "tol" in fl])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "abc"])
+    def test_bad_tolerance_is_parse_error(self, tmp_path, monkeypatch, capsys, command, tol):
+        monkeypatch.chdir(tmp_path)
+        write_model(tmp_path / "m.json")
+        argv = [command, f"--tol={tol}"]
+        if command != "demo":
+            argv += model_args(command, "m.json")
+        if "out" in COMMAND_FLAGS[command]:
+            argv += FLAG_ARGS["out"]
+        assert main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"parse error: --tol must be a finite nonnegative number, got {tol!r}\n"
+        )
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 

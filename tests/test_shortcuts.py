@@ -9,74 +9,35 @@ pinned hostile ones.
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import helpers
 from scanvar.kernels import (
     Dist,
-    Kernel,
     Observable,
     ReducibilityError,
     SummabilityError,
     _certifies_summability,
     gibbs_kernel,
-    lazy,
     make_family,
-    metropolis_kernel,
     random_reversible,
 )
 from scanvar.variance import _near_one_count, summability_check, var_limit
 
-KINDS = ("reversible", "metropolis", "gibbs", "lazy")
-
-
-@st.composite
-def families(draw, scales=(1.0, 1.0, 1.0, 1e-6, 1e-12), holds=(0.0, 0.3, 0.9, 1.0)):
-    """Families of up to five kernels on at most eight states, each kernel
-    a random reversible one, a Metropolised Dirichlet proposal, a Gibbs
-    coordinate update on a 2 x (n/2) grid (1 x n when n is odd) or a
-    random reversible kernel lazified by one of `holds`; one target weight
-    is scaled by one of `scales`."""
-    n = draw(st.integers(2, 8))
-    k = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = rng.random(n) + 0.05
-    w[0] *= draw(st.sampled_from(scales))
-    pi = Dist(w / w.sum())
-    grid = (2, n // 2) if n % 2 == 0 else (1, n)
-    kernels = []
-    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=k, max_size=k)):
-        seed = int(rng.integers(2**62))
-        if kind == "reversible":
-            kernels.append(random_reversible(pi, seed))
-        elif kind == "metropolis":
-            proposal = Kernel(rng.dirichlet(np.full(n, 0.5), size=n))
-            kernels.append(metropolis_kernel(pi, proposal))
-        elif kind == "gibbs":
-            kernels.append(gibbs_kernel(pi, grid, draw(st.sampled_from([1, 2]))))
-        else:
-            hold = draw(st.sampled_from(holds))
-            kernels.append(lazy(random_reversible(pi, seed), hold))
-    fam = make_family(pi.weights, kernels)
-    f = Observable(rng.standard_normal(n))
-    return fam, f
-
-
-@given(families())
+@given(helpers.families())
 def test_certificate_never_contradicts_the_contraction(case):
     fam, _ = case
     if _certifies_summability(fam.pi.weights, fam.matrices):
         assert helpers.oracle_cycle_contraction(fam) < 1.0
 
 
-@given(families())
+@given(helpers.families())
 def test_rand_guard_count_equals_eigvals_count(case):
     fam, _ = case
     mixed = helpers.fsum_mean(fam)
     assert _near_one_count(mixed, fam.pi.weights) == helpers.oracle_near_one_count(fam)
 
 
-@given(families())
+@given(helpers.families())
 def test_limit_decisions_match_the_eigvals_route(case):
     fam, _ = case
     assert fam._summable == (helpers.oracle_cycle_contraction(fam) < 1.0)
@@ -89,7 +50,7 @@ def test_limit_decisions_match_the_eigvals_route(case):
 # test_tiny_weight_residual_refusal), and a family of identity kernels has a
 # contraction of exactly one that the eigvals route may round to just below
 # it, so the strat limit reaches a singular solve instead of SummabilityError.
-@given(families(scales=(1.0, 1.0, 1e-6), holds=(0.0, 0.3, 0.9)))
+@given(helpers.families(scales=(1.0, 1.0, 1e-6), holds=(0.0, 0.3, 0.9)))
 def test_limit_values_match_dense_oracles(case):
     fam, f = case
     if helpers.oracle_cycle_contraction(fam) < 1.0:

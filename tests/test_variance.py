@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import helpers
+from scanvar import variance
 from scanvar.embedding import CycleEmbedding
 from scanvar.kernels import (
     Observable,
     ReducibilityError,
     SummabilityError,
     make_family,
+    random_scan,
 )
 from scanvar.variance import (
+    _doubling_sum,
+    _lag_sum,
     finite_m_variance_exact,
     joint_law_exact,
     summability_check,
@@ -254,6 +259,104 @@ class TestFiniteM:
     def test_rejects_bad_horizon(self, e1, e1_f):
         with pytest.raises(ValueError):
             finite_m_variance_exact(e1, e1_f, 0, "strat")
+
+
+def route_values(fam, f, m_steps, scheme):
+    """(lag loop, doubling, |f|^2): the finite-horizon variance by each
+    route, called directly, and the scale its tolerance is relative to."""
+    if scheme == "rand":
+        mats = (random_scan(fam).matrix,)
+        prod = mats[0]
+    else:
+        mats, prod = fam.matrices, fam._cycle
+    pi = fam.pi.weights
+    fc = f.values - float(np.dot(pi, f.values))
+    norm_sq = float(np.dot(pi, fc * fc))
+    loop = norm_sq + 2.0 * _lag_sum(mats, pi, fc, m_steps) / m_steps
+    doubling = norm_sq + 2.0 * _doubling_sum(mats, prod, pi, fc, m_steps) / m_steps
+    return loop, doubling, norm_sq
+
+
+def horizons(k):
+    """Both sides of every cycle length and of two powers of two."""
+    return sorted({1, 2, 3, k + 1, 15, 17, 127, 129, 4096} | ({k - 1, k} - {0}))
+
+
+def assert_routes_agree(fam, f):
+    for scheme in ("strat", "rand"):
+        for m in horizons(fam.k):
+            loop, doubling, norm_sq = route_values(fam, f, m, scheme)
+            assert abs(doubling - loop) <= 1e-12 * max(abs(loop), norm_sq), (scheme, m)
+            if m <= 5:
+                oracle = helpers.oracle_finite_m(fam, f, m, scheme)
+                for value in (loop, doubling):
+                    assert value == pytest.approx(oracle, rel=1e-11, abs=1e-12 * norm_sq)
+
+
+class TestFiniteMRoutes:
+    """The doubling route against the lag loop it replaces at long horizons."""
+
+    @settings(max_examples=10)
+    @given(helpers.families())
+    def test_routes_agree_on_generated_families(self, case):
+        assert_routes_agree(*case)
+
+    @pytest.mark.parametrize("k", [2, 3])  # rand is the one-kernel case
+    @pytest.mark.parametrize(
+        "kernel", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]]], ids=["identity", "swap"]
+    )
+    def test_routes_agree_on_unit_modulus_families(self, kernel, k):
+        weights = [0.3, 0.7] if np.trace(kernel) else [0.5, 0.5]
+        fam = make_family(weights, [kernel] * k)
+        assert_routes_agree(fam, Observable([1.5, -0.25]))
+
+    # (scheme, n, k, first horizon taken by the doubling); rand runs the
+    # one-kernel case, here on a two-kernel family
+    @pytest.mark.parametrize(
+        "scheme, n, k, first",
+        [
+            ("rand", 2, 1, 79),
+            ("strat", 2, 5, 24),
+            ("rand", 30, 1, 315),
+            ("strat", 30, 2, 126),
+            ("strat", 150, 8, 90),
+            ("strat", 600, 2, 3234),
+        ],
+    )
+    def test_route_switches_at_the_crossover(self, monkeypatch, scheme, n, k, first):
+        taken = []
+        monkeypatch.setattr(variance, "_lag_sum", lambda *a: taken.append("loop") or 0.0)
+        monkeypatch.setattr(variance, "_doubling_sum", lambda *a: taken.append("doubling") or 0.0)
+        fam = make_family(np.full(n, 1.0 / n), [np.eye(n)] * (k if scheme == "strat" else 2))
+        f = Observable(np.arange(n, dtype=float))
+        for m in (1, first - 1, first, first + 1, 64 * first):
+            finite_m_variance_exact(fam, f, m, scheme)
+        assert taken == ["loop", "loop", "doubling", "doubling", "doubling"]
+
+    @pytest.mark.parametrize("scheme", ["strat", "rand"])
+    def test_matches_spectral_oracle_at_two_to_the_twenty(self, scheme):
+        rng = np.random.default_rng(36)
+        fam = helpers.random_family(rng, 4, 3)
+        cases = [
+            (helpers.e1_family(), Observable(helpers.E1_F)),
+            (fam, helpers.random_centered(rng, fam)),
+        ]
+        for fam, f in cases:
+            m = 2**20
+            value = finite_m_variance_exact(fam, f, m, scheme)
+            assert value == pytest.approx(
+                helpers.oracle_finite_m_spectral(fam, f, m, scheme), rel=1e-10
+            )
+
+    def test_spectral_oracle_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(37)
+        fam = helpers.random_family(rng, 4, 3)
+        f = helpers.random_centered(rng, fam)
+        for scheme in ("strat", "rand"):
+            for m in (1, 2, 3, 4, 7):
+                assert helpers.oracle_finite_m_spectral(fam, f, m, scheme) == pytest.approx(
+                    helpers.oracle_finite_m(fam, f, m, scheme), rel=1e-12, abs=1e-14
+                )
 
 
 class TestJointLaw:

@@ -5,7 +5,8 @@
 Runs a fixed list of command lines, each in a fresh interpreter, against
 each `src/` directory: every subcommand with the flags it reads, on the
 two-state example e1 and on one generated model per benchmark workload
-(`bench/models.py`, same sizes), plus command lines that fail with a
+(`bench/models.py`, same sizes), `simulate` on e1 and on the simulate-k2
+model at short and long horizons, plus command lines that fail with a
 documented exit code. Each side runs in its own empty directory, so
 relative output paths print the same. Exit codes, stdout, stderr and the
 bytes of every file a command writes must agree; the script prints one
@@ -84,6 +85,12 @@ def command_lines(models: Path) -> list[list[str]]:
             ["limit", "--model", m, "--out", "l.csv"],
             ["simulate", "--model", m, "--seed", "3", *sizes],
             ["simulate", "--model", m, "--seed", "4", "--out", "sim.csv", *sizes],
+        ]
+    for name in ("e1", "simulate-k2"):  # horizons on both sides of the route crossover
+        m = str(models / f"{name}.json")
+        lines += [
+            ["simulate", "--model", m, "--seed", "2", "--steps", str(steps), "--replicas", "20"]
+            for steps in (1, 2, 3, 5, 257, 4096)
         ]
     m = str(models / "e1.json")
     lines += [  # documented failures
