@@ -334,6 +334,9 @@ def _cmd_simulate(args) -> int:
     steps = args.steps if args.steps is not None else sim.get("steps", 4096)
     replicas = args.replicas if args.replicas is not None else sim.get("replicas", 200)
     seed = args.seed if args.seed is not None else sim.get("seed", 0)
+    if not 0 <= seed < 2**64:  # derive_seed reads the seed modulo 2**64
+        source = "--seed" if args.seed is not None else f"{args.model}: field 'simulation.seed'"
+        raise ModelFormatError(f"{source} must satisfy 0 <= seed < 2**64, got {seed}")
     schemes = [sim["scheme"]] if "scheme" in sim else ["strat", "rand"]
     rows = []
     for scheme in schemes:

@@ -5,7 +5,8 @@ State draws invert the cumulative row at a uniform variate, taking the
 first index whose cumulative weight strictly exceeds the draw. A path
 reads default_rng(seed) in a fixed documented order: one start uniform
 per coordinate, then (rand only) integers(0, k, transitions), then
-random((transitions, width)). Replica r uses derive_seed(seed, r), so
+random((transitions, coords)), with k coordinates for the embedded scheme
+and one otherwise. Replica r uses derive_seed(seed, r), so
 results are bit-identical under any replica order or lockstep blocking.
 """
 
@@ -75,47 +76,52 @@ class VarianceEstimate:
     replicas_used: int
 
 
-# Most draws (replicas x recorded steps x coordinates) one lockstep block holds.
+# Most draws (replicas x recorded steps x slots) one lockstep block holds.
 BLOCK_DRAWS = 2**20
 
 
-def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds):
+def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
     """Advance one path per seed together, yielding blocks of paths.
 
-    Blocks are int64 (steps, replicas, width) arrays, width k for embedded
-    and 1 otherwise. Slot s holds at recorded time i the coordinate
-    (s + i + burn_in) mod width, so slot 0 is the strat or rand path and
-    the embedded diagonal component: at transition t slot s goes through
-    kernel (s + t) mod k (rand: the drawn choice) and its coordinate moves
-    on by one. A draw counts the cumulative row entries not above the
+    Each path draws `coords` coordinates, k for embedded and 1 otherwise.
+    Blocks are int64 (steps, replicas, slots) arrays; `slots` defaults to
+    all coords, and a smaller value steps only the first ones. Slot s
+    holds at recorded time i the coordinate (s + i + burn_in) mod coords,
+    so slot 0 is the strat or rand path and the embedded diagonal
+    component: at transition t slot s goes through kernel (s + t) mod k
+    (rand: the drawn choice) and reads the uniform of the coordinate it
+    holds. No slot reads another's state, and every generator is still
+    read at full width, so each stepped slot has the same bits whatever
+    `slots` is. A draw counts the cumulative row entries not above the
     uniform, which is searchsorted(side="right"); leaving out the last
     entry caps the count at n - 1, as the rows are nondecreasing.
     """
     k, n = fam.k, fam.n
-    width = k if cfg.scheme == "embedded" else 1
+    coords = k if cfg.scheme == "embedded" else 1
+    slots = coords if slots is None else slots
     transitions = cfg.burn_in + cfg.steps - 1
     pi_cum = np.cumsum(fam.pi.weights)[:-1]
     cum = np.cumsum(np.stack(fam.matrices), axis=2)[..., :-1].reshape(k * n, n - 1)
-    phase = np.arange(transitions)[:, None] + np.arange(width)
+    phase = np.arange(transitions)[:, None] + np.arange(slots)
     # slot s reads the uniform of the coordinate it holds
-    columns = phase % width
-    block = max(1, BLOCK_DRAWS // ((cfg.burn_in + cfg.steps) * width))
+    columns = phase % coords
+    block = max(1, BLOCK_DRAWS // ((cfg.burn_in + cfg.steps) * slots))
     for first in range(0, len(seeds), block):
         chunk = seeds[first : first + block]
-        start = np.empty((len(chunk), width, 1))
-        uniforms = np.empty((transitions, len(chunk), width, 1))
+        start = np.empty((len(chunk), slots, 1))
+        uniforms = np.empty((transitions, len(chunk), slots, 1))
         if cfg.scheme == "rand":
             offsets = np.empty(uniforms.shape[:3], dtype=np.int64)
         else:
             offsets = np.broadcast_to((phase % k * n)[:, None, :], uniforms.shape[:3])
         for r, seed in enumerate(chunk):
             rng = np.random.default_rng(seed)
-            start[r, :, 0] = rng.random(width)
+            start[r, :, 0] = rng.random(coords)[:slots]
             if cfg.scheme == "rand":
                 offsets[:, r, 0] = rng.integers(0, k, size=transitions) * n
-            moves = rng.random((transitions, width))
+            moves = rng.random((transitions, coords))
             uniforms[:, r, :, 0] = np.take_along_axis(moves, columns, axis=1)
-        states = np.empty((transitions + 1, len(chunk), width), dtype=np.int64)
+        states = np.empty((transitions + 1, len(chunk), slots), dtype=np.int64)
         np.sum(pi_cum <= start, axis=-1, out=states[0])
         for t in range(transitions):
             rows = cum[offsets[t] + states[t]]
@@ -164,13 +170,16 @@ def estimate_variance(
     Each replica runs an independent path from a derived seed and reports
     sqrt(M) S_M(f - mean); the point estimate is the sample variance across
     replicas and its standard error comes from the spread of the squared
-    deviations.
+    deviations. Only slot 0 is stepped, for every scheme: the embedded
+    estimate reads only the diagonal component, and as no slot reads
+    another and every generator is read at full width, that slot has the
+    same bits as in the full embedded path.
     """
     if replicas < 2:
         raise ValidationError(f"need at least 2 replicas, got {replicas}")
     cfg = SimulationConfig(steps=steps, scheme=scheme)
     fc = f.values - float(np.dot(fam.pi.weights, f.values))
-    blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)])
+    blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)], slots=1)
     # each replica's mean runs over one C-contiguous row, as for a lone path
     values = np.sqrt(steps) * np.concatenate(
         [np.ascontiguousarray(fc[b[:, :, 0].T]).mean(axis=1) for b in blocks]

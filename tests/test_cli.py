@@ -416,6 +416,32 @@ class TestLimitAndSimulate:
         assert "validation error" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    @pytest.mark.parametrize("source", ["--seed", "m.json: field 'simulation.seed'"])
+    def test_seed_out_of_range_is_parse_error(self, tmp_path, monkeypatch, capsys, source, seed):
+        # the seed is read modulo 2**64, so these would alias seeds in range
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--model", "m.json", "--out", "s.csv"]
+        if source == "--seed":
+            write_model(tmp_path / "m.json")
+            argv += ["--seed", str(seed)]
+        else:
+            write_model(tmp_path / "m.json", simulation={"steps": 8, "replicas": 4, "seed": seed})
+        assert main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"parse error: {source} must satisfy 0 <= seed < 2**64, got {seed}\n"
+        )
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    def test_seed_range_ends_accepted(self, tmp_path, capsys):
+        path = write_model(tmp_path / "m.json")
+        for seed in (0, 2**64 - 1):
+            argv = ["simulate", "--model", path, "--steps", "8", "--replicas", "4"]
+            assert main([*argv, "--seed", str(seed)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_limit_solves_each_eigenproblem_once(self, tmp_path, capsys, monkeypatch):
         # the cycle contraction, printed and then guarding the strat limit;
         # the rand limit's guard is decided on the symmetrised mixed kernel

@@ -233,7 +233,7 @@ class TestReferenceSimulator:
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_estimates_across_blocks(self, monkeypatch, k, scheme):
         rng = np.random.default_rng(70 + k)
@@ -250,6 +250,41 @@ class TestReferenceSimulator:
         for est in (one_block, blocked):
             assert (est.point, est.standard_error) == expected
             assert est.replicas_used == replicas
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_slot_is_slot_zero_of_full_width(self, monkeypatch, k, scheme):
+        rng = np.random.default_rng(80 + k)
+        fam = helpers.random_family(rng, 4, k)
+        seeds = [derive_seed(11, r) for r in range(7)]
+        steps = 30
+        # one block, then (for the one-slot run) blocks of 3, the last of 1
+        for draws, sizes in ((simulate_module.BLOCK_DRAWS, [7]), (3 * (steps + 4), [3, 3, 1])):
+            monkeypatch.setattr(simulate_module, "BLOCK_DRAWS", draws)
+            for burn_in in (0, 1, 4):
+                cfg = SimulationConfig(steps=steps, scheme=scheme, burn_in=burn_in)
+                full = np.concatenate(list(simulate_module._lockstep(fam, cfg, seeds)), axis=1)
+                one = list(simulate_module._lockstep(fam, cfg, seeds, slots=1))
+                assert [b.shape[1:] for b in one] == [(r, 1) for r in sizes]
+                np.testing.assert_array_equal(np.concatenate(one, axis=1), full[:, :, :1])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_estimate_steps_one_slot(self, monkeypatch, scheme):
+        # the estimator reads only slot 0, so it steps no other slot
+        fam = helpers.random_family(np.random.default_rng(90), 4, 3)
+        widths = []
+        lockstep = simulate_module._lockstep
+
+        def spy(*args, **kwargs):
+            for b in lockstep(*args, **kwargs):
+                widths.append(b.shape[2])
+                yield b
+
+        monkeypatch.setattr(simulate_module, "_lockstep", spy)
+        monkeypatch.setattr(simulate_module, "BLOCK_DRAWS", 3 * 20)
+        f = Observable(np.arange(4.0))
+        estimate_variance(fam, f, 20, 8, 1, scheme)
+        assert widths == [1, 1, 1]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_permuted_seeds(self, monkeypatch, e1, scheme):

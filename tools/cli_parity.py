@@ -6,12 +6,13 @@ Runs a fixed list of command lines, each in a fresh interpreter, against
 each `src/` directory: every subcommand with the flags it reads, on the
 two-state example e1 and on one generated model per benchmark workload
 (`bench/models.py`, same sizes), `simulate` on e1 and on the simulate-k2
-model at short and long horizons, plus command lines that fail with a
-documented exit code. Each side runs in its own empty directory, so
-relative output paths print the same. Exit codes, stdout, stderr and the
-bytes of every file a command writes must agree; the script prints one
-line per command line and exits 1 on any difference. BLAS threads are
-pinned to one, so both sides round alike.
+model at short and long horizons, the embedded scheme on e1, on one kernel
+and on five, plus command lines that fail with a documented exit code.
+Each side runs in its own empty directory, so relative output paths print
+the same. Exit codes, stdout, stderr and the bytes of every file a command
+writes must agree; the script prints one line per command line and exits
+1 on any difference. BLAS threads are pinned to one, so both sides round
+alike.
 """
 
 from __future__ import annotations
@@ -92,8 +93,26 @@ def command_lines(models: Path) -> list[list[str]]:
             ["simulate", "--model", m, "--seed", "2", "--steps", str(steps), "--replicas", "20"]
             for steps in (1, 2, 3, 5, 257, 4096)
         ]
+    # the embedded scheme, which only a model's simulation block selects:
+    # on e1, on one kernel and on a random five-kernel model
+    embedded = {"scheme": "embedded"}
+    (models / "e1-embedded.json").write_text(json.dumps(dict(E1, simulation=embedded)))
+    for name, k in (("k1", 1), ("k5", 5)):
+        BaseFamily(2, 12, k).op(2, 0).write(models / f"{name}-embedded.json", simulation=embedded)
+    for name in ("e1", "k1", "k5"):
+        m = str(models / f"{name}-embedded.json")
+        lines += [
+            ["simulate", "--model", m, "--seed", "6", "--steps", str(steps), "--replicas", "20"]
+            for steps in (1, 2, 5, 257, 4096)
+        ]
+        lines.append(["simulate", "--model", m, "--out", "e.csv"])
     m = str(models / "e1.json")
+    (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     lines += [  # documented failures
+        ["simulate", "--model", m, "--seed", "-1", "--steps", "64", "--replicas", "5"],
+        ["simulate", "--model", m, "--seed", str(2**64), "--steps", "64", "--replicas", "5"],
+        ["simulate", "--model", str(models / "e1-seed.json"), "--steps", "64",
+         "--replicas", "5", "--out", "q.csv"],
         ["peskun", "--model", m],
         ["compare", "--model", str(models / "missing.json")],
         ["compare", "--model", m, "--lambda", "1.5"],
