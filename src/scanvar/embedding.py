@@ -232,9 +232,8 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """(blocks, step) of a selector: phase q of the operator is blocks[q]
-    applied to phase q + step. The symmetric part has this form only for
-    k <= 2, where both its terms read the same phase."""
+    """(blocks, step) of a selector other than symmetric: phase q of the
+    operator is blocks[q] applied to phase q + step."""
     k = len(mats)
     if op == "embed":
         return list(mats), 1
@@ -242,12 +241,6 @@ def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], i
         return [mats[q - 1] for q in range(k)], -1
     if op == "shift_diag":
         return [mats[(q + 1) % k] for q in range(k)], 1
-    if op == "symmetric":
-        if k > 2:
-            raise ValueError(
-                f"the symmetric part is not block-cyclic for k = {k} > 2 kernels"
-            )
-        return [(mats[q] + mats[q - 1]) / 2.0 for q in range(k)], 1
     raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
 
 
@@ -262,14 +255,21 @@ def _family_row(fam: KernelFamily, op: str) -> tuple[list[np.ndarray], int, np.n
     """(blocks, step, product) of a selector on a family. The product does
     not depend on the discount; the family keeps it for the embed,
     embed_adjoint and symmetric rows (the forward and backward cycle
-    products and the mixed kernel to the power k)."""
+    products and the mixed kernel to the power k). The symmetric part is
+    block-cyclic only for k <= 2, where both its terms read the same phase
+    and every block (K_q + K_{q-1}) / 2 is the family's mixed kernel, bit
+    for bit: two-term addition commutes, and (K + K) / 2 = K."""
+    if op == "symmetric":
+        if fam.k > 2:
+            raise ValueError(
+                f"the symmetric part is not block-cyclic for k = {fam.k} > 2 kernels"
+            )
+        return [fam._mixed.matrix] * fam.k, 1, fam._mixed_cycle
     blocks, step = _cycle_row(op, fam.matrices)
     if op == "embed":
         return blocks, step, fam._cycle
     if op == "embed_adjoint":
         return blocks, step, fam._cycle_reversed
-    if op == "symmetric":
-        return blocks, step, fam._mixed_cycle
     return blocks, step, _row_product(blocks, step)
 
 

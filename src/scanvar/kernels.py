@@ -347,14 +347,19 @@ class KernelFamily:
         return float(np.abs(np.linalg.eigvals(centred)).max())
 
     @cached_property
+    def _contracts(self) -> bool:
+        """Whether _cycle_contraction lies below one by more than the
+        eigensolver's rounding slack: the verdict of
+        variance.summability_check. A radius of exactly one can come back
+        from eigvals a rounding below it."""
+        return self._cycle_contraction < 1.0 - _rounding_slack(self.pi.weights)
+
+    @cached_property
     def _summable(self) -> bool:
         """Whether the full cycle contracts centred functions, the guard of
         variance.var_limit(strat): the norm certificate when it holds, else
-        _cycle_contraction below one."""
-        return (
-            _certifies_summability(self.pi.weights, self.matrices)
-            or self._cycle_contraction < 1.0
-        )
+        _contracts."""
+        return _certifies_summability(self.pi.weights, self.matrices) or self._contracts
 
 
 def _cycle_product(matrices) -> np.ndarray:

@@ -55,6 +55,8 @@ class SimulationConfig:
             )
         if self.burn_in < 0:
             raise ValidationError(f"burn_in must be nonnegative, got {self.burn_in}")
+        if not 0 <= self.seed < 2**64:  # derive_seed reads the seed modulo 2**64
+            raise ValidationError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +179,7 @@ def estimate_variance(
     """
     if replicas < 2:
         raise ValidationError(f"need at least 2 replicas, got {replicas}")
-    cfg = SimulationConfig(steps=steps, scheme=scheme)
+    cfg = SimulationConfig(steps=steps, seed=seed, scheme=scheme)
     fc = f.values - float(np.dot(fam.pi.weights, f.values))
     blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)], slots=1)
     # each replica's mean runs over one C-contiguous row, as for a lone path

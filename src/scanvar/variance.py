@@ -172,15 +172,17 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     of the centered kernels K_i - 1 pi', so all phases share one spectrum
     and the product from phase 1 suffices. A radius below one makes the
     covariance series absolutely summable for every observable, which is
-    the sufficient condition checked here. The nonsymmetric eigenproblem
-    is solved once per family, for the printed radius; var_limit needs only
-    the verdict and first tries a certificate from symmetric eigenproblems
-    (see kernels._certifies_summability), falling back to this radius.
+    the sufficient condition checked here. The verdict asks for a radius
+    below one by the eigensolver's rounding slack (kernels._rounding_slack),
+    so an exact unit radius rounded down is refused. The nonsymmetric
+    eigenproblem is solved once per family, for the printed radius;
+    var_limit needs only the verdict and first tries a certificate from
+    symmetric eigenproblems (see kernels._certifies_summability), falling
+    back to this verdict.
     """
-    contraction = fam._cycle_contraction
     return SummabilityReport(
-        absolutely_summable=bool(contraction < 1.0),
-        cycle_contraction=contraction,
+        absolutely_summable=fam._contracts,
+        cycle_contraction=fam._cycle_contraction,
     )
 
 
@@ -237,12 +239,14 @@ def finite_m_variance_exact(
     """Exact variance of sqrt(M) times the M-step ergodic average, started
     stationary.
 
-    The cross covariance of times i < j is <f, K_q ... K_{j-1} f>_pi with
-    q = i mod k; rand is the one-kernel case with the mixed kernel. Short
-    horizons sum the covariances lag by lag (_lag_sum); longer ones group
-    the pairs by start phase and lag residue into power sums of the centred
-    cycle product, taken by binary doubling (_doubling_sum).
-    _takes_doubling picks the cheaper of the two from n, k and M.
+    The cross covariances sum to sum_i <f, u_i>_pi over the backward
+    recursion u_i = K_{i mod k}(f + u_{i+1}), u_{M-1} = 0, on centred f;
+    rand is the one-kernel case with the mixed kernel. Over one whole cycle
+    the recursion is one affine map of u and the running sum, built from
+    the family's cached cycle product (_cycle_map). The c cycles of the
+    horizon are then stepped one by one (_stepped) or taken by binary
+    powering of the map (_squared); _squares picks the cheaper from n and c.
+    No inverse is formed, so no contraction is needed.
     """
     _check_scheme(scheme)
     if m_steps < 1:
@@ -255,131 +259,92 @@ def finite_m_variance_exact(
     pi = fam.pi.weights
     fc = _centered_values(f, fam.pi)
     norm_sq = float(np.dot(pi, fc * fc))
-    if _takes_doubling(fam.n, len(mats), m_steps):
-        cross = _doubling_sum(mats, prod, pi, fc, m_steps)
-    else:
-        cross = _lag_sum(mats, pi, fc, m_steps)
-    return norm_sq + 2.0 * cross / m_steps
+    cycle_map = _cycle_map(mats, pi, fc, m_steps)
+    evaluate = _squared if _squares(fam.n, cycle_map[0]) else _stepped
+    return norm_sq + 2.0 * evaluate(prod, pi, *cycle_map) / m_steps
 
 
-def _takes_doubling(n: int, k: int, m_steps: int) -> bool:
-    """Whether the doubling is the cheaper route, counted in matrix-vector
-    products: the lag loop's M k against the doubling's 2 k^2 for its first
-    images, 64 for the fixed cost of its many small calls, and
-    n log2(M / k) for its matrix products, about 3.5 n log2(M / k) times
-    the work of one but run about 3.5 times faster per operation (measured
-    on one BLAS thread, n from 2 to 600)."""
-    return m_steps * k > 2 * k * k + 64 + n * max(math.log2(m_steps / k), 0.0)
+def _cycle_map(mats, pi: np.ndarray, fc: np.ndarray, m_steps: int):
+    """(c, u, acc, g, d, r): the recursion's state after its first, partial
+    cycle and the affine map of each of the c whole cycles left.
 
-
-def _lag_sum(mats, pi: np.ndarray, fc: np.ndarray, m_steps: int) -> float:
-    """Sum of the cross covariances over all pairs i < j < M, lag by lag:
-    k matrix-vector products per lag."""
-    wf = pi * fc
-    k = len(mats)
-    total = 0.0
-    if k == 1:  # no phases to stack: pairs at lag d occur M - d times
-        v = fc
-        for lag in range(1, m_steps):
-            v = mats[0] @ v
-            total += (m_steps - lag) * float(np.dot(wf, v))
-        return total
-    h = np.tile(fc, (k, 1))
-    for lag in range(1, m_steps):
-        h = np.stack([mats[q] @ h[(q + 1) % k] for q in range(k)])
-        cov = h @ wf  # cov[q]: lag covariance when the start phase is q+1
-        last = m_steps - 1 - lag  # largest start index paired with this lag
-        for q in range(k):
-            if last >= q:
-                count = (last - q) // k + 1
-                # starts i with i mod k == q occur `count` times among 0..last
-                total += count * float(cov[q])
-    return total
-
-
-def _doubling_sum(mats, prod, pi: np.ndarray, fc: np.ndarray, m_steps: int) -> float:
-    """The sum of _lag_sum by power sums of the centred cycle product.
-
-    A lag d = a k + b (1 <= b <= k) from phase q occurs C - a times, where
-    C = C_{q+b} counts the starts with b steps left. Its kernel is
-    P_q^a G_{q,b}, with P_q the full cycle from phase q and G_{q,b} the
-    first b kernels. Writing P_q = A_q B_q and P = B_q A_q (the cycle from
-    phase 0, `prod`), P_q^a = A_q P^(a-1) B_q for a >= 1, and
-    B_q G_{q,b} = W_s is the first s = q + b kernels from phase 0. So the
-    pairs of group (q, b) sum to
-        C <f, G_{q,b} f> + (pi f A_q) H(C - 1) W_s f,
-    H(c) = sum_{a<c} (c - a) Q^a with Q = P - 1 pi': on centred f, the
-    constants that P^a keeps contribute nothing, and without them the
-    entries of H(c) grow like c, not c^2. The 2k - 1 values of c = C - 1
-    differ by at most 2: H and G(c) = sum_{a<c} Q^a are doubled up to the
-    smallest, lo (_power_sums), and the rest is stepped power by power,
-    H(c) = H(lo) + (c - lo) G(lo) + sum_{lo<=a<c} (c - a) Q^a. No inverse
-    is formed, so no contraction is needed.
+    The first cycle runs the times M - 2 down to c k, phases tail - 1 down
+    to 0 (1 <= tail <= k when M > 1), from u = 0. Over a whole cycle from
+    phase 0, u becomes P u + g, P = K_0 ... K_{k-1}, and the sum gains
+    r u + d: g and d are a whole cycle run from u = 0, and
+    r = sum_t pi f K_t ... K_{k-1} comes from one forward sweep.
     """
-    k = len(mats)
-    wf = pi * fc
-    h, images = [fc] * k, []  # images[b - 1][q] = G_{q,b} f, b = 1..k
-    for _ in range(k):
-        h = [m @ x for m, x in zip(mats, h[1:] + h[:1])]
-        images.append(h)
-    images = np.array(images)
-    # counts[b - 1, q] = C_{q+b}, the starts t < M - b with t mod k == q
-    s = np.add.outer(np.arange(1, k + 1), np.arange(k))
-    counts = np.maximum((m_steps - 1 - s) // k + 1, 0)
-    total = float(np.sum(counts * (images @ wf)))
-    rows = np.tile(wf, (k, 1))  # rows[q] = pi f A_q
-    for q in range(k):
-        for m in mats[q:]:
-            rows[q] = rows[q] @ m
-    # column s - 1 of heads is W_s f, row s - 1 of weights sums rows[q]
-    # over the groups with q + b = s
-    heads = np.concatenate([images[:, 0], images[: k - 1, 0] @ prod.T]).T
-    weights = np.stack(
-        [rows[max(0, j - k + 1) : j + 1].sum(axis=0) for j in range(2 * k - 1)]
-    )
-    powers = np.maximum((m_steps - 1 - np.arange(1, 2 * k)) // k, 0)  # C_s - 1
-    lo, y = int(powers.min()), heads
-    if lo:
-        g_mat, h_mat, q_pow = _power_sums(prod - pi[None, :], lo)
-        sums = h_mat @ heads + (powers - lo) * (g_mat @ heads)
-        total += float(np.sum(weights.T * sums))
-        y = q_pow @ heads
-    for a in range(lo, int(powers.max())):  # P y = Q y: y has centred columns
-        covs = np.einsum("sn,ns->s", weights, y)
-        total += float(np.sum(np.maximum(powers - a, 0) * covs))
-        y = prod @ y
+    k, wf = len(mats), pi * fc
+    cycles = max(m_steps - 2, 0) // k
+    tail = m_steps - 1 - cycles * k
+    g, d = _backward(mats, wf, fc, k)
+    u, acc = (g, d) if tail == k else _backward(mats, wf, fc, tail)
+    r = wf @ mats[0]
+    for m in mats[1:]:
+        r = (r + wf) @ m
+    return cycles, u, acc, g, d, r
+
+
+def _backward(mats, wf: np.ndarray, fc: np.ndarray, phases: int):
+    """(u, sum of <f, u>_pi) after the recursion runs phases - 1 down to 0
+    from u = 0."""
+    u, total = np.zeros_like(fc), 0.0
+    for t in reversed(range(phases)):
+        u = mats[t] @ (fc + u)
+        total += float(wf @ u)
+    return u, total
+
+
+def _squares(n: int, cycles: int) -> bool:
+    """Whether binary powering costs less than stepping, counted in steps:
+    stepping takes c, powering about 8 for its setup plus log2(c)
+    squarings of the (n + 2)-square map at 3 + n / 6 steps each (measured
+    on one BLAS thread, n from 2 to 1000)."""
+    return cycles > 8 + (3 + n / 6) * math.log2(max(cycles, 1))
+
+
+def _stepped(prod, pi, cycles, u, acc, g, d, r) -> float:
+    """The sum after c steps of u <- P u + g, each adding r u + d. The
+    differences v_b = u_b - u_{b-1} of successive inputs follow v <- P v,
+    so the c inputs sum to c u_0 + sum_{0<b<c} (c - b) v_b: c - 1
+    matrix-vector products and no augmented matrix. The terms decay with
+    the chain's mixing rather than pile up at the fixed point, and P acts
+    on them as the centred Q does, up to rounding."""
+    total = acc + cycles * (d + float(r @ u))
+    if cycles > 1:
+        v = prod @ u + g - u
+        for weight in range(cycles - 1, 1, -1):
+            total += weight * float(r @ v)
+            v = prod @ v
+        total += float(r @ v)
     return total
 
 
-def _power_sums(q_mat: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G(c), H(c), Q^c) for c >= 1, G(c) = sum_{a<c} Q^a and
-    H(c) = sum_{a<c} (c - a) Q^a, by binary doubling over the bits of c:
-    G(2m) = G + Q^m G and H(2m) = H + m G + Q^m H, then for a set bit
-    G(m+1) = G + Q^m and H(m+1) = H + G(m+1)."""
-    n = q_mat.shape[0]
-    g_mat, h_mat, q_pow, m = np.eye(n), np.eye(n), q_mat, 1
-    for bit in bin(c)[3:]:
-        both = q_pow @ np.concatenate([g_mat, h_mat], axis=1)
-        h_mat = h_mat + m * g_mat + both[:, n:]
-        g_mat = g_mat + both[:, :n]
-        q_pow = _flushed(q_pow @ q_pow)
-        m *= 2
-        if bit == "1":
-            g_mat = g_mat + q_pow
-            h_mat = h_mat + g_mat
-            q_pow = _flushed(q_pow @ q_mat)
-            m += 1
-    return g_mat, h_mat, q_pow
-
-
-def _flushed(power: np.ndarray) -> np.ndarray:
-    """A power of Q whose entries all lie below 1e-100 is set to zero: its
-    products with G and H (identity plus more) change no entry by more than
-    n 1e-100, far below their rounding, and squaring it further would run
-    into subnormal numbers, on which matrix products are many times slower."""
-    if np.abs(power).max() < 1e-100:
-        return np.zeros_like(power)
-    return power
+def _squared(prod, pi, cycles, u, acc, g, d, r) -> float:
+    """The sum after c steps of the map, by binary powering of the affine
+    matrix [[Q, g, 0], [0, 1, 0], [r, d, 1]] on (u, 1, acc), with the
+    centred Q = P - 1 pi', equal to P on centred u: the powers of Q decay,
+    so no rounding of the unit eigenvalue grows with c, and the other
+    entries grow at most like c. Entries of a power of Q below 1e-100 are
+    set to zero: they change no result by more than n 1e-100 of its scale,
+    and squaring them further would run into subnormal numbers, on which
+    matrix products are many times slower."""
+    n = u.size
+    aff = np.zeros((n + 2, n + 2))
+    aff[:n, :n] = prod - pi
+    aff[:n, n] = g
+    aff[n + 1, :n] = r
+    aff[n:, n:] = [[1.0, 0.0], [d, 1.0]]
+    vec = np.concatenate([u, [1.0, acc]])
+    while True:
+        if cycles & 1:
+            vec = aff @ vec
+        cycles >>= 1
+        if not cycles:
+            return float(vec[n + 1])
+        aff = aff @ aff
+        power = aff[:n, :n]
+        power[np.abs(power) < 1e-100] = 0.0
 
 
 def joint_law_exact(fam: KernelFamily, m: int, scheme: str) -> np.ndarray:

@@ -158,6 +158,31 @@ def oracle_finite_m(fam: KernelFamily, f: Observable, m_steps: int, scheme: str)
     return total / m_steps
 
 
+def lag_sum(mats, pi: np.ndarray, fc: np.ndarray, m_steps: int) -> float:
+    """Sum of the cross covariances over all pairs i < j < M, lag by lag:
+    k matrix-vector products per lag."""
+    wf = pi * fc
+    k = len(mats)
+    total = 0.0
+    if k == 1:  # no phases to stack: pairs at lag d occur M - d times
+        v = fc
+        for lag in range(1, m_steps):
+            v = mats[0] @ v
+            total += (m_steps - lag) * float(np.dot(wf, v))
+        return total
+    h = np.tile(fc, (k, 1))
+    for lag in range(1, m_steps):
+        h = np.stack([mats[q] @ h[(q + 1) % k] for q in range(k)])
+        cov = h @ wf  # cov[q]: lag covariance when the start phase is q+1
+        last = m_steps - 1 - lag  # largest start index paired with this lag
+        for q in range(k):
+            if last >= q:
+                count = (last - q) // k + 1
+                # starts i with i mod k == q occur `count` times among 0..last
+                total += count * float(cov[q])
+    return total
+
+
 def oracle_finite_m_spectral(
     fam: KernelFamily, f: Observable, m_steps: int, scheme: str
 ) -> float:

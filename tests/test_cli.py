@@ -369,6 +369,17 @@ class TestLimitAndSimulate:
         assert main(["limit", "--model", path]) == EXIT_VALIDATION
         assert "not absolutely summable" in capsys.readouterr().err
 
+    def test_limit_unit_radius_rounded_below_one(self, tmp_path, capsys):
+        # eigvals returns the exact radius 1 of I - 1 pi' as 1 - 1.1e-16 here
+        w = np.array([1.44590388e-06, 9.99998554e-01])
+        path = write_model(
+            tmp_path / "m.json", pi=(w / w.sum()).tolist(), kernels=[np.eye(2).tolist()]
+        )
+        assert main(["limit", "--model", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cycle contraction: 1 (not summable)")
+        assert "not absolutely summable" in captured.err
+
     @pytest.mark.parametrize("command", ["limit", "compare"])
     def test_near_reducible_rand_limit_refused(self, tmp_path, capsys, command):
         sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]

@@ -334,6 +334,10 @@ class TestResolvent:
             assert again is prod
             assert not prod.flags.writeable
             np.testing.assert_array_equal(prod, embedding._row_product(blocks, step))
+        blocks, _, _ = embedding._family_row(fam, "symmetric")
+        assert all(block is fam._mixed.matrix for block in blocks)
+        mats = fam.matrices
+        np.testing.assert_array_equal(blocks[1], (mats[1] + mats[0]) / 2.0)
         np.testing.assert_array_equal(
             cached["embed"], helpers.cycle_product(fam.matrices, 1, 2)
         )

@@ -116,11 +116,10 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True)
 def test_identity_contraction_rounded_below_one():
     # I - 1 pi' has radius exactly 1, which eigvals returns as 1 - 1.1e-16
-    # for this target, so the strat limit is attempted and its solve is
-    # singular instead of raising SummabilityError.
+    # for this target; the verdict asks for a radius below one by the
+    # rounding slack, so the strat limit is refused, not attempted.
     w = np.array([1.44590388e-06, 9.99998554e-01])
     fam = make_family(w / w.sum(), [np.eye(2)])
     with pytest.raises(SummabilityError):

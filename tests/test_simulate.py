@@ -70,6 +70,19 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             SimulationConfig(steps=10, burn_in=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, e1, e1_f, seed):
+        # derive_seed reads the seed modulo 2**64, so -1 would alias 2**64 - 1
+        with pytest.raises(ValidationError, match="0 <= seed < 2\\*\\*64"):
+            simulate(e1, SimulationConfig(steps=4, seed=seed))
+        with pytest.raises(ValidationError, match="0 <= seed < 2\\*\\*64"):
+            estimate_variance(e1, e1_f, 16, 5, seed, "strat")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, e1, e1_f, seed):
+        assert simulate(e1, SimulationConfig(steps=4, seed=seed)).steps == 4
+        assert estimate_variance(e1, e1_f, 16, 5, seed, "strat").replicas_used == 5
+
     def test_strat_odd_steps_use_first_kernel(self, e1):
         # transitions at odd step indices follow the first kernel's rows
         path = simulate(e1, SimulationConfig(steps=100_001, seed=8, scheme="strat"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from scanvar import variance
@@ -15,8 +16,6 @@ from scanvar.kernels import (
     random_scan,
 )
 from scanvar.variance import (
-    _doubling_sum,
-    _lag_sum,
     finite_m_variance_exact,
     joint_law_exact,
     summability_check,
@@ -262,8 +261,9 @@ class TestFiniteM:
 
 
 def route_values(fam, f, m_steps, scheme):
-    """(lag loop, doubling, |f|^2): the finite-horizon variance by each
-    route, called directly, and the scale its tolerance is relative to."""
+    """(lag loop, stepped, squared, |f|^2): the finite-horizon variance by
+    the reference lag loop and by each evaluation of the cycle map, called
+    directly, and the scale their tolerance is relative to."""
     if scheme == "rand":
         mats = (random_scan(fam).matrix,)
         prod = mats[0]
@@ -272,9 +272,13 @@ def route_values(fam, f, m_steps, scheme):
     pi = fam.pi.weights
     fc = f.values - float(np.dot(pi, f.values))
     norm_sq = float(np.dot(pi, fc * fc))
-    loop = norm_sq + 2.0 * _lag_sum(mats, pi, fc, m_steps) / m_steps
-    doubling = norm_sq + 2.0 * _doubling_sum(mats, prod, pi, fc, m_steps) / m_steps
-    return loop, doubling, norm_sq
+    loop = norm_sq + 2.0 * helpers.lag_sum(mats, pi, fc, m_steps) / m_steps
+    cycle_map = variance._cycle_map(mats, pi, fc, m_steps)
+    stepped, squared = (
+        norm_sq + 2.0 * evaluate(prod, pi, *cycle_map) / m_steps
+        for evaluate in (variance._stepped, variance._squared)
+    )
+    return loop, stepped, squared, norm_sq
 
 
 def horizons(k):
@@ -285,16 +289,23 @@ def horizons(k):
 def assert_routes_agree(fam, f):
     for scheme in ("strat", "rand"):
         for m in horizons(fam.k):
-            loop, doubling, norm_sq = route_values(fam, f, m, scheme)
-            assert abs(doubling - loop) <= 1e-12 * max(abs(loop), norm_sq), (scheme, m)
+            loop, stepped, squared, norm_sq = route_values(fam, f, m, scheme)
+            for value in (stepped, squared):
+                assert abs(value - loop) <= 1e-12 * max(abs(loop), norm_sq), (scheme, m)
             if m <= 5:
                 oracle = helpers.oracle_finite_m(fam, f, m, scheme)
-                for value in (loop, doubling):
+                for value in (loop, stepped, squared):
                     assert value == pytest.approx(oracle, rel=1e-11, abs=1e-12 * norm_sq)
 
 
+def relabelled(fam, f, perm):
+    """The family and observable with state perm[i] renamed i."""
+    mats = [m[np.ix_(perm, perm)] for m in fam.matrices]
+    return make_family(fam.pi.weights[perm], mats), Observable(f.values[perm])
+
+
 class TestFiniteMRoutes:
-    """The doubling route against the lag loop it replaces at long horizons."""
+    """Both evaluations of the cycle map against the lag loop."""
 
     @settings(max_examples=10)
     @given(helpers.families())
@@ -310,28 +321,49 @@ class TestFiniteMRoutes:
         fam = make_family(weights, [kernel] * k)
         assert_routes_agree(fam, Observable([1.5, -0.25]))
 
-    # (scheme, n, k, first horizon taken by the doubling); rand runs the
+    # (scheme, n, k, first horizon that is squared); rand runs the
     # one-kernel case, here on a two-kernel family
     @pytest.mark.parametrize(
         "scheme, n, k, first",
         [
-            ("rand", 2, 1, 79),
-            ("strat", 2, 5, 24),
-            ("rand", 30, 1, 315),
-            ("strat", 30, 2, 126),
-            ("strat", 150, 8, 90),
-            ("strat", 600, 2, 3234),
+            ("rand", 2, 1, 26),
+            ("strat", 2, 5, 122),
+            ("rand", 30, 1, 57),
+            ("strat", 30, 2, 112),
+            ("strat", 150, 8, 1826),
+            ("strat", 600, 2, 2084),
         ],
     )
-    def test_route_switches_at_the_crossover(self, monkeypatch, scheme, n, k, first):
+    def test_evaluation_switches_at_the_choice(self, monkeypatch, scheme, n, k, first):
         taken = []
-        monkeypatch.setattr(variance, "_lag_sum", lambda *a: taken.append("loop") or 0.0)
-        monkeypatch.setattr(variance, "_doubling_sum", lambda *a: taken.append("doubling") or 0.0)
+        monkeypatch.setattr(variance, "_stepped", lambda *a: taken.append("stepped") or 0.0)
+        monkeypatch.setattr(variance, "_squared", lambda *a: taken.append("squared") or 0.0)
         fam = make_family(np.full(n, 1.0 / n), [np.eye(n)] * (k if scheme == "strat" else 2))
         f = Observable(np.arange(n, dtype=float))
         for m in (1, first - 1, first, first + 1, 64 * first):
             finite_m_variance_exact(fam, f, m, scheme)
-        assert taken == ["loop", "loop", "doubling", "doubling", "doubling"]
+        assert taken == ["stepped", "stepped", "squared", "squared", "squared"]
+
+    @settings(max_examples=10)
+    @given(helpers.families(), st.sampled_from([2, 17, 129, 4096]), st.data())
+    def test_invariant_under_relabelling(self, case, m, data):
+        fam, f = case
+        other = relabelled(fam, f, data.draw(st.permutations(range(fam.n))))
+        pi = fam.pi.weights
+        norm_sq = float(np.dot(pi, (f.values - np.dot(pi, f.values)) ** 2))
+        for scheme in ("strat", "rand"):
+            value = finite_m_variance_exact(fam, f, m, scheme)
+            again = finite_m_variance_exact(*other, m, scheme)
+            assert abs(again - value) <= 1e-12 * max(abs(value), norm_sq), (scheme, m)
+
+    @settings(max_examples=10)
+    @given(helpers.families(), st.sampled_from([2, 17, 129, 4096]), st.data())
+    def test_rand_bit_identical_under_kernel_reordering(self, case, m, data):
+        fam, f = case
+        order = data.draw(st.permutations(range(fam.k)))
+        other = make_family(fam.pi.weights, [fam.matrices[i] for i in order])
+        value = finite_m_variance_exact(fam, f, m, "rand")
+        assert finite_m_variance_exact(other, f, m, "rand") == value
 
     @pytest.mark.parametrize("scheme", ["strat", "rand"])
     def test_matches_spectral_oracle_at_two_to_the_twenty(self, scheme):

@@ -6,8 +6,9 @@ Runs a fixed list of command lines, each in a fresh interpreter, against
 each `src/` directory: every subcommand with the flags it reads, on the
 two-state example e1 and on one generated model per benchmark workload
 (`bench/models.py`, same sizes), `simulate` on e1 and on the simulate-k2
-model at short and long horizons, the embedded scheme on e1, on one kernel
-and on five, plus command lines that fail with a documented exit code.
+model at short and long horizons, strat and rand `simulate` rows at the
+exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
+on five, plus command lines that fail with a documented exit code.
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -87,11 +88,20 @@ def command_lines(models: Path) -> list[list[str]]:
             ["simulate", "--model", m, "--seed", "3", *sizes],
             ["simulate", "--model", m, "--seed", "4", "--out", "sim.csv", *sizes],
         ]
-    for name in ("e1", "simulate-k2"):  # horizons on both sides of the route crossover
+    for name in ("e1", "simulate-k2"):  # short and long horizons
         m = str(models / f"{name}.json")
         lines += [
             ["simulate", "--model", m, "--seed", "2", "--steps", str(steps), "--replicas", "20"]
             for steps in (1, 2, 3, 5, 257, 4096)
+        ]
+    # strat and rand rows (no scheme field) at the exact-k8 and exact-k2
+    # sizes, on both sides of the choice between stepping and squaring
+    for name, n, k in (("k8-plain", 150, 8), ("k2-plain", 400, 2)):
+        m = models / f"{name}.json"
+        BaseFamily(3, n, k).op(3, 0).write(m)
+        lines += [
+            ["simulate", "--model", str(m), "--seed", "8", "--steps", str(steps), "--replicas", "5"]
+            for steps in (16, 257, 4096)
         ]
     # the embedded scheme, which only a model's simulation block selects:
     # on e1, on one kernel and on a random five-kernel model
