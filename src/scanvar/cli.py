@@ -246,8 +246,9 @@ def _cmd_compare(args) -> int:
     """The scan comparison's CSV; the ordering and the gap bound are
     asserted only for two kernels."""
     model = load_model(args.model)
+    grid = _grid(args, model) + (1.0,)  # and the limit row
     reports = check_scan_ordering(
-        model.family, model.f, _grid(args, model), args.method, args.series_terms, tol=args.tol
+        model.family, model.f, grid, args.method, args.series_terms, tol=args.tol
     )
     failures: list[str] = []
     if model.family.k == 2:
@@ -274,7 +275,7 @@ def _cmd_peskun(args) -> int:
         raise ModelFormatError("peskun needs --model-b for the dominated family")
     model_a = load_model(args.model)
     model_b = load_model(args.model_b)
-    grid = _grid(args, model_a)
+    grid = _grid(args, model_a) + (1.0,)  # and the limit row
     report = check_peskun_ordering(
         model_a.family, model_b.family, model_a.f, grid, tol=args.tol
     )
@@ -319,7 +320,7 @@ def _cmd_limit(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    (rep,) = check_scan_ordering(fam, f, ())
+    (rep,) = check_scan_ordering(fam, f, (1.0,))
     print(f"limit var_strat: {_fmt(rep.var_strat)}")
     print(f"limit var_rand:  {_fmt(rep.var_rand)}")
     if args.out:

@@ -280,6 +280,8 @@ def _cycle_solve(
     rhs: np.ndarray,
     weights: np.ndarray,
     product: np.ndarray | None = None,
+    *,
+    floor: float = 0.0,
 ) -> np.ndarray:
     """Solve x_q = rhs_q + lam * blocks[q] @ x_{q+step} for every phase q.
 
@@ -292,8 +294,10 @@ def _cycle_solve(
     direction, which is valid only when every phase of rhs is centred for
     weights and the blocks leave weights invariant; the solution is then
     the centred one. The residual of the full block system must stay
-    within RESOLVENT_RTOL of rhs in the weighted norm, which also rejects a
-    non-centred rhs at lam = 1.
+    within RESOLVENT_RTOL of rhs in the weighted norm, or within `floor`,
+    the absolute residual the rounding of rhs accounts for (its caller
+    knows it; zero otherwise). This also rejects a rhs that is not
+    centred at lam = 1 by more than that rounding.
     """
     k, n = rhs.shape
     order = [(j * step) % k for j in range(k)]
@@ -317,7 +321,7 @@ def _cycle_solve(
     residual = x - rhs - lam * np.stack([m @ v for m, v in zip(blocks, ahead)])
     res_norm = float(np.sqrt(np.sum(residual**2 @ weights)))
     rhs_norm = float(np.sqrt(np.sum(rhs**2 @ weights)))
-    if res_norm > RESOLVENT_RTOL * max(rhs_norm, 1e-300):
+    if res_norm > max(RESOLVENT_RTOL * max(rhs_norm, 1e-300), floor):
         raise np.linalg.LinAlgError(
             f"resolvent residual {res_norm:.3g} exceeds "
             f"{RESOLVENT_RTOL:g} * {rhs_norm:.3g}"

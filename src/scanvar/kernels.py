@@ -24,6 +24,8 @@ REVERSIBILITY_TOL = 1e-10
 NUMERIC_TOL = 1e-10
 # Eigenvalue threshold for positive-semidefiniteness verdicts.
 PSD_TOL = 1e-10
+# Seeded proposals random_reversible tries for an irreducible kernel.
+REVERSIBLE_TRIES = 100
 
 _EPS = float(np.finfo(float).eps)
 
@@ -32,6 +34,7 @@ __all__ = [
     "REVERSIBILITY_TOL",
     "NUMERIC_TOL",
     "PSD_TOL",
+    "REVERSIBLE_TRIES",
     "ValidationError",
     "DegenerateConditionalError",
     "SummabilityError",
@@ -81,8 +84,8 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"discount must lie in [0, 1), got {lam}")
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -441,11 +444,13 @@ def _certifies_summability(weights: np.ndarray, matrices) -> bool:
     return False
 
 
-def make_family(pi, kernels, labels=None) -> KernelFamily:
-    """Bundle a target with kernels, coercing plain arrays to the domain types."""
+def make_family(pi, kernels) -> KernelFamily:
+    """Bundle a target with kernels, coercing plain arrays to the domain
+    types, on an unlabelled state space (build a KernelFamily on a
+    labelled StateSpace directly for labels)."""
     pi_d = pi if isinstance(pi, Dist) else Dist(pi)
     ks = tuple(k if isinstance(k, Kernel) else Kernel(k) for k in kernels)
-    return KernelFamily(StateSpace(pi_d.n, labels), pi_d, ks)
+    return KernelFamily(StateSpace(pi_d.n), pi_d, ks)
 
 
 def inner(f: Observable, g: Observable, pi: Dist) -> float:
@@ -644,19 +649,20 @@ def is_irreducible(kernel: Kernel) -> bool:
     return _strongly_connected(kernel.matrix)
 
 
-def random_reversible(pi: Dist, seed: int, max_tries: int = 100) -> Kernel:
+def random_reversible(pi: Dist, seed: int) -> Kernel:
     """Seeded irreducible kernel reversible for pi.
 
-    Metropolises a random Dirichlet-row proposal; retries with derived seeds
-    (bounded) until the positive-entry graph is strongly connected.
+    Metropolises a random Dirichlet-row proposal; retries with derived seeds,
+    at most REVERSIBLE_TRIES times, until the positive-entry graph is
+    strongly connected.
     """
-    for attempt in range(max_tries):
+    for attempt in range(REVERSIBLE_TRIES):
         rng = np.random.default_rng(derive_seed(seed, attempt))
         proposal = Kernel(rng.dirichlet(np.ones(pi.n), size=pi.n))
         candidate = metropolis_kernel(pi, proposal)
         if is_irreducible(candidate):
             return candidate
     raise ReducibilityError(
-        f"no irreducible kernel found in {max_tries} attempts for seed {seed}"
+        f"no irreducible kernel found in {REVERSIBLE_TRIES} attempts for seed {seed}"
     )
 

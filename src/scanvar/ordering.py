@@ -45,10 +45,23 @@ from scanvar.variance import (
     _variance,
     var_lambda_rand,
     var_lambda_strat,
+    var_lambda_strat_series,
     var_limit,
 )
 
+# Residual and probe excess that variational_identity_check allows.
+IDENTITY_TOL = 1e-9
+# palindrome_check: the hold of the lazified perturbation, the largest
+# forward/backward component gap and the most negative derivative allowed.
+PALINDROME_HOLD = 0.5
+PALINDROME_COMPONENT_TOL = 1e-11
+PALINDROME_DERIVATIVE_TOL = 1e-9
+
 __all__ = [
+    "IDENTITY_TOL",
+    "PALINDROME_HOLD",
+    "PALINDROME_COMPONENT_TOL",
+    "PALINDROME_DERIVATIVE_TOL",
     "OrderingReport",
     "PeskunComparison",
     "PeskunRow",
@@ -130,14 +143,14 @@ class VariationalIdentityReport:
     passes: bool
 
 
-def _read_grid(lambda_grid, include_limit: bool) -> tuple[list[float], bool]:
+def _read_grid(lambda_grid) -> tuple[list[float], bool]:
     """The grid's discounts, all checked before any solve, and whether a limit
-    row is asked for: by include_limit or by a grid value within 1e-12 of one."""
+    row is asked for, by a grid value within 1e-12 of one."""
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
         _check_lam(lam)
-    return discounts, include_limit or len(discounts) < len(grid)
+    return discounts, len(discounts) < len(grid)
 
 
 def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
@@ -175,18 +188,21 @@ def check_scan_ordering(
     lambda_grid: Sequence[float],
     method: str = "resolvent",
     series_terms: int = DEFAULT_SERIES_TERMS,
-    include_limit: bool = True,
     tol: float = NUMERIC_TOL,
 ) -> list[OrderingReport]:
     """Compare the two scan schemes on a discount grid.
 
-    A grid value within 1e-12 of one stands for the limit; any other value
-    outside [0, 1) raises ValueError. Appends a limit report (discount one)
-    when asked and the cycle passes the summability check. The certified
-    gap bound is a two-kernel statement: for two kernels it is zero in the
+    A grid value within 1e-12 of one asks for the limit report (discount
+    one), which comes last, once, and only when the cycle passes the
+    summability check; any other value outside [0, 1) raises ValueError.
+    method "series" takes var_strat from var_lambda_strat_series; a method
+    other than it and "resolvent" raises ValueError. The certified gap
+    bound is a two-kernel statement: for two kernels it is zero in the
     limit, the weakest certified value there; for any other number of
     kernels it is NaN, not computed, and bound_holds is vacuously true.
     """
+    if method not in ("resolvent", "series"):
+        raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
     two = fam.k == 2
 
     def report(lam, v_strat, v_rand, bound, method):
@@ -202,17 +218,19 @@ def check_scan_ordering(
             method=method,
         )
 
-    discounts, limit = _read_grid(lambda_grid, include_limit)
+    discounts, limit = _read_grid(lambda_grid)
     reports = []
     for lam in discounts:
         bound = math.nan
         if two:  # the gap bound's forward solve is var_lambda_strat's solve
             fbar, forward = _solve(fam, f, lam, "strat")
             bound = _gap_bound(fam, forward, lam)
-        if two and method == "resolvent":
+        if method == "series":
+            v_strat, _ = var_lambda_strat_series(fam, f, lam, series_terms)
+        elif two:
             v_strat = _variance(fbar, forward, fam.pi)
         else:
-            v_strat = var_lambda_strat(fam, f, lam, method=method, series_terms=series_terms)
+            v_strat = var_lambda_strat(fam, f, lam)
         v_rand = var_lambda_rand(fam, f, lam)
         reports.append(report(lam, v_strat, v_rand, bound, method))
     if limit:
@@ -225,15 +243,14 @@ def check_scan_ordering(
     return reports
 
 
-def bellman_value(
-    op_matrix: np.ndarray, f, weights, tol: float = NUMERIC_TOL
-) -> tuple[float, np.ndarray]:
+def bellman_value(op_matrix: np.ndarray, f, weights) -> tuple[float, np.ndarray]:
     """Quadratic form of the inverse of a positive self-adjoint operator.
 
     Returns (value, argmax) where value = <f, Op^{-1} f> in the weighted
     inner product and argmax attains the variational characterisation
     sup_g 2<f, g> - <g, Op g>. Raises when the operator is not self-adjoint
-    for the weights or not positive definite.
+    for the weights, within NUMERIC_TOL times the larger of one and its
+    largest weighted entry, or not positive definite.
     """
     mat = np.asarray(op_matrix, dtype=float)
     fv = f.values if isinstance(f, Observable) else np.asarray(f, dtype=float)
@@ -244,7 +261,7 @@ def bellman_value(
         )
     gram = w[:, None] * mat
     scale = max(float(np.abs(gram).max()), 1.0)
-    if float(np.abs(gram - gram.T).max()) > tol * scale:
+    if float(np.abs(gram - gram.T).max()) > NUMERIC_TOL * scale:
         raise ValidationError("operator is not self-adjoint in the weighted inner product")
     root = np.sqrt(w)
     sym = root[:, None] * mat / root[None, :]
@@ -270,7 +287,6 @@ def variational_identity_check(
     lam: float,
     probes: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> VariationalIdentityReport:
     """Verify the resolvent quadratic form against its variational expression.
 
@@ -278,7 +294,8 @@ def variational_identity_check(
     <f, (I - lam K)^{-1} f> equals the objective
     2<f, g> - <g, (I - lam S) g> - lam^2 <A g, (I - lam S)^{-1} A g>
     at the optimiser g, where S and A are the self-adjoint and skew parts;
-    random probes can only fall below it.
+    random probes can only fall below it. The check passes when both the
+    residual and the largest probe excess are within IDENTITY_TOL.
     """
     _check_lam(lam)
     w = pi.weights
@@ -325,7 +342,7 @@ def variational_identity_check(
         rhs=rhs,
         residual=residual,
         max_probe_excess=float(max_excess),
-        passes=bool(residual <= tol and max_excess <= tol),
+        passes=bool(residual <= IDENTITY_TOL and max_excess <= IDENTITY_TOL),
     )
 
 
@@ -373,12 +390,11 @@ def check_peskun_ordering(
     fam_b: KernelFamily,
     f: Observable,
     lambda_grid: Sequence[float],
-    include_limit: bool = True,
     tol: float = NUMERIC_TOL,
 ) -> PeskunOrderingReport:
     """Check that the dominating two-kernel family has the smaller cycle
-    variance on every grid point, with a limit row when both families pass
-    the summability check. Grid values are read as in check_scan_ordering."""
+    variance on every grid point, read as in check_scan_ordering; the limit
+    row needs both families to pass the summability check."""
     comparison = peskun_dominates(fam_a, fam_b)
     if fam_a.k != 2:
         raise ValueError(f"the cycle comparison needs exactly two kernels, got {fam_a.k}")
@@ -393,7 +409,7 @@ def check_peskun_ordering(
             method=method,
         )
 
-    discounts, limit = _read_grid(lambda_grid, include_limit)
+    discounts, limit = _read_grid(lambda_grid)
     rows = []
     for lam in discounts:
         va = var_lambda_strat(fam_a, f, lam)
@@ -510,9 +526,6 @@ def palindrome_check(
     lam: float,
     f: Observable,
     beta_grid: Sequence[float] | None = None,
-    perturbation: float = 0.5,
-    component_tol: float = 1e-11,
-    derivative_tol: float = 1e-9,
 ) -> PalindromeReport:
     """Check mirror-symmetric cycles built from p generators.
 
@@ -521,8 +534,10 @@ def palindrome_check(
     index the forward and backward shifted-diagonal resolvent components
     must coincide, which makes the blend derivative against a family
     perturbed at that index a plain quadratic form, hence nonnegative.
-    The derivative is evaluated against a lazified perturbation on a beta
-    grid.
+    The derivative is evaluated against the kernel at that index lazified
+    with hold PALINDROME_HOLD, on a beta grid. A case passes when its
+    largest component gap is within PALINDROME_COMPONENT_TOL and no
+    derivative falls below -PALINDROME_DERIVATIVE_TOL.
     """
     p = len(generators)
     if p < 2:
@@ -536,7 +551,7 @@ def palindrome_check(
         fam = make_family(pi.weights, kernels)
         for index in indices:
             perturbed = list(kernels)
-            perturbed[index - 1] = lazy(perturbed[index - 1], perturbation)
+            perturbed[index - 1] = lazy(perturbed[index - 1], PALINDROME_HOLD)
             fam_b = make_family(pi.weights, perturbed)
             path = BetaPath(fam, fam_b)
             gaps = []
@@ -552,7 +567,8 @@ def palindrome_check(
                 derivatives=tuple(derivs),
                 min_derivative=min(derivs),
                 passes=bool(
-                    max(gaps) <= component_tol and min(derivs) >= -derivative_tol
+                    max(gaps) <= PALINDROME_COMPONENT_TOL
+                    and min(derivs) >= -PALINDROME_DERIVATIVE_TOL
                 ),
             )
             cases.append(case)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.kernels import KernelFamily, Observable, ValidationError
+from scanvar.kernels import KernelFamily, Observable, ValidationError, center
 from scanvar.seeding import derive_seed
 
 SIM_SCHEMES = ("rand", "strat", "embedded")
@@ -36,15 +36,14 @@ __all__ = [
 class SimulationConfig:
     """Length, seeding and scheme for one simulation run.
 
-    The default burn-in of zero starts the chain stationary, which is the
-    regime every exact reference quantity assumes; burn-in is provided for
-    exploration only and also advances the cycle phase.
+    Every path starts stationary, the regime every exact reference quantity
+    assumes. A path burned in for b steps is the longer path sliced,
+    simulate(fam, SimulationConfig(steps + b, ...)).states[b:].
     """
 
     steps: int
     seed: int = 0
     scheme: str = "strat"
-    burn_in: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -53,8 +52,6 @@ class SimulationConfig:
             raise ValidationError(
                 f"scheme must be one of {SIM_SCHEMES}, got {self.scheme!r}"
             )
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be nonnegative, got {self.burn_in}")
         if not 0 <= self.seed < 2**64:  # derive_seed reads the seed modulo 2**64
             raise ValidationError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
@@ -88,7 +85,7 @@ def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
     Each path draws `coords` coordinates, k for embedded and 1 otherwise.
     Blocks are int64 (steps, replicas, slots) arrays; `slots` defaults to
     all coords, and a smaller value steps only the first ones. Slot s
-    holds at recorded time i the coordinate (s + i + burn_in) mod coords,
+    holds at recorded time i the coordinate (s + i) mod coords,
     so slot 0 is the strat or rand path and the embedded diagonal
     component: at transition t slot s goes through kernel (s + t) mod k
     (rand: the drawn choice) and reads the uniform of the coordinate it
@@ -101,13 +98,13 @@ def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
     k, n = fam.k, fam.n
     coords = k if cfg.scheme == "embedded" else 1
     slots = coords if slots is None else slots
-    transitions = cfg.burn_in + cfg.steps - 1
+    transitions = cfg.steps - 1
     pi_cum = np.cumsum(fam.pi.weights)[:-1]
     cum = np.cumsum(np.stack(fam.matrices), axis=2)[..., :-1].reshape(k * n, n - 1)
     phase = np.arange(transitions)[:, None] + np.arange(slots)
     # slot s reads the uniform of the coordinate it holds
     columns = phase % coords
-    block = max(1, BLOCK_DRAWS // ((cfg.burn_in + cfg.steps) * slots))
+    block = max(1, BLOCK_DRAWS // (cfg.steps * slots))
     for first in range(0, len(seeds), block):
         chunk = seeds[first : first + block]
         start = np.empty((len(chunk), slots, 1))
@@ -128,7 +125,7 @@ def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
         for t in range(transitions):
             rows = cum[offsets[t] + states[t]]
             np.sum(rows <= uniforms[t], axis=-1, out=states[t + 1])
-        yield states[cfg.burn_in :]
+        yield states
 
 
 def simulate(fam: KernelFamily, cfg: SimulationConfig) -> SamplePath:
@@ -140,8 +137,8 @@ def simulate(fam: KernelFamily, cfg: SimulationConfig) -> SamplePath:
     """
     (slots,) = _lockstep(fam, cfg, [cfg.seed])
     width = slots.shape[2]
-    # coordinate j at recorded time i sits in slot (j - i - burn_in) mod width
-    times = np.arange(cfg.steps)[:, None] + cfg.burn_in
+    # coordinate j at recorded time i sits in slot (j - i) mod width
+    times = np.arange(cfg.steps)[:, None]
     states = np.take_along_axis(slots[:, 0], (np.arange(width) - times) % width, axis=1)
     return SamplePath(states if cfg.scheme == "embedded" else states[:, 0], cfg.scheme)
 
@@ -172,15 +169,16 @@ def estimate_variance(
     Each replica runs an independent path from a derived seed and reports
     sqrt(M) S_M(f - mean); the point estimate is the sample variance across
     replicas and its standard error comes from the spread of the squared
-    deviations. Only slot 0 is stepped, for every scheme: the embedded
-    estimate reads only the diagonal component, and as no slot reads
-    another and every generator is read at full width, that slot has the
-    same bits as in the full embedded path.
+    deviations. f needs one value per state (ValidationError otherwise).
+    Only slot 0 is stepped, for every scheme: the embedded estimate reads
+    only the diagonal component, and as no slot reads another and every
+    generator is read at full width, that slot has the same bits as in the
+    full embedded path.
     """
     if replicas < 2:
         raise ValidationError(f"need at least 2 replicas, got {replicas}")
     cfg = SimulationConfig(steps=steps, seed=seed, scheme=scheme)
-    fc = f.values - float(np.dot(fam.pi.weights, f.values))
+    fc = center(f, fam.pi).values
     blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)], slots=1)
     # each replica's mean runs over one C-contiguous row, as for a lone path
     values = np.sqrt(steps) * np.concatenate(

@@ -24,10 +24,11 @@ from scanvar.kernels import (
     Observable,
     ReducibilityError,
     SummabilityError,
-    ValidationError,
+    _EPS,
     _check_lam,
     _pi_symmetrised,
     _rounding_slack,
+    center,
     random_scan,
 )
 
@@ -64,12 +65,6 @@ class SummabilityReport:
     cycle_contraction: float
 
 
-def _centered_values(f: Observable, pi: Dist) -> np.ndarray:
-    if f.n != pi.n:
-        raise ValidationError(f"observable has {f.n} values for {pi.n} states")
-    return f.values - float(np.dot(pi.weights, f.values))
-
-
 def _check_scheme(scheme: str) -> str:
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -89,13 +84,22 @@ def _solve(
     """(fbar, y): the centred f tiled over the phases, and the solution of
     y_q = fbar_q + lam * M_q y_{q+1}, with the family's kernels (the embed
     row and its cached product) for strat and the mixed kernel alone for
-    rand; lam lies in [0, 1]."""
+    rand; lam lies in [0, 1].
+
+    Centring rounds: pi . fbar_q can be off zero by about (n + 2) eps
+    |f|_pi, with the weighted norm of the uncentred f, which no multiple of
+    the centred f's norm bounds when f is nearly constant on the heavy
+    states. At lam = 1 the deflated solve leaves k times that offset as
+    its residual, so that is the residual guard's floor."""
     if scheme == "rand":
         blocks, prod = [random_scan(fam).matrix], None
     else:
         blocks, _, prod = _family_row(fam, "embed")
-    fbar = np.tile(_centered_values(f, fam.pi), (len(blocks), 1))
-    return fbar, _cycle_solve(blocks, 1, lam, fbar, fam.pi.weights, prod)
+    weights = fam.pi.weights
+    fbar = np.tile(center(f, fam.pi).values, (len(blocks), 1))
+    f_norm = math.sqrt(float(np.dot(weights, f.values * f.values)))
+    floor = len(blocks) * (fam.n + 2) * _EPS * f_norm
+    return fbar, _cycle_solve(blocks, 1, lam, fbar, weights, prod, floor=floor)
 
 
 def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
@@ -104,27 +108,15 @@ def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
     return (2.0 / len(fbar)) * block_inner(BlockVector(fbar), BlockVector(y), pi) - norm_sq
 
 
-def var_lambda_strat(
-    fam: KernelFamily,
-    f: Observable,
-    lam: float,
-    method: str = "resolvent",
-    series_terms: int = DEFAULT_SERIES_TERMS,
-) -> float:
+def var_lambda_strat(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Discounted asymptotic variance of the deterministic cycle.
 
-    The resolvent method solves one block system of size n*k by elimination
-    around the cycle; the series method sums the discounted covariances
-    directly (its truncation bound is available from
-    var_lambda_strat_series). Both agree within the bound.
+    Solves one block system of size n*k by elimination around the cycle.
+    var_lambda_strat_series sums the discounted covariances directly
+    instead and returns its truncation bound; the two agree within it.
     """
     _check_lam(lam)
-    if method == "resolvent":
-        return _variance(*_solve(fam, f, lam, "strat"), fam.pi)
-    if method == "series":
-        value, _ = var_lambda_strat_series(fam, f, lam, series_terms)
-        return value
-    raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
+    return _variance(*_solve(fam, f, lam, "strat"), fam.pi)
 
 
 def var_lambda_strat_series(
@@ -142,7 +134,7 @@ def var_lambda_strat_series(
     _check_lam(lam)
     if terms < 0:
         raise ValueError(f"series_terms must be nonnegative, got {terms}")
-    fc = _centered_values(f, fam.pi)
+    fc = center(f, fam.pi).values
     weights = fam.pi.weights
     norm_sq = float(np.dot(weights, fc * fc))
     mats = fam.matrices
@@ -257,7 +249,7 @@ def finite_m_variance_exact(
     else:
         mats, prod = fam.matrices, fam._cycle
     pi = fam.pi.weights
-    fc = _centered_values(f, fam.pi)
+    fc = center(f, fam.pi).values
     norm_sq = float(np.dot(pi, fc * fc))
     cycle_map = _cycle_map(mats, pi, fc, m_steps)
     evaluate = _squared if _squares(fam.n, cycle_map[0]) else _stepped

@@ -226,9 +226,7 @@ def pi_adjoint(mat: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return (pi[None, :] * mat.T) / pi[:, None]
 
 
-def reference_path(
-    fam: KernelFamily, scheme: str, seed: int, steps: int, burn_in: int = 0
-) -> np.ndarray:
+def reference_path(fam: KernelFamily, scheme: str, seed: int, steps: int) -> np.ndarray:
     """One path drawn state by state with a scalar searchsorted per move.
 
     Follows the documented randomness order of `scanvar.simulate`; returns
@@ -238,7 +236,7 @@ def reference_path(
     k, n = fam.k, fam.n
     pi_cum = np.cumsum(fam.pi.weights)
     cums = [np.cumsum(m, axis=1) for m in fam.matrices]
-    transitions = burn_in + steps - 1
+    transitions = steps - 1
 
     def draw(cum_row, u):
         return min(int(np.searchsorted(cum_row, u, side="right")), n - 1)
@@ -246,8 +244,7 @@ def reference_path(
     if scheme == "embedded":
         states = np.empty((steps, k), dtype=np.int64)
         current = np.array([draw(pi_cum, rng.random()) for _ in range(k)])
-        if burn_in == 0:
-            states[0] = current
+        states[0] = current
         step_uniforms = rng.random((transitions, k))
         for t in range(1, transitions + 1):
             nxt = np.empty(k, dtype=np.int64)
@@ -255,14 +252,12 @@ def reference_path(
                 # coordinate b+1 is refreshed through kernel b
                 nxt[(b + 1) % k] = draw(cums[b][current[b]], step_uniforms[t - 1, b])
             current = nxt
-            if t >= burn_in:
-                states[t - burn_in] = current
+            states[t] = current
         return states
 
     states = np.empty(steps, dtype=np.int64)
     x = draw(pi_cum, rng.random())
-    if burn_in == 0:
-        states[0] = x
+    states[0] = x
     if scheme == "rand":
         kernel_choice = rng.integers(0, k, size=transitions)
     else:  # strat: step t applies the kernel at cycle phase (t-1) mod k
@@ -270,8 +265,7 @@ def reference_path(
     step_uniforms = rng.random(transitions)
     for t in range(1, transitions + 1):
         x = draw(cums[kernel_choice[t - 1]][x], step_uniforms[t - 1])
-        if t >= burn_in:
-            states[t - burn_in] = x
+        states[t] = x
     return states
 
 

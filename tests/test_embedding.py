@@ -325,7 +325,7 @@ class TestResolvent:
             return product(matrices)
 
         monkeypatch.setattr(kernels, "_cycle_product", counted)
-        check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99])
+        check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99, 1.0])
         assert built == [2, 2, 2]
         rows = ("embed", "embed_adjoint", "symmetric")
         cached = {op: embedding._family_row(fam, op)[2] for op in rows}
@@ -341,7 +341,7 @@ class TestResolvent:
         np.testing.assert_array_equal(
             cached["embed"], helpers.cycle_product(fam.matrices, 1, 2)
         )
-        check_scan_ordering(fam, f, [0.5])
+        check_scan_ordering(fam, f, [0.5, 1.0])
         monkeypatch.setattr(kernels, "compose_cycle", None)  # not rebuilt there
         assert fam._cycle_contraction == helpers.oracle_cycle_contraction(fam)
         assert built == [2, 2, 2]

@@ -60,7 +60,7 @@ class TestGapLowerBound:
 
 class TestCheckScanOrdering:
     def test_e1_half(self, e1, e1_f):
-        reports = check_scan_ordering(e1, e1_f, [0.5], include_limit=False)
+        reports = check_scan_ordering(e1, e1_f, [0.5])
         assert len(reports) == 1
         rep = reports[0]
         assert rep.gap == pytest.approx(helpers.E1_GAP_HALF, abs=1e-12)
@@ -79,13 +79,13 @@ class TestCheckScanOrdering:
         calls = []
         solve = embedding._cycle_solve
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(len(args[0]))
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(embedding, "_cycle_solve", counted)
         monkeypatch.setattr(variance, "_cycle_solve", counted)
-        reports = check_scan_ordering(fam, f, grid, include_limit=False)
+        reports = check_scan_ordering(fam, f, grid)
         assert len(calls) == 4 * len(grid)
         monkeypatch.undo()
         for lam, rep in zip(grid, reports):
@@ -94,28 +94,28 @@ class TestCheckScanOrdering:
             assert rep.gap_lower_bound == gap_lower_bound(fam, f, lam)
 
     def test_e1_limit_row(self, e1, e1_f):
-        reports = check_scan_ordering(e1, e1_f, [0.5])
+        reports = check_scan_ordering(e1, e1_f, [0.5, 1.0])
         assert reports[-1].method == "limit"
         assert reports[-1].lam == 1.0
         assert reports[-1].gap == pytest.approx(3.0 - 18.0 / 7.0, abs=1e-12)
 
     def test_identical_kernels_zero_gap(self, e1_f):
         fam = make_family([0.5, 0.5], [helpers.E1_P2, helpers.E1_P2])
-        for rep in check_scan_ordering(fam, e1_f, [0.3, 0.6, 0.9]):
+        for rep in check_scan_ordering(fam, e1_f, [0.3, 0.6, 0.9, 1.0]):
             assert abs(rep.gap) <= 1e-10
             assert rep.ordering_holds
 
     def test_no_limit_row_when_not_summable(self, e1_f):
         fam = make_family([0.5, 0.5], [np.eye(2), np.eye(2)])
-        reports = check_scan_ordering(fam, e1_f, [0.5])
-        assert all(rep.method != "limit" for rep in reports)
+        reports = check_scan_ordering(fam, e1_f, [0.5, 1.0])
+        assert [rep.method for rep in reports] == ["resolvent"]
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_any_number_of_kernels_has_nan_bound(self, k):
         rng = np.random.default_rng(41 + k)
         fam = helpers.random_family(rng, 5, k)
         f = helpers.random_centered(rng, fam)
-        reports = check_scan_ordering(fam, f, [0.3, 0.9])
+        reports = check_scan_ordering(fam, f, [0.3, 0.9, 1.0])
         assert [rep.method for rep in reports] == ["resolvent", "resolvent", "limit"]
         for rep in reports:
             assert np.isnan(rep.gap_lower_bound) and rep.bound_holds
@@ -143,14 +143,19 @@ class TestCheckScanOrdering:
             return exact_sum(stack)
 
         monkeypatch.setattr(kernels, "_exact_sum", counted)
-        reports = check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99])
+        reports = check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99, 1.0])
         assert [rep.method for rep in reports] == ["resolvent"] * 4 + ["limit"]
         assert calls == [(8, 100)]
 
     def test_series_method_threads_through(self, e1, e1_f):
-        rep = check_scan_ordering(e1, e1_f, [0.5], method="series", include_limit=False)[0]
+        rep = check_scan_ordering(e1, e1_f, [0.5], method="series")[0]
         assert rep.method == "series"
         assert rep.var_strat == pytest.approx(helpers.E1_VAR_STRAT_HALF, abs=1e-10)
+
+    @pytest.mark.parametrize("grid", [[0.5], [1.0], []])
+    def test_unknown_method_refused(self, e1, e1_f, grid):
+        with pytest.raises(ValueError, match="method must be 'resolvent' or 'series'"):
+            check_scan_ordering(e1, e1_f, grid, method="magic")
 
 
 class TestBellman:
@@ -298,7 +303,7 @@ class TestPeskunDominance:
 class TestCheckPeskunOrdering:
     def test_e1_versus_lazified(self, e1, e1_f):
         dominated = helpers.lazified(e1, 0.5)
-        report = check_peskun_ordering(e1, dominated, e1_f, [0.5])
+        report = check_peskun_ordering(e1, dominated, e1_f, [0.5, 1.0])
         assert report.theorem_applicable
         assert report.all_hold
         assert report.rows[-1].method == "limit"
@@ -306,32 +311,30 @@ class TestCheckPeskunOrdering:
             assert row.difference >= -1e-10
 
     def test_self_comparison_equality(self, e1, e1_f):
-        report = check_peskun_ordering(e1, e1, e1_f, [0.3, 0.9])
+        report = check_peskun_ordering(e1, e1, e1_f, [0.3, 0.9, 1.0])
         assert report.theorem_applicable
         for row in report.rows:
             assert abs(row.difference) <= 1e-10
 
     def test_strong_lazification_large_gap(self, e1, e1_f):
         dominated = helpers.lazified(e1, 0.99)
-        report = check_peskun_ordering(e1, dominated, e1_f, [0.9], include_limit=False)
+        report = check_peskun_ordering(e1, dominated, e1_f, [0.9])
         assert report.all_hold
         assert report.rows[0].difference > 1.0
 
     def test_failed_dominance_still_reports(self, e1, e1_f):
-        report = check_peskun_ordering(helpers.lazified(e1, 0.5), e1, e1_f, [0.5])
+        report = check_peskun_ordering(helpers.lazified(e1, 0.5), e1, e1_f, [0.5, 1.0])
         assert not report.theorem_applicable
         assert len(report.rows) >= 1
 
 
-# The rows of both checkers, which read a grid alike, without the limit row
-# unless a grid value asks for it.
+# The rows of both checkers, which read a grid alike: a limit row only when
+# a grid value asks for it.
 GRID_CHECKERS = pytest.mark.parametrize(
     "limit_rows",
     [
-        lambda fam, f, grid: check_scan_ordering(fam, f, grid, include_limit=False),
-        lambda fam, f, grid: check_peskun_ordering(
-            fam, fam, f, grid, include_limit=False
-        ).rows,
+        check_scan_ordering,
+        lambda fam, f, grid: check_peskun_ordering(fam, fam, f, grid).rows,
     ],
     ids=["scan", "peskun"],
 )

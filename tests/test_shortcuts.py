@@ -11,17 +11,20 @@ import pytest
 from hypothesis import given
 
 import helpers
+from scanvar import variance
+from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     Dist,
     Observable,
     ReducibilityError,
     SummabilityError,
     _certifies_summability,
+    center,
     gibbs_kernel,
     make_family,
     random_reversible,
 )
-from scanvar.variance import _near_one_count, summability_check, var_limit
+from scanvar.variance import SCHEMES, _near_one_count, summability_check, var_limit
 
 @given(helpers.families())
 def test_certificate_never_contradicts_the_contraction(case):
@@ -45,11 +48,11 @@ def test_limit_decisions_match_the_eigvals_route(case):
 
 
 # The decisions above are checked on every draw. The values are not checked
-# where the limit solve refuses valid input, a known fault: with a weight
-# near 1e-12 the residual guard can reject rounding-level residuals (see
-# test_tiny_weight_residual_refusal), and a family of identity kernels has a
-# contraction of exactly one that the eigvals route may round to just below
-# it, so the strat limit reaches a singular solve instead of SummabilityError.
+# where the strat limit refuses what the oracle's plain `< 1` accepts: with
+# a weight near 1e-12 the verdict's rounding slack, 16 n eps pi_max / pi_min,
+# exceeds one, so every such family is refused; and a family of identity
+# kernels has a contraction of exactly one that eigvals may round to just
+# below it, which the slack refuses too.
 @given(helpers.families(scales=(1.0, 1.0, 1e-6), holds=(0.0, 0.3, 0.9)))
 def test_limit_values_match_dense_oracles(case):
     fam, f = case
@@ -69,12 +72,12 @@ def test_limit_values_match_dense_oracles(case):
             var_limit(fam, f, "rand")
 
 
-@pytest.mark.xfail(raises=np.linalg.LinAlgError, strict=True)
-def test_tiny_weight_residual_refusal():
-    # A valid, irreducible one-kernel family with pi_0 ~ 9e-13: the guard
-    # measures the residual against the weighted norm of the centred f,
-    # about 1.7e-8 here, and refuses a residual of about 1e-17 that comes
-    # from rounding. Both limits raise; the dense oracle has no trouble.
+def test_tiny_weight_residual_refusal(monkeypatch):
+    # A valid, irreducible one-kernel family with pi_0 ~ 9e-13. The weighted
+    # norm of the centred f is about 1.7e-8, so the relative guard alone
+    # allows 1.7e-18, below the 1.4e-17 that the centring's rounding leaves
+    # at discount one; the floor from the uncentred f (|f|_pi ~ 0.33) lets
+    # that through and still refuses an offset ten times the floor.
     w = np.array([8.9417519e-13, 1.0])
     w /= w.sum()
     kernel = np.zeros((2, 2))
@@ -83,9 +86,21 @@ def test_tiny_weight_residual_refusal():
     kernel[1, 1] = 1.0 - kernel[1, 0]
     fam = make_family(w, [kernel])
     f = Observable([-0.31055655, -0.3288239])
-    assert var_limit(fam, f, "strat") == pytest.approx(
-        helpers.oracle_var_limit(fam, f, "strat"), rel=1e-8
-    )
+    floors = []
+
+    def recorded(*args, floor):
+        floors.append(floor)
+        return _cycle_solve(*args, floor=floor)
+
+    monkeypatch.setattr(variance, "_cycle_solve", recorded)
+    for scheme in SCHEMES:
+        assert var_limit(fam, f, scheme) == pytest.approx(
+            helpers.oracle_var_limit(fam, f, scheme), rel=1e-8
+        )
+    rhs = center(f, fam.pi).values[None, :]
+    assert len(floors) == 2 and floors[0] < 1e-15
+    with pytest.raises(np.linalg.LinAlgError):
+        _cycle_solve(fam.matrices, 1, 1.0, rhs + 10 * floors[0], w, floor=floors[0])
 
 
 @pytest.fixture

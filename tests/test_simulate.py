@@ -56,19 +56,17 @@ class TestSimulate:
         assert simulate(e1, SimulationConfig(steps=50, seed=0, scheme="rand")).states.shape == (50,)
         assert simulate(e1, SimulationConfig(steps=50, seed=0, scheme="embedded")).states.shape == (50, 2)
 
-    def test_burn_in_keeps_length_and_changes_prefix(self, e1):
-        plain = simulate(e1, SimulationConfig(steps=50, seed=3, scheme="strat"))
-        burned = simulate(e1, SimulationConfig(steps=50, seed=3, scheme="strat", burn_in=10))
-        assert burned.states.shape == (50,)
-        assert not np.array_equal(plain.states, burned.states)
-
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
             SimulationConfig(steps=0)
         with pytest.raises(ValidationError):
             SimulationConfig(steps=10, scheme="sweep")
-        with pytest.raises(ValidationError):
-            SimulationConfig(steps=10, burn_in=-1)
+
+    @pytest.mark.parametrize("scheme", ["strat", "rand", "embedded"])
+    @pytest.mark.parametrize("values", [[1.0, -1.0, 3.0], [1.0]])
+    def test_estimate_refuses_observable_of_other_length(self, e1, scheme, values):
+        with pytest.raises(ValidationError, match="f has"):
+            estimate_variance(e1, Observable(values), 16, 5, 0, scheme)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, e1, e1_f, seed):
@@ -237,14 +235,12 @@ class TestReferenceSimulator:
     def test_paths(self, k, scheme):
         rng = np.random.default_rng(60 + k)
         fam = helpers.random_family(rng, 5, k)
-        for burn_in in (0, 1, 4):
-            for steps in (1, 2, 37):
-                seed = 9 + steps
-                cfg = SimulationConfig(steps, seed, scheme, burn_in)
-                got = simulate(fam, cfg).states
-                expected = helpers.reference_path(fam, scheme, seed, steps, burn_in)
-                assert got.dtype == expected.dtype
-                np.testing.assert_array_equal(got, expected)
+        for steps in (1, 2, 3, 5, 37, 38, 41):
+            seed = 9 + steps
+            got = simulate(fam, SimulationConfig(steps, seed, scheme)).states
+            expected = helpers.reference_path(fam, scheme, seed, steps)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -272,14 +268,13 @@ class TestReferenceSimulator:
         seeds = [derive_seed(11, r) for r in range(7)]
         steps = 30
         # one block, then (for the one-slot run) blocks of 3, the last of 1
-        for draws, sizes in ((simulate_module.BLOCK_DRAWS, [7]), (3 * (steps + 4), [3, 3, 1])):
+        cfg = SimulationConfig(steps=steps, scheme=scheme)
+        for draws, sizes in ((simulate_module.BLOCK_DRAWS, [7]), (3 * steps, [3, 3, 1])):
             monkeypatch.setattr(simulate_module, "BLOCK_DRAWS", draws)
-            for burn_in in (0, 1, 4):
-                cfg = SimulationConfig(steps=steps, scheme=scheme, burn_in=burn_in)
-                full = np.concatenate(list(simulate_module._lockstep(fam, cfg, seeds)), axis=1)
-                one = list(simulate_module._lockstep(fam, cfg, seeds, slots=1))
-                assert [b.shape[1:] for b in one] == [(r, 1) for r in sizes]
-                np.testing.assert_array_equal(np.concatenate(one, axis=1), full[:, :, :1])
+            full = np.concatenate(list(simulate_module._lockstep(fam, cfg, seeds)), axis=1)
+            one = list(simulate_module._lockstep(fam, cfg, seeds, slots=1))
+            assert [b.shape[1:] for b in one] == [(r, 1) for r in sizes]
+            np.testing.assert_array_equal(np.concatenate(one, axis=1), full[:, :, :1])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_estimate_steps_one_slot(self, monkeypatch, scheme):

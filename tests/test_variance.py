@@ -78,8 +78,6 @@ class TestVarLambdaStrat:
     def test_invalid_inputs(self, e1, e1_f):
         with pytest.raises(ValueError):
             var_lambda_strat(e1, e1_f, 1.0)
-        with pytest.raises(ValueError):
-            var_lambda_strat(e1, e1_f, 0.5, method="magic")
 
 
 class TestVarLambdaRand:
@@ -302,6 +300,40 @@ def relabelled(fam, f, perm):
     """The family and observable with state perm[i] renamed i."""
     mats = [m[np.ix_(perm, perm)] for m in fam.matrices]
     return make_family(fam.pi.weights[perm], mats), Observable(f.values[perm])
+
+
+def strat_values(fam, f):
+    """var_lambda_strat at 0, 0.5, 0.9 and 0.99, then var_limit(strat) or
+    the type of its refusal."""
+    values = [var_lambda_strat(fam, f, lam) for lam in (0.0, 0.5, 0.9, 0.99)]
+    try:
+        values.append(var_limit(fam, f, "strat"))
+    except (SummabilityError, np.linalg.LinAlgError) as err:
+        values.append(type(err))
+    return values
+
+
+@given(helpers.families(), st.data())
+def test_strat_invariant_under_relabelling_rotation_and_reversal(case, data):
+    # every phase is summed, so a rotation of the cycle keeps the value; the
+    # reversed cycle's windows are the adjoints of the original's
+    fam, f = case
+    mats = list(fam.matrices)
+    shift = data.draw(st.integers(0, fam.k - 1))
+    others = {
+        "relabelled": relabelled(fam, f, data.draw(st.permutations(range(fam.n)))),
+        "rotated": (make_family(fam.pi.weights, mats[shift:] + mats[:shift]), f),
+        "reversed": (make_family(fam.pi.weights, mats[::-1]), f),
+    }
+    pi = fam.pi.weights
+    norm_sq = float(np.dot(pi, (f.values - np.dot(pi, f.values)) ** 2))
+    values = strat_values(fam, f)
+    for name, other in others.items():
+        for value, again in zip(values, strat_values(*other)):
+            if isinstance(value, type) or isinstance(again, type):
+                assert again is value, name
+            else:
+                assert abs(again - value) <= 1e-12 * max(abs(value), norm_sq), name
 
 
 class TestFiniteMRoutes:

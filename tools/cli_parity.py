@@ -5,7 +5,8 @@
 Runs a fixed list of command lines, each in a fresh interpreter, against
 each `src/` directory: every subcommand with the flags it reads, on the
 two-state example e1 and on one generated model per benchmark workload
-(`bench/models.py`, same sizes), `simulate` on e1 and on the simulate-k2
+(`bench/models.py`, same sizes), `compare` and `peskun` on grids holding
+a value within 1e-12 of one, `simulate` on e1 and on the simulate-k2
 model at short and long horizons, strat and rand `simulate` rows at the
 exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
 on five, plus command lines that fail with a documented exit code.
@@ -88,6 +89,12 @@ def command_lines(models: Path) -> list[list[str]]:
             ["simulate", "--model", m, "--seed", "3", *sizes],
             ["simulate", "--model", m, "--seed", "4", "--out", "sim.csv", *sizes],
         ]
+        # a grid value within 1e-12 of one asks for the limit row
+        for grid in ("1", "1,0.5", "0.5,1.0000000000001"):
+            lines += [
+                ["compare", "--model", m, "--lambda", grid],
+                ["peskun", "--model", m, "--model-b", b, "--lambda", grid],
+            ]
     for name in ("e1", "simulate-k2"):  # short and long horizons
         m = str(models / f"{name}.json")
         lines += [
