@@ -43,7 +43,6 @@ from scanvar.ordering import (
     BetaPath,
     OrderingReport,
     PeskunComparison,
-    PeskunOrderingReport,
     bellman_value,
     check_peskun_ordering,
     check_scan_ordering,

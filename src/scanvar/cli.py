@@ -26,13 +26,19 @@ from scanvar.kernels import (
     KernelFamily,
     NUMERIC_TOL,
     Observable,
+    ROW_SUM_TOL,
     ReducibilityError,
     StateSpace,
     SummabilityError,
     ValidationError,
     family_diagnostics,
 )
-from scanvar.ordering import OrderingReport, check_peskun_ordering, check_scan_ordering
+from scanvar.ordering import (
+    OrderingReport,
+    check_peskun_ordering,
+    check_scan_ordering,
+    peskun_dominates,
+)
 from scanvar.simulate import estimate_variance
 from scanvar.variance import (
     DEFAULT_SERIES_TERMS,
@@ -98,7 +104,7 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels) -> None:
         for i, m in enumerate(kernels):
             row_dev = np.abs(m.sum(axis=1) - 1.0)
             worst = int(row_dev.argmax())
-            if row_dev[worst] > 1e-12:
+            if row_dev[worst] > ROW_SUM_TOL:
                 problems.append(
                     f"kernel {i + 1} row {worst} sums to {m.sum(axis=1)[worst]:.10g} "
                     f"(residual {row_dev[worst]:.3g})"
@@ -231,15 +237,10 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if diag.passes else EXIT_VALIDATION
 
 
-def _compare_row(rep: OrderingReport) -> list[str]:
-    return [
-        _fmt(rep.lam),
-        _fmt(rep.var_strat),
-        _fmt(rep.var_rand),
-        _fmt(rep.gap),
-        _fmt(rep.gap_lower_bound),
-        rep.method,
-    ]
+def _row(rep: OrderingReport, fifth: str) -> list[str]:
+    """A CSV row of compare, limit or peskun: the fifth column is the
+    formatted gap bound or the dominance verdict."""
+    return [_fmt(rep.lam), _fmt(rep.var_a), _fmt(rep.var_b), _fmt(rep.gap), fifth, rep.method]
 
 
 def _cmd_compare(args) -> int:
@@ -253,7 +254,7 @@ def _cmd_compare(args) -> int:
     failures: list[str] = []
     if model.family.k == 2:
         for rep in reports:
-            if not rep.ordering_holds:
+            if not rep.holds:
                 failures.append(
                     f"scan-order comparison violated at lambda={rep.lam:g}: "
                     f"random-scan minus deterministic-scan gap {rep.gap:.3g} < -{args.tol:g}"
@@ -264,7 +265,8 @@ def _cmd_compare(args) -> int:
                     f"gap {rep.gap:.3g} below its certified bound "
                     f"{rep.gap_lower_bound:.3g} beyond {args.tol:g}"
                 )
-    _emit(_csv(COMPARE_HEADER, [_compare_row(rep) for rep in reports]), args.out)
+    rows = [_row(rep, _fmt(rep.gap_lower_bound)) for rep in reports]
+    _emit(_csv(COMPARE_HEADER, rows), args.out)
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     return EXIT_ASSERTION if failures else EXIT_OK
@@ -276,26 +278,23 @@ def _cmd_peskun(args) -> int:
     model_a = load_model(args.model)
     model_b = load_model(args.model_b)
     grid = _grid(args, model_a) + (1.0,)  # and the limit row
-    report = check_peskun_ordering(
+    comparison = peskun_dominates(model_a.family, model_b.family)
+    rows = check_peskun_ordering(
         model_a.family, model_b.family, model_a.f, grid, tol=args.tol
     )
-    dom = "true" if report.comparison.dominates else "false"
-    rows = [
-        [_fmt(r.lam), _fmt(r.var_strat_a), _fmt(r.var_strat_b), _fmt(r.difference), dom, r.method]
-        for r in report.rows
-    ]
-    _emit(_csv(PESKUN_HEADER, rows), args.out)
+    dom = "true" if comparison.dominates else "false"
+    _emit(_csv(PESKUN_HEADER, [_row(r, dom) for r in rows]), args.out)
     code = EXIT_OK
-    if not report.comparison.dominates:
+    if not comparison.dominates:
         print(
             "FAIL: kernelwise Dirichlet-form dominance does not hold "
-            f"(smallest eigenvalue {report.comparison.min_dirichlet_gap_eigenvalue:.3g} "
+            f"(smallest eigenvalue {comparison.min_dirichlet_gap_eigenvalue:.3g} "
             "below -1e-10); comparison reported outside the dominance hypothesis",
             file=sys.stderr,
         )
         code = EXIT_ASSERTION
-    elif not report.all_hold:
-        worst = min(r.difference for r in report.rows)
+    elif not all(r.holds for r in rows):
+        worst = min(r.gap for r in rows)
         print(
             "FAIL: dominated-family cycle variance dropped below the dominating "
             f"one (worst difference {worst:.3g})",
@@ -321,10 +320,10 @@ def _cmd_limit(args) -> int:
         )
         return EXIT_VALIDATION
     (rep,) = check_scan_ordering(fam, f, (1.0,))
-    print(f"limit var_strat: {_fmt(rep.var_strat)}")
-    print(f"limit var_rand:  {_fmt(rep.var_rand)}")
+    print(f"limit var_strat: {_fmt(rep.var_a)}")
+    print(f"limit var_rand:  {_fmt(rep.var_b)}")
     if args.out:
-        _emit(_csv(COMPARE_HEADER, [_compare_row(rep)]), args.out)
+        _emit(_csv(COMPARE_HEADER, [_row(rep, _fmt(rep.gap_lower_bound))]), args.out)
     return EXIT_OK
 
 

@@ -90,12 +90,6 @@ class BlockVector:
         """The constant block (f, f, ..., f)."""
         return cls(np.tile(f.values, (k, 1)))
 
-    def component(self, phase: int) -> np.ndarray:
-        """Component for 1-based cycle phase."""
-        if not 1 <= phase <= self.k:
-            raise ValueError(f"phase {phase} out of range 1..{self.k}")
-        return self.values[phase - 1]
-
     def flat(self) -> np.ndarray:
         """Phase-major stacked vector of length k*n."""
         return self.values.reshape(-1)
@@ -333,13 +327,11 @@ class CycleEmbedding:
     """Resolvent solves for one family, plus dense realizations as oracles.
 
     Solves eliminate around the cycle (see _cycle_solve) and never build a
-    kn x kn matrix. Realizations are filled lazily, one per selector, and
-    read-only afterwards; instances are safe for concurrent reads.
+    kn x kn matrix.
     """
 
     def __init__(self, family: KernelFamily):
         self.family = family
-        self._realizations: dict[str, np.ndarray] = {}
 
     @property
     def weights(self) -> np.ndarray:
@@ -348,11 +340,7 @@ class CycleEmbedding:
 
     def realization(self, op: str) -> np.ndarray:
         """Dense kn x kn matrix of a selector, for tests to compare against."""
-        if op not in self._realizations:
-            mat = embedding_realization(op, self.family.matrices)
-            mat.setflags(write=False)
-            self._realizations[op] = mat
-        return self._realizations[op]
+        return embedding_realization(op, self.family.matrices)
 
     def resolvent_solve(self, op: str, lam: float, rhs: BlockVector) -> BlockVector:
         """Solve (I - lam * Op) x = rhs by elimination around the cycle.

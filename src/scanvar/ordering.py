@@ -64,8 +64,6 @@ __all__ = [
     "PALINDROME_DERIVATIVE_TOL",
     "OrderingReport",
     "PeskunComparison",
-    "PeskunRow",
-    "PeskunOrderingReport",
     "VariationalIdentityReport",
     "BetaPath",
     "PalindromeCase",
@@ -82,14 +80,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrderingReport:
-    """Scan comparison at one discount value."""
+    """One row of an ordering check: one discount, or the limit (lam = 1).
+
+    var_a is the variance the ordering says is the smaller one (the cycle's
+    for the scan check, the dominating family's cycle for the Peskun
+    check) and var_b the other; gap = var_b - var_a and holds asks for
+    gap >= -tol. gap_lower_bound is NaN where no bound is computed, and
+    bound_holds is then vacuously true.
+    """
 
     lam: float
-    var_rand: float
-    var_strat: float
+    var_a: float
+    var_b: float
     gap: float
     gap_lower_bound: float
-    ordering_holds: bool
+    holds: bool
     bound_holds: bool
     method: str = "resolvent"
 
@@ -102,36 +107,10 @@ class PeskunComparison:
     difference (second minus first) is positive semidefinite within PSD_TOL.
     """
 
-    family_a: KernelFamily
-    family_b: KernelFamily
     dominance_per_kernel: tuple[bool, ...]
     per_kernel_min_eigenvalue: tuple[float, ...]
     min_dirichlet_gap_eigenvalue: float
     dominates: bool
-
-
-@dataclass(frozen=True)
-class PeskunRow:
-    lam: float
-    var_strat_a: float
-    var_strat_b: float
-    difference: float
-    holds: bool
-    method: str = "resolvent"
-
-
-@dataclass(frozen=True)
-class PeskunOrderingReport:
-    """Cycle-variance comparison under kernelwise Dirichlet dominance.
-
-    When the dominance hypothesis fails the rows are still reported, with
-    theorem_applicable unset, so counterexample hunting stays possible.
-    """
-
-    rows: tuple[PeskunRow, ...]
-    comparison: PeskunComparison
-    theorem_applicable: bool
-    all_hold: bool
 
 
 @dataclass(frozen=True)
@@ -143,14 +122,37 @@ class VariationalIdentityReport:
     passes: bool
 
 
-def _read_grid(lambda_grid) -> tuple[list[float], bool]:
-    """The grid's discounts, all checked before any solve, and whether a limit
-    row is asked for, by a grid value within 1e-12 of one."""
+def _walk(lambda_grid, tol: float, at, limit) -> list[OrderingReport]:
+    """The rows of a grid, read alike by both checkers. Every discount is
+    checked before any solve; at(lam) gives (var_a, var_b, bound, method)
+    at each. A grid value within 1e-12 of one asks for the limit row, from
+    limit() as (var_a, var_b, bound), last and once, and dropped when
+    limit() raises SummabilityError."""
+
+    def row(lam, var_a, var_b, bound, method):
+        gap = var_b - var_a
+        return OrderingReport(
+            lam=lam,
+            var_a=var_a,
+            var_b=var_b,
+            gap=gap,
+            gap_lower_bound=bound,
+            holds=bool(gap >= -tol),
+            bound_holds=bool(math.isnan(bound) or gap >= bound - tol),
+            method=method,
+        )
+
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
         _check_lam(lam)
-    return discounts, len(discounts) < len(grid)
+    rows = [row(lam, *at(lam)) for lam in discounts]
+    if len(discounts) < len(grid):
+        try:
+            rows.append(row(1.0, *limit(), "limit"))
+        except SummabilityError:
+            pass
+    return rows
 
 
 def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
@@ -190,7 +192,8 @@ def check_scan_ordering(
     series_terms: int = DEFAULT_SERIES_TERMS,
     tol: float = NUMERIC_TOL,
 ) -> list[OrderingReport]:
-    """Compare the two scan schemes on a discount grid.
+    """Compare the two scan schemes on a discount grid: each row's var_a is
+    the cycle's (strat) variance and var_b the random scan's.
 
     A grid value within 1e-12 of one asks for the limit report (discount
     one), which comes last, once, and only when the cycle passes the
@@ -204,43 +207,22 @@ def check_scan_ordering(
     if method not in ("resolvent", "series"):
         raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
     two = fam.k == 2
+    series = method == "series"
 
-    def report(lam, v_strat, v_rand, bound, method):
-        gap = v_rand - v_strat
-        return OrderingReport(
-            lam=lam,
-            var_rand=v_rand,
-            var_strat=v_strat,
-            gap=gap,
-            gap_lower_bound=bound,
-            ordering_holds=bool(gap >= -tol),
-            bound_holds=bool(math.isnan(bound) or gap >= bound - tol),
-            method=method,
-        )
-
-    discounts, limit = _read_grid(lambda_grid)
-    reports = []
-    for lam in discounts:
-        bound = math.nan
-        if two:  # the gap bound's forward solve is var_lambda_strat's solve
+    def at(lam):
+        if two or not series:  # series needs the solve only for the bound
             fbar, forward = _solve(fam, f, lam, "strat")
-            bound = _gap_bound(fam, forward, lam)
-        if method == "series":
+        bound = _gap_bound(fam, forward, lam) if two else math.nan
+        if series:
             v_strat, _ = var_lambda_strat_series(fam, f, lam, series_terms)
-        elif two:
-            v_strat = _variance(fbar, forward, fam.pi)
         else:
-            v_strat = var_lambda_strat(fam, f, lam)
-        v_rand = var_lambda_rand(fam, f, lam)
-        reports.append(report(lam, v_strat, v_rand, bound, method))
-    if limit:
-        try:
-            v_strat = var_limit(fam, f, "strat")
-        except SummabilityError:
-            return reports
-        v_rand = var_limit(fam, f, "rand")
-        reports.append(report(1.0, v_strat, v_rand, 0.0 if two else math.nan, "limit"))
-    return reports
+            v_strat = _variance(fbar, forward, fam.pi)
+        return v_strat, var_lambda_rand(fam, f, lam), bound, method
+
+    def limit():  # strat first: a refused cycle drops the row before rand's guard
+        return var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), 0.0 if two else math.nan
+
+    return _walk(lambda_grid, tol, at, limit)
 
 
 def bellman_value(op_matrix: np.ndarray, f, weights) -> tuple[float, np.ndarray]:
@@ -376,8 +358,6 @@ def peskun_dominates(fam_a: KernelFamily, fam_b: KernelFamily) -> PeskunComparis
         min_eigs.append(low)
         verdicts.append(bool(low >= -PSD_TOL))
     return PeskunComparison(
-        family_a=fam_a,
-        family_b=fam_b,
         dominance_per_kernel=tuple(verdicts),
         per_kernel_min_eigenvalue=tuple(min_eigs),
         min_dirichlet_gap_eigenvalue=float(min(min_eigs)),
@@ -391,44 +371,24 @@ def check_peskun_ordering(
     f: Observable,
     lambda_grid: Sequence[float],
     tol: float = NUMERIC_TOL,
-) -> PeskunOrderingReport:
-    """Check that the dominating two-kernel family has the smaller cycle
-    variance on every grid point, read as in check_scan_ordering; the limit
-    row needs both families to pass the summability check."""
-    comparison = peskun_dominates(fam_a, fam_b)
+) -> list[OrderingReport]:
+    """Check that the first two-kernel family has the smaller cycle variance
+    on every grid point, read as in check_scan_ordering; the limit row needs
+    both families to pass the summability check. The ordering is a theorem
+    when the first family dominates the second (peskun_dominates); the rows
+    are reported either way, so counterexample hunting stays possible."""
+    _check_comparable(fam_a, fam_b)
     if fam_a.k != 2:
         raise ValueError(f"the cycle comparison needs exactly two kernels, got {fam_a.k}")
 
-    def row(lam, va, vb, method):
-        return PeskunRow(
-            lam=lam,
-            var_strat_a=va,
-            var_strat_b=vb,
-            difference=vb - va,
-            holds=bool(vb - va >= -tol),
-            method=method,
-        )
-
-    discounts, limit = _read_grid(lambda_grid)
-    rows = []
-    for lam in discounts:
+    def at(lam):
         va = var_lambda_strat(fam_a, f, lam)
-        vb = var_lambda_strat(fam_b, f, lam)
-        rows.append(row(lam, va, vb, "resolvent"))
-    if limit:
-        try:
-            va = var_limit(fam_a, f, "strat")
-            vb = var_limit(fam_b, f, "strat")
-        except SummabilityError:
-            pass
-        else:
-            rows.append(row(1.0, va, vb, "limit"))
-    return PeskunOrderingReport(
-        rows=tuple(rows),
-        comparison=comparison,
-        theorem_applicable=comparison.dominates,
-        all_hold=bool(all(r.holds for r in rows)),
-    )
+        return va, var_lambda_strat(fam_b, f, lam), math.nan, "resolvent"
+
+    def limit():
+        return var_limit(fam_a, f, "strat"), var_limit(fam_b, f, "strat"), math.nan
+
+    return _walk(lambda_grid, tol, at, limit)
 
 
 class BetaPath:

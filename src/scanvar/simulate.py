@@ -72,7 +72,6 @@ class SamplePath:
 class VarianceEstimate:
     point: float
     standard_error: float
-    replicas_used: int
 
 
 # Most draws (replicas x recorded steps x slots) one lockstep block holds.
@@ -187,6 +186,4 @@ def estimate_variance(
     point = float(np.var(values, ddof=1))
     deviations_sq = (values - values.mean()) ** 2
     standard_error = float(np.sqrt(np.var(deviations_sq, ddof=1) / replicas))
-    return VarianceEstimate(
-        point=point, standard_error=standard_error, replicas_used=replicas
-    )
+    return VarianceEstimate(point=point, standard_error=standard_error)

@@ -37,6 +37,11 @@ E1_LIMIT_RAND = 3.0
 E1_CYCLE_CONTRACTION = 0.16
 E1_RESOLVENT_FORM_HALF = 125.0 / 48.0
 
+# Three kernels on E1's target and observable on which strat <= rand fails,
+# a theorem for two kernels only: each flips the state with probability
+# 0.9, 0.9 and 0.1 in turn.
+K3_COUNTER_KERNELS = [[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 0.1)]
+
 
 def e1_family() -> KernelFamily:
     return make_family(E1_PI, [E1_P1, E1_P2])
@@ -62,14 +67,17 @@ KINDS = ("reversible", "metropolis", "gibbs", "lazy")
 
 
 @st.composite
-def families(draw, scales=(1.0, 1.0, 1.0, 1e-6, 1e-12), holds=(0.0, 0.3, 0.9, 1.0)):
-    """Families of up to five kernels on at most eight states, each kernel
-    a random reversible one, a Metropolised Dirichlet proposal, a Gibbs
-    coordinate update on a 2 x (n/2) grid (1 x n when n is odd) or a
-    random reversible kernel lazified by one of `holds`; one target weight
-    is scaled by one of `scales`."""
+def families(
+    draw, scales=(1.0, 1.0, 1.0, 1e-6, 1e-12), holds=(0.0, 0.3, 0.9, 1.0), k=None
+):
+    """Families of k kernels (one to five when k is None) on at most eight
+    states, each kernel a random reversible one, a Metropolised Dirichlet
+    proposal, a Gibbs coordinate update on a 2 x (n/2) grid (1 x n when n
+    is odd) or a random reversible kernel lazified by one of `holds`; one
+    target weight is scaled by one of `scales`."""
     n = draw(st.integers(2, 8))
-    k = draw(st.integers(1, 5))
+    if k is None:
+        k = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.random(n) + 0.05
     w[0] *= draw(st.sampled_from(scales))

@@ -236,6 +236,27 @@ class TestCompare:
             "1,1.59592294,1.85492701,0.259004063,nan,limit\n"
         ).encode()
 
+    def test_three_kernel_counterexample_reported(self, tmp_path, capsys):
+        # strat <= rand fails at 0.9 and in the limit; compare asserts the
+        # ordering for two kernels only, so it prints the rows and exits 0
+        path = write_model(tmp_path / "m.json", kernels=helpers.K3_COUNTER_KERNELS)
+        assert main(["compare", "--model", path, "--lambda", "0.5,0.9"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [r[:3] + r[4:] for r in rows] == [
+            ["0.5", "0.737891738", "0.764705882", "nan", "resolvent"],
+            ["0.9", "0.873787399", "0.612903226", "nan", "resolvent"],
+            ["1", "1.13114754", "0.578947368", "nan", "limit"],
+        ]
+        assert [float(r[3]) < 0.0 for r in rows] == [False, True, True]
+        assert main(["limit", "--model", path]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "cycle contraction: 0.512 (summable)\n"
+            "limit var_strat: 1.13114754\n"
+            "limit var_rand:  0.578947368\n"
+        )
+
     @pytest.mark.parametrize("command", ["compare", "peskun"])
     @pytest.mark.parametrize("grid", ["1.5", "0.3,-0.5", "0.3,1.0000001", "0.3,nan"])
     def test_discount_outside_unit_interval_rejected(self, tmp_path, capsys, command, grid):
@@ -353,6 +374,18 @@ class TestPeskun:
         err = capsys.readouterr().err
         assert code == EXIT_ASSERTION
         assert "dominance" in err
+
+
+    def test_shape_refused_before_kernel_count(self, tmp_path, capsys):
+        # differing shapes exit 1 before three kernels exit 2, and both
+        # before the grid is read
+        path_a = write_model(tmp_path / "a.json", **THREE_KERNEL_MODEL)
+        path_b = write_model(tmp_path / "b.json")
+        grid = ["--lambda", "1.5"]
+        assert main(["peskun", "--model", path_a, "--model-b", path_b] + grid) == EXIT_VALIDATION
+        assert "differ in shape" in capsys.readouterr().err
+        assert main(["peskun", "--model", path_a, "--model-b", path_a] + grid) == EXIT_ASSERTION
+        assert "exactly two kernels" in capsys.readouterr().err
 
 
 class TestLimitAndSimulate:

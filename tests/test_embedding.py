@@ -346,10 +346,6 @@ class TestResolvent:
         assert fam._cycle_contraction == helpers.oracle_cycle_contraction(fam)
         assert built == [2, 2, 2]
 
-    def test_realization_cache_reused(self, e1):
-        emb = CycleEmbedding(e1)
-        assert emb.realization("embed") is emb.realization("embed")
-
     def test_realization_agrees_with_blockwise_action(self):
         rng = np.random.default_rng(20)
         fam = helpers.random_family(rng, 5, 3)

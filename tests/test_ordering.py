@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import helpers
 import scanvar.variance
@@ -26,7 +27,13 @@ from scanvar.ordering import (
     peskun_dominates,
     variational_identity_check,
 )
-from scanvar.variance import var_lambda_rand, var_lambda_strat, var_limit
+from scanvar.variance import (
+    summability_check,
+    var_lambda_rand,
+    var_lambda_strat,
+    var_lambda_strat_series,
+    var_limit,
+)
 
 
 class TestGapLowerBound:
@@ -64,7 +71,7 @@ class TestCheckScanOrdering:
         assert len(reports) == 1
         rep = reports[0]
         assert rep.gap == pytest.approx(helpers.E1_GAP_HALF, abs=1e-12)
-        assert rep.ordering_holds and rep.bound_holds
+        assert rep.holds and rep.bound_holds
         assert rep.method == "resolvent"
 
     def test_gap_bound_shares_the_strat_solve(self, monkeypatch):
@@ -89,9 +96,31 @@ class TestCheckScanOrdering:
         assert len(calls) == 4 * len(grid)
         monkeypatch.undo()
         for lam, rep in zip(grid, reports):
-            assert rep.var_strat == var_lambda_strat(fam, f, lam)
-            assert rep.var_rand == var_lambda_rand(fam, f, lam)
+            assert rep.var_a == var_lambda_strat(fam, f, lam)
+            assert rep.var_b == var_lambda_rand(fam, f, lam)
             assert rep.gap_lower_bound == gap_lower_bound(fam, f, lam)
+
+    def test_series_route_without_bound_skips_the_strat_solve(self, monkeypatch):
+        # with three kernels no gap bound needs the strat solve, so the series
+        # route solves only the one-block rand system per discount
+        import scanvar.variance as variance
+
+        rng = np.random.default_rng(75)
+        fam = helpers.random_family(rng, 5, 3)
+        f = helpers.random_centered(rng, fam)
+        calls = []
+        solve = variance._cycle_solve
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(variance, "_cycle_solve", counted)
+        rows = check_scan_ordering(fam, f, [0.3, 0.9], method="series")
+        assert calls == [1, 1]
+        assert [r.var_a for r in rows] == [
+            var_lambda_strat_series(fam, f, lam)[0] for lam in (0.3, 0.9)
+        ]
 
     def test_e1_limit_row(self, e1, e1_f):
         reports = check_scan_ordering(e1, e1_f, [0.5, 1.0])
@@ -103,7 +132,26 @@ class TestCheckScanOrdering:
         fam = make_family([0.5, 0.5], [helpers.E1_P2, helpers.E1_P2])
         for rep in check_scan_ordering(fam, e1_f, [0.3, 0.6, 0.9, 1.0]):
             assert abs(rep.gap) <= 1e-10
-            assert rep.ordering_holds
+            assert rep.holds
+
+    def test_three_kernel_counterexample(self, e1_f):
+        # strat <= rand is a theorem for two kernels only; here it fails at
+        # discount 0.9 and in the limit, and holds at 0.5
+        fam = make_family(helpers.E1_PI, helpers.K3_COUNTER_KERNELS)
+        rows = check_scan_ordering(fam, e1_f, [0.5, 0.9, 1.0])
+        assert [(r.lam, r.method, r.holds) for r in rows] == [
+            (0.5, "resolvent", True),
+            (0.9, "resolvent", False),
+            (1.0, "limit", False),
+        ]
+        expected = [(259 / 351, 13 / 17), (0.873787399, 19 / 31), (69 / 61, 11 / 19)]
+        for r, (strat, rand) in zip(rows, expected):
+            assert r.var_a == pytest.approx(strat, abs=1e-9)
+            assert r.var_b == pytest.approx(rand, abs=1e-12)
+            assert r.gap == r.var_b - r.var_a
+            assert np.isnan(r.gap_lower_bound) and r.bound_holds
+        assert rows[1].gap == pytest.approx(-0.261, abs=1e-3)
+        assert summability_check(fam).cycle_contraction == pytest.approx(0.512, abs=1e-12)
 
     def test_no_limit_row_when_not_summable(self, e1_f):
         fam = make_family([0.5, 0.5], [np.eye(2), np.eye(2)])
@@ -119,8 +167,8 @@ class TestCheckScanOrdering:
         assert [rep.method for rep in reports] == ["resolvent", "resolvent", "limit"]
         for rep in reports:
             assert np.isnan(rep.gap_lower_bound) and rep.bound_holds
-        assert reports[1].var_strat == pytest.approx(var_lambda_strat(fam, f, 0.9), abs=1e-12)
-        assert reports[2].var_rand == pytest.approx(var_limit(fam, f, "rand"), abs=1e-12)
+        assert reports[1].var_a == pytest.approx(var_lambda_strat(fam, f, 0.9), abs=1e-12)
+        assert reports[2].var_b == pytest.approx(var_limit(fam, f, "rand"), abs=1e-12)
 
     @pytest.mark.parametrize("lam", [1.5, 1.0 + 1e-9, -0.5])
     def test_discount_outside_unit_interval_raises(self, e1, e1_f, lam):
@@ -150,7 +198,7 @@ class TestCheckScanOrdering:
     def test_series_method_threads_through(self, e1, e1_f):
         rep = check_scan_ordering(e1, e1_f, [0.5], method="series")[0]
         assert rep.method == "series"
-        assert rep.var_strat == pytest.approx(helpers.E1_VAR_STRAT_HALF, abs=1e-10)
+        assert rep.var_a == pytest.approx(helpers.E1_VAR_STRAT_HALF, abs=1e-10)
 
     @pytest.mark.parametrize("grid", [[0.5], [1.0], []])
     def test_unknown_method_refused(self, e1, e1_f, grid):
@@ -303,29 +351,40 @@ class TestPeskunDominance:
 class TestCheckPeskunOrdering:
     def test_e1_versus_lazified(self, e1, e1_f):
         dominated = helpers.lazified(e1, 0.5)
-        report = check_peskun_ordering(e1, dominated, e1_f, [0.5, 1.0])
-        assert report.theorem_applicable
-        assert report.all_hold
-        assert report.rows[-1].method == "limit"
-        for row in report.rows:
-            assert row.difference >= -1e-10
+        rows = check_peskun_ordering(e1, dominated, e1_f, [0.5, 1.0])
+        assert peskun_dominates(e1, dominated).dominates
+        assert all(row.holds for row in rows)
+        assert rows[-1].method == "limit"
+        for row in rows:
+            assert row.gap >= -1e-10
+            assert np.isnan(row.gap_lower_bound) and row.bound_holds
 
     def test_self_comparison_equality(self, e1, e1_f):
-        report = check_peskun_ordering(e1, e1, e1_f, [0.3, 0.9, 1.0])
-        assert report.theorem_applicable
-        for row in report.rows:
-            assert abs(row.difference) <= 1e-10
+        rows = check_peskun_ordering(e1, e1, e1_f, [0.3, 0.9, 1.0])
+        assert peskun_dominates(e1, e1).dominates
+        for row in rows:
+            assert abs(row.gap) <= 1e-10
 
     def test_strong_lazification_large_gap(self, e1, e1_f):
         dominated = helpers.lazified(e1, 0.99)
-        report = check_peskun_ordering(e1, dominated, e1_f, [0.9])
-        assert report.all_hold
-        assert report.rows[0].difference > 1.0
+        (row,) = check_peskun_ordering(e1, dominated, e1_f, [0.9])
+        assert row.holds
+        assert row.gap == row.var_b - row.var_a > 1.0
+
+    def test_shape_refused_before_kernel_count(self, e1_f):
+        # both refusals come before the grid is read
+        three = make_family(helpers.E1_PI, helpers.K3_COUNTER_KERNELS)
+        other = helpers.random_family(np.random.default_rng(46), 3, 3)
+        with pytest.raises(ValidationError, match="differ in shape"):
+            check_peskun_ordering(three, other, e1_f, [1.5])
+        with pytest.raises(ValueError, match="exactly two kernels"):
+            check_peskun_ordering(three, three, e1_f, [1.5])
 
     def test_failed_dominance_still_reports(self, e1, e1_f):
-        report = check_peskun_ordering(helpers.lazified(e1, 0.5), e1, e1_f, [0.5, 1.0])
-        assert not report.theorem_applicable
-        assert len(report.rows) >= 1
+        stronger = helpers.lazified(e1, 0.5)
+        rows = check_peskun_ordering(stronger, e1, e1_f, [0.5, 1.0])
+        assert not peskun_dominates(stronger, e1).dominates
+        assert len(rows) >= 1
 
 
 # The rows of both checkers, which read a grid alike: a limit row only when
@@ -334,7 +393,7 @@ GRID_CHECKERS = pytest.mark.parametrize(
     "limit_rows",
     [
         check_scan_ordering,
-        lambda fam, f, grid: check_peskun_ordering(fam, fam, f, grid).rows,
+        lambda fam, f, grid: check_peskun_ordering(fam, fam, f, grid),
     ],
     ids=["scan", "peskun"],
 )
@@ -356,6 +415,30 @@ def test_grid_checked_before_any_solve(e1, e1_f, monkeypatch, limit_rows, bad):
     with pytest.raises(ValueError, match=rf"discount must lie in \[0, 1\), got {bad}"):
         limit_rows(e1, e1_f, [0.3, 1.0, bad])
     assert solves == []
+
+
+# The discounts at which the two-kernel orderings are checked on generated
+# families; 1 asks for the limit row.
+PROPERTY_GRID = [0.0, 0.5, 0.9, 0.99, 1.0]
+
+
+@given(helpers.families(k=2))
+def test_two_kernel_scan_ordering_and_bound_hold(case):
+    fam, f = case
+    rows = check_scan_ordering(fam, f, PROPERTY_GRID)
+    assert [r.lam for r in rows[:4]] == PROPERTY_GRID[:4]
+    assert all(r.holds and r.bound_holds for r in rows)
+
+
+@given(helpers.families(k=2))
+def test_lazified_family_is_dominated_and_ordered(case):
+    fam, f = case
+    for hold in (0.3, 0.9):
+        dominated = helpers.lazified(fam, hold)
+        assert peskun_dominates(fam, dominated).dominates
+        rows = check_peskun_ordering(fam, dominated, f, PROPERTY_GRID)
+        assert [r.lam for r in rows[:4]] == PROPERTY_GRID[:4]
+        assert all(r.holds for r in rows)
 
 
 class TestBetaDerivative:

@@ -79,7 +79,7 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, e1, e1_f, seed):
         assert simulate(e1, SimulationConfig(steps=4, seed=seed)).steps == 4
-        assert estimate_variance(e1, e1_f, 16, 5, seed, "strat").replicas_used == 5
+        assert np.isfinite(estimate_variance(e1, e1_f, 16, 5, seed, "strat").point)
 
     def test_strat_odd_steps_use_first_kernel(self, e1):
         # transitions at odd step indices follow the first kernel's rows
@@ -196,7 +196,6 @@ class TestEstimateVariance:
         for scheme in ("strat", "rand"):
             exact = finite_m_variance_exact(e1, e1_f, 4096, scheme)
             est = estimate_variance(e1, e1_f, 4096, 200, 2024, scheme)
-            assert est.replicas_used == 200
             assert est.standard_error > 0.0
             assert abs(est.point - exact) <= 3.0 * est.standard_error
 
@@ -258,7 +257,6 @@ class TestReferenceSimulator:
         blocked = estimate_variance(fam, f, steps, replicas, 5, scheme)
         for est in (one_block, blocked):
             assert (est.point, est.standard_error) == expected
-            assert est.replicas_used == replicas
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("scheme", SCHEMES)

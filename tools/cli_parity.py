@@ -9,7 +9,10 @@ two-state example e1 and on one generated model per benchmark workload
 a value within 1e-12 of one, `simulate` on e1 and on the simulate-k2
 model at short and long horizons, strat and rand `simulate` rows at the
 exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
-on five, plus command lines that fail with a documented exit code.
+on five, `compare` and `limit` on a three-kernel model where the scan
+ordering fails, plus command lines that fail with a documented exit code
+(among them `peskun` on families of different shapes, which exits 1 before
+the two-kernel check could exit 2).
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -44,6 +47,9 @@ E1 = {
     "f": [1.0, -1.0],
 }
 E1_LAZY = dict(E1, kernels=[[[0.95, 0.05], [0.05, 0.95]], [[0.8, 0.2], [0.2, 0.8]]])
+# three kernels flipping the state with probabilities 0.9, 0.9 and 0.1: the
+# cycle variance exceeds the random scan's at discount 0.9 and in the limit
+K3_COUNTER = dict(E1, kernels=[[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 0.1)])
 
 
 def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
@@ -123,6 +129,13 @@ def command_lines(models: Path) -> list[list[str]]:
             for steps in (1, 2, 5, 257, 4096)
         ]
         lines.append(["simulate", "--model", m, "--out", "e.csv"])
+    k3 = models / "k3-counter.json"
+    k3.write_text(json.dumps(K3_COUNTER))
+    lines += [
+        ["compare", "--model", str(k3), "--lambda", "0.5,0.9"],
+        ["compare", "--model", str(k3), "--method", "series", "--out", "k.csv"],
+        ["limit", "--model", str(k3), "--out", "l.csv"],
+    ]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     lines += [  # documented failures
@@ -131,6 +144,8 @@ def command_lines(models: Path) -> list[list[str]]:
         ["simulate", "--model", str(models / "e1-seed.json"), "--steps", "64",
          "--replicas", "5", "--out", "q.csv"],
         ["peskun", "--model", m],
+        ["peskun", "--model", m, "--model-b", str(models / "exact-k2.json")],
+        ["peskun", "--model", str(models / "exact-k8.json"), "--model-b", m],
         ["compare", "--model", str(models / "missing.json")],
         ["compare", "--model", m, "--lambda", "1.5"],
         ["peskun", "--model", m, "--model-b", m, "--lambda", "0.5,nan"],
