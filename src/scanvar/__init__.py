@@ -9,7 +9,6 @@ from scanvar.embedding import (
     block_inner,
     block_norm,
     diag_apply,
-    embedding_power,
     resolvent_solve,
     shift,
     skew_part,

@@ -26,6 +26,7 @@ from scanvar.kernels import (
     KernelFamily,
     NUMERIC_TOL,
     Observable,
+    PSD_TOL,
     ROW_SUM_TOL,
     ReducibilityError,
     StateSpace,
@@ -289,7 +290,7 @@ def _cmd_peskun(args) -> int:
         print(
             "FAIL: kernelwise Dirichlet-form dominance does not hold "
             f"(smallest eigenvalue {comparison.min_dirichlet_gap_eigenvalue:.3g} "
-            "below -1e-10); comparison reported outside the dominance hypothesis",
+            f"below -{PSD_TOL:g}); comparison reported outside the dominance hypothesis",
             file=sys.stderr,
         )
         code = EXIT_ASSERTION

@@ -6,8 +6,10 @@ exactly the blockwise kernel action composed with the forward cyclic shift.
 That factorisation gives the adjoint by inspection (shift back after the
 blockwise action) and a clean self-adjoint / skew split.
 
-Every operator solved here is block-cyclic: phase q reads one n x n block
-applied to phase q + step, step = +1 or -1. So (I - lam Op) x = b is solved
+Every operator here is one row (blocks, step): phase q reads blocks[q]
+applied to phase q + step, with step 0 for the blockwise action and +1 or
+-1 for the selectors, whose rows _cycle_row gives. _apply applies a row
+and _place writes it as a dense matrix. So (I - lam Op) x = b is solved
 by elimination around the cycle: one n x n factorisation of
 I - lam^k M_1 ... M_k in the first phase, then k back-substitutions, with a
 residual guard on the full block system. The product M_1 ... M_k does not
@@ -53,7 +55,6 @@ __all__ = [
     "apply_embedding_adjoint",
     "symmetric_part",
     "skew_part",
-    "embedding_power",
     "shift_realization",
     "diag_realization",
     "embedding_realization",
@@ -127,12 +128,42 @@ def shift(phi: BlockVector, direction: int) -> BlockVector:
     return BlockVector(np.roll(phi.values, -direction, axis=0))
 
 
+def _apply(blocks: Sequence[np.ndarray], step: int, x: np.ndarray) -> np.ndarray:
+    """Phase q of the result is blocks[q] applied to phase q + step of x
+    (indices mod k); step 0 is the blockwise action."""
+    k = len(blocks)
+    return np.stack([m @ x[(q + step) % k] for q, m in enumerate(blocks)])
+
+
+def _place(blocks: Sequence[np.ndarray], step: int) -> np.ndarray:
+    """Dense kn x kn matrix of _apply(blocks, step, .) on the phase-major
+    stacked vector: block row q holds blocks[q] in block column q + step."""
+    k = len(blocks)
+    n = blocks[0].shape[0]
+    out = np.zeros((k * n, k * n))
+    for q, m in enumerate(blocks):
+        c = (q + step) % k
+        out[q * n : (q + 1) * n, c * n : (c + 1) * n] = m
+    return out
+
+
+def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """(blocks, step) of a selector other than symmetric: phase q of the
+    operator is blocks[q] applied to phase q + step."""
+    k = len(mats)
+    if op == "embed":
+        return list(mats), 1
+    if op == "embed_adjoint":
+        return [mats[q - 1] for q in range(k)], -1
+    if op == "shift_diag":
+        return [mats[(q + 1) % k] for q in range(k)], 1
+    raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
+
+
 def diag_apply(fam: KernelFamily, phi: BlockVector) -> BlockVector:
     """Blockwise kernel action: phase i becomes kernel i applied to phase i."""
     _check_block(fam, phi)
-    return BlockVector(
-        np.stack([m @ phi.values[i] for i, m in enumerate(fam.matrices)])
-    )
+    return BlockVector(_apply(fam.matrices, 0, phi.values))
 
 
 def apply_embedding(fam: KernelFamily, phi: BlockVector) -> BlockVector:
@@ -141,13 +172,15 @@ def apply_embedding(fam: KernelFamily, phi: BlockVector) -> BlockVector:
     Phase i of the output is kernel i applied to phase sigma(i) of the
     input; identically the blockwise action after a forward shift.
     """
-    return diag_apply(fam, shift(phi, +1))
+    _check_block(fam, phi)
+    return BlockVector(_apply(*_cycle_row("embed", fam.matrices), phi.values))
 
 
 def apply_embedding_adjoint(fam: KernelFamily, phi: BlockVector) -> BlockVector:
     """Adjoint of the embedding in the block inner product: shift back after
     the blockwise action. Relies on each kernel being self-adjoint for pi."""
-    return shift(diag_apply(fam, phi), -1)
+    _check_block(fam, phi)
+    return BlockVector(_apply(*_cycle_row("embed_adjoint", fam.matrices), phi.values))
 
 
 def symmetric_part(fam: KernelFamily, phi: BlockVector) -> BlockVector:
@@ -167,38 +200,16 @@ def skew_part(fam: KernelFamily, phi: BlockVector) -> BlockVector:
     return BlockVector((fwd.values - bwd.values) / 2.0)
 
 
-def embedding_power(fam: KernelFamily, phi: BlockVector, i: int) -> BlockVector:
-    """i-fold application of the embedding; phase j of the result is the
-    forward cycle product of length i (from phase j) applied to the
-    phase-sigma^i(j) component."""
-    if i < 0:
-        raise ValueError(f"power must be nonnegative, got {i}")
-    out = phi
-    for _ in range(i):
-        out = apply_embedding(fam, out)
-    return out
-
-
 def shift_realization(k: int, n: int, direction: int) -> np.ndarray:
     """Dense kn x kn matrix of the cyclic shift."""
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    out = np.zeros((k * n, k * n))
-    eye = np.eye(n)
-    for b in range(k):
-        src = (b + direction) % k
-        out[b * n : (b + 1) * n, src * n : (src + 1) * n] = eye
-    return out
+    return _place([np.eye(n)] * k, direction)
 
 
 def diag_realization(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Dense block-diagonal matrix of the blockwise kernel action."""
-    k = len(blocks)
-    n = blocks[0].shape[0]
-    out = np.zeros((k * n, k * n))
-    for b, m in enumerate(blocks):
-        out[b * n : (b + 1) * n, b * n : (b + 1) * n] = m
-    return out
+    return _place(blocks, 0)
 
 
 def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -209,47 +220,18 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
     adjoint when the blocks are reversible), "symmetric" (their mean) and
     "shift_diag" (forward shift after blockwise action).
     """
-    if op not in OPERATORS:
-        raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
-    k = len(blocks)
-    n = blocks[0].shape[0]
-    diag = diag_realization(blocks)
-    if op == "embed":
-        return diag @ shift_realization(k, n, +1)
-    if op == "embed_adjoint":
-        return shift_realization(k, n, -1) @ diag
-    if op == "shift_diag":
-        return shift_realization(k, n, +1) @ diag
-    fwd = diag @ shift_realization(k, n, +1)  # symmetric
-    bwd = shift_realization(k, n, -1) @ diag
-    return (fwd + bwd) / 2.0
+    if op == "symmetric":
+        fwd = _place(*_cycle_row("embed", blocks))
+        return (fwd + _place(*_cycle_row("embed_adjoint", blocks))) / 2.0
+    return _place(*_cycle_row(op, blocks))
 
 
-def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """(blocks, step) of a selector other than symmetric: phase q of the
-    operator is blocks[q] applied to phase q + step."""
-    k = len(mats)
-    if op == "embed":
-        return list(mats), 1
-    if op == "embed_adjoint":
-        return [mats[q - 1] for q in range(k)], -1
-    if op == "shift_diag":
-        return [mats[(q + 1) % k] for q in range(k)], 1
-    raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
-
-
-def _row_product(blocks: Sequence[np.ndarray], step: int) -> np.ndarray:
-    """Unscaled product of the blocks in visiting order: blocks[0] @
-    blocks[step] @ blocks[2 step] @ ... (indices mod k)."""
-    k = len(blocks)
-    return _cycle_product([blocks[(j * step) % k] for j in range(k)])
-
-
-def _family_row(fam: KernelFamily, op: str) -> tuple[list[np.ndarray], int, np.ndarray]:
+def _family_row(fam: KernelFamily, op: str) -> tuple[list, int, np.ndarray | None]:
     """(blocks, step, product) of a selector on a family. The product does
     not depend on the discount; the family keeps it for the embed,
     embed_adjoint and symmetric rows (the forward and backward cycle
-    products and the mixed kernel to the power k). The symmetric part is
+    products and the mixed kernel to the power k), and it is None for the
+    shift_diag row, whose solves build it. The symmetric part is
     block-cyclic only for k <= 2, where both its terms read the same phase
     and every block (K_q + K_{q-1}) / 2 is the family's mixed kernel, bit
     for bit: two-term addition commutes, and (K + K) / 2 = K."""
@@ -264,7 +246,7 @@ def _family_row(fam: KernelFamily, op: str) -> tuple[list[np.ndarray], int, np.n
         return blocks, step, fam._cycle
     if op == "embed_adjoint":
         return blocks, step, fam._cycle_reversed
-    return blocks, step, _row_product(blocks, step)
+    return blocks, step, None
 
 
 def _cycle_solve(
@@ -281,9 +263,10 @@ def _cycle_solve(
 
     Substituting each phase into the one before it around the cycle leaves
     one n x n system (I - lam^k M) x_0 = r, with M = `product`, the
-    unscaled product of the blocks in visiting order (see _row_product;
-    computed here when not given), and r reduced from rhs by k - 1
-    matrix-vector products; the other phases follow by back-substitution.
+    unscaled product of the blocks in visiting order, blocks[0] @
+    blocks[step] @ blocks[2 step] @ ... (built here when not given), and
+    r reduced from rhs by k - 1 matrix-vector products; the other phases
+    follow by back-substitution.
     At lam = 1 the rank-one term ones * weights' pins the constant
     direction, which is valid only when every phase of rhs is centred for
     weights and the blocks leave weights invariant; the solution is then
@@ -296,7 +279,7 @@ def _cycle_solve(
     k, n = rhs.shape
     order = [(j * step) % k for j in range(k)]
     if product is None:
-        product = _row_product(blocks, step)
+        product = _cycle_product([blocks[q] for q in order])
     reduced = rhs[order[-1]]
     for q in reversed(order[:-1]):
         reduced = rhs[q] + lam * (blocks[q] @ reduced)
@@ -311,8 +294,7 @@ def _cycle_solve(
     for j in range(k - 1, 0, -1):
         q = order[j]
         x[q] = rhs[q] + lam * (blocks[q] @ x[order[(j + 1) % k]])
-    ahead = np.roll(x, -step, axis=0)
-    residual = x - rhs - lam * np.stack([m @ v for m, v in zip(blocks, ahead)])
+    residual = x - rhs - lam * _apply(blocks, step, x)
     res_norm = float(np.sqrt(np.sum(residual**2 @ weights)))
     rhs_norm = float(np.sqrt(np.sum(rhs**2 @ weights)))
     if res_norm > max(RESOLVENT_RTOL * max(rhs_norm, 1e-300), floor):
@@ -332,11 +314,6 @@ class CycleEmbedding:
 
     def __init__(self, family: KernelFamily):
         self.family = family
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Target weights tiled across phases, matching the stacked layout."""
-        return np.tile(self.family.pi.weights, self.family.k)
 
     def realization(self, op: str) -> np.ndarray:
         """Dense kn x kn matrix of a selector, for tests to compare against."""

@@ -376,12 +376,13 @@ def _cycle_product(matrices) -> np.ndarray:
 
 def _pi_symmetrised(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Symmetric part of S = D^{1/2} K D^{-1/2}, D = diag(pi), and the
-    Frobenius norm of its skew part.
+    Frobenius norm of its skew part, for any n x n matrix K.
 
-    S is similar to K and symmetric exactly when K is reversible for pi, so
-    the skew norm measures rounding and balance residual. The symmetric
-    part is normal, so by Bauer-Fike every eigenvalue of K lies within the
-    skew norm of one of the symmetric part's eigenvalues.
+    S is similar to K and symmetric exactly when K is self-adjoint for pi
+    (a kernel: reversible), so the skew norm measures rounding and balance
+    residual. The symmetric part is normal, so by Bauer-Fike every
+    eigenvalue of K lies within the skew norm of one of the symmetric
+    part's eigenvalues.
     """
     root = np.sqrt(weights)
     s = root[:, None] * matrix / root[None, :]
@@ -492,10 +493,8 @@ def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:
         raise ValueError(f"cycle length must be nonnegative, got {s}")
     if not 1 <= q <= fam.k:
         raise ValueError(f"phase {q} out of range 1..{fam.k}")
-    out = np.eye(fam.n)
-    for step in range(s):
-        out = out @ fam.kernels[sigma(q, step, fam.k) - 1].matrix
-    return Kernel(out)
+    mats = [fam.kernels[sigma(q, step, fam.k) - 1].matrix for step in range(s)]
+    return Kernel(_cycle_product([np.eye(fam.n), *mats]))
 
 
 def _exact_sum(stack: np.ndarray) -> np.ndarray:
@@ -564,31 +563,22 @@ def gibbs_kernel(joint: Dist, grid: tuple[int, int], coordinate: int) -> Kernel:
         )
     if coordinate not in (1, 2):
         raise ValueError(f"coordinate must be 1 or 2, got {coordinate}")
+    # rows index the kept coordinate, columns the resampled one
     p = joint.weights.reshape(n1, n2)
-    n = n1 * n2
-    out = np.zeros((n, n))
+    states = np.arange(n1 * n2).reshape(n1, n2)
     if coordinate == 1:
-        marg = p.sum(axis=0)
-        bad = np.nonzero(marg <= 0.0)[0]
-        if bad.size:
-            raise DegenerateConditionalError(
-                f"conditioning slices {bad.tolist()} of coordinate 2 carry zero mass"
-            )
-        cond = p / marg  # cond[i1, i2] = P(coord1 = i1 | coord2 = i2)
-        for i2 in range(n2):
-            idx = np.arange(n1) * n2 + i2
-            out[np.ix_(idx, idx)] = np.tile(cond[:, i2], (n1, 1))
-    else:
-        marg = p.sum(axis=1)
-        bad = np.nonzero(marg <= 0.0)[0]
-        if bad.size:
-            raise DegenerateConditionalError(
-                f"conditioning slices {bad.tolist()} of coordinate 1 carry zero mass"
-            )
-        cond = p / marg[:, None]  # cond[i1, i2] = P(coord2 = i2 | coord1 = i1)
-        for i1 in range(n1):
-            idx = i1 * n2 + np.arange(n2)
-            out[np.ix_(idx, idx)] = np.tile(cond[i1, :], (n2, 1))
+        p, states = p.T, states.T
+    marg = p.sum(axis=1)
+    bad = np.nonzero(marg <= 0.0)[0]
+    if bad.size:
+        raise DegenerateConditionalError(
+            f"conditioning slices {bad.tolist()} of coordinate {3 - coordinate} "
+            "carry zero mass"
+        )
+    cond = p / marg[:, None]  # cond[kept, resampled]
+    out = np.zeros((n1 * n2, n1 * n2))
+    for idx, row in zip(states, cond):
+        out[np.ix_(idx, idx)] = np.tile(row, (idx.size, 1))
     return Kernel(out)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scanvar.embedding import (
     BlockVector,
     CycleEmbedding,
+    _apply,
     _cycle_row,
     _cycle_solve,
     block_inner,
@@ -36,6 +37,7 @@ from scanvar.kernels import (
     SummabilityError,
     ValidationError,
     _check_lam,
+    _pi_symmetrised,
     lazy,
     make_family,
 )
@@ -245,9 +247,7 @@ def bellman_value(op_matrix: np.ndarray, f, weights) -> tuple[float, np.ndarray]
     scale = max(float(np.abs(gram).max()), 1.0)
     if float(np.abs(gram - gram.T).max()) > NUMERIC_TOL * scale:
         raise ValidationError("operator is not self-adjoint in the weighted inner product")
-    root = np.sqrt(w)
-    sym = root[:, None] * mat / root[None, :]
-    sym = (sym + sym.T) / 2.0
+    sym, _ = _pi_symmetrised(mat, w)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     if min_eig <= 0.0:
         raise ValidationError(
@@ -347,13 +347,10 @@ def peskun_dominates(fam_a: KernelFamily, fam_b: KernelFamily) -> PeskunComparis
     spectrum for reversible kernels.
     """
     _check_comparable(fam_a, fam_b)
-    root = np.sqrt(fam_a.pi.weights)
     verdicts = []
     min_eigs = []
     for ka, kb in zip(fam_a.kernels, fam_b.kernels):
-        diff = kb.matrix - ka.matrix
-        sym = root[:, None] * diff / root[None, :]
-        sym = (sym + sym.T) / 2.0
+        sym, _ = _pi_symmetrised(kb.matrix - ka.matrix, fam_a.pi.weights)
         low = float(np.linalg.eigvalsh(sym)[0])
         min_eigs.append(low)
         verdicts.append(bool(low >= -PSD_TOL))
@@ -444,7 +441,7 @@ class BetaPath:
         diffs = [
             b - a for a, b in zip(self.family_a.matrices, self.family_b.matrices)
         ]
-        applied = np.stack([d @ forward[i] for i, d in enumerate(diffs)])
+        applied = _apply(diffs, 0, forward)
         return forward, backward, lam * float(np.sum((backward * applied) @ w))
 
     def derivative(self, f: Observable, lam: float, beta: float) -> float:

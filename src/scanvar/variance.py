@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.embedding import BlockVector, _cycle_solve, _family_row, block_inner
+from scanvar.embedding import BlockVector, _apply, _cycle_solve, _family_row, block_inner
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -128,7 +128,7 @@ def var_lambda_strat_series(
     """Series evaluation of the discounted cycle variance.
 
     Returns (value, truncation_bound). The per-phase covariance at lag d is
-    advanced by the cross-phase recursion h_q <- K_q h_{sigma(q)}, so each
+    advanced by the embedding's row, h_q <- K_q h_{sigma(q)}, so each
     extra lag costs k matrix-vector products.
     """
     _check_lam(lam)
@@ -138,16 +138,15 @@ def var_lambda_strat_series(
     weights = fam.pi.weights
     norm_sq = float(np.dot(weights, fc * fc))
     mats = fam.matrices
-    k = fam.k
     wf = weights * fc
-    h = np.tile(fc, (k, 1))
+    h = np.tile(fc, (fam.k, 1))
     acc = 0.0
     lam_pow = 1.0
     for _ in range(terms):
-        h = np.stack([mats[q] @ h[(q + 1) % k] for q in range(k)])
+        h = _apply(mats, 1, h)
         lam_pow *= lam
         acc += lam_pow * float(np.sum(h @ wf))
-    value = norm_sq + (2.0 / k) * acc
+    value = norm_sq + (2.0 / fam.k) * acc
     return value, series_truncation_bound(norm_sq, lam, terms)
 
 

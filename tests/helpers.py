@@ -12,6 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from scanvar.embedding import BlockVector, apply_embedding
 from scanvar.kernels import (
     Dist,
     Kernel,
@@ -125,6 +126,16 @@ def cycle_product(mats, q: int, s: int) -> np.ndarray:
     out = np.eye(n)
     for step in range(s):
         out = out @ mats[(q - 1 + step) % k]
+    return out
+
+
+def embedding_power(fam: KernelFamily, phi: BlockVector, i: int) -> BlockVector:
+    """i-fold application of the embedding; phase j of the result is the
+    forward cycle product of length i (from phase j) applied to the
+    phase-sigma^i(j) component."""
+    out = phi
+    for _ in range(i):
+        out = apply_embedding(fam, out)
     return out
 
 

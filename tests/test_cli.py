@@ -511,6 +511,39 @@ class TestLimitAndSimulate:
         assert out.read_text().splitlines()[1].endswith(",nan,limit")
 
 
+class TestSmallestSizes:
+    def test_one_kernel(self, tmp_path, capsys):
+        # the cycle and the random scan are the same chain, whose one
+        # nonunit eigenvalue 0.8 gives (1 + 0.8 lam) / (1 - 0.8 lam)
+        path = write_model(tmp_path / "m.json", kernels=[helpers.E1_P1])
+        assert main(["compare", "--model", path]) == EXIT_OK
+        _, *rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 5
+        for row in rows[:-1]:
+            lam, strat, rand, gap, bound, method = row.split(",")
+            expected = (1.0 + 0.8 * float(lam)) / (1.0 - 0.8 * float(lam))
+            assert strat == rand
+            assert float(strat) == pytest.approx(expected, rel=1e-8)
+            assert (gap, bound, method) == ("0", "nan", "resolvent")
+        assert rows[0] == "0.3,1.63157895,1.63157895,0,nan,resolvent"
+        assert rows[-1] == "1,9,9,0,nan,limit"
+        assert main(["limit", "--model", path]) == EXIT_OK
+        assert "cycle contraction: 0.8 (summable)" in capsys.readouterr().out
+        assert main(["peskun", "--model", path, "--model-b", path]) == EXIT_ASSERTION
+        assert "needs exactly two kernels, got 1" in capsys.readouterr().err
+
+    def test_one_state(self, tmp_path, capsys):
+        path = write_model(
+            tmp_path / "m.json", states=1, pi=[1.0], kernels=[[[1.0]], [[1.0]]], f=[2.0]
+        )
+        assert main(["compare", "--model", path]) == EXIT_OK
+        _, *rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 5
+        assert all(row.split(",")[1:5] == ["0"] * 4 for row in rows)
+        assert main(["limit", "--model", path]) == EXIT_OK
+        assert "cycle contraction: 0 (summable)" in capsys.readouterr().out
+
+
 class TestDemo:
     def test_writes_model_and_csv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import embedding_power
 from scanvar.embedding import (
     OPERATORS,
     BlockVector,
@@ -14,7 +15,6 @@ from scanvar.embedding import (
     block_inner,
     block_norm,
     diag_apply,
-    embedding_power,
     resolvent_solve,
     shift,
     shift_realization,
@@ -138,7 +138,7 @@ class TestAdjointAlgebra:
         rng = np.random.default_rng(8)
         fam = helpers.random_family(rng, 4, 3)
         emb = CycleEmbedding(fam)
-        w = emb.weights
+        w = np.tile(fam.pi.weights, fam.k)
         oracle = (emb.realization("embed").T * w[None, :]) / w[:, None]
         np.testing.assert_allclose(
             emb.realization("embed_adjoint"), oracle, atol=1e-13
@@ -333,7 +333,8 @@ class TestResolvent:
             blocks, step, again = embedding._family_row(fam, op)
             assert again is prod
             assert not prod.flags.writeable
-            np.testing.assert_array_equal(prod, embedding._row_product(blocks, step))
+            ordered = [blocks[(j * step) % fam.k] for j in range(fam.k)]
+            np.testing.assert_array_equal(prod, product(ordered))
         blocks, _, _ = embedding._family_row(fam, "symmetric")
         assert all(block is fam._mixed.matrix for block in blocks)
         mats = fam.matrices

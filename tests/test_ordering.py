@@ -257,7 +257,7 @@ class TestBellman:
         lam = 0.5
         op = np.eye(4) - lam * emb.realization("symmetric")
         fbar = BlockVector.repeat(e1_f, 2)
-        value, argmax = bellman_value(op, fbar.flat(), emb.weights)
+        value, argmax = bellman_value(op, fbar.flat(), np.tile(e1.pi.weights, 2))
         solved = emb.resolvent_solve("symmetric", lam, fbar)
         assert value == pytest.approx(block_inner(fbar, solved, e1.pi), abs=1e-12)
         np.testing.assert_allclose(argmax, solved.flat(), atol=1e-12)
@@ -439,6 +439,11 @@ def test_lazified_family_is_dominated_and_ordered(case):
         rows = check_peskun_ordering(fam, dominated, f, PROPERTY_GRID)
         assert [r.lam for r in rows[:4]] == PROPERTY_GRID[:4]
         assert all(r.holds for r in rows)
+        path = BetaPath(fam, dominated)
+        for lam in (0.5, 0.9, 0.99):
+            for beta in (0.0, 0.5, 1.0):
+                scale = max(1.0, abs(path.delta(f, lam, beta)))
+                assert path.derivative(f, lam, beta) >= -1e-9 * scale
 
 
 class TestBetaDerivative:

@@ -10,7 +10,8 @@ a value within 1e-12 of one, `simulate` on e1 and on the simulate-k2
 model at short and long horizons, strat and rand `simulate` rows at the
 exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
 on five, `compare` and `limit` on a three-kernel model where the scan
-ordering fails, plus command lines that fail with a documented exit code
+ordering fails, `compare`, `limit` and `validate` on one kernel and on
+one state, plus command lines that fail with a documented exit code
 (among them `peskun` on families of different shapes, which exits 1 before
 the two-kernel check could exit 2).
 Each side runs in its own empty directory, so relative output paths print
@@ -50,6 +51,9 @@ E1_LAZY = dict(E1, kernels=[[[0.95, 0.05], [0.05, 0.95]], [[0.8, 0.2], [0.2, 0.8
 # three kernels flipping the state with probabilities 0.9, 0.9 and 0.1: the
 # cycle variance exceeds the random scan's at discount 0.9 and in the limit
 K3_COUNTER = dict(E1, kernels=[[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 0.1)])
+# the smallest sizes: one kernel on e1's target, and one state
+K1 = dict(E1, kernels=E1["kernels"][:1])
+N1 = {"states": 1, "pi": [1.0], "kernels": [[[1.0]], [[1.0]]], "f": [2.0]}
 
 
 def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
@@ -136,6 +140,15 @@ def command_lines(models: Path) -> list[list[str]]:
         ["compare", "--model", str(k3), "--method", "series", "--out", "k.csv"],
         ["limit", "--model", str(k3), "--out", "l.csv"],
     ]
+    for name, model in (("k1", K1), ("n1", N1)):
+        m = models / f"{name}.json"
+        m.write_text(json.dumps(model))
+        lines += [
+            ["compare", "--model", str(m)],
+            ["compare", "--model", str(m), "--method", "series", "--lambda", "0.3,1"],
+            ["limit", "--model", str(m)],
+            ["validate", "--model", str(m)],
+        ]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     lines += [  # documented failures
