@@ -374,18 +374,20 @@ def _cycle_product(matrices) -> np.ndarray:
     return prod
 
 
-def _pi_symmetrised(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetric part of S = D^{1/2} K D^{-1/2}, D = diag(pi), and the
-    Frobenius norm of its skew part, for any n x n matrix K.
-
-    S is similar to K and symmetric exactly when K is self-adjoint for pi
-    (a kernel: reversible), so the skew norm measures rounding and balance
-    residual. The symmetric part is normal, so by Bauer-Fike every
-    eigenvalue of K lies within the skew norm of one of the symmetric
-    part's eigenvalues.
-    """
+def _pi_similar(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S = D^{1/2} K D^{-1/2}, D = diag(pi), for any n x n matrix K: similar
+    to K, and symmetric exactly when K is self-adjoint for pi (a kernel:
+    reversible). Its symmetric part is (S + S') / 2."""
     root = np.sqrt(weights)
-    s = root[:, None] * matrix / root[None, :]
+    return root[:, None] * matrix / root[None, :]
+
+
+def _pi_symmetrised(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Symmetric part of S = _pi_similar(K, pi) and the Frobenius norm of
+    its skew part, which measures rounding and balance residual. The
+    symmetric part is normal, so by Bauer-Fike every eigenvalue of K lies
+    within the skew norm of one of the symmetric part's eigenvalues."""
+    s = _pi_similar(matrix, weights)
     return (s + s.T) / 2.0, float(np.linalg.norm(s - s.T)) / 2.0
 
 

@@ -37,7 +37,7 @@ from scanvar.kernels import (
     SummabilityError,
     ValidationError,
     _check_lam,
-    _pi_symmetrised,
+    _pi_similar,
     lazy,
     make_family,
 )
@@ -247,8 +247,8 @@ def bellman_value(op_matrix: np.ndarray, f, weights) -> tuple[float, np.ndarray]
     scale = max(float(np.abs(gram).max()), 1.0)
     if float(np.abs(gram - gram.T).max()) > NUMERIC_TOL * scale:
         raise ValidationError("operator is not self-adjoint in the weighted inner product")
-    sym, _ = _pi_symmetrised(mat, w)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    s = _pi_similar(mat, w)
+    min_eig = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
     if min_eig <= 0.0:
         raise ValidationError(
             f"operator is not positive definite (smallest eigenvalue {min_eig:.3g})"
@@ -350,8 +350,8 @@ def peskun_dominates(fam_a: KernelFamily, fam_b: KernelFamily) -> PeskunComparis
     verdicts = []
     min_eigs = []
     for ka, kb in zip(fam_a.kernels, fam_b.kernels):
-        sym, _ = _pi_symmetrised(kb.matrix - ka.matrix, fam_a.pi.weights)
-        low = float(np.linalg.eigvalsh(sym)[0])
+        s = _pi_similar(kb.matrix - ka.matrix, fam_a.pi.weights)
+        low = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
         min_eigs.append(low)
         verdicts.append(bool(low >= -PSD_TOL))
     return PeskunComparison(

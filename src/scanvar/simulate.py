@@ -90,16 +90,20 @@ def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
     (rand: the drawn choice) and reads the uniform of the coordinate it
     holds. No slot reads another's state, and every generator is still
     read at full width, so each stepped slot has the same bits whatever
-    `slots` is. A draw counts the cumulative row entries not above the
-    uniform, which is searchsorted(side="right"); leaving out the last
-    entry caps the count at n - 1, as the rows are nondecreasing.
+    `slots` is. A draw is the first index whose cumulative weight strictly
+    exceeds the uniform, argmax(row > u), on rows whose last entry is set
+    to inf. Kernel entries are nonnegative, so each row is nondecreasing
+    and that index is the count of entries not above the uniform,
+    searchsorted(side="right"); the inf caps it at n - 1.
     """
     k, n = fam.k, fam.n
     coords = k if cfg.scheme == "embedded" else 1
     slots = coords if slots is None else slots
     transitions = cfg.steps - 1
-    pi_cum = np.cumsum(fam.pi.weights)[:-1]
-    cum = np.cumsum(np.stack(fam.matrices), axis=2)[..., :-1].reshape(k * n, n - 1)
+    pi_cum = np.cumsum(fam.pi.weights)
+    pi_cum[-1] = np.inf
+    cum = np.cumsum(np.stack(fam.matrices), axis=2).reshape(k * n, n)
+    cum[:, -1] = np.inf
     phase = np.arange(transitions)[:, None] + np.arange(slots)
     # slot s reads the uniform of the coordinate it holds
     columns = phase % coords
@@ -120,10 +124,11 @@ def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
             moves = rng.random((transitions, coords))
             uniforms[:, r, :, 0] = np.take_along_axis(moves, columns, axis=1)
         states = np.empty((transitions + 1, len(chunk), slots), dtype=np.int64)
-        np.sum(pi_cum <= start, axis=-1, out=states[0])
+        np.argmax(pi_cum > start, axis=-1, out=states[0])
         for t in range(transitions):
-            rows = cum[offsets[t] + states[t]]
-            np.sum(rows <= uniforms[t], axis=-1, out=states[t + 1])
+            # take(out=...) is several times slower than a fresh gather
+            rows = cum.take(offsets[t] + states[t], axis=0)
+            np.argmax(rows > uniforms[t], axis=-1, out=states[t + 1])
         yield states
 
 

@@ -4,6 +4,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 import helpers
@@ -240,6 +242,23 @@ class TestReferenceSimulator:
             expected = helpers.reference_path(fam, scheme, seed, steps)
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
+
+    @given(helpers.families(), st.sampled_from([1, 2, 5, 38]), st.integers(0, 2**64 - 1))
+    def test_paths_on_families(self, case, steps, seed):
+        # Gibbs kernels repeat cumulative weights and hold-1.0 kernels have
+        # identity rows
+        fam, _ = case
+        for scheme in SCHEMES:
+            got = simulate(fam, SimulationConfig(steps, seed, scheme)).states
+            np.testing.assert_array_equal(got, helpers.reference_path(fam, scheme, seed, steps))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_state_paths(self, k, scheme):
+        fam = make_family([1.0], [np.eye(1)] * k)
+        got = simulate(fam, SimulationConfig(9, 4, scheme)).states
+        np.testing.assert_array_equal(got, helpers.reference_path(fam, scheme, 4, 9))
+        assert got.dtype == np.int64 and not got.any()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("scheme", SCHEMES)

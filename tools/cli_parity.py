@@ -9,9 +9,10 @@ two-state example e1 and on one generated model per benchmark workload
 a value within 1e-12 of one, `simulate` on e1 and on the simulate-k2
 model at short and long horizons, strat and rand `simulate` rows at the
 exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
-on five, `compare` and `limit` on a three-kernel model where the scan
-ordering fails, `compare`, `limit` and `validate` on one kernel and on
-one state, plus command lines that fail with a documented exit code
+on five, each scheme on a Gibbs pair, whose rows have zero entries,
+`compare` and `limit` on a three-kernel model where the scan ordering
+fails, `compare`, `limit` and `validate` on one kernel and on one state,
+plus command lines that fail with a documented exit code
 (among them `peskun` on families of different shapes, which exits 1 before
 the two-kernel check could exit 2).
 Each side runs in its own empty directory, so relative output paths print
@@ -33,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
+import numpy as np  # noqa: E402
 from models import BaseFamily  # noqa: E402
 
 RUN = (
@@ -54,6 +56,23 @@ K3_COUNTER = dict(E1, kernels=[[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 
 # the smallest sizes: one kernel on e1's target, and one state
 K1 = dict(E1, kernels=E1["kernels"][:1])
 N1 = {"states": 1, "pi": [1.0], "kernels": [[[1.0]], [[1.0]]], "f": [2.0]}
+
+
+def gibbs_pair(n1: int, n2: int, seed: int) -> dict:
+    """The two coordinate updates of a Gibbs sampler on a seeded n1 x n2
+    grid target, state = i1 * n2 + i2. Each row is zero off one grid line,
+    so its cumulative weights repeat."""
+    rng = np.random.default_rng(seed)
+    p = 0.5 + rng.random((n1, n2))
+    p /= p.sum()
+    w = p.ravel()
+    i1, i2 = np.divmod(np.arange(w.size), n2)
+    kernels = [
+        (i2[:, None] == i2) * w / p.sum(axis=0)[i2][:, None],
+        (i1[:, None] == i1) * w / p.sum(axis=1)[i1][:, None],
+    ]
+    return {"states": w.size, "pi": w.tolist(), "kernels": [m.tolist() for m in kernels],
+            "f": rng.standard_normal(w.size).tolist()}
 
 
 def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
@@ -133,6 +152,13 @@ def command_lines(models: Path) -> list[list[str]]:
             for steps in (1, 2, 5, 257, 4096)
         ]
         lines.append(["simulate", "--model", m, "--out", "e.csv"])
+    # every scheme on a Gibbs pair, whose rows have zero entries
+    gibbs = gibbs_pair(3, 4, 7)
+    for scheme in ("strat", "rand", "embedded"):
+        m = models / f"gibbs-{scheme}.json"
+        m.write_text(json.dumps(dict(gibbs, simulation={"scheme": scheme})))
+        lines.append(["simulate", "--model", str(m), "--seed", "9", "--steps", "257",
+                      "--replicas", "20"])
     k3 = models / "k3-counter.json"
     k3.write_text(json.dumps(K3_COUNTER))
     lines += [
