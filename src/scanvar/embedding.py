@@ -13,8 +13,10 @@ and _place writes it as a dense matrix. So (I - lam Op) x = b is solved
 by elimination around the cycle: one n x n factorisation of
 I - lam^k M_1 ... M_k in the first phase, then k back-substitutions, with a
 residual guard on the full block system. The product M_1 ... M_k does not
-depend on lam; for the embed, adjoint and symmetric rows the family keeps
-it. Dense nk x nk realizations serve only as test oracles.
+depend on lam; for the embed row the family keeps it. A system in the
+family's mixed kernel alone (one block) is solved in that kernel's cached
+eigenbasis instead, O(n^2) per solve, under the same guard (_mixed_solve).
+Dense nk x nk realizations serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -228,25 +230,36 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 def _family_row(fam: KernelFamily, op: str) -> tuple[list, int, np.ndarray | None]:
     """(blocks, step, product) of a selector on a family. The product does
-    not depend on the discount; the family keeps it for the embed,
-    embed_adjoint and symmetric rows (the forward and backward cycle
-    products and the mixed kernel to the power k), and it is None for the
-    shift_diag row, whose solves build it. The symmetric part is
-    block-cyclic only for k <= 2, where both its terms read the same phase
-    and every block (K_q + K_{q-1}) / 2 is the family's mixed kernel, bit
-    for bit: two-term addition commutes, and (K + K) / 2 = K."""
+    not depend on the discount; the family keeps the embed row's (its
+    full-cycle product), and it is None for the other rows, whose solves
+    build it. The symmetric part is block-cyclic only for k <= 2, where
+    both its terms read the same phase and every block (K_q + K_{q-1}) / 2
+    is the family's mixed kernel, bit for bit: two-term addition commutes,
+    and (K + K) / 2 = K."""
     if op == "symmetric":
         if fam.k > 2:
             raise ValueError(
                 f"the symmetric part is not block-cyclic for k = {fam.k} > 2 kernels"
             )
-        return [fam._mixed.matrix] * fam.k, 1, fam._mixed_cycle
+        return [fam._mixed.matrix] * fam.k, 1, None
     blocks, step = _cycle_row(op, fam.matrices)
-    if op == "embed":
-        return blocks, step, fam._cycle
-    if op == "embed_adjoint":
-        return blocks, step, fam._cycle_reversed
-    return blocks, step, None
+    return blocks, step, fam._cycle if op == "embed" else None
+
+
+def _check_residual(
+    blocks: Sequence[np.ndarray], step: int, lam: float, x, rhs, weights, floor: float
+) -> None:
+    """Raise LinAlgError unless x solves x_q = rhs_q + lam * blocks[q] @
+    x_{q+step} to within RESOLVENT_RTOL of rhs in the weighted norm, or
+    within `floor`. A residual that is not a number is refused too."""
+    residual = x - rhs - lam * _apply(blocks, step, x)
+    res_norm = float(np.sqrt(np.sum(residual**2 @ weights)))
+    rhs_norm = float(np.sqrt(np.sum(rhs**2 @ weights)))
+    if not res_norm <= max(RESOLVENT_RTOL * max(rhs_norm, 1e-300), floor):
+        raise np.linalg.LinAlgError(
+            f"resolvent residual {res_norm:.3g} exceeds "
+            f"{RESOLVENT_RTOL:g} * {rhs_norm:.3g}"
+        )
 
 
 def _cycle_solve(
@@ -294,14 +307,40 @@ def _cycle_solve(
     for j in range(k - 1, 0, -1):
         q = order[j]
         x[q] = rhs[q] + lam * (blocks[q] @ x[order[(j + 1) % k]])
-    residual = x - rhs - lam * _apply(blocks, step, x)
-    res_norm = float(np.sqrt(np.sum(residual**2 @ weights)))
-    rhs_norm = float(np.sqrt(np.sum(rhs**2 @ weights)))
-    if res_norm > max(RESOLVENT_RTOL * max(rhs_norm, 1e-300), floor):
-        raise np.linalg.LinAlgError(
-            f"resolvent residual {res_norm:.3g} exceeds "
-            f"{RESOLVENT_RTOL:g} * {rhs_norm:.3g}"
-        )
+    _check_residual(blocks, step, lam, x, rhs, weights, floor)
+    return x
+
+
+def _mixed_solve(
+    fam: KernelFamily, lam: float, rhs: np.ndarray, *, floor: float = 0.0
+) -> np.ndarray:
+    """Solve x = rhs + lam * M @ x for one function rhs, with M the
+    family's mixed kernel and lam in (-1, 1].
+
+    M is reversible, so S = D^{1/2} M D^{-1/2} (D = diag(pi)) is symmetric
+    up to its skew part, and the family keeps the eigendecomposition
+    V diag(mu) V' of its symmetric part. Then
+    x = rhs + D^{-1/2} V (c * lam mu / (1 - lam mu)), c = V' D^{1/2} rhs:
+    the correction is exactly zero at lam = 0. At lam = 1 the largest
+    eigenvalue, the unit one, is deflated (its term dropped), which gives
+    the centred solution as _cycle_solve's rank-one term does; the callers
+    have shown that eigenvalue alone. The skew part and the rounding of
+    the basis are left out, so _cycle_solve's residual guard, with
+    `floor`, is checked on the original system; where it refuses, the
+    one-block LU of _cycle_solve gives the solution.
+    """
+    mu, vecs, _ = fam._spectrum
+    weights = fam.pi.weights
+    root = np.sqrt(weights)
+    scaled = lam * mu
+    if lam == 1.0:
+        scaled[-1] = 0.0
+    x = rhs + (vecs @ ((vecs.T @ (root * rhs)) * (scaled / (1.0 - scaled)))) / root
+    blocks = [fam._mixed.matrix]
+    try:
+        _check_residual(blocks, 1, lam, x[None], rhs[None], weights, floor)
+    except np.linalg.LinAlgError:
+        return _cycle_solve(blocks, 1, lam, rhs[None], weights, floor=floor)[0]
     return x
 
 

@@ -265,9 +265,9 @@ class KernelFamily:
     kernels (via the Kernel type) and detailed balance within
     REVERSIBILITY_TOL relative to each kernel's largest flow. Values are
     immutable afterwards and safe to share across threads. Derived data
-    (the mixed kernel, the cycle products of the resolvent solves, the
-    cycle contraction and the summability verdict) is computed on first
-    use and kept with the family.
+    (the mixed kernel and its symmetric eigendecomposition, the full-cycle
+    product, the cycle contraction and the summability verdict) is computed
+    on first use and kept with the family.
     """
 
     space: StateSpace
@@ -332,15 +332,15 @@ class KernelFamily:
         return _readonly(_cycle_product(self.matrices))
 
     @cached_property
-    def _cycle_reversed(self) -> np.ndarray:
-        """K_k ... K_2 K_1, read-only: the product of the adjoint row."""
-        return _readonly(_cycle_product(self.matrices[::-1]))
-
-    @cached_property
-    def _mixed_cycle(self) -> np.ndarray:
-        """The mixed kernel to the power k, read-only: the product of the
-        symmetric row, whose every block is the mixed kernel for k <= 2."""
-        return _readonly(_cycle_product((self._mixed.matrix,) * self.k))
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(mu, V, skew): the eigenvalues, ascending, and orthonormal
+        eigenvectors of the symmetric part of the pi-symmetrised mixed
+        kernel (_pi_symmetrised), and the Frobenius norm of its skew part.
+        The random-scan guard counts on mu, and every solve with the mixed
+        kernel alone runs in this basis (embedding._mixed_solve)."""
+        sym, skew = _pi_symmetrised(self._mixed.matrix, self.pi.weights)
+        mu, vecs = np.linalg.eigh(sym)
+        return mu, vecs, skew
 
     @cached_property
     def _cycle_contraction(self) -> float:
@@ -360,8 +360,11 @@ class KernelFamily:
     @cached_property
     def _summable(self) -> bool:
         """Whether the full cycle contracts centred functions, the guard of
-        variance.var_limit(strat): the norm certificate when it holds, else
-        _contracts."""
+        variance.var_limit(strat): the norm certificate or _contracts. The
+        certificate is tried first unless the contraction is already known;
+        either order gives the same verdict."""
+        if "_cycle_contraction" in self.__dict__ and self._contracts:
+            return True
         return _certifies_summability(self.pi.weights, self.matrices) or self._contracts
 
 

@@ -17,16 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from scanvar.embedding import (
-    BlockVector,
-    CycleEmbedding,
-    _apply,
-    _cycle_row,
-    _cycle_solve,
-    block_inner,
-    skew_part,
-    symmetric_part,
-)
+from scanvar.embedding import _apply, _cycle_row, _cycle_solve, _mixed_solve
 from scanvar.kernels import (
     Dist,
     Kernel,
@@ -158,27 +149,34 @@ def _walk(lambda_grid, tol: float, at, limit) -> list[OrderingReport]:
 
 
 def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
-    """gap_lower_bound from its forward solve: the embed resolvent at the
-    centred constant block, which is var_lambda_strat's solve."""
-    if lam == 0.0:
-        return 0.0
-    emb = CycleEmbedding(fam)
-    fwd = BlockVector(forward)
-    h = BlockVector(forward - lam * symmetric_part(fam, fwd).values)
-    g_hat = emb.resolvent_solve("embed_adjoint", lam, h)
-    a_g = skew_part(fam, g_hat)
-    y = emb.resolvent_solve("symmetric", lam, a_g)
-    return (2.0 / fam.k) * lam * lam * block_inner(a_g, y, fam.pi)
+    """gap_lower_bound from its forward solve y, var_lambda_strat's, in
+    closed form: 2 lam^2 <d, (I + lam M)^{-1} d>_pi with the mixed kernel
+    M, g = (y_1 + y_2) / 2 and d = (K_1 - K_2) g / 2 (see gap_lower_bound
+    for the derivation). The solve is the mixed kernel's, at -lam."""
+    g = (forward[0] + forward[1]) / 2.0
+    m1, m2 = fam.matrices
+    d = (m1 @ g - m2 @ g) / 2.0
+    z = _mixed_solve(fam, -lam, d)
+    return 2.0 * lam * lam * float(np.dot(fam.pi.weights, d * z))
 
 
 def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Certified lower bound on var_rand - var_strat for a two-kernel family.
 
-    Evaluates the skew term of the variational identity at its optimiser:
-    three block resolvent solves (the first is var_lambda_strat's), the
-    symmetric and skew parts applied blockwise, and one quadratic form,
-    scaled by 2/k.
-    Nonnegative by construction and zero at lam = 0 or for identical kernels.
+    The skew term of the variational identity at its optimiser, scaled by
+    2/k: lam^2 <A g, (I - lam H)^{-1} A g> on the block space, with the
+    embedding T, H and A its self-adjoint and skew parts, the optimiser
+    g = (I - lam T*)^{-1} (I - lam H) y and y = (I - lam T)^{-1} fbar,
+    var_lambda_strat's solve at the constant block fbar. For two kernels
+    the phase swap J conjugates T into its adjoint, J T J = T*, and fixes
+    fbar, so J y = (I - lam T*)^{-1} fbar. Writing I - lam H as the mean
+    of I - lam T and I - lam T* gives g = (y + J y) / 2, the constant
+    block of g = (y_1 + y_2) / 2. A then sends (g, g) to (d, -d),
+    d = (K_1 - K_2) g / 2, and on blocks (z, -z) H acts as minus the mixed
+    kernel M, so (I - lam H)^{-1} (d, -d) = (z, -z) with (I + lam M) z = d.
+    The bound is 2 lam^2 <d, z>_pi: one solve in the mixed kernel's cached
+    eigenbasis per discount beyond var_lambda_strat's. Nonnegative by
+    construction and zero at lam = 0 or for identical kernels.
     """
     if fam.k != 2:
         raise ValueError(f"the gap bound needs exactly two kernels, got {fam.k}")

@@ -3,9 +3,10 @@
 The discounted variance of the deterministic cycle is available two ways:
 one resolvent solve on the embedded block space, eliminated around the
 cycle to a single n x n system, or direct summation of the covariance
-series with a reported truncation bound. The random scan is the same solve
-with one block, the mixed kernel. Limits as the discount approaches one are
-the same solves at discount one on the centered subspace (deflating the
+series with a reported truncation bound. The random scan, and a cycle of
+one kernel, solve with the mixed kernel alone, in its eigenbasis cached on
+the family (embedding._mixed_solve). Limits as the discount approaches one
+are the same solves at discount one on the centered subspace (deflating the
 constant direction), never a naive substitution. Observables are centered
 internally, so inputs need not be pre-centered.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.embedding import BlockVector, _apply, _cycle_solve, _family_row, block_inner
+from scanvar.embedding import BlockVector, _apply, _cycle_solve, _mixed_solve, block_inner
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -26,7 +27,6 @@ from scanvar.kernels import (
     SummabilityError,
     _EPS,
     _check_lam,
-    _pi_symmetrised,
     _rounding_slack,
     center,
     random_scan,
@@ -84,22 +84,23 @@ def _solve(
     """(fbar, y): the centred f tiled over the phases, and the solution of
     y_q = fbar_q + lam * M_q y_{q+1}, with the family's kernels (the embed
     row and its cached product) for strat and the mixed kernel alone for
-    rand; lam lies in [0, 1].
+    rand; lam lies in [0, 1]. A cycle of one kernel is its mixed kernel,
+    so strat then takes rand's solve, and the two agree bit for bit.
 
     Centring rounds: pi . fbar_q can be off zero by about (n + 2) eps
     |f|_pi, with the weighted norm of the uncentred f, which no multiple of
     the centred f's norm bounds when f is nearly constant on the heavy
     states. At lam = 1 the deflated solve leaves k times that offset as
     its residual, so that is the residual guard's floor."""
-    if scheme == "rand":
-        blocks, prod = [random_scan(fam).matrix], None
-    else:
-        blocks, _, prod = _family_row(fam, "embed")
     weights = fam.pi.weights
-    fbar = np.tile(center(f, fam.pi).values, (len(blocks), 1))
+    fc = center(f, fam.pi).values
     f_norm = math.sqrt(float(np.dot(weights, f.values * f.values)))
-    floor = len(blocks) * (fam.n + 2) * _EPS * f_norm
-    return fbar, _cycle_solve(blocks, 1, lam, fbar, weights, prod, floor=floor)
+    if scheme == "rand" or fam.k == 1:
+        floor = (fam.n + 2) * _EPS * f_norm
+        return fc[None, :], _mixed_solve(fam, lam, fc, floor=floor)[None, :]
+    fbar = np.tile(fc, (fam.k, 1))
+    floor = fam.k * (fam.n + 2) * _EPS * f_norm
+    return fbar, _cycle_solve(fam.matrices, 1, lam, fbar, weights, fam._cycle, floor=floor)
 
 
 def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
@@ -167,9 +168,9 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     below one by the eigensolver's rounding slack (kernels._rounding_slack),
     so an exact unit radius rounded down is refused. The nonsymmetric
     eigenproblem is solved once per family, for the printed radius;
-    var_limit needs only the verdict and first tries a certificate from
-    symmetric eigenproblems (see kernels._certifies_summability), falling
-    back to this verdict.
+    var_limit needs only the verdict and, unless this radius is already
+    known, first tries a certificate from symmetric eigenproblems (see
+    kernels._certifies_summability), falling back to this verdict.
     """
     return SummabilityReport(
         absolutely_summable=fam._contracts,
@@ -177,25 +178,25 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     )
 
 
-def _near_one_count(kernel: np.ndarray, weights: np.ndarray) -> int:
-    """Number of eigenvalues of a pi-reversible kernel within 1e-8 of 1.
+def _near_one_count(fam: KernelFamily) -> int:
+    """Number of eigenvalues of the family's mixed kernel within 1e-8 of 1.
 
-    Counted on the symmetric part of the pi-symmetrised kernel. Every
-    eigenvalue of the kernel lies within the Bauer-Fike radius (the skew
-    part's Frobenius norm plus the rounding slack) of one of the symmetric
-    part's, so the two counts agree unless an eigenvalue of the symmetric
-    part lies within that radius of the 1e-8 boundary; then the kernel's
-    own eigenvalues are counted. A radius of 1e-8 or more puts the unit
-    eigenvalue itself that close, so the kernel's eigenvalues are counted
-    without solving the symmetric problem first.
+    Counted on the family's cached spectrum, the symmetric part of the
+    pi-symmetrised kernel. Every eigenvalue of the kernel lies within the
+    Bauer-Fike radius (the skew part's Frobenius norm plus the rounding
+    slack) of one of the symmetric part's, so the two counts agree unless
+    an eigenvalue of the symmetric part lies within that radius of the 1e-8
+    boundary; then the kernel's own eigenvalues are counted. A radius of
+    1e-8 or more puts the unit eigenvalue itself that close, so then the
+    kernel's eigenvalues are counted at once.
     """
-    sym, skew = _pi_symmetrised(kernel, weights)
-    radius = skew + _rounding_slack(weights)
+    mu, _, skew = fam._spectrum
+    radius = skew + _rounding_slack(fam.pi.weights)
     if radius < _NEAR_ONE:
-        dist = np.abs(np.linalg.eigvalsh(sym) - 1.0)
+        dist = np.abs(mu - 1.0)
         if not np.any(np.abs(dist - _NEAR_ONE) <= radius):
             return int(np.sum(dist < _NEAR_ONE))
-    return int(np.sum(np.abs(np.linalg.eigvals(kernel) - 1.0) < _NEAR_ONE))
+    return int(np.sum(np.abs(np.linalg.eigvals(fam._mixed.matrix) - 1.0) < _NEAR_ONE))
 
 
 def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
@@ -205,12 +206,12 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     deflates the constant direction. strat is guarded by summability: a
     certificate from symmetric eigenproblems when it holds, else the
     summability check's radius. rand is guarded by an eigenvalue-multiplicity
-    check on the mixed kernel, counted on its symmetric part (see
-    _near_one_count).
+    check on the mixed kernel, counted on the spectrum that its solve then
+    reads (see _near_one_count).
     """
     _check_scheme(scheme)
     if scheme == "rand":
-        ones_count = _near_one_count(random_scan(fam).matrix, fam.pi.weights)
+        ones_count = _near_one_count(fam)
         if ones_count > 1:
             raise ReducibilityError(
                 f"mixed kernel has {ones_count} eigenvalues within 1e-8 of 1, so "

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -19,3 +20,31 @@ def e1():
 @pytest.fixture
 def e1_f():
     return Observable(helpers.E1_F)
+
+
+def _shapes(monkeypatch, name: str) -> list:
+    """Shapes of the np.linalg.<name> calls made during a test."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    return _shapes(monkeypatch, "eigvals")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return _shapes(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    return _shapes(monkeypatch, "eigh")

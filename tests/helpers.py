@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from scanvar.embedding import BlockVector, apply_embedding
+from scanvar.embedding import BlockVector, apply_embedding, embedding_realization
 from scanvar.kernels import (
     Dist,
     Kernel,
@@ -332,3 +332,23 @@ def oracle_var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     w = np.tile(pi, k) / k
     y = np.linalg.solve(np.eye(k * n) - embed + np.outer(np.ones(k * n), w), np.tile(fc, k))
     return 2.0 * float(np.dot(w, np.tile(fc, k) * y)) - float(np.dot(pi, fc * fc))
+
+
+def oracle_gap_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
+    """The gap bound's skew term from three dense kn x kn solves: the
+    forward resolvent y of the embedding T at the tiled centred f, the
+    optimiser g = (I - lam T*)^{-1} (I - lam H) y, and
+    (2/k) lam^2 <A g, (I - lam H)^{-1} A g> with H and A the self-adjoint
+    and skew parts, all in the phase-tiled weights."""
+    pi = fam.pi.weights
+    fc = f.values - float(np.dot(pi, f.values))
+    k, n = fam.k, fam.n
+    embed = embedding_realization("embed", fam.matrices)
+    adjoint = embedding_realization("embed_adjoint", fam.matrices)
+    sym, skew = (embed + adjoint) / 2.0, (embed - adjoint) / 2.0
+    eye = np.eye(k * n)
+    y = np.linalg.solve(eye - lam * embed, np.tile(fc, k))
+    g = np.linalg.solve(eye - lam * adjoint, (eye - lam * sym) @ y)
+    ag = skew @ g
+    z = np.linalg.solve(eye - lam * sym, ag)
+    return (2.0 / k) * lam * lam * float(np.dot(np.tile(pi, k), ag * z))

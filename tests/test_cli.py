@@ -307,6 +307,42 @@ class TestCompare:
         assert capsys.readouterr().out.splitlines()[-1].endswith(",limit")
         assert calls == []
 
+    def test_two_kernel_sweep_costs(self, tmp_path, capsys, monkeypatch, eigh_calls):
+        # the default four discounts and the limit: one LU per discount and
+        # one for the limit, all strat's; one eigendecomposition of the
+        # mixed kernel for rand and the bound; one cycle product
+        import scanvar.embedding
+        import scanvar.variance
+
+        rng = np.random.default_rng(78)
+        fam = helpers.random_family(rng, 8, 2)
+        model = {
+            "states": 8,
+            "pi": fam.pi.weights.tolist(),
+            "kernels": [m.tolist() for m in fam.matrices],
+            "f": rng.standard_normal(8).tolist(),
+        }
+        path = write_model(tmp_path / "m.json", **model)
+        solves, products = [], []
+        solve, product = scanvar.embedding._cycle_solve, scanvar.kernels._cycle_product
+
+        def counted_solve(*args, **kwargs):
+            solves.append(len(args[0]))
+            return solve(*args, **kwargs)
+
+        def counted_product(matrices):
+            products.append(len(matrices))
+            return product(matrices)
+
+        monkeypatch.setattr(scanvar.embedding, "_cycle_solve", counted_solve)
+        monkeypatch.setattr(scanvar.variance, "_cycle_solve", counted_solve)
+        monkeypatch.setattr(scanvar.kernels, "_cycle_product", counted_product)
+        assert main(["compare", "--model", path]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4 + 1
+        assert solves == [2] * 5
+        assert eigh_calls == [(8, 8)]
+        assert products == [2]
+
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         path = write_model(
             tmp_path / "m.json", kernels=[[[0.9, 0.1], [0.2, 0.8]], helpers.E1_P2]

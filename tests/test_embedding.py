@@ -308,9 +308,10 @@ class TestResolvent:
             _cycle_solve(fam.matrices, 1, 1.0, rhs, w)
 
     def test_cycle_product_cached_per_family_and_selector(self, monkeypatch):
-        # a four-point sweep with gap bounds builds the embed, embed_adjoint
-        # and symmetric products once each, and reuses the same objects;
-        # the summability check centres the same embed product
+        # a four-point sweep with gap bounds and the limit builds one cycle
+        # product, the embed row's, and reuses the same object; the other
+        # rows build theirs per solve, and the summability check centres
+        # the same embed product
         import scanvar.embedding as embedding
         import scanvar.kernels as kernels
         from scanvar.ordering import check_scan_ordering
@@ -326,26 +327,22 @@ class TestResolvent:
 
         monkeypatch.setattr(kernels, "_cycle_product", counted)
         check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99, 1.0])
-        assert built == [2, 2, 2]
-        rows = ("embed", "embed_adjoint", "symmetric")
-        cached = {op: embedding._family_row(fam, op)[2] for op in rows}
-        for op, prod in cached.items():
-            blocks, step, again = embedding._family_row(fam, op)
-            assert again is prod
-            assert not prod.flags.writeable
-            ordered = [blocks[(j * step) % fam.k] for j in range(fam.k)]
-            np.testing.assert_array_equal(prod, product(ordered))
+        assert built == [2]
+        blocks, step, cached = embedding._family_row(fam, "embed")
+        assert embedding._family_row(fam, "embed")[2] is cached
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, product(blocks))
+        np.testing.assert_array_equal(cached, helpers.cycle_product(fam.matrices, 1, 2))
+        for op in ("embed_adjoint", "symmetric", "shift_diag"):
+            assert embedding._family_row(fam, op)[2] is None
         blocks, _, _ = embedding._family_row(fam, "symmetric")
         assert all(block is fam._mixed.matrix for block in blocks)
         mats = fam.matrices
         np.testing.assert_array_equal(blocks[1], (mats[1] + mats[0]) / 2.0)
-        np.testing.assert_array_equal(
-            cached["embed"], helpers.cycle_product(fam.matrices, 1, 2)
-        )
         check_scan_ordering(fam, f, [0.5, 1.0])
         monkeypatch.setattr(kernels, "compose_cycle", None)  # not rebuilt there
         assert fam._cycle_contraction == helpers.oracle_cycle_contraction(fam)
-        assert built == [2, 2, 2]
+        assert built == [2]
 
     def test_realization_agrees_with_blockwise_action(self):
         rng = np.random.default_rng(20)

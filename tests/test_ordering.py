@@ -6,6 +6,7 @@ from hypothesis import given
 
 import helpers
 import scanvar.variance
+from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     Dist,
     Kernel,
@@ -75,8 +76,8 @@ class TestCheckScanOrdering:
         assert rep.method == "resolvent"
 
     def test_gap_bound_shares_the_strat_solve(self, monkeypatch):
-        # per discount: strat (shared with the bound's forward solve), rand,
-        # and the bound's adjoint and symmetric solves
+        # per discount one LU, strat's, shared with the bound; rand and the
+        # bound's other solve run in the mixed kernel's eigenbasis
         import scanvar.embedding as embedding
         import scanvar.variance as variance
 
@@ -93,12 +94,25 @@ class TestCheckScanOrdering:
         monkeypatch.setattr(embedding, "_cycle_solve", counted)
         monkeypatch.setattr(variance, "_cycle_solve", counted)
         reports = check_scan_ordering(fam, f, grid)
-        assert len(calls) == 4 * len(grid)
+        assert calls == [2] * len(grid)
         monkeypatch.undo()
         for lam, rep in zip(grid, reports):
             assert rep.var_a == var_lambda_strat(fam, f, lam)
             assert rep.var_b == var_lambda_rand(fam, f, lam)
             assert rep.gap_lower_bound == gap_lower_bound(fam, f, lam)
+
+    def test_sweep_and_limit_take_one_eigh(self, eigh_calls, eigvalsh_calls):
+        # a five-point sweep and the limit read one eigendecomposition of
+        # the mixed kernel; with the contraction known, no eigvalsh is left
+        fam = helpers.random_family(np.random.default_rng(76), 6, 2)
+        f = helpers.random_centered(np.random.default_rng(77), fam)
+        summability_check(fam)
+        rows = check_scan_ordering(fam, f, [0.0, 0.3, 0.6, 0.9, 0.99, 1.0])
+        assert [r.method for r in rows] == ["resolvent"] * 5 + ["limit"]
+        assert eigh_calls == [(6, 6)]
+        assert eigvalsh_calls == []
+        check_scan_ordering(fam, f, [0.5, 1.0])
+        assert eigh_calls == [(6, 6)]
 
     def test_series_route_without_bound_skips_the_strat_solve(self, monkeypatch):
         # with three kernels no gap bound needs the strat solve, so the series
@@ -109,15 +123,16 @@ class TestCheckScanOrdering:
         fam = helpers.random_family(rng, 5, 3)
         f = helpers.random_centered(rng, fam)
         calls = []
-        solve = variance._cycle_solve
+        for name in ("_cycle_solve", "_mixed_solve"):
+            solve = getattr(variance, name)
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return solve(*args, **kwargs)
+            def counted(*args, name=name, solve=solve, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
 
-        monkeypatch.setattr(variance, "_cycle_solve", counted)
+            monkeypatch.setattr(variance, name, counted)
         rows = check_scan_ordering(fam, f, [0.3, 0.9], method="series")
-        assert calls == [1, 1]
+        assert calls == ["_mixed_solve", "_mixed_solve"]
         assert [r.var_a for r in rows] == [
             var_lambda_strat_series(fam, f, lam)[0] for lam in (0.3, 0.9)
         ]
@@ -411,7 +426,8 @@ def test_grid_value_near_one_is_the_limit_row(e1, e1_f, limit_rows, one):
 @pytest.mark.parametrize("bad", [1.5, float("nan")])
 def test_grid_checked_before_any_solve(e1, e1_f, monkeypatch, limit_rows, bad):
     solves = []
-    monkeypatch.setattr(scanvar.variance, "_cycle_solve", lambda *a, **k: solves.append(a))
+    for name in ("_cycle_solve", "_mixed_solve"):
+        monkeypatch.setattr(scanvar.variance, name, lambda *a, **k: solves.append(a))
     with pytest.raises(ValueError, match=rf"discount must lie in \[0, 1\), got {bad}"):
         limit_rows(e1, e1_f, [0.3, 1.0, bad])
     assert solves == []
@@ -428,6 +444,41 @@ def test_two_kernel_scan_ordering_and_bound_hold(case):
     rows = check_scan_ordering(fam, f, PROPERTY_GRID)
     assert [r.lam for r in rows[:4]] == PROPERTY_GRID[:4]
     assert all(r.holds and r.bound_holds for r in rows)
+
+
+@given(helpers.families(k=2))
+def test_closed_form_bound_and_eigenbasis_rand_match_dense_routes(case):
+    # the bound against the three dense solves of its definition, and the
+    # random scan in the mixed kernel's eigenbasis against its one-block LU
+    fam, f = case
+    w = fam.pi.weights
+    fc = f.values - float(np.dot(w, f.values))
+    floor = (fam.n + 2) * np.finfo(float).eps * float(np.sqrt(np.dot(w, f.values**2)))
+    for lam in PROPERTY_GRID[:4]:
+        bound = gap_lower_bound(fam, f, lam)
+        assert bound == pytest.approx(
+            helpers.oracle_gap_bound(fam, f, lam), rel=1e-10, abs=1e-14 * np.dot(w, fc * fc)
+        )
+        lu = _cycle_solve([fam._mixed.matrix], 1, lam, fc[None], w, floor=floor)
+        rand = var_lambda_rand(fam, f, lam)
+        assert rand == pytest.approx(2.0 * np.dot(w, fc * lu[0]) - np.dot(w, fc * fc), rel=1e-12)
+    # at discount zero both solves return the right-hand side bit for bit
+    # and the bound is exactly zero (the per-phase inner products of the
+    # two variances may still round apart, as at one kernel they cannot)
+    for scheme in ("strat", "rand"):
+        fbar, y = scanvar.variance._solve(fam, f, 0.0, scheme)
+        np.testing.assert_array_equal(y, fbar)
+    assert gap_lower_bound(fam, f, 0.0) == 0.0
+
+
+@given(helpers.families(k=1))
+def test_one_kernel_gap_is_exactly_zero(case):
+    # the cycle of one kernel is its mixed kernel: both schemes take the
+    # same solve, at every discount and in the limit
+    fam, f = case
+    grid = PROPERTY_GRID if helpers.oracle_near_one_count(fam) == 1 else PROPERTY_GRID[:4]
+    for row in check_scan_ordering(fam, f, grid):
+        assert row.gap == 0.0 and row.var_a == row.var_b
 
 
 @given(helpers.families(k=2))

@@ -1,9 +1,11 @@
-"""Symmetric shortcuts of the limit guards against the nonsymmetric route.
+"""Symmetric shortcuts of the limit guards and solves against the
+nonsymmetric routes.
 
 The summability certificate and the random-scan guard must give the same
-decision as the eigenvalue problems they stand in for, and fall back to
-them whenever they cannot decide: on property-generated families and on
-pinned hostile ones.
+decision as the eigenvalue problems they stand in for, and the solve in
+the mixed kernel's eigenbasis the value of the LU it stands in for; each
+falls back to its route whenever it cannot decide: on property-generated
+families and on pinned hostile ones.
 """
 
 import numpy as np
@@ -11,20 +13,29 @@ import pytest
 from hypothesis import given
 
 import helpers
-from scanvar import variance
-from scanvar.embedding import _cycle_solve
+from scanvar import embedding, variance
+from scanvar.embedding import _cycle_solve, _mixed_solve
 from scanvar.kernels import (
+    REVERSIBILITY_TOL,
     Dist,
     Observable,
     ReducibilityError,
     SummabilityError,
     _certifies_summability,
     center,
+    family_diagnostics,
     gibbs_kernel,
     make_family,
     random_reversible,
 )
-from scanvar.variance import SCHEMES, _near_one_count, summability_check, var_limit
+from scanvar.variance import (
+    SCHEMES,
+    _near_one_count,
+    _variance,
+    summability_check,
+    var_lambda_rand,
+    var_limit,
+)
 
 @given(helpers.families())
 def test_certificate_never_contradicts_the_contraction(case):
@@ -36,8 +47,7 @@ def test_certificate_never_contradicts_the_contraction(case):
 @given(helpers.families())
 def test_rand_guard_count_equals_eigvals_count(case):
     fam, _ = case
-    mixed = helpers.fsum_mean(fam)
-    assert _near_one_count(mixed, fam.pi.weights) == helpers.oracle_near_one_count(fam)
+    assert _near_one_count(fam) == helpers.oracle_near_one_count(fam)
 
 
 @given(helpers.families())
@@ -90,45 +100,20 @@ def test_tiny_weight_residual_refusal(monkeypatch):
 
     def recorded(*args, floor):
         floors.append(floor)
-        return _cycle_solve(*args, floor=floor)
+        return _mixed_solve(*args, floor=floor)
 
-    monkeypatch.setattr(variance, "_cycle_solve", recorded)
+    # one kernel: both schemes solve with the mixed kernel alone
+    monkeypatch.setattr(variance, "_mixed_solve", recorded)
     for scheme in SCHEMES:
         assert var_limit(fam, f, scheme) == pytest.approx(
             helpers.oracle_var_limit(fam, f, scheme), rel=1e-8
         )
-    rhs = center(f, fam.pi).values[None, :]
-    assert len(floors) == 2 and floors[0] < 1e-15
+    rhs = center(f, fam.pi).values
+    assert len(floors) == 2 and floors[0] == floors[1] < 1e-15
     with pytest.raises(np.linalg.LinAlgError):
-        _cycle_solve(fam.matrices, 1, 1.0, rhs + 10 * floors[0], w, floor=floors[0])
-
-
-@pytest.fixture
-def eigvals_calls(monkeypatch):
-    """Shapes of the np.linalg.eigvals calls made during a test."""
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    return calls
-
-
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """Shapes of the np.linalg.eigvalsh calls made during a test."""
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
+        _cycle_solve(fam.matrices, 1, 1.0, rhs[None] + 10 * floors[0], w, floor=floors[0])
+    with pytest.raises(np.linalg.LinAlgError):
+        _mixed_solve(fam, 1.0, rhs + 10 * floors[0], floor=floors[0])
 
 
 def test_identity_contraction_rounded_below_one():
@@ -141,11 +126,12 @@ def test_identity_contraction_rounded_below_one():
         var_limit(fam, Observable([1.0, 2.0]), "strat")
 
 
-def test_random_family_is_decided_without_eigvals(eigvals_calls):
+def test_random_family_is_decided_without_eigvals(eigvals_calls, eigh_calls):
     fam = helpers.random_family(np.random.default_rng(61), 7, 2)
     f = helpers.random_centered(np.random.default_rng(62), fam)
     values = {scheme: var_limit(fam, f, scheme) for scheme in ("strat", "rand")}
     assert eigvals_calls == []
+    assert eigh_calls == [(7, 7)]  # the rand guard's and its solve's
     for scheme, value in values.items():
         assert value == pytest.approx(helpers.oracle_var_limit(fam, f, scheme), rel=1e-10)
 
@@ -171,11 +157,12 @@ def test_norm_one_families_fall_back_and_raise(kernel):
         var_limit(fam, Observable(helpers.E1_F), "strat")
 
 
-def test_near_reducible_two_state_counted_without_eigvals(eigvals_calls):
+def test_near_reducible_two_state_counted_without_eigvals(eigvals_calls, eigh_calls):
     sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
     fam = make_family([0.5, 0.5], [sticky, sticky])
-    assert _near_one_count(fam.matrices[0], fam.pi.weights) == 2
+    assert _near_one_count(fam) == 2
     assert eigvals_calls == []
+    assert eigh_calls == [(2, 2)]
     with pytest.raises(ReducibilityError, match="within 1e-8 of 1"):
         var_limit(fam, Observable(helpers.E1_F), "rand")
 
@@ -184,7 +171,7 @@ def test_eigenvalue_at_the_boundary_falls_back(eigvals_calls):
     # eigenvalues 1 and 1 - 2p = 1 - 1e-8: on the boundary of the count
     p = 5e-9
     kernel = np.array([[1.0 - p, p], [p, 1.0 - p]])
-    count = _near_one_count(kernel, np.array([0.5, 0.5]))
+    count = _near_one_count(make_family([0.5, 0.5], [kernel]))
     assert eigvals_calls == [(2, 2)]
     assert count == int(np.sum(np.abs(np.linalg.eigvals(kernel) - 1.0) < 1e-8))
 
@@ -195,7 +182,7 @@ def tiny_weight_family(pi_1: float):
     return make_family(pi.weights, [random_reversible(pi, 3), random_reversible(pi, 13)])
 
 
-def test_tiny_target_weight_falls_back_and_matches_oracle(eigvals_calls):
+def test_tiny_target_weight_falls_back_and_matches_oracle(eigvals_calls, eigh_calls):
     fam = tiny_weight_family(1e-12)
     f = Observable([5.0, -1.0, 2.0])
     for scheme in ("strat", "rand"):
@@ -203,15 +190,18 @@ def test_tiny_target_weight_falls_back_and_matches_oracle(eigvals_calls):
             helpers.oracle_var_limit(fam, f, scheme), rel=1e-9
         )
     # the rand guard's rounding slack grows with pi_max / pi_min, so the
-    # unit eigenvalue is within its radius of the 1e-8 boundary
+    # unit eigenvalue is within its radius of the 1e-8 boundary; the solve
+    # still runs in the cached eigenbasis
     assert eigvals_calls == [(3, 3)]
+    assert eigh_calls == [(3, 3)]
 
 
-def test_moderate_target_weights_decide_without_eigvals(eigvals_calls):
+def test_moderate_target_weights_decide_without_eigvals(eigvals_calls, eigh_calls):
     fam = tiny_weight_family(0.1)
     for scheme in ("strat", "rand"):
         var_limit(fam, Observable([5.0, -1.0, 2.0]), scheme)
     assert eigvals_calls == []
+    assert eigh_calls == [(3, 3)]
 
 
 def test_skew_part_counts_in_the_certificate():
@@ -225,11 +215,12 @@ def test_skew_part_counts_in_the_certificate():
 
 
 def test_verdict_does_not_depend_on_call_history(eigvalsh_calls):
-    # the certificate decides whether or not the contraction is known
+    # the certificate decides the fresh family; the known contraction
+    # decides the checked one, without the certificate's eigenproblem
     fresh, checked = (helpers.random_family(np.random.default_rng(63), 7, 3) for _ in "ab")
     summability_check(checked)
     assert fresh._summable and checked._summable
-    assert eigvalsh_calls == [(7, 7), (7, 7)]
+    assert eigvalsh_calls == [(7, 7)]
 
 
 def test_reducible_kernels_skip_the_symmetric_eigenproblem(eigvalsh_calls, eigvals_calls):
@@ -241,11 +232,14 @@ def test_reducible_kernels_skip_the_symmetric_eigenproblem(eigvalsh_calls, eigva
     assert eigvals_calls == [(6, 6)]
 
 
-def test_wide_guard_radius_counts_only_the_kernel(eigvalsh_calls, eigvals_calls):
-    # the rounding slack of a 1e-12 weight exceeds 1e-8: eigvals decides
+def test_wide_guard_radius_counts_only_the_kernel(eigh_calls, eigvalsh_calls, eigvals_calls):
+    # the rounding slack of a 1e-12 weight exceeds 1e-8: eigvals decides;
+    # the cached spectrum, which the solve reads next, gives the skew norm
     fam = tiny_weight_family(1e-12)
-    count = _near_one_count(fam.matrices[0], fam.pi.weights)
+    one = make_family(fam.pi.weights, fam.kernels[:1])
+    count = _near_one_count(one)
     assert count == int(np.sum(np.abs(np.linalg.eigvals(fam.matrices[0]) - 1.0) < 1e-8))
+    assert eigh_calls == [(3, 3)]
     assert eigvalsh_calls == []
     assert len(eigvals_calls) == 2
 
@@ -255,3 +249,46 @@ def test_no_margin_left_skips_every_kernel(eigvalsh_calls):
     fam = tiny_weight_family(1e-15)
     assert not _certifies_summability(fam.pi.weights, fam.matrices)
     assert eigvalsh_calls == []
+
+
+def near_tolerance_family(eps: float = 2.2e-11):
+    """Two kernels on three states that resample from pi with probability
+    0.01 and 0.03, each plus a circulation of flow eps around the states:
+    pi stays invariant, and the flow's asymmetry is about 0.9
+    REVERSIBILITY_TOL of the largest flow."""
+    pi = np.array([0.2, 0.3, 0.5])
+    circulation = eps * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / pi[:, None]
+    kernels = [
+        (1 - p) * np.eye(3) + p * np.outer(np.ones(3), pi) + circulation for p in (0.01, 0.03)
+    ]
+    return make_family(pi, kernels)
+
+
+def test_eigenbasis_guard_falls_back_to_the_one_block_lu(monkeypatch):
+    # the mixed kernel's skew part is left out of its eigenbasis solve: at
+    # discount 0.3 the residual stays within the guard, at 0.99 and in the
+    # limit, where the slow mode amplifies it, the one-block LU takes over
+    fam = near_tolerance_family()
+    residual = max(family_diagnostics(fam.pi, fam.kernels).relative_balance_residual)
+    assert 0.8 * REVERSIBILITY_TOL < residual <= REVERSIBILITY_TOL
+    f = Observable([1.0, -1.0, 0.5])
+    fallbacks = []
+    solve = embedding._cycle_solve
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(embedding, "_cycle_solve", counted)
+    values = [var_lambda_rand(fam, f, lam) for lam in (0.3, 0.99)] + [var_limit(fam, f, "rand")]
+    assert fallbacks == [0.99, 1.0]
+    monkeypatch.undo()
+    w = fam.pi.weights
+    fc = center(f, fam.pi).values[None]
+    floor = (fam.n + 2) * np.finfo(float).eps * float(np.sqrt(np.dot(w, f.values**2)))
+    lu = [
+        _variance(fc, _cycle_solve([fam._mixed.matrix], 1, lam, fc, w, floor=floor), fam.pi)
+        for lam in (0.3, 0.99, 1.0)
+    ]
+    assert values[1:] == lu[1:]
+    assert values[0] == pytest.approx(lu[0], rel=1e-9)

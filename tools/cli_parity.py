@@ -12,6 +12,9 @@ exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
 on five, each scheme on a Gibbs pair, whose rows have zero entries,
 `compare` and `limit` on a three-kernel model where the scan ordering
 fails, `compare`, `limit` and `validate` on one kernel and on one state,
+`compare` on one kernel at discount zero, `compare` and `limit` on a
+model whose detailed-balance residual is near the tolerance, where the
+random scan's eigenbasis solve falls back to its LU,
 plus command lines that fail with a documented exit code
 (among them `peskun` on families of different shapes, which exits 1 before
 the two-kernel check could exit 2).
@@ -56,6 +59,20 @@ K3_COUNTER = dict(E1, kernels=[[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 
 # the smallest sizes: one kernel on e1's target, and one state
 K1 = dict(E1, kernels=E1["kernels"][:1])
 N1 = {"states": 1, "pi": [1.0], "kernels": [[[1.0]], [[1.0]]], "f": [2.0]}
+
+
+def near_tolerance() -> dict:
+    """Two kernels on three states that resample from the target with
+    probability 0.01 and 0.03, each plus a circulation of flow 2.2e-11
+    around the states: the target stays invariant, and the flow's
+    asymmetry is about 0.9 of the detailed-balance tolerance."""
+    pi = np.array([0.2, 0.3, 0.5])
+    circulation = 2.2e-11 * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / pi[:, None]
+    kernels = [
+        (1 - p) * np.eye(3) + p * np.outer(np.ones(3), pi) + circulation for p in (0.01, 0.03)
+    ]
+    return {"states": 3, "pi": pi.tolist(), "kernels": [m.tolist() for m in kernels],
+            "f": [1.0, -1.0, 0.5]}
 
 
 def gibbs_pair(n1: int, n2: int, seed: int) -> dict:
@@ -175,6 +192,10 @@ def command_lines(models: Path) -> list[list[str]]:
             ["limit", "--model", str(m)],
             ["validate", "--model", str(m)],
         ]
+    lines.append(["compare", "--model", str(models / "k1.json"), "--lambda", "0,0.5"])
+    near = models / "near-tolerance.json"
+    near.write_text(json.dumps(near_tolerance()))
+    lines += [["compare", "--model", str(near)], ["limit", "--model", str(near)]]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     lines += [  # documented failures
