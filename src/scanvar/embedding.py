@@ -110,11 +110,12 @@ def block_inner(phi: BlockVector, psi: BlockVector, pi: Dist) -> float:
 
     Per-phase terms are added with exact rounding, so the value is invariant
     under any permutation of the phases (the cyclic shift is an isometry
-    exactly, not just within roundoff).
+    exactly, not just within roundoff). Each term is one np.dot with pi,
+    so equal phases give equal terms, whatever their number.
     """
     if phi.values.shape != psi.values.shape or phi.n != pi.n:
         raise ValidationError("block vectors and target must share dimensions")
-    return math.fsum((phi.values * psi.values) @ pi.weights)
+    return math.fsum(np.dot(pi.weights, row) for row in phi.values * psi.values)
 
 
 def block_norm(phi: BlockVector, pi: Dist) -> float:

@@ -59,6 +59,19 @@ def random_family(rng: np.random.Generator, n: int, k: int) -> KernelFamily:
     return make_family(pi.weights, kernels)
 
 
+def crowded_family(n: int = 12, seed: int = 0) -> KernelFamily:
+    """Two random reversible kernels on a target whose weights run from
+    1e-12 to one, the second holding with probability 1 - 1e-9: many
+    cumulative weights lie within 1e-9 of zero or of one, so they crowd
+    the first and last buckets of any even split of [0, 1)."""
+    rng = np.random.default_rng(seed)
+    w = np.geomspace(1e-12, 1.0, n)
+    rng.shuffle(w)
+    pi = Dist(w / w.sum())
+    hold = lazy(random_reversible(pi, seed + 2), 1.0 - 1e-9)
+    return make_family(pi.weights, [random_reversible(pi, seed + 1), hold])
+
+
 def random_centered(rng: np.random.Generator, fam: KernelFamily) -> Observable:
     v = rng.standard_normal(fam.n)
     return Observable(v - float(np.dot(fam.pi.weights, v)))

@@ -462,13 +462,15 @@ def test_closed_form_bound_and_eigenbasis_rand_match_dense_routes(case):
         lu = _cycle_solve([fam._mixed.matrix], 1, lam, fc[None], w, floor=floor)
         rand = var_lambda_rand(fam, f, lam)
         assert rand == pytest.approx(2.0 * np.dot(w, fc * lu[0]) - np.dot(w, fc * fc), rel=1e-12)
-    # at discount zero both solves return the right-hand side bit for bit
-    # and the bound is exactly zero (the per-phase inner products of the
-    # two variances may still round apart, as at one kernel they cannot)
+    # at discount zero both solves return the right-hand side bit for bit,
+    # every per-phase inner product rounds alike, and the bound and the gap
+    # are exactly zero
     for scheme in ("strat", "rand"):
         fbar, y = scanvar.variance._solve(fam, f, 0.0, scheme)
         np.testing.assert_array_equal(y, fbar)
     assert gap_lower_bound(fam, f, 0.0) == 0.0
+    (row,) = check_scan_ordering(fam, f, [0.0])
+    assert row.gap == 0.0 and row.var_a == row.var_b
 
 
 @given(helpers.families(k=1))

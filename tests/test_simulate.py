@@ -1,6 +1,7 @@
 """Tests for the seeded simulators and the replicated variance estimator."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,3 +337,164 @@ class TestReferenceSimulator:
     def test_pinned_e1_estimates(self, e1, e1_f, scheme, point, standard_error):
         est = estimate_variance(e1, e1_f, 4096, 200, 7, scheme)
         assert (est.point, est.standard_error) == (point, standard_error)
+
+
+def _force(mp, table: bool) -> None:
+    """Make _lockstep draw through the count table (True) or the gather."""
+    mp.setattr(simulate_module._CountTable, "fits", staticmethod(lambda n, k, draws: table))
+
+
+def _cumulative(fam):
+    return np.cumsum(np.stack(fam.matrices), axis=2).reshape(fam.k * fam.n, fam.n)
+
+
+def _reference_slots(fam, scheme, seeds, steps):
+    """Reference paths in _lockstep's full-width layout (steps, replicas,
+    coords): slot s holds coordinate (s + i) mod coords at time i."""
+    paths = [helpers.reference_path(fam, scheme, seed, steps) for seed in seeds]
+    if scheme != "embedded":
+        return np.stack(paths, axis=1)[:, :, None]
+    held = (np.arange(fam.k) + np.arange(steps)[:, None]) % fam.k
+    return np.stack([np.take_along_axis(p, held, axis=1) for p in paths], axis=1)
+
+
+class TestDrawRoutes:
+    """The count table and the gather draw the reference's bits."""
+
+    @staticmethod
+    def _check(fam, steps, seeds):
+        # blocks of two one-slot replicas (the last one short), or one
+        # block with key groups of two
+        layouts = [("BLOCK_DRAWS", 2 * steps), ("KEY_GROUP", 2)]
+        for scheme in SCHEMES:
+            cfg = SimulationConfig(steps=steps, scheme=scheme)
+            expected = _reference_slots(fam, scheme, seeds, steps)
+            for table in (False, True):
+                for name, value in layouts:
+                    with pytest.MonkeyPatch.context() as mp:
+                        _force(mp, table)
+                        mp.setattr(simulate_module, name, value)
+                        for slots in (None, 1):
+                            blocks = simulate_module._lockstep(fam, cfg, seeds, slots)
+                            got = np.concatenate(list(blocks), axis=1)
+                            assert got.dtype == np.int64
+                            np.testing.assert_array_equal(
+                                got,
+                                expected[:, :, : got.shape[2]],
+                                err_msg=f"{scheme} table={table} {name} slots={slots}",
+                            )
+
+    @given(helpers.families(), st.sampled_from([1, 2, 5, 38]), st.integers(0, 2**64 - 1))
+    def test_routes_on_families(self, case, steps, seed):
+        # Gibbs kernels repeat cumulative weights, hold-1.0 kernels have
+        # identity rows, and k runs from one to five
+        fam, _ = case
+        self._check(fam, steps, [derive_seed(seed, r) for r in range(5)])
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_routes_on_one_state(self, k):
+        fam = make_family([1.0], [np.eye(1)] * k)
+        self._check(fam, 9, [derive_seed(4, r) for r in range(5)])
+
+    def test_routes_on_crowded_buckets(self):
+        self._check(helpers.crowded_family(), 300, [derive_seed(6, r) for r in range(5)])
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            helpers.e1_family(),
+            helpers.random_family(np.random.default_rng(3), 9, 3),
+            helpers.crowded_family(),
+        ],
+        ids=["e1", "random", "crowded"],
+    )
+    def test_search_counts_breakpoints_not_above(self, fam):
+        cum = _cumulative(fam)
+        table = simulate_module._CountTable(cum)
+        b = np.unique(cum[:, :-1])
+        edges = np.arange(table.grid) / table.grid  # each guide bucket's lower end
+        u = np.concatenate(
+            [
+                b,
+                np.nextafter(b, 0.0),
+                [0.0, 1.0 - 2.0**-53],
+                edges,
+                np.nextafter(edges[1:], 0.0),
+                np.random.default_rng(0).random(2000),
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        g = table.search(u)
+        np.testing.assert_array_equal(g, np.searchsorted(b, u, side="right"))
+        # each entry of row g is the row's draw at u
+        cum[:, -1] = np.inf
+        draws = table.counts.reshape(-1, table.width)[g]
+        np.testing.assert_array_equal(draws, np.argmax(cum > u[:, None, None], axis=2))
+
+    def test_crowded_family_crowds_the_end_buckets(self):
+        table = simulate_module._CountTable(_cumulative(helpers.crowded_family()))
+        b = table.breaks[:-1]
+        assert np.count_nonzero(b < 1.0 / table.grid) > 20
+        assert np.count_nonzero((b >= 1.0 - 1.0 / table.grid) & (b < 1.0)) > 20
+
+
+class TestRouteChoice:
+    def test_route_follows_size(self, monkeypatch):
+        built = []
+
+        class Spy(simulate_module._CountTable):
+            def __init__(self, cum):
+                super().__init__(cum)
+                built.append(self.counts.nbytes)
+
+        monkeypatch.setattr(simulate_module, "_CountTable", Spy)
+        rng = np.random.default_rng(12)
+        # the simulate-k2 size takes the table; a short run and n = 400
+        # take the gather
+        for n, steps, replicas, table in ((30, 2048, 100, True), (30, 38, 5, False),
+                                          (400, 256, 20, False)):
+            fam = helpers.random_family(rng, n, 2)
+            del built[:]
+            estimate_variance(fam, helpers.random_centered(rng, fam), steps, replicas, 1, "strat")
+            assert len(built) == table, (n, steps, replicas)
+        fits = simulate_module._CountTable.fits
+        assert fits(30, 2, 2047 * 100) and not fits(30, 2, 37 * 5)
+        assert not fits(400, 2, 2047 * 100) and not fits(400, 2, 2**60)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_no_table_exceeds_budget(self, k):
+        fits = simulate_module._CountTable.fits
+        n = 1
+        while fits(n + 1, k, 2**60):
+            n += 1
+        fam = helpers.random_family(np.random.default_rng(k), n, k)
+        table = simulate_module._CountTable(_cumulative(fam))
+        assert 0 < table.counts.nbytes <= simulate_module.TABLE_BYTES
+
+    # the embedded estimate steps one slot, as strat does
+    @pytest.mark.parametrize("scheme", ["strat", "rand"])
+    def test_table_adds_at_most_its_bytes(self, scheme):
+        rng = np.random.default_rng(13)
+        fam = helpers.random_family(rng, 30, 2)
+        f = helpers.random_centered(rng, fam)
+        # what one table holds, measured after a first build has done the
+        # imports numpy makes on first use
+        simulate_module._CountTable(_cumulative(fam))
+        tracemalloc.start()
+        try:
+            table = simulate_module._CountTable(_cumulative(fam))
+            table_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table_bytes >= table.counts.nbytes + table.breaks.nbytes + table.guide.nbytes
+        peaks = {}
+        for route in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                _force(mp, route)
+                tracemalloc.start()
+                try:
+                    estimate_variance(fam, f, 2048, 100, 3, scheme)
+                    peaks[route] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[True] <= peaks[False] + table_bytes, peaks

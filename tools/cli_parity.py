@@ -6,18 +6,20 @@ Runs a fixed list of command lines, each in a fresh interpreter, against
 each `src/` directory: every subcommand with the flags it reads, on the
 two-state example e1 and on one generated model per benchmark workload
 (`bench/models.py`, same sizes), `compare` and `peskun` on grids holding
-a value within 1e-12 of one, `simulate` on e1 and on the simulate-k2
-model at short and long horizons, strat and rand `simulate` rows at the
-exact-k8 and exact-k2 sizes, the embedded scheme on e1, on one kernel and
-on five, each scheme on a Gibbs pair, whose rows have zero entries,
-`compare` and `limit` on a three-kernel model where the scan ordering
-fails, `compare`, `limit` and `validate` on one kernel and on one state,
-`compare` on one kernel at discount zero, `compare` and `limit` on a
-model whose detailed-balance residual is near the tolerance, where the
-random scan's eigenbasis solve falls back to its LU,
-plus command lines that fail with a documented exit code
-(among them `peskun` on families of different shapes, which exits 1 before
-the two-kernel check could exit 2).
+a value within 1e-12 of one, `compare` at discount zero, `simulate` on
+e1 and on the simulate-k2 model at short and long horizons, strat and
+rand `simulate` rows at the exact-k8 and exact-k2 sizes, the embedded
+scheme on e1, on one kernel and on five, each scheme on a Gibbs pair,
+whose rows have zero entries, `simulate` on two kernels at the largest
+size whose count table fits and at the next size up, and on a model
+whose cumulative weights crowd a few buckets, `compare` and `limit` on a
+three-kernel model where the scan ordering fails, `compare`, `limit` and
+`validate` on one kernel and on one state, `compare` on one kernel at
+discount zero, `compare` and `limit` on a model whose detailed-balance
+residual is near the tolerance, where the random scan's eigenbasis solve
+falls back to its LU, plus command lines that fail with a documented
+exit code (among them `peskun` on families of different shapes, which
+exits 1 before the two-kernel check could exit 2).
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -92,6 +94,25 @@ def gibbs_pair(n1: int, n2: int, seed: int) -> dict:
             "f": rng.standard_normal(w.size).tolist()}
 
 
+def crowded(n: int, seed: int) -> dict:
+    """Two Metropolised Dirichlet proposals on a seeded target whose
+    weights run from 1e-12 to one, the second holding with probability
+    1 - 1e-9: many cumulative weights lie within 1e-9 of zero or of one."""
+    rng = np.random.default_rng(seed)
+    w = np.geomspace(1e-12, 1.0, n)
+    rng.shuffle(w)
+    w /= w.sum()
+    kernels = []
+    for hold in (0.0, 1.0 - 1e-9):
+        q = rng.dirichlet(np.ones(n), size=n)
+        m = np.minimum(q, (w[:, None] * q).T / w[:, None])
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, 1.0 - m.sum(axis=1))
+        kernels.append((1.0 - hold) * m + hold * np.eye(n))
+    return {"states": n, "pi": w.tolist(), "kernels": [m.tolist() for m in kernels],
+            "f": rng.standard_normal(n).tolist()}
+
+
 def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
     """name -> (model, its kernelwise identity blend, simulation sizes)."""
     (models / "e1.json").write_text(json.dumps(E1))
@@ -127,6 +148,7 @@ def command_lines(models: Path) -> list[list[str]]:
             ["compare", "--model", m, "--method", "series", "--series-terms", "80",
              "--lambda", "0.3,0.9,1", "--out", "s.csv"],
             ["compare", "--model", m, "--method", "series", "--lambda", "0.5"],
+            ["compare", "--model", m, "--lambda", "0,0.5"],
             ["peskun", "--model", m, "--model-b", b],
             ["peskun", "--model", m, "--model-b", b, "--lambda", "0.2,1", "--out", "p.csv"],
             ["peskun", "--model", b, "--model-b", m, "--tol", "1e-12"],
@@ -156,6 +178,20 @@ def command_lines(models: Path) -> list[list[str]]:
             ["simulate", "--model", str(m), "--seed", "8", "--steps", str(steps), "--replicas", "5"]
             for steps in (16, 257, 4096)
         ]
+    # two kernels on 101 states hold the largest count table that fits, and
+    # 102 states step by gather; a short run steps by gather at any size
+    for n in (101, 102):
+        m = models / f"table-{n}.json"
+        BaseFamily(4, n, 2).op(4, 0).write(m)
+        lines.append(["simulate", "--model", str(m), "--seed", "10", "--steps", "2048",
+                      "--replicas", "40"])
+    m = models / "crowded.json"
+    m.write_text(json.dumps(crowded(30, 11)))
+    lines += [
+        ["simulate", "--model", str(m), "--seed", "12", "--steps", str(steps),
+         "--replicas", str(replicas)]
+        for steps, replicas in ((38, 5), (2048, 100))
+    ]
     # the embedded scheme, which only a model's simulation block selects:
     # on e1, on one kernel and on a random five-kernel model
     embedded = {"scheme": "embedded"}
