@@ -345,27 +345,67 @@ class KernelFamily:
     @cached_property
     def _cycle_contraction(self) -> float:
         """Spectral radius of the phase-1 full-cycle product minus 1 pi',
-        the one eigenproblem of variance.summability_check."""
+        printed and named in refusals, never a verdict (see _summable)."""
         centred = self._cycle - np.outer(np.ones(self.n), self.pi.weights)
         return float(np.abs(np.linalg.eigvals(centred)).max())
 
     @cached_property
-    def _contracts(self) -> bool:
-        """Whether _cycle_contraction lies below one by more than the
-        eigensolver's rounding slack: the verdict of
-        variance.summability_check. A radius of exactly one can come back
-        from eigvals a rounding below it."""
-        return self._cycle_contraction < 1.0 - _rounding_slack(self.pi.weights)
-
-    @cached_property
     def _summable(self) -> bool:
-        """Whether the full cycle contracts centred functions, the guard of
-        variance.var_limit(strat): the norm certificate or _contracts. The
-        certificate is tried first unless the contraction is already known;
-        either order gives the same verdict."""
-        if "_cycle_contraction" in self.__dict__ and self._contracts:
-            return True
-        return _certifies_summability(self.pi.weights, self.matrices) or self._contracts
+        """Whether rho(P - 1 pi') < 1 for the exact product P of the kernels:
+        the guard of variance.var_limit(strat) and the verdict of
+        variance.summability_check, from no eigenproblem.
+
+        With r = sqrt(pi), B = S - r r', S = D^{1/2} P D^{-1/2}, is similar
+        to P - 1 pi'. Its value B_1 from the cached _cycle is squared to
+        B_m, m = 2, 4, ..., until |B_m|_F + e_m < 1 with e_m >= |B_m - B^m|_2,
+        so that |B^m|_2 < 1 and rho(B) < 1. The family is refused when e_m
+        reaches one or a squaring does not lower |B_m|_F: with |B|_2 <= 1,
+        an equal norm makes B an isometry on its range, so rho = 1.
+
+        The allowance (Higham, Accuracy and Stability of Numerical
+        Algorithms, sec. 3.5) uses u = eps / 2, g_j = j u / (1 - j u),
+        d = |sum pi - 1| + g_n and Frobenius norms widened by 1 + g_{n^2}:
+        - e_1 = g_{(k-1)n+8} (|S|_F + 1 + d + |B_1|_F): the product of
+          nonnegative factors and the balancing err entrywise by
+          g_{(k-1)n+4} of S, r r' by g_3, the subtraction by u, and the
+          2-norm is monotone on nonnegative matrices;
+        - beta >= |B|_2: B = Q S Q + a r' + r b' - (sum pi - 1 + r'a) r r'
+          with Q = I - r r', a = r o (P 1 - 1) and b = (pi'P - pi') / r, and
+          the Schur test bounds |S|_2 by sqrt(R C), R the largest row sum
+          and C the largest (pi'P)_j / pi_j; so beta is
+          (sqrt(R C) + 2 |a| + |b| + d + 3 g_{kn+8} (R + C)) (1 + d)^2,
+          widened by g_{kn+8} for the rounding of P, R, C, a and b;
+        - e_2m = (e_m (2 beta^m + e_m) + g_n |B_m|_F^2) (1 + 8u), which
+          grows about linearly in m, as beta is about one.
+        No pi_max / pi_min enters: a tiny weight leaves B well scaled."""
+        weights, n, u = self.pi.weights, self.n, _EPS / 2.0
+
+        def gamma(j):
+            return j * u / (1.0 - j * u)
+
+        def norm(x):
+            return float(np.linalg.norm(x)) * (1.0 + gamma(n * n))
+
+        root, rows, flow = np.sqrt(weights), self._cycle.sum(axis=1), weights @ self._cycle
+        wide, dev = gamma(self.k * n + 8), abs(float(weights.sum()) - 1.0) + gamma(n)
+        tops = float(rows.max()), float((flow / weights).max())
+        power = (1.0 + wide) * (1.0 + dev) ** 2 * (
+            math.sqrt(tops[0] * tops[1]) + 3.0 * wide * sum(tops) + dev
+            + 2.0 * norm(root * (rows - 1.0)) + norm((flow - weights) / root)
+        )
+        cycle = root[:, None] * self._cycle / root[None, :]
+        balanced = norm(cycle)
+        cycle -= np.outer(root, root)
+        fro, last = norm(cycle), math.inf
+        err = gamma((self.k - 1) * n + 8) * (balanced + 1.0 + dev + fro)
+        while fro + err >= 1.0:
+            if err >= 1.0 or fro >= last:
+                return False
+            err = (err * (2.0 * power + err) + gamma(n) * fro * fro) * (1.0 + 8.0 * u)
+            power *= power * (1.0 + 4.0 * u)
+            cycle = cycle @ cycle
+            last, fro = fro, norm(cycle)
+        return True
 
 
 def _cycle_product(matrices) -> np.ndarray:
@@ -395,59 +435,12 @@ def _pi_symmetrised(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
 
 
 def _rounding_slack(weights: np.ndarray) -> float:
-    """Allowance for the rounding of a dense eigensolver on a kernel or on
-    its pi-symmetrisation: a backward error of 16 n eps per unit norm,
-    times pi_max / pi_min. That factor bounds the condition of the
-    kernel's eigenvector basis D^{-1/2} Q times its norm relative to S, so
-    it covers the nonsymmetric route that a symmetric shortcut must agree
-    with."""
+    """The random-scan guard's allowance for the rounding of a dense
+    eigensolver on the mixed kernel or its pi-symmetrisation: a backward
+    error of 16 n eps per unit norm, times pi_max / pi_min. That factor
+    bounds the condition of the kernel's eigenvector basis D^{-1/2} Q times
+    its norm relative to S, so it covers the nonsymmetric count."""
     return 16.0 * weights.size * _EPS * float(weights.max() / weights.min())
-
-
-def _certifies_summability(weights: np.ndarray, matrices) -> bool:
-    """A sufficient test of rho(K_1 ... K_k - 1 pi') < 1 that solves only
-    symmetric eigenproblems.
-
-    With pi invariant and unit row sums, the centred product is the product
-    of the centred factors A_i = K_i - 1 pi', so its radius is at most the
-    product of their pi-norms. Every factor's norm is at most its Jensen
-    bound sqrt(max row sum * max_j (pi K)_j / pi_j) plus twice its defect:
-    the largest deviation of a row sum, of (pi K)_j / pi_j or of the weight
-    total from one. Twice the sum of the defects times the product of
-    these bounds covers the error of the product identity itself. Factor i
-    also has the tighter bound max |eig(sym(S_i) - sqrt(pi) sqrt(pi)')| +
-    |skew(S_i)|_F. The kernels are tried in order against the others'
-    bounds, and the first whose product falls below one by the rounding
-    slack and the defect term certifies. A family whose kernels all have
-    a centred norm of one (identities, swaps, Gibbs projections) never
-    certifies. A kernel whose positive-entry graph is not strongly
-    connected is skipped without an eigenproblem: reversibility makes that
-    graph symmetric, so the kernel keeps the centred indicator of a class
-    fixed and its centred norm is one. Every kernel is skipped when the
-    slack leaves nothing below one. Skipping only forgoes the certificate.
-    """
-    total = float(weights.sum())
-    bounds, defects = [], []
-    for m in matrices:
-        rows = m.sum(axis=1)
-        ratio = (weights @ m) / weights
-        defect = max(float(np.abs(rows - 1.0).max()), float(np.abs(ratio - 1.0).max()))
-        defect += abs(total - 1.0)
-        bounds.append(math.sqrt(float(rows.max()) * float(ratio.max())) + 2.0 * defect)
-        defects.append(defect)
-    product_error = 2.0 * math.prod(max(b, 1.0) for b in bounds) * sum(defects)
-    limit = 1.0 - _rounding_slack(weights) - product_error
-    if limit <= 0.0:
-        return False
-    root = np.sqrt(weights)
-    for i, m in enumerate(matrices):
-        if not _strongly_connected(m):
-            continue
-        sym, skew = _pi_symmetrised(m, weights)
-        centred = float(np.abs(np.linalg.eigvalsh(sym - np.outer(root, root))).max())
-        if (centred + skew) * math.prod(bounds[:i] + bounds[i + 1 :]) < limit:
-            return True
-    return False
 
 
 def make_family(pi, kernels) -> KernelFamily:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.embedding import BlockVector, _apply, _cycle_solve, _mixed_solve, block_inner
+from scanvar.embedding import _apply, _cycle_solve, _mixed_solve
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -104,9 +104,15 @@ def _solve(
 
 
 def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
-    """(2/k) sum_q <fbar_q, y_q> - |f|^2 for a solve of _solve."""
+    """2 m - |f|^2 for a solve of _solve, m the mean of the k terms
+    <fbar_q, y_q>_pi rounded once: at discount zero y is fbar bit for bit,
+    so the value is |f|^2 exactly for every k (for k a power of two, m is
+    the exactly rounded sum over k)."""
     norm_sq = float(np.dot(pi.weights, fbar[0] * fbar[0]))
-    return (2.0 / len(fbar)) * block_inner(BlockVector(fbar), BlockVector(y), pi) - norm_sq
+    terms = [float(np.dot(pi.weights, row)).as_integer_ratio() for row in fbar * y]
+    den = max(d for _, d in terms)  # powers of two: each divides the largest
+    mean = sum(num * (den // d) for num, d in terms) / (den * len(terms))  # rounds once
+    return 2.0 * mean - norm_sq
 
 
 def var_lambda_strat(fam: KernelFamily, f: Observable, lam: float) -> float:
@@ -158,22 +164,18 @@ def var_lambda_rand(fam: KernelFamily, f: Observable, lam: float) -> float:
 
 
 def summability_check(fam: KernelFamily) -> SummabilityReport:
-    """Spectral radius of the full-cycle product on the centered subspace.
+    """Whether the full-cycle product contracts centred functions, which
+    makes the covariance series absolutely summable for every observable,
+    and its spectral radius on the centred subspace.
 
-    The centered product from any phase is a cyclic rotation of the product
-    of the centered kernels K_i - 1 pi', so all phases share one spectrum
-    and the product from phase 1 suffices. A radius below one makes the
-    covariance series absolutely summable for every observable, which is
-    the sufficient condition checked here. The verdict asks for a radius
-    below one by the eigensolver's rounding slack (kernels._rounding_slack),
-    so an exact unit radius rounded down is refused. The nonsymmetric
-    eigenproblem is solved once per family, for the printed radius;
-    var_limit needs only the verdict and, unless this radius is already
-    known, first tries a certificate from symmetric eigenproblems (see
-    kernels._certifies_summability), falling back to this verdict.
+    The centred products from all phases are cyclic rotations of one
+    another and share one spectrum, so the product from phase 1 suffices.
+    The verdict is the family's certificate from powers of that product
+    (KernelFamily._summable), the guard of var_limit(strat); the radius,
+    one nonsymmetric eigenproblem per family, is only printed.
     """
     return SummabilityReport(
-        absolutely_summable=fam._contracts,
+        absolutely_summable=fam._summable,
         cycle_contraction=fam._cycle_contraction,
     )
 
@@ -203,11 +205,11 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     """Limiting variance as the discount approaches one.
 
     Both schemes take the discounted route at discount one, where the solve
-    deflates the constant direction. strat is guarded by summability: a
-    certificate from symmetric eigenproblems when it holds, else the
-    summability check's radius. rand is guarded by an eigenvalue-multiplicity
-    check on the mixed kernel, counted on the spectrum that its solve then
-    reads (see _near_one_count).
+    deflates the constant direction. strat is guarded by the summability
+    verdict, which solves no eigenproblem (only a refusal computes the
+    radius it names); rand by an eigenvalue-multiplicity check on the mixed
+    kernel, counted on the spectrum that its solve then reads (see
+    _near_one_count).
     """
     _check_scheme(scheme)
     if scheme == "rand":
@@ -219,7 +221,7 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
             )
     elif not fam._summable:
         raise SummabilityError(
-            f"cycle contraction {summability_check(fam).cycle_contraction:.6g} "
+            f"cycle contraction {fam._cycle_contraction:.6g} "
             "is not below 1; the covariance series does not converge absolutely"
         )
     return _variance(*_solve(fam, f, 1.0, scheme), fam.pi)

@@ -72,6 +72,17 @@ def crowded_family(n: int = 12, seed: int = 0) -> KernelFamily:
     return make_family(pi.weights, [random_reversible(pi, seed + 1), hold])
 
 
+def tiny_weight_model() -> tuple[KernelFamily, Observable]:
+    """One random reversible kernel on six states whose first target
+    weight is scaled by 1e-12 (pi_0 = 6.6e-14; cycle contraction 0.913),
+    and f = (0, 1, ..., 5)."""
+    rng = np.random.default_rng(32)
+    w = rng.random(6) + 0.05
+    w[0] *= 1e-12
+    pi = Dist(w / w.sum())
+    return make_family(pi.weights, [random_reversible(pi, 32)]), Observable(np.arange(6.0))
+
+
 def random_centered(rng: np.random.Generator, fam: KernelFamily) -> Observable:
     v = rng.standard_normal(fam.n)
     return Observable(v - float(np.dot(fam.pi.weights, v)))

@@ -17,7 +17,7 @@ from scanvar.cli import (
 )
 import scanvar.cli
 import scanvar.kernels
-from scanvar.kernels import ValidationError
+from scanvar.kernels import Dist, ValidationError, gibbs_kernel
 
 
 def write_model(path, **overrides):
@@ -47,6 +47,17 @@ THREE_KERNEL_MODEL = {
     ],
     "f": [1.0, -2.0, 0.5],
 }
+
+
+def gibbs_pair_model() -> dict:
+    """The two coordinate updates of a Gibbs sampler on a 2 x 3 grid."""
+    joint = Dist(np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1]))
+    kernels = [gibbs_kernel(joint, (2, 3), c).matrix.tolist() for c in (1, 2)]
+    return {"states": 6, "pi": joint.weights.tolist(), "kernels": kernels,
+            "f": [1.0, -2.0, 0.5, 3.0, 0.0, -1.0]}
+
+
+GIBBS_PAIR = gibbs_pair_model()
 
 
 class TestLoadModel:
@@ -448,6 +459,41 @@ class TestLimitAndSimulate:
         captured = capsys.readouterr()
         assert captured.out.startswith("cycle contraction: 1 (not summable)")
         assert "not absolutely summable" in captured.err
+
+    def test_tiny_target_weight_limit_is_summable(self, tmp_path, capsys):
+        # a weight of 6.6e-14 does not refuse a contraction of 0.913
+        fam, f = helpers.tiny_weight_model()
+        path = write_model(
+            tmp_path / "m.json", states=6, pi=fam.pi.weights.tolist(),
+            kernels=[fam.matrices[0].tolist()], f=f.values.tolist(),
+        )
+        assert main(["limit", "--model", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cycle contraction: 0.913066")
+        assert "(summable)" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        ("model", "summable"),
+        [
+            ({}, True),
+            ({"kernels": helpers.K3_COUNTER_KERNELS}, True),
+            ({"kernels": [np.eye(2).tolist()] * 2}, False),
+            ({"kernels": [[[0.0, 1.0], [1.0, 0.0]]] * 2}, False),
+            (GIBBS_PAIR, True),
+        ],
+        ids=["e1", "k3-counter", "identity", "swap", "gibbs"],
+    )
+    def test_compare_has_a_limit_row_exactly_when_limit_is_summable(
+        self, tmp_path, capsys, model, summable
+    ):
+        path = write_model(tmp_path / "m.json", **model)
+        code = main(["limit", "--model", path])
+        assert ("(summable)" in capsys.readouterr().out) == summable
+        assert code == (EXIT_OK if summable else EXIT_VALIDATION)
+        main(["compare", "--model", path, "--lambda", "0.5,1"])
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [r.endswith(",limit") for r in rows] == [False] + [True] * summable
 
     @pytest.mark.parametrize("command", ["limit", "compare"])
     def test_near_reducible_rand_limit_refused(self, tmp_path, capsys, command):

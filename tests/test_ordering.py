@@ -103,7 +103,7 @@ class TestCheckScanOrdering:
 
     def test_sweep_and_limit_take_one_eigh(self, eigh_calls, eigvalsh_calls):
         # a five-point sweep and the limit read one eigendecomposition of
-        # the mixed kernel; with the contraction known, no eigvalsh is left
+        # the mixed kernel; the summability verdict solves no eigenproblem
         fam = helpers.random_family(np.random.default_rng(76), 6, 2)
         f = helpers.random_centered(np.random.default_rng(77), fam)
         summability_check(fam)
@@ -481,6 +481,15 @@ def test_one_kernel_gap_is_exactly_zero(case):
     grid = PROPERTY_GRID if helpers.oracle_near_one_count(fam) == 1 else PROPERTY_GRID[:4]
     for row in check_scan_ordering(fam, f, grid):
         assert row.gap == 0.0 and row.var_a == row.var_b
+
+
+@given(helpers.families())
+def test_gap_at_discount_zero_is_exactly_zero(case):
+    # at discount zero every solve returns the centred f bit for bit, so
+    # both variances are its squared norm, for any number of kernels
+    fam, f = case
+    (row,) = check_scan_ordering(fam, f, [0.0])
+    assert row.gap == 0.0 and row.var_a == row.var_b
 
 
 @given(helpers.families(k=2))

@@ -13,13 +13,17 @@ scheme on e1, on one kernel and on five, each scheme on a Gibbs pair,
 whose rows have zero entries, `simulate` on two kernels at the largest
 size whose count table fits and at the next size up, and on a model
 whose cumulative weights crowd a few buckets, `compare` and `limit` on a
-three-kernel model where the scan ordering fails, `compare`, `limit` and
-`validate` on one kernel and on one state, `compare` on one kernel at
-discount zero, `compare` and `limit` on a model whose detailed-balance
-residual is near the tolerance, where the random scan's eigenbasis solve
-falls back to its LU, plus command lines that fail with a documented
-exit code (among them `peskun` on families of different shapes, which
-exits 1 before the two-kernel check could exit 2).
+three-kernel model where the scan ordering fails and `compare` there at
+discount zero, `compare`, `limit` and `validate` on one kernel and on one
+state, `compare` at discount zero on one kernel and on three ring
+kernels, `compare` and `limit` on
+a model whose detailed-balance residual is near the tolerance, where the
+random scan's eigenbasis solve falls back to its LU, `limit` and
+`compare` with the limit row on a model with a target weight near 1e-12,
+on a swap pair and on a pair holding with probability 1 - 1e-9, plus
+command lines that fail with a documented exit code (among them `peskun`
+on families of different shapes, which exits 1 before the two-kernel
+check could exit 2).
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -92,6 +96,28 @@ def gibbs_pair(n1: int, n2: int, seed: int) -> dict:
     ]
     return {"states": w.size, "pi": w.tolist(), "kernels": [m.tolist() for m in kernels],
             "f": rng.standard_normal(w.size).tolist()}
+
+
+def metropolised(w: np.ndarray, proposal: np.ndarray) -> np.ndarray:
+    """The proposal Metropolised for the target w, rounded as the library's
+    metropolis_kernel rounds it."""
+    flow = w[:, None] * proposal
+    off = np.minimum(flow, flow.T) / w[:, None]
+    np.fill_diagonal(off, 0.0)
+    return off + np.diag(np.maximum(1.0 - off.sum(axis=1), 0.0))
+
+
+def tiny_weight() -> dict:
+    """One kernel on six states whose first target weight is scaled by
+    1e-12: the library's random_reversible(pi, 32), whose first try draws
+    its Dirichlet proposal from the seed derive_seed(32, 0). Its cycle
+    contraction is 0.913."""
+    w = np.random.default_rng(32).random(6) + 0.05
+    w[0] *= 1e-12
+    w /= w.sum()
+    proposal = np.random.default_rng(5456677139618326403).dirichlet(np.ones(6), size=6)
+    return {"states": 6, "pi": w.tolist(), "kernels": [metropolised(w, proposal).tolist()],
+            "f": list(range(6))}
 
 
 def crowded(n: int, seed: int) -> dict:
@@ -216,6 +242,7 @@ def command_lines(models: Path) -> list[list[str]]:
     k3.write_text(json.dumps(K3_COUNTER))
     lines += [
         ["compare", "--model", str(k3), "--lambda", "0.5,0.9"],
+        ["compare", "--model", str(k3), "--lambda", "0,0.5"],
         ["compare", "--model", str(k3), "--method", "series", "--out", "k.csv"],
         ["limit", "--model", str(k3), "--out", "l.csv"],
     ]
@@ -229,9 +256,24 @@ def command_lines(models: Path) -> list[list[str]]:
             ["validate", "--model", str(m)],
         ]
     lines.append(["compare", "--model", str(models / "k1.json"), "--lambda", "0,0.5"])
+    # three ring kernels on six states whose three equal phase terms at
+    # discount zero once summed and scaled to a gap of 2.2e-16
+    m = models / "k3-ring.json"
+    BaseFamily(3, 6, 3).op(3, 0).write(m)
+    lines.append(["compare", "--model", str(m), "--lambda", "0,0.5"])
     near = models / "near-tolerance.json"
     near.write_text(json.dumps(near_tolerance()))
     lines += [["compare", "--model", str(near)], ["limit", "--model", str(near)]]
+    # the summability verdict on a target weight near 1e-12, on a swap
+    # pair, which never contracts, and on two ring kernels holding with
+    # probability 1 - 1e-9, whose contraction is 1 - 1e-9
+    (models / "tiny-weight.json").write_text(json.dumps(tiny_weight()))
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    (models / "swap.json").write_text(json.dumps(dict(E1, kernels=[swap, swap])))
+    BaseFamily(1, 6, 2, hold=1.0 - 1e-9).op(1, 0, lazy=True).write(models / "near-one.json")
+    for name in ("tiny-weight", "swap", "near-one"):
+        m = str(models / f"{name}.json")
+        lines += [["limit", "--model", m], ["compare", "--model", m, "--lambda", "0.5,1"]]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     lines += [  # documented failures
