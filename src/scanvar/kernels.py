@@ -265,9 +265,10 @@ class KernelFamily:
     kernels (via the Kernel type) and detailed balance within
     REVERSIBILITY_TOL relative to each kernel's largest flow. Values are
     immutable afterwards and safe to share across threads. Derived data
-    (the mixed kernel and its symmetric eigendecomposition, the full-cycle
-    product, the cycle contraction and the summability verdict) is computed
-    on first use and kept with the family.
+    (the mixed kernel, its symmetric eigendecomposition and the count of
+    its eigenvalues near one, the full-cycle product, the cycle contraction
+    and the summability verdict) is computed on first use and kept with
+    the family.
     """
 
     space: StateSpace
@@ -334,13 +335,14 @@ class KernelFamily:
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(mu, V, skew): the eigenvalues, ascending, and orthonormal
-        eigenvectors of the symmetric part of the pi-symmetrised mixed
-        kernel (_pi_symmetrised), and the Frobenius norm of its skew part.
-        The random-scan guard counts on mu, and every solve with the mixed
+        eigenvectors of the symmetric part H = (S + S') / 2 of
+        S = _pi_similar(K, pi), K the mixed kernel, and the Frobenius norm
+        of the skew part (S - S') / 2, which measures rounding and balance
+        residual. _unit_count counts on mu, and every solve with the mixed
         kernel alone runs in this basis (embedding._mixed_solve)."""
-        sym, skew = _pi_symmetrised(self._mixed.matrix, self.pi.weights)
-        mu, vecs = np.linalg.eigh(sym)
-        return mu, vecs, skew
+        s = _pi_similar(self._mixed.matrix, self.pi.weights)
+        mu, vecs = np.linalg.eigh((s + s.T) / 2.0)
+        return mu, vecs, float(np.linalg.norm(s - s.T)) / 2.0
 
     @cached_property
     def _cycle_contraction(self) -> float:
@@ -407,6 +409,25 @@ class KernelFamily:
             last, fro = fro, norm(cycle)
         return True
 
+    @cached_property
+    def _unit_count(self) -> int:
+        """How many eigenvalues of the mixed kernel K may lie within 1e-8
+        of 1: the guard of variance.var_limit(rand), which refuses a count
+        above one, read from _spectrum with no eigenproblem of its own.
+
+        It counts the mu with 1 - mu < 1e-8 + r, r = skew + 16 n eps. S is
+        similar to K, and its symmetric part H is normal, so by Bauer-Fike
+        every eigenvalue of K lies within |S - H|_2 <= skew of an
+        eigenvalue of H. The entrywise rounding of S and H and the backward
+        error of eigh move mu by O(n eps) relative to |S|_2, which is about
+        one, and 16 n eps covers both. So an eigenvalue of K within 1e-8
+        of 1 puts some mu within 1e-8 + r of it, and nothing needs a
+        second route. No pi_max / pi_min enters: the entries of S, about
+        sqrt(K_ij K_ji), carry no ratio of weights."""
+        mu, _, skew = self._spectrum
+        radius = skew + 16.0 * self.n * _EPS
+        return int(np.sum(1.0 - mu < 1e-8 + radius))
+
 
 def _cycle_product(matrices) -> np.ndarray:
     """Product of the matrices in the given order, multiplied from the
@@ -423,24 +444,6 @@ def _pi_similar(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     reversible). Its symmetric part is (S + S') / 2."""
     root = np.sqrt(weights)
     return root[:, None] * matrix / root[None, :]
-
-
-def _pi_symmetrised(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetric part of S = _pi_similar(K, pi) and the Frobenius norm of
-    its skew part, which measures rounding and balance residual. The
-    symmetric part is normal, so by Bauer-Fike every eigenvalue of K lies
-    within the skew norm of one of the symmetric part's eigenvalues."""
-    s = _pi_similar(matrix, weights)
-    return (s + s.T) / 2.0, float(np.linalg.norm(s - s.T)) / 2.0
-
-
-def _rounding_slack(weights: np.ndarray) -> float:
-    """The random-scan guard's allowance for the rounding of a dense
-    eigensolver on the mixed kernel or its pi-symmetrisation: a backward
-    error of 16 n eps per unit norm, times pi_max / pi_min. That factor
-    bounds the condition of the kernel's eigenvector basis D^{-1/2} Q times
-    its norm relative to S, so it covers the nonsymmetric count."""
-    return 16.0 * weights.size * _EPS * float(weights.max() / weights.min())
 
 
 def make_family(pi, kernels) -> KernelFamily:

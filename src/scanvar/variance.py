@@ -27,17 +27,12 @@ from scanvar.kernels import (
     SummabilityError,
     _EPS,
     _check_lam,
-    _rounding_slack,
     center,
     random_scan,
 )
 
 DEFAULT_SERIES_TERMS = 400
 SCHEMES = ("strat", "rand")
-
-# Distance from 1 within which an eigenvalue of the mixed kernel counts as a
-# second unit eigenvalue, refusing the random-scan limit.
-_NEAR_ONE = 1e-8
 
 # Table-size guard for exact joint laws.
 JOINT_LAW_MAX_CELLS = 1_000_000
@@ -180,40 +175,20 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     )
 
 
-def _near_one_count(fam: KernelFamily) -> int:
-    """Number of eigenvalues of the family's mixed kernel within 1e-8 of 1.
-
-    Counted on the family's cached spectrum, the symmetric part of the
-    pi-symmetrised kernel. Every eigenvalue of the kernel lies within the
-    Bauer-Fike radius (the skew part's Frobenius norm plus the rounding
-    slack) of one of the symmetric part's, so the two counts agree unless
-    an eigenvalue of the symmetric part lies within that radius of the 1e-8
-    boundary; then the kernel's own eigenvalues are counted. A radius of
-    1e-8 or more puts the unit eigenvalue itself that close, so then the
-    kernel's eigenvalues are counted at once.
-    """
-    mu, _, skew = fam._spectrum
-    radius = skew + _rounding_slack(fam.pi.weights)
-    if radius < _NEAR_ONE:
-        dist = np.abs(mu - 1.0)
-        if not np.any(np.abs(dist - _NEAR_ONE) <= radius):
-            return int(np.sum(dist < _NEAR_ONE))
-    return int(np.sum(np.abs(np.linalg.eigvals(fam._mixed.matrix) - 1.0) < _NEAR_ONE))
-
-
 def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     """Limiting variance as the discount approaches one.
 
     Both schemes take the discounted route at discount one, where the solve
     deflates the constant direction. strat is guarded by the summability
     verdict, which solves no eigenproblem (only a refusal computes the
-    radius it names); rand by an eigenvalue-multiplicity check on the mixed
-    kernel, counted on the spectrum that its solve then reads (see
-    _near_one_count).
+    radius it names); rand by the count of the mixed kernel's eigenvalues
+    that may lie within 1e-8 of 1 (KernelFamily._unit_count), read from the
+    cached eigendecomposition that its solve then uses, with no
+    eigenproblem of its own.
     """
     _check_scheme(scheme)
     if scheme == "rand":
-        ones_count = _near_one_count(fam)
+        ones_count = fam._unit_count
         if ones_count > 1:
             raise ReducibilityError(
                 f"mixed kernel has {ones_count} eigenvalues within 1e-8 of 1, so "

@@ -89,6 +89,8 @@ def random_centered(rng: np.random.Generator, fam: KernelFamily) -> Observable:
 
 
 KINDS = ("reversible", "metropolis", "gibbs", "lazy")
+# scales for families(): half the draws scale one target weight by 1e-12
+TINY_SCALES = (1.0, 1.0, 1e-6, 1e-12, 1e-12, 1e-12)
 
 
 @st.composite

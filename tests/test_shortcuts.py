@@ -3,11 +3,12 @@ routes.
 
 The summability certificate must never accept a cycle whose contraction
 is one or more and must accept every generated cycle that contracts by
-more than 1e-9; the random-scan guard must give the same decision as the
-eigenvalue problem it stands in for, and the solve in the mixed kernel's
-eigenbasis the value of the LU it stands in for, falling back to it
-whenever it cannot decide: on property-generated families and on pinned
-hostile ones.
+more than 1e-9; the random-scan guard, a count on the mixed kernel's
+cached eigenbasis, must give the eigenvalue problem's count wherever no
+eigenvalue lies within its radius of the 1e-8 line, with no eigvals call;
+and the solve in that eigenbasis must give the value of the LU it stands
+in for, falling back to it whenever it cannot decide: on
+property-generated families and on pinned hostile ones.
 """
 
 import numpy as np
@@ -31,31 +32,53 @@ from scanvar.kernels import (
 )
 from scanvar.variance import (
     SCHEMES,
-    _near_one_count,
     _variance,
     summability_check,
     var_lambda_rand,
     var_limit,
 )
 
-# half the draws scale one target weight by 1e-12
-SCALES = (1.0, 1.0, 1e-6, 1e-12, 1e-12, 1e-12)
+def no_eigvals(call):
+    """call(), failing if it solves a nonsymmetric eigenproblem (a
+    hypothesis test cannot take the function-scoped eigvals_calls)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigvals called"))
+        return call()
 
 
-@given(helpers.families(scales=SCALES))
+def unit_radius(fam) -> float:
+    """The Bauer-Fike radius of KernelFamily._unit_count."""
+    return fam._spectrum[2] + 16.0 * fam.n * np.finfo(float).eps
+
+
+@given(helpers.families(scales=helpers.TINY_SCALES))
 def test_certificate_never_contradicts_the_contraction(case):
     fam, _ = case
     if fam._summable:
         assert helpers.oracle_cycle_contraction(fam) < 1.0
 
 
-@given(helpers.families())
+@given(helpers.families(scales=helpers.TINY_SCALES))
 def test_rand_guard_count_equals_eigvals_count(case):
+    # the two counts may differ only where an eigenvalue lies within the
+    # radius of the 1e-8 line, on which the guard counts it
     fam, _ = case
-    assert _near_one_count(fam) == helpers.oracle_near_one_count(fam)
+    count = no_eigvals(lambda: fam._unit_count)
+    dist = np.abs(np.linalg.eigvals(helpers.fsum_mean(fam)) - 1.0)
+    if not np.any(np.abs(dist - 1e-8) <= unit_radius(fam)):
+        assert count == helpers.oracle_near_one_count(fam)
 
 
-@given(helpers.families(scales=SCALES))
+@given(helpers.families(scales=helpers.TINY_SCALES))
+def test_rand_limit_makes_no_eigvals_call(case):
+    fam, f = case
+    try:
+        no_eigvals(lambda: var_limit(fam, f, "rand"))
+    except ReducibilityError:
+        assert fam._unit_count > 1
+
+
+@given(helpers.families(scales=helpers.TINY_SCALES))
 def test_limit_decisions_match_the_eigvals_route(case):
     # every contraction below 1 - 1e-9 is certified; within 1e-9 of one
     # eigvals cannot tell a unit radius from its rounding anyway
@@ -185,20 +208,33 @@ def test_norm_one_families_fall_back_and_raise(kernel, eigvals_calls):
 def test_near_reducible_two_state_counted_without_eigvals(eigvals_calls, eigh_calls):
     sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
     fam = make_family([0.5, 0.5], [sticky, sticky])
-    assert _near_one_count(fam) == 2
+    assert fam._unit_count == 2
     assert eigvals_calls == []
     assert eigh_calls == [(2, 2)]
     with pytest.raises(ReducibilityError, match="within 1e-8 of 1"):
         var_limit(fam, Observable(helpers.E1_F), "rand")
 
 
-def test_eigenvalue_at_the_boundary_falls_back(eigvals_calls):
-    # eigenvalues 1 and 1 - 2p = 1 - 1e-8: on the boundary of the count
+def test_eigenvalue_at_the_boundary_is_refused_without_eigvals(eigvals_calls):
+    # eigenvalues 1 and 1 - 2p = 1 - 1e-8: on the 1e-8 line, so within the
+    # guard's radius of it, and counted
     p = 5e-9
     kernel = np.array([[1.0 - p, p], [p, 1.0 - p]])
-    count = _near_one_count(make_family([0.5, 0.5], [kernel]))
-    assert eigvals_calls == [(2, 2)]
-    assert count == int(np.sum(np.abs(np.linalg.eigvals(kernel) - 1.0) < 1e-8))
+    fam = make_family([0.5, 0.5], [kernel])
+    with pytest.raises(ReducibilityError, match="has 2 eigenvalues"):
+        var_limit(fam, Observable(helpers.E1_F), "rand")
+    assert eigvals_calls == []
+    assert fam._unit_count == int(np.sum(np.abs(np.linalg.eigvals(kernel) - 1.0) < 1e-8))
+
+
+def test_eigenvalue_within_the_radius_of_the_line_is_counted():
+    # the second eigenvalue 1 - 2p lies 4e-15 beyond the 1e-8 line, within
+    # the radius 16 n eps = 7.1e-15 of it, so it may lie within 1e-8 of 1
+    p = 5e-9 + 2e-15
+    kernel = np.array([[1.0 - p, p], [p, 1.0 - p]])
+    fam = make_family([0.5, 0.5], [kernel])
+    assert fam._unit_count == 2
+    assert helpers.oracle_near_one_count(fam) == 1
 
 
 def tiny_weight_family(pi_1: float):
@@ -207,17 +243,16 @@ def tiny_weight_family(pi_1: float):
     return make_family(pi.weights, [random_reversible(pi, 3), random_reversible(pi, 13)])
 
 
-def test_tiny_target_weight_falls_back_and_matches_oracle(eigvals_calls, eigh_calls):
+def test_tiny_target_weight_matches_oracle_without_eigvals(eigvals_calls, eigh_calls):
+    # no pi_max / pi_min enters the rand guard's radius, so a weight of
+    # 1e-12 is counted on the eigenbasis that the solve then reads
     fam = tiny_weight_family(1e-12)
     f = Observable([5.0, -1.0, 2.0])
     for scheme in ("strat", "rand"):
         assert var_limit(fam, f, scheme) == pytest.approx(
             helpers.oracle_var_limit(fam, f, scheme), rel=1e-9
         )
-    # the rand guard's rounding slack grows with pi_max / pi_min, so the
-    # unit eigenvalue is within its radius of the 1e-8 boundary; the solve
-    # still runs in the cached eigenbasis
-    assert eigvals_calls == [(3, 3)]
+    assert eigvals_calls == []
     assert eigh_calls == [(3, 3)]
 
 
@@ -240,16 +275,19 @@ def test_skew_part_counts_in_the_certificate():
     assert make_family(uniform, [0.5 * flips[0] + 0.5 / 3.0, flips[1]])._summable
 
 
-def test_wide_guard_radius_counts_only_the_kernel(eigh_calls, eigvalsh_calls, eigvals_calls):
-    # the rounding slack of a 1e-12 weight exceeds 1e-8: eigvals decides;
-    # the cached spectrum, which the solve reads next, gives the skew norm
+def test_tiny_weight_kernel_counted_on_the_cached_spectrum(
+    eigh_calls, eigvalsh_calls, eigvals_calls
+):
+    # the radius stays near 16 n eps = 1.1e-14 for a weight of 1e-12; the
+    # cached spectrum, which the solve reads next, is the only eigenproblem
     fam = tiny_weight_family(1e-12)
     one = make_family(fam.pi.weights, fam.kernels[:1])
-    count = _near_one_count(one)
-    assert count == int(np.sum(np.abs(np.linalg.eigvals(fam.matrices[0]) - 1.0) < 1e-8))
+    count = one._unit_count
+    assert unit_radius(one) < 2e-14
     assert eigh_calls == [(3, 3)]
     assert eigvalsh_calls == []
-    assert len(eigvals_calls) == 2
+    assert eigvals_calls == []
+    assert count == int(np.sum(np.abs(np.linalg.eigvals(fam.matrices[0]) - 1.0) < 1e-8))
 
 
 def near_tolerance_family(eps: float = 2.2e-11):

@@ -169,6 +169,24 @@ class TestVarLimit:
             var_limit(e1, e1_f, "rand"), abs=1e-4
         )
 
+    @given(helpers.families(scales=helpers.TINY_SCALES))
+    def test_discount_rows_near_one_approach_the_limit(self, case):
+        # wherever a verdict admits the limit, the rows at 1 - 1e-6 and
+        # 1 - 1e-9 solve, and the gap to the limit shrinks with the
+        # distance to one, down to the rounding of the values: the
+        # centring's rounding scales with the uncentred |f|^2_pi
+        fam, f = case
+        norm_sq = float(np.dot(fam.pi.weights, f.values * f.values))
+        for scheme, admitted, at in (
+            ("strat", fam._summable, var_lambda_strat),
+            ("rand", fam._unit_count == 1, var_lambda_rand),
+        ):
+            if not admitted:
+                continue
+            limit = var_limit(fam, f, scheme)
+            gap = [abs(at(fam, f, 1.0 - delta) - limit) for delta in (1e-6, 1e-9)]
+            assert gap[1] <= 0.01 * gap[0] + 1e-9 * max(norm_sq, abs(limit))
+
     def test_richardson_extrapolation_consistency(self):
         rng = np.random.default_rng(33)
         for _ in range(3):

@@ -20,7 +20,9 @@ kernels, `compare` and `limit` on
 a model whose detailed-balance residual is near the tolerance, where the
 random scan's eigenbasis solve falls back to its LU, `limit` and
 `compare` with the limit row on a model with a target weight near 1e-12,
-on a swap pair and on a pair holding with probability 1 - 1e-9, plus
+on a swap pair, on a pair holding with probability 1 - 1e-9, on a pair
+flipping with probability 1e-9, on one kernel with an eigenvalue
+1 - 1e-8 and on two kernels whose target weights span six decades, plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
 check could exit 2).
@@ -120,21 +122,22 @@ def tiny_weight() -> dict:
             "f": list(range(6))}
 
 
-def crowded(n: int, seed: int) -> dict:
+def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> dict:
     """Two Metropolised Dirichlet proposals on a seeded target whose
-    weights run from 1e-12 to one, the second holding with probability
-    1 - 1e-9: many cumulative weights lie within 1e-9 of zero or of one."""
+    weights run from `low` to one, the second holding with probability
+    `hold`: by default many cumulative weights lie within 1e-9 of zero or
+    of one."""
     rng = np.random.default_rng(seed)
-    w = np.geomspace(1e-12, 1.0, n)
+    w = np.geomspace(low, 1.0, n)
     rng.shuffle(w)
     w /= w.sum()
     kernels = []
-    for hold in (0.0, 1.0 - 1e-9):
+    for a in (0.0, hold):
         q = rng.dirichlet(np.ones(n), size=n)
         m = np.minimum(q, (w[:, None] * q).T / w[:, None])
         np.fill_diagonal(m, 0.0)
         np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-        kernels.append((1.0 - hold) * m + hold * np.eye(n))
+        kernels.append((1.0 - a) * m + a * np.eye(n))
     return {"states": n, "pi": w.tolist(), "kernels": [m.tolist() for m in kernels],
             "f": rng.standard_normal(n).tolist()}
 
@@ -266,12 +269,19 @@ def command_lines(models: Path) -> list[list[str]]:
     lines += [["compare", "--model", str(near)], ["limit", "--model", str(near)]]
     # the summability verdict on a target weight near 1e-12, on a swap
     # pair, which never contracts, and on two ring kernels holding with
-    # probability 1 - 1e-9, whose contraction is 1 - 1e-9
+    # probability 1 - 1e-9, whose contraction is 1 - 1e-9; the random-scan
+    # guard on a pair that flips with probability 1e-9, on one kernel whose
+    # second eigenvalue 1 - 1e-8 lies on the guard's line, and on two
+    # kernels on 40 states whose target weights run from 1e-6 to one
     (models / "tiny-weight.json").write_text(json.dumps(tiny_weight()))
     swap = [[0.0, 1.0], [1.0, 0.0]]
     (models / "swap.json").write_text(json.dumps(dict(E1, kernels=[swap, swap])))
     BaseFamily(1, 6, 2, hold=1.0 - 1e-9).op(1, 0, lazy=True).write(models / "near-one.json")
-    for name in ("tiny-weight", "swap", "near-one"):
+    sticky, line = ([[1.0 - p, p], [p, 1.0 - p]] for p in (1e-9, 5e-9))
+    (models / "sticky.json").write_text(json.dumps(dict(E1, kernels=[sticky, sticky])))
+    (models / "on-the-line.json").write_text(json.dumps(dict(E1, kernels=[line])))
+    (models / "wide-ratio.json").write_text(json.dumps(crowded(40, 13, low=1e-6, hold=0.0)))
+    for name in ("tiny-weight", "swap", "near-one", "sticky", "on-the-line", "wide-ratio"):
         m = str(models / f"{name}.json")
         lines += [["limit", "--model", m], ["compare", "--model", m, "--lambda", "0.5,1"]]
     m = str(models / "e1.json")
