@@ -22,7 +22,6 @@ from scanvar.kernels import (
     KernelFamily,
     Observable,
     ReducibilityError,
-    StateSpace,
     SummabilityError,
     ValidationError,
     center,

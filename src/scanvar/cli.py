@@ -21,18 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from scanvar.kernels import (
-    Dist,
-    Kernel,
     KernelFamily,
     NUMERIC_TOL,
     Observable,
     PSD_TOL,
     ROW_SUM_TOL,
     ReducibilityError,
-    StateSpace,
     SummabilityError,
     ValidationError,
     family_diagnostics,
+    make_family,
 )
 from scanvar.ordering import (
     OrderingReport,
@@ -122,6 +120,8 @@ def load_model(path: str) -> Model:
     Parse problems raise ModelFormatError with field context. Data that the
     domain types refuse raises ValidationError listing every violated
     invariant with its residual, or with the type's message if none is listed.
+    The field `states` is read only here: its count must be the target's
+    length, and its labels must be distinct; they are checked, not kept.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -139,12 +139,11 @@ def load_model(path: str) -> Model:
         if field not in raw:
             raise ModelFormatError(f"{path}: missing required field {field!r}")
     states = raw["states"]
-    labels = None
+    labels = []
     if isinstance(states, int) and not isinstance(states, bool):
         n = states
     elif isinstance(states, list) and all(isinstance(s, str) for s in states):
-        n = len(states)
-        labels = tuple(states)
+        n, labels = len(states), states
     else:
         raise ModelFormatError(
             f"{path}: field 'states' must be a count or a list of labels"
@@ -157,13 +156,13 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: non-numeric entries: {err}") from err
 
     try:
-        family = KernelFamily(
-            StateSpace(n, labels), Dist(pi), tuple(Kernel(m) for m in kernels)
-        )
+        if len(set(labels)) != len(labels):
+            raise ValidationError("state labels must be distinct")
+        family = make_family(pi, kernels)
     except ValidationError:
         _raise_problems(path, n, pi, f_values, kernels)
         raise
-    if f_values.shape != (n,):  # no type knows the observable's length
+    if family.n != n or f_values.shape != (n,):  # the family knows only pi's length
         _raise_problems(path, n, pi, f_values, kernels)
     grid = raw.get("lambda_grid")
     if grid is not None:

@@ -39,7 +39,6 @@ __all__ = [
     "DegenerateConditionalError",
     "SummabilityError",
     "ReducibilityError",
-    "StateSpace",
     "Dist",
     "Observable",
     "Kernel",
@@ -88,27 +87,6 @@ def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """The finite state space {0, ..., n-1}, with optional display labels."""
-
-    n: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"state space needs at least one state, got n={self.n}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.n:
-                raise ValidationError(
-                    f"got {len(labels)} labels for {self.n} states"
-                )
-            if len(set(labels)) != self.n:
-                raise ValidationError("state labels must be distinct")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +237,8 @@ def family_diagnostics(pi, matrices, tol: float = NUMERIC_TOL) -> FamilyDiagnost
 
 @dataclass(frozen=True, eq=False)
 class KernelFamily:
-    """An ordered family of kernels, each reversible for the shared target.
+    """An ordered family of kernels, each reversible for the shared target,
+    on the states {0, ..., n-1}, n the length of the target.
 
     Construction validates everything: positive target weights, stochastic
     kernels (via the Kernel type) and detailed balance within
@@ -271,7 +250,6 @@ class KernelFamily:
     the family.
     """
 
-    space: StateSpace
     pi: Dist
     kernels: tuple[Kernel, ...]
 
@@ -280,20 +258,14 @@ class KernelFamily:
         object.__setattr__(self, "kernels", kernels)
         if len(kernels) < 1:
             raise ValidationError("a kernel family needs at least one kernel")
-        if self.pi.n != self.space.n:
-            raise ValidationError(
-                f"target has {self.pi.n} weights for {self.space.n} states"
-            )
         if self.pi.weights.min() <= 0.0:
             raise ValidationError(
                 "target weights must be strictly positive: detailed balance and "
                 "conditionals are ill-posed on null states"
             )
         for i, k in enumerate(kernels):
-            if k.n != self.space.n:
-                raise ValidationError(
-                    f"kernel {i + 1} is {k.n}x{k.n}, expected {self.space.n}"
-                )
+            if k.n != self.n:
+                raise ValidationError(f"kernel {i + 1} is {k.n}x{k.n}, expected {self.n}")
         diag = family_diagnostics(self.pi, kernels)
         worst_rel = max(diag.relative_balance_residual)
         if worst_rel > REVERSIBILITY_TOL:
@@ -305,7 +277,7 @@ class KernelFamily:
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.pi.n
 
     @property
     def k(self) -> int:
@@ -448,11 +420,10 @@ def _pi_similar(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def make_family(pi, kernels) -> KernelFamily:
     """Bundle a target with kernels, coercing plain arrays to the domain
-    types, on an unlabelled state space (build a KernelFamily on a
-    labelled StateSpace directly for labels)."""
+    types; the target's length is the number of states."""
     pi_d = pi if isinstance(pi, Dist) else Dist(pi)
     ks = tuple(k if isinstance(k, Kernel) else Kernel(k) for k in kernels)
-    return KernelFamily(StateSpace(pi_d.n), pi_d, ks)
+    return KernelFamily(pi_d, ks)
 
 
 def inner(f: Observable, g: Observable, pi: Dist) -> float:

@@ -42,19 +42,27 @@ from scanvar.variance import (
     var_limit,
 )
 
-# Residual and probe excess that variational_identity_check allows.
+# Residual and probe excess that variational_identity_check allows, and
+# the number of random probes it draws and their seed.
 IDENTITY_TOL = 1e-9
+IDENTITY_PROBES = 200
+IDENTITY_SEED = 0
 # palindrome_check: the hold of the lazified perturbation, the largest
-# forward/backward component gap and the most negative derivative allowed.
+# forward/backward component gap and the most negative derivative allowed,
+# and how many evenly spaced blend weights in [0, 1] it evaluates.
 PALINDROME_HOLD = 0.5
 PALINDROME_COMPONENT_TOL = 1e-11
 PALINDROME_DERIVATIVE_TOL = 1e-9
+PALINDROME_BETAS = 11
 
 __all__ = [
     "IDENTITY_TOL",
+    "IDENTITY_PROBES",
+    "IDENTITY_SEED",
     "PALINDROME_HOLD",
     "PALINDROME_COMPONENT_TOL",
     "PALINDROME_DERIVATIVE_TOL",
+    "PALINDROME_BETAS",
     "OrderingReport",
     "PeskunComparison",
     "VariationalIdentityReport",
@@ -261,12 +269,7 @@ def _pi_adjoint(mat: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def variational_identity_check(
-    kernel: Kernel,
-    pi: Dist,
-    f: Observable,
-    lam: float,
-    probes: int = 200,
-    seed: int = 0,
+    kernel: Kernel, pi: Dist, f: Observable, lam: float
 ) -> VariationalIdentityReport:
     """Verify the resolvent quadratic form against its variational expression.
 
@@ -274,8 +277,9 @@ def variational_identity_check(
     <f, (I - lam K)^{-1} f> equals the objective
     2<f, g> - <g, (I - lam S) g> - lam^2 <A g, (I - lam S)^{-1} A g>
     at the optimiser g, where S and A are the self-adjoint and skew parts;
-    random probes can only fall below it. The check passes when both the
-    residual and the largest probe excess are within IDENTITY_TOL.
+    IDENTITY_PROBES random probes, drawn from IDENTITY_SEED, can only fall
+    below it. The check passes when both the residual and the largest probe
+    excess are within IDENTITY_TOL.
     """
     _check_lam(lam)
     w = pi.weights
@@ -312,9 +316,9 @@ def variational_identity_check(
     g_hat = np.linalg.solve(eye - lam * adj, sym_sys @ resolvent)
     rhs = objective(g_hat)
     residual = abs(lhs - rhs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(IDENTITY_SEED)
     max_excess = -np.inf
-    for _ in range(probes):
+    for _ in range(IDENTITY_PROBES):
         g = rng.standard_normal(n)
         max_excess = max(max_excess, objective(g) - lhs)
     return VariationalIdentityReport(
@@ -476,11 +480,7 @@ def _palindrome_cycles(p: int) -> list[tuple[list[int], list[int]]]:
 
 
 def palindrome_check(
-    generators: Sequence[Kernel],
-    pi: Dist,
-    lam: float,
-    f: Observable,
-    beta_grid: Sequence[float] | None = None,
+    generators: Sequence[Kernel], pi: Dist, lam: float, f: Observable
 ) -> PalindromeReport:
     """Check mirror-symmetric cycles built from p generators.
 
@@ -490,16 +490,15 @@ def palindrome_check(
     must coincide, which makes the blend derivative against a family
     perturbed at that index a plain quadratic form, hence nonnegative.
     The derivative is evaluated against the kernel at that index lazified
-    with hold PALINDROME_HOLD, on a beta grid. A case passes when its
-    largest component gap is within PALINDROME_COMPONENT_TOL and no
-    derivative falls below -PALINDROME_DERIVATIVE_TOL.
+    with hold PALINDROME_HOLD, at PALINDROME_BETAS evenly spaced blend
+    weights from 0 to 1. A case passes when its largest component gap is
+    within PALINDROME_COMPONENT_TOL and no derivative falls below
+    -PALINDROME_DERIVATIVE_TOL.
     """
     p = len(generators)
     if p < 2:
         raise ValueError(f"need at least two generators, got {p}")
     _check_lam(lam)
-    if beta_grid is None:
-        beta_grid = np.linspace(0.0, 1.0, 11)
     cases = []
     for cycle, indices in _palindrome_cycles(p):
         kernels = [generators[j - 1] for j in cycle]
@@ -511,7 +510,7 @@ def palindrome_check(
             path = BetaPath(fam, fam_b)
             gaps = []
             derivs = []
-            for beta in beta_grid:
+            for beta in np.linspace(0.0, 1.0, PALINDROME_BETAS):
                 fwd, bwd, deriv = path._resolvents_and_derivative(f, lam, float(beta))
                 gaps.append(float(np.abs(fwd[index - 1] - bwd[index - 1]).max()))
                 derivs.append(deriv)

@@ -360,6 +360,24 @@ def oracle_var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     return 2.0 * float(np.dot(w, np.tile(fc, k) * y)) - float(np.dot(pi, fc * fc))
 
 
+def gram(op: str, mats, pi: np.ndarray, lam: float) -> np.ndarray:
+    """The n x n matrix G with var(f) = <f, G f>_pi for every centred f:
+    the discounted variance (2/k) <fbar, (I - lam E)^{-1} fbar>_w - |f|^2_pi,
+    E the dense kn x kn realisation of the selector `op` on the k blocks
+    `mats`, fbar the f tiled over the phases and w the tiled pi. "embed"
+    gives the cycle and "symmetric" its self-adjoint part (the random scan
+    at k = 2); "embed" on the one block of the mean kernel gives the random
+    scan at any k. One dense solve with n right-hand sides, in the basis
+    scaled by sqrt(w), where the form is G_b = D^{1/2} G D^{-1/2}."""
+    k, n = len(mats), pi.size
+    root = np.sqrt(np.tile(pi, k))
+    balanced = root[:, None] * embedding_realization(op, mats) / root[None, :]
+    tiled = np.tile(np.eye(n), (k, 1))
+    solved = np.linalg.solve(np.eye(k * n) - lam * balanced, tiled)
+    form = (2.0 / k) * tiled.T @ solved - np.eye(n)
+    return form * root[None, :n] / root[:n, None]
+
+
 def oracle_gap_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     """The gap bound's skew term from three dense kn x kn solves: the
     forward resolvent y of the embedding T at the tiled centred f, the

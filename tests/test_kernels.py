@@ -18,7 +18,6 @@ from scanvar.kernels import (
     Dist,
     Kernel,
     Observable,
-    StateSpace,
     ValidationError,
     center,
     compose_cycle,
@@ -103,12 +102,6 @@ class TestTypeInvariants:
     def test_kernel_rejects_negative_entry(self):
         with pytest.raises(ValidationError):
             Kernel([[1.1, -0.1], [0.5, 0.5]])
-
-    def test_state_space_labels(self):
-        with pytest.raises(ValidationError):
-            StateSpace(2, labels=("a", "a"))
-        with pytest.raises(ValidationError):
-            StateSpace(3, labels=("a", "b"))
 
     def test_family_rejects_zero_pi(self):
         with pytest.raises(ValidationError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 import scanvar.variance
@@ -221,6 +222,59 @@ class TestCheckScanOrdering:
             check_scan_ordering(e1, e1_f, grid, method="magic")
 
 
+def centred_bottom(form: np.ndarray, pi: np.ndarray) -> float:
+    """The smallest <f, G f>_pi / |f|^2_pi over centred f of the
+    pi-symmetrised form G: the bottom eigenvalue of the symmetric part of
+    D^{1/2} G D^{-1/2} on the orthogonal complement of sqrt(pi)."""
+    root = np.sqrt(pi)
+    balanced = root[:, None] * form / root[None, :]
+    basis = np.linalg.qr(np.column_stack([root, np.eye(pi.size)]))[0][:, 1:]
+    return float(np.linalg.eigvalsh(basis.T @ (balanced + balanced.T) @ basis).min()) / 2.0
+
+
+def rand_gram(fam, lam):
+    return helpers.gram("embed", [sum(fam.matrices) / fam.k], fam.pi.weights, lam)
+
+
+class TestEveryObservable:
+    """Each variance is the form <f, G f>_pi of helpers.gram on centred f, so
+    an ordering for every observable is one symmetric eigenproblem."""
+
+    @given(helpers.families(), st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+    def test_gram_matches_the_library(self, case, lam):
+        fam, f = case
+        pi = fam.pi.weights
+        fc = f.values - pi @ f.values
+        scale = float(pi @ (f.values * f.values))
+        for value, form in (
+            (var_lambda_strat(fam, f, lam), helpers.gram("embed", fam.matrices, pi, lam)),
+            (var_lambda_rand(fam, f, lam), rand_gram(fam, lam)),
+        ):
+            assert float(fc @ (pi * (form @ fc))) == pytest.approx(
+                value, abs=1e-8 * max(scale, abs(value))
+            )
+
+    @given(helpers.families(k=2), st.sampled_from([0.5, 0.9, 0.99]))
+    def test_two_kernels_order_every_observable(self, case, lam):
+        # a dense solve of condition up to 2 / (1 - lam) rounds the forms
+        fam, _ = case
+        strat = helpers.gram("embed", fam.matrices, fam.pi.weights, lam)
+        bottom = centred_bottom(rand_gram(fam, lam) - strat, fam.pi.weights)
+        assert bottom >= -1e-12 / (1.0 - lam)
+
+    def test_three_kernel_counterexample_for_every_observable(self):
+        # on two states the one centred f is e1's, so the bottom eigenvalue
+        # is the library's gap var_rand - var_strat there
+        fam = make_family(helpers.E1_PI, helpers.K3_COUNTER_KERNELS)
+        f = Observable(helpers.E1_F)
+        for lam, pinned in ((0.9, -0.26088417), (0.99, -0.51193759)):
+            strat = helpers.gram("embed", fam.matrices, fam.pi.weights, lam)
+            bottom = centred_bottom(rand_gram(fam, lam) - strat, fam.pi.weights)
+            assert bottom == pytest.approx(pinned, abs=1e-8)
+            gap = var_lambda_rand(fam, f, lam) - var_lambda_strat(fam, f, lam)
+            assert bottom == pytest.approx(gap, abs=1e-12)
+
+
 class TestBellman:
     def test_identity_operator(self):
         f = np.array([1.0, -1.0])
@@ -310,7 +364,7 @@ class TestVariationalIdentity:
         kern = Kernel(0.5 * np.eye(3) + 0.5 * cyc)
         pi = Dist([1 / 3, 1 / 3, 1 / 3])
         f = Observable([1.0, 0.5, -1.5])
-        rep = variational_identity_check(kern, pi, f, 0.5, probes=200, seed=3)
+        rep = variational_identity_check(kern, pi, f, 0.5)
         assert rep.residual <= 1e-10
         assert rep.max_probe_excess <= 1e-10
         assert rep.passes
@@ -595,7 +649,7 @@ class TestPalindrome:
         pi = helpers.random_dist(rng, 4)
         gens = [random_reversible(pi, s) for s in (100, 200)]
         f = Observable(rng.standard_normal(4))
-        betas = [0.0, 0.4, 1.0]
+        betas = [0.0, 0.5, 1.0]
         calls = []
         solve = ordering._cycle_solve
 
@@ -604,7 +658,8 @@ class TestPalindrome:
             return solve(*args)
 
         monkeypatch.setattr(ordering, "_cycle_solve", counted)
-        report = palindrome_check(gens, pi, 0.5, f, beta_grid=betas)
+        monkeypatch.setattr(ordering, "PALINDROME_BETAS", len(betas))
+        report = palindrome_check(gens, pi, 0.5, f)
         assert len(calls) == 2 * len(report.cases) * len(betas)
         monkeypatch.undo()
         for case in report.cases:

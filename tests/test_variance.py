@@ -1,5 +1,7 @@
 """Unit tests for discounted variances, limits, finite-horizon values and laws."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,31 @@ from scanvar.variance import (
 )
 
 
+EPS = float(np.finfo(float).eps)
+
+
 def identity_family(k=2):
     return make_family([0.5, 0.5], [np.eye(2)] * k)
+
+
+def step_contraction(mats, pi) -> tuple[float, int]:
+    """(alpha, p): a per-step contraction alpha = s^(1 / (p k)) of the
+    centred cycle Q = K_1 ... K_k - 1 pi', s = |Q^p|_pi, the smallest over
+    p = 1, 2, 4, ... until s < 1/2, or (inf, 0) when no s is below one. Q^p is read in the balanced basis, where the
+    pi-norm is the 2-norm, and s carries 8 p (n + k) eps for the rounding
+    of the squarings and of the norm."""
+    root = np.sqrt(pi)
+    prod = helpers.cycle_product(mats, 1, len(mats))
+    power = root[:, None] * prod / root[None, :] - np.outer(root, root)
+    best, p = (math.inf, 0), 1
+    for _ in range(40):
+        s = float(np.linalg.norm(power, 2)) + 8.0 * p * (pi.size + len(mats)) * EPS
+        if s < 1.0:
+            best = min(best, (s ** (1.0 / (p * len(mats))), p))
+        if s < 0.5:
+            break
+        power, p = power @ power, 2 * p
+    return best
 
 
 class TestVarLambdaStrat:
@@ -268,6 +293,45 @@ class TestFiniteM:
         c = errors[0] * grid[0] * 1.5
         for m, err in zip(grid, errors):
             assert err <= c / m
+
+    @given(helpers.families())
+    def test_horizon_gap_times_m_settles(self, case):
+        # With M = c k and R_q(L) the covariance tail sum_{h > L} c_q(h),
+        # M (V_M - V) = -2 sum_q sum_{b < c} R_q(b k + k - 1 - q), so the
+        # products at M and 2M differ by the 2 sum_q sum_{c <= b < 2c} terms.
+        # |c_q(h)| <= |f|^2 alpha^(h + 2 - k - k p), since the h kernels
+        # hold floor((h - lead) / (k p)) p-th powers of the phase-1 cycle,
+        # lead < k, so the difference is at most
+        # 2 k |f|^2 alpha^(c k + 3 - k - k p) / ((1 - alpha)(1 - alpha^k)).
+        # c doubles until that falls below 1e-6 |f|^2: past the mixing
+        # scale. The three values each round by about eps times their
+        # scale and the mixing time 1 / (1 - alpha), weighted by M, 2M, M.
+        fam, f = case
+        pi = fam.pi.weights
+        fc = f.values - pi @ f.values
+        norm_sq = float(pi @ (fc * fc))
+        for scheme, admitted in (("strat", fam._summable), ("rand", fam._unit_count == 1)):
+            if not admitted:
+                continue
+            mats = fam.matrices if scheme == "strat" else (random_scan(fam).matrix,)
+            k = len(mats)
+            alpha, p = step_contraction(mats, pi)
+            assert alpha < 1.0
+
+            def log_bound(c):  # alpha > 0, as s >= 8 (n + k) eps
+                tail = (1.0 - alpha) * (1.0 - alpha**k)
+                exponent = c * k + 3 - k - k * p
+                return math.log(2 * k * norm_sq / tail) + exponent * math.log(alpha)
+
+            c = 1
+            while log_bound(c) > math.log(1e-6 * norm_sq):
+                c *= 2
+            m, bound = c * k, math.exp(log_bound(c))
+            limit = var_limit(fam, f, scheme)
+            short, long = (finite_m_variance_exact(fam, f, h, scheme) for h in (m, 2 * m))
+            scale = max(float(pi @ (f.values * f.values)), abs(limit))
+            allowance = 16.0 * m * EPS * scale / (1.0 - alpha)
+            assert abs(m * (short - limit) - 2 * m * (long - limit)) <= bound + allowance
 
     def test_rejects_bad_horizon(self, e1, e1_f):
         with pytest.raises(ValueError):

@@ -22,7 +22,10 @@ random scan's eigenbasis solve falls back to its LU, `limit` and
 `compare` with the limit row on a model with a target weight near 1e-12,
 on a swap pair, on a pair holding with probability 1 - 1e-9, on a pair
 flipping with probability 1e-9, on one kernel with an eigenvalue
-1 - 1e-8 and on two kernels whose target weights span six decades, plus
+1 - 1e-8 and on two kernels whose target weights span six decades, `validate`, `compare`
+and `limit` on a labelled model and on model files that the loader
+refuses (duplicate labels, alone and with other faults, state counts
+that disagree with the data, and one fault of each kind it checks), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
 check could exit 2).
@@ -140,6 +143,38 @@ def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> 
         kernels.append((1.0 - a) * m + a * np.eye(n))
     return {"states": n, "pi": w.tolist(), "kernels": [m.tolist() for m in kernels],
             "f": rng.standard_normal(n).tolist()}
+
+
+def invalid_models() -> dict[str, dict]:
+    """Model files for the loader's checks: labels, state counts that
+    disagree with the data, and one fault of each kind the validation
+    lists or the domain types refuse (NaN is written as JSON's NaN)."""
+    nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
+    return {
+        "labelled": dict(E1, states=["lo", "hi"]),
+        "labels-long": dict(E1, states=["a", "b", "c"]),
+        "labels-twice": dict(E1, states=["a", "a"]),
+        "labels-twice-row-sum": dict(E1, states=["a", "a"], kernels=[short_row, p2]),
+        "labels-twice-nan-weight": dict(E1, states=["a", "a"], pi=[nan, 0.5]),
+        "count-off": dict(E1, states=3),
+        "states-0": dict(E1, states=0),
+        "states-minus-1": dict(E1, states=-1),
+        "states-true": dict(E1, states=True),
+        "states-mixed": dict(E1, states=["a", 1]),
+        "empty": {"states": 0, "pi": [], "kernels": [], "f": []},
+        "no-kernels": dict(E1, kernels=[]),
+        "row-sum": dict(E1, kernels=[short_row, p2]),
+        # raw flow imbalance 8e-11 is within 1e-10, but 1.8e-10 of the largest flow
+        "relative-balance": dict(E1, kernels=[[[0.1, 0.9], [0.9 - 1.6e-10, 0.1 + 1.6e-10]]]),
+        "balance": dict(E1, kernels=[[[0.9, 0.1], [0.2, 0.8]], p2]),
+        "negative": dict(E1, kernels=[[[1.1, -0.1], [-0.1, 1.1]], p2]),
+        "zero-weight": dict(E1, pi=[0.0, 1.0], kernels=[[[1.0, 0.0], [0.0, 1.0]]]),
+        "weight-sum": dict(E1, pi=[0.5, 0.49]),
+        "short-f": dict(E1, f=[1.0]),
+        "nan-f": dict(E1, f=[1.0, nan]),
+        "shapes": dict(E1, kernels=[E1["kernels"][0], np.eye(3).tolist()]),
+        "nan-kernel": dict(E1, kernels=[[[nan, 0.1], [0.1, 0.9]], p2]),
+    }
 
 
 def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
@@ -284,6 +319,10 @@ def command_lines(models: Path) -> list[list[str]]:
     for name in ("tiny-weight", "swap", "near-one", "sticky", "on-the-line", "wide-ratio"):
         m = str(models / f"{name}.json")
         lines += [["limit", "--model", m], ["compare", "--model", m, "--lambda", "0.5,1"]]
+    for name, model in invalid_models().items():
+        m = models / f"invalid-{name}.json"
+        m.write_text(json.dumps(model))
+        lines += [[command, "--model", str(m)] for command in ("validate", "compare", "limit")]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     lines += [  # documented failures
