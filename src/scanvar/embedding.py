@@ -151,8 +151,11 @@ def _place(blocks: Sequence[np.ndarray], step: int) -> np.ndarray:
 
 
 def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """(blocks, step) of a selector other than symmetric: phase q of the
-    operator is blocks[q] applied to phase q + step."""
+    """(blocks, step) of a selector: phase q of the operator is blocks[q]
+    applied to phase q + step. The symmetric part is block-cyclic only for
+    k <= 2, where both its terms read the same phase and every block
+    (K_q + K_{q-1}) / 2 is the family's mixed kernel, bit for bit: two-term
+    addition commutes, and (K + K) / 2 = K."""
     k = len(mats)
     if op == "embed":
         return list(mats), 1
@@ -160,6 +163,12 @@ def _cycle_row(op: str, mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], i
         return [mats[q - 1] for q in range(k)], -1
     if op == "shift_diag":
         return [mats[(q + 1) % k] for q in range(k)], 1
+    if op == "symmetric":
+        if k > 2:
+            raise ValueError(
+                f"the symmetric part is not block-cyclic for k = {k} > 2 kernels"
+            )
+        return [(mats[q] + mats[q - 1]) / 2.0 for q in range(k)], 1
     raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
 
 
@@ -227,24 +236,6 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
         fwd = _place(*_cycle_row("embed", blocks))
         return (fwd + _place(*_cycle_row("embed_adjoint", blocks))) / 2.0
     return _place(*_cycle_row(op, blocks))
-
-
-def _family_row(fam: KernelFamily, op: str) -> tuple[list, int, np.ndarray | None]:
-    """(blocks, step, product) of a selector on a family. The product does
-    not depend on the discount; the family keeps the embed row's (its
-    full-cycle product), and it is None for the other rows, whose solves
-    build it. The symmetric part is block-cyclic only for k <= 2, where
-    both its terms read the same phase and every block (K_q + K_{q-1}) / 2
-    is the family's mixed kernel, bit for bit: two-term addition commutes,
-    and (K + K) / 2 = K."""
-    if op == "symmetric":
-        if fam.k > 2:
-            raise ValueError(
-                f"the symmetric part is not block-cyclic for k = {fam.k} > 2 kernels"
-            )
-        return [fam._mixed.matrix] * fam.k, 1, None
-    blocks, step = _cycle_row(op, fam.matrices)
-    return blocks, step, fam._cycle if op == "embed" else None
 
 
 def _check_residual(
@@ -366,11 +357,12 @@ class CycleEmbedding:
         right-hand side within RESOLVENT_RTOL in the weighted norm. The
         "symmetric" selector needs k <= 2.
         """
+        fam = self.family
         _check_lam(lam)
-        _check_block(self.family, rhs)
-        blocks, step, prod = _family_row(self.family, op)
-        x = _cycle_solve(blocks, step, lam, rhs.values, self.family.pi.weights, prod)
-        return BlockVector(x)
+        _check_block(fam, rhs)
+        blocks, step = _cycle_row(op, fam.matrices)
+        prod = fam._cycle if op == "embed" else None
+        return BlockVector(_cycle_solve(blocks, step, lam, rhs.values, fam.pi.weights, prod))
 
 
 def resolvent_solve(

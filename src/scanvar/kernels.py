@@ -9,7 +9,7 @@ geometry lives in the inner product weighted by the target distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,12 +81,6 @@ def _check_lam(lam: float) -> None:
     """Refuse a discount outside [0, 1); discount one has its own limit routes."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {lam}")
-
-
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +161,13 @@ class Kernel:
 
 @dataclass(frozen=True)
 class FamilyDiagnostics:
-    """Residuals of the stochasticity and detailed-balance requirements.
+    """Residuals of the stochasticity and detailed-balance requirements,
+    measured and not judged: each caller compares them with its own
+    tolerance.
 
     Balance residuals are reported both as the raw maximum flow imbalance
     max |pi(x) K(x,y) - pi(y) K(y,x)| and relative to the largest flow of
-    the kernel. `passes` compares the raw per-kernel residuals to `tol`.
+    the kernel.
     """
 
     row_sum_deviation: tuple[float, ...]
@@ -180,29 +176,9 @@ class FamilyDiagnostics:
     relative_balance_residual: tuple[float, ...]
     pi_sum_deviation: float
     min_pi: float
-    tol: float
-    passes: bool
-
-    def issues(self) -> list[str]:
-        """Human-readable list of every residual exceeding `tol`, row sums
-        aside: those must hold within ROW_SUM_TOL, and the callers that build
-        kernels check them there with the offending row named."""
-        out = []
-        for i, (g, b) in enumerate(zip(self.negative_entry, self.balance_residual)):
-            if g > self.tol:
-                out.append(f"kernel {i + 1}: negative entry of magnitude {g:.3g}")
-            if b > self.tol:
-                out.append(
-                    f"kernel {i + 1}: detailed-balance residual {b:.3g} > {self.tol:g}"
-                )
-        if self.pi_sum_deviation > self.tol:
-            out.append(f"target weights sum off by {self.pi_sum_deviation:.3g}")
-        if self.min_pi <= 0.0:
-            out.append(f"target has a nonpositive weight ({self.min_pi:.3g})")
-        return out
 
 
-def family_diagnostics(pi, matrices, tol: float = NUMERIC_TOL) -> FamilyDiagnostics:
+def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
     """Diagnose raw kernel matrices against a target without constructing types.
 
     Accepts anything array-like, so invalid input can still be quantified.
@@ -222,7 +198,6 @@ def family_diagnostics(pi, matrices, tol: float = NUMERIC_TOL) -> FamilyDiagnost
         bal.append(residual)
         peak = float(flow.max())
         rel_bal.append(residual / peak if peak > 0 else residual)
-    worst = max(max(row_dev), max(neg), max(bal))
     return FamilyDiagnostics(
         row_sum_deviation=tuple(row_dev),
         negative_entry=tuple(neg),
@@ -230,8 +205,6 @@ def family_diagnostics(pi, matrices, tol: float = NUMERIC_TOL) -> FamilyDiagnost
         relative_balance_residual=tuple(rel_bal),
         pi_sum_deviation=abs(float(w.sum()) - 1.0),
         min_pi=float(w.min()),
-        tol=tol,
-        passes=worst <= tol,
     )
 
 
@@ -242,7 +215,8 @@ class KernelFamily:
 
     Construction validates everything: positive target weights, stochastic
     kernels (via the Kernel type) and detailed balance within
-    REVERSIBILITY_TOL relative to each kernel's largest flow. Values are
+    REVERSIBILITY_TOL relative to each kernel's largest flow, read from the
+    family's residuals, which it keeps as `diagnostics`. Values are
     immutable afterwards and safe to share across threads. Derived data
     (the mixed kernel, its symmetric eigendecomposition and the count of
     its eigenvalues near one, the full-cycle product, the cycle contraction
@@ -252,6 +226,7 @@ class KernelFamily:
 
     pi: Dist
     kernels: tuple[Kernel, ...]
+    diagnostics: FamilyDiagnostics = field(init=False, repr=False)
 
     def __post_init__(self):
         kernels = tuple(self.kernels)
@@ -267,6 +242,7 @@ class KernelFamily:
             if k.n != self.n:
                 raise ValidationError(f"kernel {i + 1} is {k.n}x{k.n}, expected {self.n}")
         diag = family_diagnostics(self.pi, kernels)
+        object.__setattr__(self, "diagnostics", diag)
         worst_rel = max(diag.relative_balance_residual)
         if worst_rel > REVERSIBILITY_TOL:
             which = int(np.argmax(diag.relative_balance_residual))
@@ -302,7 +278,9 @@ class KernelFamily:
         """K_1 K_2 ... K_k, read-only: the phase-1 full-cycle product, which
         the summability check centres and the embed row's resolvent solves
         scale by the discount."""
-        return _readonly(_cycle_product(self.matrices))
+        prod = _cycle_product(self.matrices)
+        prod.setflags(write=False)
+        return prod
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -367,7 +345,7 @@ class KernelFamily:
             math.sqrt(tops[0] * tops[1]) + 3.0 * wide * sum(tops) + dev
             + 2.0 * norm(root * (rows - 1.0)) + norm((flow - weights) / root)
         )
-        cycle = root[:, None] * self._cycle / root[None, :]
+        cycle = _pi_similar(self._cycle, weights)
         balanced = norm(cycle)
         cycle -= np.outer(root, root)
         fro, last = norm(cycle), math.inf
@@ -599,16 +577,11 @@ def _reaches_all(edges: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _strongly_connected(matrix: np.ndarray) -> bool:
-    """State 0 reaches every state along the positive entries, and every
-    state reaches state 0."""
-    edges = matrix > 0.0
-    return _reaches_all(edges) and _reaches_all(edges.T)
-
-
 def is_irreducible(kernel: Kernel) -> bool:
-    """True when the positive-entry graph is strongly connected."""
-    return _strongly_connected(kernel.matrix)
+    """True when the positive-entry graph is strongly connected: state 0
+    reaches every state, and every state reaches state 0."""
+    edges = kernel.matrix > 0.0
+    return _reaches_all(edges) and _reaches_all(edges.T)
 
 
 def random_reversible(pi: Dist, seed: int) -> Kernel:

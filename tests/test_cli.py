@@ -146,7 +146,9 @@ class TestLoadModel:
         assert sim == {"steps": 64, "replicas": 10, "seed": 3}
         assert all(type(v) is int for v in sim.values())
 
-    def test_valid_model_diagnosed_once(self, tmp_path, monkeypatch):
+    def test_valid_model_diagnosed_once(self, tmp_path, monkeypatch, capsys):
+        # the family's own diagnosis is the only one, per model file and
+        # for every command: validate reads it back
         calls = []
         diagnose = scanvar.kernels.family_diagnostics
 
@@ -156,8 +158,21 @@ class TestLoadModel:
 
         monkeypatch.setattr(scanvar.kernels, "family_diagnostics", counted)
         monkeypatch.setattr(scanvar.cli, "family_diagnostics", counted)
-        load_model(write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL))
+        monkeypatch.chdir(tmp_path)
+        load_model(write_model(tmp_path / "three.json", **THREE_KERNEL_MODEL))
         assert len(calls) == 1
+        path = write_model(tmp_path / "m.json")
+        for command in scanvar.cli.COMMANDS:
+            calls.clear()
+            if command == "demo":
+                argv = ["demo", "--out", "demo.csv"]
+            else:
+                argv = [command, *model_args(command, path)]
+            if command == "simulate":
+                argv += ["--steps", "8", "--replicas", "2"]
+            assert main(argv) == EXIT_OK, command
+            model_files = 2 if command == "peskun" else 1
+            assert len(calls) == model_files, command
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -381,6 +396,20 @@ class TestValidate:
             tmp_path / "m.json", kernels=[[[0.9, 0.1], [0.2, 0.8]], helpers.E1_P2]
         )
         assert main(["validate", "--model", path]) == EXIT_VALIDATION
+
+    def test_verdict_passes_at_the_worst_residual(self, tmp_path, capsys):
+        # a flow imbalance of 1e-13 is the largest residual; a tolerance
+        # equal to it passes and the next float below it fails
+        kernel = [[0.9, 0.1], [0.1 + 2e-13, 0.9 - 2e-13]]
+        path = write_model(tmp_path / "m.json", kernels=[kernel, helpers.E1_P2])
+        diag = load_model(path).family.diagnostics
+        worst = max(*diag.row_sum_deviation, *diag.negative_entry, *diag.balance_residual)
+        assert worst == diag.balance_residual[0] > 0.0
+        below = float(np.nextafter(worst, 0.0))
+        assert main(["validate", "--model", path, "--tol", repr(worst)]) == EXIT_OK
+        assert main(["validate", "--model", path, "--tol", repr(below)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"verdict at tol {below:g}: fail"
 
 
 class TestPeskun:

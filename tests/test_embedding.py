@@ -309,14 +309,15 @@ class TestResolvent:
 
     def test_cycle_product_cached_per_family_and_selector(self, monkeypatch):
         # a four-point sweep with gap bounds and the limit builds one cycle
-        # product, the embed row's, and reuses the same object; the other
-        # rows build theirs per solve, and the summability check centres
-        # the same embed product
+        # product, the embed row's, and reuses the same object, as does the
+        # embed resolvent; the other rows' solves build theirs, and the
+        # summability check centres the same embed product
         import scanvar.embedding as embedding
         import scanvar.kernels as kernels
         from scanvar.ordering import check_scan_ordering
 
-        fam = helpers.random_family(np.random.default_rng(71), 6, 2)
+        rng = np.random.default_rng(71)
+        fam = helpers.random_family(rng, 6, 2)
         f = helpers.random_centered(np.random.default_rng(72), fam)
         built = []
         product = kernels._cycle_product
@@ -326,23 +327,29 @@ class TestResolvent:
             return product(matrices)
 
         monkeypatch.setattr(kernels, "_cycle_product", counted)
+        monkeypatch.setattr(embedding, "_cycle_product", counted)
         check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99, 1.0])
         assert built == [2]
-        blocks, step, cached = embedding._family_row(fam, "embed")
-        assert embedding._family_row(fam, "embed")[2] is cached
+        cached = fam._cycle
         assert not cached.flags.writeable
-        np.testing.assert_array_equal(cached, product(blocks))
+        np.testing.assert_array_equal(cached, product(fam.matrices))
         np.testing.assert_array_equal(cached, helpers.cycle_product(fam.matrices, 1, 2))
+        emb, rhs = CycleEmbedding(fam), random_block(rng, fam)
+        emb.resolvent_solve("embed", 0.5, rhs)
+        assert built == [2]
         for op in ("embed_adjoint", "symmetric", "shift_diag"):
-            assert embedding._family_row(fam, op)[2] is None
-        blocks, _, _ = embedding._family_row(fam, "symmetric")
-        assert all(block is fam._mixed.matrix for block in blocks)
+            emb.resolvent_solve(op, 0.5, rhs)
+        assert built == [2, 2, 2, 2]
+        blocks, step = embedding._cycle_row("symmetric", fam.matrices)
+        assert step == 1
+        for block in blocks:
+            np.testing.assert_array_equal(block, fam._mixed.matrix)
         mats = fam.matrices
         np.testing.assert_array_equal(blocks[1], (mats[1] + mats[0]) / 2.0)
         check_scan_ordering(fam, f, [0.5, 1.0])
         monkeypatch.setattr(kernels, "compose_cycle", None)  # not rebuilt there
         assert fam._cycle_contraction == helpers.oracle_cycle_contraction(fam)
-        assert built == [2]
+        assert built == [2, 2, 2, 2]
 
     def test_realization_agrees_with_blockwise_action(self):
         rng = np.random.default_rng(20)

@@ -262,6 +262,20 @@ class TestEveryObservable:
         bottom = centred_bottom(rand_gram(fam, lam) - strat, fam.pi.weights)
         assert bottom >= -1e-12 / (1.0 - lam)
 
+    @given(helpers.families(k=2))
+    def test_lazier_cycle_raises_every_variance(self, case):
+        # Peskun ordering for every observable (Maire, Douc and Olsson, Ann.
+        # Statist. 2014): holding in each kernel orders the cycle's forms
+        fam, _ = case
+        pi = fam.pi.weights
+        for hold in (0.1, 0.5, 0.9):
+            lazier = helpers.lazified(fam, hold)
+            for lam in (0.5, 0.9, 0.99):
+                gap = helpers.gram("embed", lazier.matrices, pi, lam) - helpers.gram(
+                    "embed", fam.matrices, pi, lam
+                )
+                assert centred_bottom(gap, pi) >= -1e-12 / (1.0 - lam)
+
     def test_three_kernel_counterexample_for_every_observable(self):
         # on two states the one centred f is e1's, so the bottom eigenvalue
         # is the library's gap var_rand - var_strat there
