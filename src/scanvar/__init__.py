@@ -35,13 +35,11 @@ from scanvar.kernels import (
     metropolis_kernel,
     random_reversible,
     random_scan,
-    sigma,
 )
 from scanvar.ordering import (
     BetaPath,
     OrderingReport,
     PeskunComparison,
-    bellman_value,
     check_peskun_ordering,
     check_scan_ordering,
     gap_lower_bound,
@@ -50,11 +48,9 @@ from scanvar.ordering import (
     variational_identity_check,
 )
 from scanvar.simulate import (
-    SamplePath,
     SimulationConfig,
     VarianceEstimate,
     estimate_variance,
-    extract_embedded_component,
     simulate,
 )
 from scanvar.variance import (

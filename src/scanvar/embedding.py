@@ -1,10 +1,11 @@
 """Block operators advancing k staggered copies of a kernel cycle.
 
 A block vector holds one function per cycle phase. The embedding operator
-sends phase i to kernel i applied to the phase-sigma(i) component, which is
-exactly the blockwise kernel action composed with the forward cyclic shift.
-That factorisation gives the adjoint by inspection (shift back after the
-blockwise action) and a clean self-adjoint / skew split.
+sends phase i to kernel i applied to the phase-sigma(i) component, with
+sigma(i) = i mod k + 1, which is exactly the blockwise kernel action
+composed with the forward cyclic shift. That factorisation gives the
+adjoint by inspection (shift back after the blockwise action) and a clean
+self-adjoint / skew split.
 
 Every operator here is one row (blocks, step): phase q reads blocks[q]
 applied to phase q + step, with step 0 for the blockwise action and +1 or

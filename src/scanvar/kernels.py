@@ -47,7 +47,6 @@ __all__ = [
     "make_family",
     "inner",
     "center",
-    "sigma",
     "compose_cycle",
     "random_scan",
     "gibbs_kernel",
@@ -421,20 +420,9 @@ def center(f: Observable, pi: Dist) -> Observable:
     return Observable(f.values - mean)
 
 
-def sigma(j: int, power: int, k: int) -> int:
-    """Iterate of the forward circular permutation on {1, ..., k}.
-
-    Power zero is the identity, power one maps j to j+1 with k wrapping to 1,
-    and negative powers iterate the inverse. Satisfies the group law
-    sigma(j, a + b, k) == sigma(sigma(j, b, k), a, k).
-    """
-    if not 1 <= j <= k:
-        raise ValueError(f"index {j} out of range 1..{k}")
-    return (j - 1 + power) % k + 1
-
-
 def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:
-    """Product of s kernels read forward along the cycle starting at phase q.
+    """Product of s kernels read forward along the cycle starting at phase q:
+    step j applies the kernel at phase (q - 1 + j) mod k + 1.
 
     s = 0 returns the identity. The product is taken in application order:
     the phase-q kernel acts first on the state, last on functions.
@@ -443,7 +431,7 @@ def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:
         raise ValueError(f"cycle length must be nonnegative, got {s}")
     if not 1 <= q <= fam.k:
         raise ValueError(f"phase {q} out of range 1..{fam.k}")
-    mats = [fam.kernels[sigma(q, step, fam.k) - 1].matrix for step in range(s)]
+    mats = [fam.matrices[(q - 1 + step) % fam.k] for step in range(s)]
     return Kernel(_cycle_product([np.eye(fam.n), *mats]))
 
 

@@ -71,7 +71,6 @@ __all__ = [
     "PalindromeReport",
     "gap_lower_bound",
     "check_scan_ordering",
-    "bellman_value",
     "variational_identity_check",
     "peskun_dominates",
     "check_peskun_ordering",
@@ -231,37 +230,6 @@ def check_scan_ordering(
         return var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), 0.0 if two else math.nan
 
     return _walk(lambda_grid, tol, at, limit)
-
-
-def bellman_value(op_matrix: np.ndarray, f, weights) -> tuple[float, np.ndarray]:
-    """Quadratic form of the inverse of a positive self-adjoint operator.
-
-    Returns (value, argmax) where value = <f, Op^{-1} f> in the weighted
-    inner product and argmax attains the variational characterisation
-    sup_g 2<f, g> - <g, Op g>. Raises when the operator is not self-adjoint
-    for the weights, within NUMERIC_TOL times the larger of one and its
-    largest weighted entry, or not positive definite.
-    """
-    mat = np.asarray(op_matrix, dtype=float)
-    fv = f.values if isinstance(f, Observable) else np.asarray(f, dtype=float)
-    w = weights.weights if isinstance(weights, Dist) else np.asarray(weights, dtype=float)
-    if mat.shape != (w.size, w.size) or fv.size != w.size:
-        raise ValidationError(
-            f"operator {mat.shape}, vector {fv.size} and weights {w.size} disagree"
-        )
-    gram = w[:, None] * mat
-    scale = max(float(np.abs(gram).max()), 1.0)
-    if float(np.abs(gram - gram.T).max()) > NUMERIC_TOL * scale:
-        raise ValidationError("operator is not self-adjoint in the weighted inner product")
-    s = _pi_similar(mat, w)
-    min_eig = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
-    if min_eig <= 0.0:
-        raise ValidationError(
-            f"operator is not positive definite (smallest eigenvalue {min_eig:.3g})"
-        )
-    argmax = np.linalg.solve(mat, fv)
-    value = float(np.dot(w, fv * argmax))
-    return value, argmax
 
 
 def _pi_adjoint(mat: np.ndarray, pi: np.ndarray) -> np.ndarray:

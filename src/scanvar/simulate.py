@@ -1,5 +1,8 @@
 """Seeded simulation of the scan schemes with replicated variance estimates.
 
+A path is an int64 array of states, of shape (steps,), or (steps, k) for
+the embedded scheme.
+
 Reproducibility contract: a path is a pure function of the configuration.
 State draws invert the cumulative row at a uniform variate, taking the
 first index whose cumulative weight strictly exceeds the draw. A path
@@ -27,11 +30,9 @@ SIM_SCHEMES = ("rand", "strat", "embedded")
 __all__ = [
     "SIM_SCHEMES",
     "SimulationConfig",
-    "SamplePath",
     "VarianceEstimate",
     "simulate",
     "estimate_variance",
-    "extract_embedded_component",
 ]
 
 
@@ -41,7 +42,7 @@ class SimulationConfig:
 
     Every path starts stationary, the regime every exact reference quantity
     assumes. A path burned in for b steps is the longer path sliced,
-    simulate(fam, SimulationConfig(steps + b, ...)).states[b:].
+    simulate(fam, SimulationConfig(steps + b, ...))[b:].
     """
 
     steps: int
@@ -57,18 +58,6 @@ class SimulationConfig:
             )
         if not 0 <= self.seed < 2**64:  # derive_seed reads the seed modulo 2**64
             raise ValidationError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
-
-
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    """Recorded states: shape (steps,) or (steps, k) for the embedded scheme."""
-
-    states: np.ndarray
-    scheme: str
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0]
 
 
 @dataclass(frozen=True)
@@ -231,8 +220,9 @@ def _lockstep(fam: KernelFamily, cfg: SimulationConfig, seeds, slots=None):
         yield states
 
 
-def simulate(fam: KernelFamily, cfg: SimulationConfig) -> SamplePath:
-    """Run one seeded path of the configured scheme.
+def simulate(fam: KernelFamily, cfg: SimulationConfig) -> np.ndarray:
+    """Run one seeded path of the configured scheme: its int64 states, of
+    shape (steps,), or (steps, k) for the embedded scheme.
 
     The initial state (or tuple, for the embedded scheme) is drawn from the
     target; step t applies the scheme's kernel(s) for that step. Output is
@@ -243,20 +233,7 @@ def simulate(fam: KernelFamily, cfg: SimulationConfig) -> SamplePath:
     # coordinate j at recorded time i sits in slot (j - i) mod width
     times = np.arange(cfg.steps)[:, None]
     states = np.take_along_axis(slots[:, 0], (np.arange(width) - times) % width, axis=1)
-    return SamplePath(states if cfg.scheme == "embedded" else states[:, 0], cfg.scheme)
-
-
-def extract_embedded_component(path: SamplePath) -> SamplePath:
-    """Diagonal component of an embedded path: at time i, the coordinate at
-    cycle phase sigma^i(1). Its law coincides with the deterministic-scan
-    chain."""
-    if path.states.ndim != 2:
-        raise ValidationError(
-            f"component extraction needs an embedded path, got scheme {path.scheme!r}"
-        )
-    steps, k = path.states.shape
-    times = np.arange(steps)
-    return SamplePath(states=path.states[times, times % k], scheme="extracted")
+    return states if cfg.scheme == "embedded" else states[:, 0]
 
 
 def estimate_variance(

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from scanvar.embedding import BlockVector, apply_embedding, embedding_realization
 from scanvar.kernels import (
+    NUMERIC_TOL,
     Dist,
     Kernel,
     KernelFamily,
     Observable,
+    ValidationError,
     gibbs_kernel,
     lazy,
     make_family,
@@ -128,6 +130,26 @@ def families(
     return fam, f
 
 
+def dirichlet_family(rng: np.random.Generator, n: int, k: int) -> KernelFamily:
+    """k kernels on a Dirichlet(1) target, each a Metropolised proposal
+    with Dirichlet(0.3) rows: rougher kernels than families() draws, on
+    which random scan need not lose to the cycle for k >= 3."""
+    pi = Dist(rng.dirichlet(np.ones(n)))
+    kernels = [
+        metropolis_kernel(pi, Kernel(rng.dirichlet(np.full(n, 0.3), size=n)))
+        for _ in range(k)
+    ]
+    return make_family(pi.weights, kernels)
+
+
+@st.composite
+def dirichlet_families(draw):
+    """dirichlet_family on two to five states with three to five kernels."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(3, 5))
+    return dirichlet_family(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
+
+
 def lazified(fam: KernelFamily, holds) -> KernelFamily:
     """Kernelwise identity blend of a family; `holds` is a scalar or one per kernel."""
     if np.isscalar(holds):
@@ -158,7 +180,7 @@ def cycle_product(mats, q: int, s: int) -> np.ndarray:
 def embedding_power(fam: KernelFamily, phi: BlockVector, i: int) -> BlockVector:
     """i-fold application of the embedding; phase j of the result is the
     forward cycle product of length i (from phase j) applied to the
-    phase-sigma^i(j) component."""
+    phase (j - 1 + i) mod k + 1 component."""
     out = phi
     for _ in range(i):
         out = apply_embedding(fam, out)
@@ -314,6 +336,18 @@ def reference_path(fam: KernelFamily, scheme: str, seed: int, steps: int) -> np.
     return states
 
 
+def extract_embedded_component(states: np.ndarray) -> np.ndarray:
+    """Diagonal component of an embedded (steps, k) path: at time i, the
+    coordinate at cycle phase i mod k + 1. Its law is the deterministic
+    scan chain's."""
+    if states.ndim != 2:
+        raise ValidationError(
+            f"component extraction needs an embedded (steps, k) path, got shape {states.shape}"
+        )
+    times = np.arange(states.shape[0])
+    return states[times, times % states.shape[1]]
+
+
 def reference_estimate(
     fam: KernelFamily, f: Observable, steps: int, seeds, scheme: str
 ) -> np.ndarray:
@@ -323,7 +357,7 @@ def reference_estimate(
     for r, seed in enumerate(seeds):
         states = reference_path(fam, scheme, seed, steps)
         if scheme == "embedded":
-            states = states[np.arange(steps), np.arange(steps) % fam.k]
+            states = extract_embedded_component(states)
         values[r] = np.sqrt(steps) * float(fc[states].mean())
     return values
 
@@ -376,6 +410,37 @@ def gram(op: str, mats, pi: np.ndarray, lam: float) -> np.ndarray:
     solved = np.linalg.solve(np.eye(k * n) - lam * balanced, tiled)
     form = (2.0 / k) * tiled.T @ solved - np.eye(n)
     return form * root[None, :n] / root[:n, None]
+
+
+def bellman_value(op_matrix: np.ndarray, f, weights) -> tuple[float, np.ndarray]:
+    """Quadratic form of the inverse of a positive self-adjoint operator.
+
+    Returns (value, argmax) where value = <f, Op^{-1} f> in the weighted
+    inner product and argmax attains the variational characterisation
+    sup_g 2<f, g> - <g, Op g>. Raises ValidationError when the operator is
+    not self-adjoint for the weights, within NUMERIC_TOL times the larger
+    of one and its largest weighted entry, or not positive definite.
+    """
+    mat = np.asarray(op_matrix, dtype=float)
+    fv = f.values if isinstance(f, Observable) else np.asarray(f, dtype=float)
+    w = weights.weights if isinstance(weights, Dist) else np.asarray(weights, dtype=float)
+    if mat.shape != (w.size, w.size) or fv.size != w.size:
+        raise ValidationError(
+            f"operator {mat.shape}, vector {fv.size} and weights {w.size} disagree"
+        )
+    weighted = w[:, None] * mat
+    scale = max(float(np.abs(weighted).max()), 1.0)
+    if float(np.abs(weighted - weighted.T).max()) > NUMERIC_TOL * scale:
+        raise ValidationError("operator is not self-adjoint in the weighted inner product")
+    root = np.sqrt(w)
+    s = root[:, None] * mat / root[None, :]
+    min_eig = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
+    if min_eig <= 0.0:
+        raise ValidationError(
+            f"operator is not positive definite (smallest eigenvalue {min_eig:.3g})"
+        )
+    argmax = np.linalg.solve(mat, fv)
+    return float(np.dot(w, fv * argmax)), argmax
 
 
 def oracle_gap_bound(fam: KernelFamily, f: Observable, lam: float) -> float:

@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 import helpers
+from helpers import bellman_value
 from scanvar.embedding import (
     BlockVector,
     CycleEmbedding,
@@ -22,7 +23,6 @@ from scanvar.embedding import (
 from scanvar.kernels import Dist, Observable, gibbs_kernel, inner, make_family
 from scanvar.ordering import (
     BetaPath,
-    bellman_value,
     gap_lower_bound,
     palindrome_check,
     peskun_dominates,

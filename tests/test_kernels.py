@@ -30,7 +30,6 @@ from scanvar.kernels import (
     metropolis_kernel,
     random_reversible,
     random_scan,
-    sigma,
     _exact_sum,
 )
 
@@ -149,38 +148,6 @@ class TestValidateFamily:
         assert e1.diagnostics == family_diagnostics(e1.pi, e1.kernels)
 
 
-class TestSigma:
-    def test_swap_for_two(self):
-        assert sigma(1, 1, 2) == 2
-        assert sigma(2, 1, 2) == 1
-
-    def test_zero_power_identity(self):
-        for k in range(1, 6):
-            for j in range(1, k + 1):
-                assert sigma(j, 0, k) == j
-
-    def test_full_cycle_returns(self):
-        assert sigma(1, 3, 3) == 1
-
-    def test_group_law(self):
-        for k in range(1, 7):
-            for j in range(1, k + 1):
-                for a in range(-5, 6):
-                    for b in range(-5, 6):
-                        assert sigma(j, a + b, k) == sigma(sigma(j, b, k), a, k)
-
-    def test_bijection(self):
-        for k in range(1, 11):
-            for j in range(1, k + 1):
-                assert sigma(sigma(j, 1, k), -1, k) == j
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sigma(0, 1, 3)
-        with pytest.raises(ValueError):
-            sigma(4, 1, 3)
-
-
 class TestComposeCycle:
     def test_zero_steps_identity(self, e1):
         np.testing.assert_array_equal(compose_cycle(e1, 1, 0).matrix, np.eye(2))
@@ -207,7 +174,7 @@ class TestComposeCycle:
                     for t in range(0, 7):
                         whole = compose_cycle(fam, q, s + t).matrix
                         left = compose_cycle(fam, q, s).matrix
-                        right = compose_cycle(fam, sigma(q, s, k), t).matrix
+                        right = compose_cycle(fam, (q - 1 + s) % k + 1, t).matrix
                         np.testing.assert_allclose(whole, left @ right, atol=1e-10)
 
     def test_matches_plain_product(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import scanvar.variance
+from helpers import bellman_value
 from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     Dist,
@@ -21,7 +22,6 @@ from scanvar.kernels import (
 )
 from scanvar.ordering import (
     BetaPath,
-    bellman_value,
     check_peskun_ordering,
     check_scan_ordering,
     gap_lower_bound,
@@ -287,6 +287,29 @@ class TestEveryObservable:
             assert bottom == pytest.approx(pinned, abs=1e-8)
             gap = var_lambda_rand(fam, f, lam) - var_lambda_strat(fam, f, lam)
             assert bottom == pytest.approx(gap, abs=1e-12)
+
+    @given(helpers.dirichlet_families(), st.sampled_from([0.5, 0.9, 0.99]))
+    def test_walk_orders_every_observable(self, fam, lam):
+        # the forward/backward walk (T + T*) / 2 on (phase, state) loses to
+        # the cycle for every observable at every k; at k = 2 it is random
+        # scan, which for k >= 3 need not lose (next test)
+        pi = fam.pi.weights
+        strat = helpers.gram("embed", fam.matrices, pi, lam)
+        walk = helpers.gram("symmetric", fam.matrices, pi, lam)
+        assert centred_bottom(walk - strat, pi) >= -1e-12 / (1.0 - lam)
+
+    def test_random_scan_counterexample_on_dirichlet_family(self):
+        # three Metropolised Dirichlet kernels on three states: random scan
+        # beats the cycle for some observable at 0.9 and 0.99, the walk never
+        fam = helpers.dirichlet_family(np.random.default_rng(140), 3, 3)
+        pi = fam.pi.weights
+        for lam, pinned in ((0.9, -0.02105161), (0.99, -0.13093890)):
+            strat = helpers.gram("embed", fam.matrices, pi, lam)
+            walk = helpers.gram("symmetric", fam.matrices, pi, lam)
+            assert centred_bottom(rand_gram(fam, lam) - strat, pi) == pytest.approx(
+                pinned, abs=1e-8
+            )
+            assert centred_bottom(walk - strat, pi) >= 0.0
 
 
 class TestBellman:

@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import helpers
+from helpers import extract_embedded_component
 from scanvar.kernels import Observable, ValidationError, make_family
 from scanvar.seeding import derive_seed, splitmix64
-from scanvar.simulate import (
-    SimulationConfig,
-    estimate_variance,
-    extract_embedded_component,
-    simulate,
-)
+from scanvar.simulate import SimulationConfig, estimate_variance, simulate
 from scanvar.variance import finite_m_variance_exact, joint_law_exact
 
 # the package re-exports the function `simulate` under the module's name
@@ -43,21 +39,21 @@ class TestSimulate:
             cfg = SimulationConfig(steps=200, seed=99, scheme=scheme)
             a = simulate(e1, cfg)
             b = simulate(e1, cfg)
-            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a, b)
 
     def test_seeds_change_paths(self, e1):
         a = simulate(e1, SimulationConfig(steps=200, seed=1, scheme="strat"))
         b = simulate(e1, SimulationConfig(steps=200, seed=2, scheme="strat"))
-        assert not np.array_equal(a.states, b.states)
+        assert not np.array_equal(a, b)
 
     def test_identity_family_constant_path(self):
         fam = make_family([0.3, 0.7], [np.eye(2), np.eye(2)])
         path = simulate(fam, SimulationConfig(steps=100, seed=5, scheme="strat"))
-        assert np.all(path.states == path.states[0])
+        assert np.all(path == path[0])
 
     def test_shapes(self, e1):
-        assert simulate(e1, SimulationConfig(steps=50, seed=0, scheme="rand")).states.shape == (50,)
-        assert simulate(e1, SimulationConfig(steps=50, seed=0, scheme="embedded")).states.shape == (50, 2)
+        assert simulate(e1, SimulationConfig(steps=50, seed=0, scheme="rand")).shape == (50,)
+        assert simulate(e1, SimulationConfig(steps=50, seed=0, scheme="embedded")).shape == (50, 2)
 
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
@@ -81,13 +77,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, e1, e1_f, seed):
-        assert simulate(e1, SimulationConfig(steps=4, seed=seed)).steps == 4
+        assert simulate(e1, SimulationConfig(steps=4, seed=seed)).shape[0] == 4
         assert np.isfinite(estimate_variance(e1, e1_f, 16, 5, seed, "strat").point)
 
     def test_strat_odd_steps_use_first_kernel(self, e1):
         # transitions at odd step indices follow the first kernel's rows
-        path = simulate(e1, SimulationConfig(steps=100_001, seed=8, scheme="strat"))
-        states = path.states
+        states = simulate(e1, SimulationConfig(steps=100_001, seed=8, scheme="strat"))
         counts = np.zeros((2, 2))
         for t in range(1, states.shape[0], 2):
             counts[states[t - 1], states[t]] += 1
@@ -103,14 +98,14 @@ class TestExtraction:
     def test_alternates_columns_for_two_phases(self, e1):
         path = simulate(e1, SimulationConfig(steps=20, seed=1, scheme="embedded"))
         extracted = extract_embedded_component(path)
-        expected = path.states[np.arange(20), np.arange(20) % 2]
-        np.testing.assert_array_equal(extracted.states, expected)
+        expected = path[np.arange(20), np.arange(20) % 2]
+        np.testing.assert_array_equal(extracted, expected)
 
     def test_single_phase_returns_path(self):
         fam = make_family([0.5, 0.5], [helpers.E1_P1])
         path = simulate(fam, SimulationConfig(steps=30, seed=2, scheme="embedded"))
         extracted = extract_embedded_component(path)
-        np.testing.assert_array_equal(extracted.states, path.states[:, 0])
+        np.testing.assert_array_equal(extracted, path[:, 0])
 
     def test_rejects_flat_paths(self, e1):
         path = simulate(e1, SimulationConfig(steps=10, seed=0, scheme="strat"))
@@ -129,7 +124,7 @@ def lockstep_paths(fam, scheme, steps, seeds):
         path = simulate(fam, SimulationConfig(steps=steps, seed=seed, scheme=scheme))
         if scheme == "embedded":
             path = extract_embedded_component(path)
-        np.testing.assert_array_equal(row, path.states)
+        np.testing.assert_array_equal(row, path)
     return paths
 
 
@@ -169,10 +164,9 @@ class TestEmbeddingLawAgreement:
     def test_extracted_lag_pairs_match_exact_law(self, e1):
         law = joint_law_exact(e1, 1, "strat")
         steps = 100_000
-        path = extract_embedded_component(
+        s = extract_embedded_component(
             simulate(e1, SimulationConfig(steps=steps, seed=31, scheme="embedded"))
         )
-        s = path.states
         # lag-1 pairs starting at even times share the exact two-step law
         starts = np.arange(0, steps - 1, 2)
         pairs = np.zeros((2, 2))
@@ -239,7 +233,7 @@ class TestReferenceSimulator:
         fam = helpers.random_family(rng, 5, k)
         for steps in (1, 2, 3, 5, 37, 38, 41):
             seed = 9 + steps
-            got = simulate(fam, SimulationConfig(steps, seed, scheme)).states
+            got = simulate(fam, SimulationConfig(steps, seed, scheme))
             expected = helpers.reference_path(fam, scheme, seed, steps)
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
@@ -250,14 +244,14 @@ class TestReferenceSimulator:
         # identity rows
         fam, _ = case
         for scheme in SCHEMES:
-            got = simulate(fam, SimulationConfig(steps, seed, scheme)).states
+            got = simulate(fam, SimulationConfig(steps, seed, scheme))
             np.testing.assert_array_equal(got, helpers.reference_path(fam, scheme, seed, steps))
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_state_paths(self, k, scheme):
         fam = make_family([1.0], [np.eye(1)] * k)
-        got = simulate(fam, SimulationConfig(9, 4, scheme)).states
+        got = simulate(fam, SimulationConfig(9, 4, scheme))
         np.testing.assert_array_equal(got, helpers.reference_path(fam, scheme, 4, 9))
         assert got.dtype == np.int64 and not got.any()
 
@@ -323,7 +317,7 @@ class TestReferenceSimulator:
         for r, seed in enumerate(permuted):
             path = helpers.reference_path(e1, scheme, seed, 40)
             if scheme == "embedded":
-                path = path[np.arange(40), np.arange(40) % 2]
+                path = extract_embedded_component(path)
             np.testing.assert_array_equal(slots[:, r, 0], path)
 
     @pytest.mark.parametrize(

@@ -3,9 +3,11 @@
 `bench/run.py --trace 1` wraps every name in each traced module's
 `__all__` and two methods of `CycleEmbedding`, then reads the spans below
 for its per-layer values. A stale `__all__` entry or a removed name makes
-the install raise or a span read nothing.
+the install raise or a span read nothing, and READ_SPANS must list every
+span bench/run.py reads, so no pinned name can leave `src/` unnoticed.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import scanvar
 import scanvar.cli  # noqa: F401  the tracer reads every scanvar module
 from scanvar.embedding import CycleEmbedding
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 from spans import MODULES, Tracer  # noqa: E402
 
 # The spans bench/run.py reads: module.attribute or module.Class.attribute.
@@ -65,3 +68,18 @@ def test_tracer_installs_and_uninstalls():
     for ns, saved in zip(namespaces, before):
         assert vars(ns).keys() == saved.keys()
         assert all(vars(ns)[name] is value for name, value in saved.items())
+
+
+def test_read_spans_are_the_spans_bench_reads():
+    # the string arguments of every self_s(...) and calls(...) in bench/run.py
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    read = {
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("self_s", "calls")
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    }
+    assert sorted(read) == sorted(READ_SPANS)

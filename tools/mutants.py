@@ -91,6 +91,35 @@ MUTANTS = (
         ("tests/test_shortcuts.py",),
     ),
     Mutant(
+        "unit count: eigvals fallback restored",
+        "kernels.py",
+        "        radius = skew + 16.0 * self.n * _EPS\n"
+        "        return int(np.sum(1.0 - mu < 1e-8 + radius))\n",
+        "        radius = skew + 16.0 * self.n * _EPS * float(self.pi.weights.max()"
+        " / self.pi.weights.min())\n"
+        "        dist = np.abs(mu - 1.0)\n"
+        "        if radius < 1e-8 and not np.any(np.abs(dist - 1e-8) <= radius):\n"
+        "            return int(np.sum(dist < 1e-8))\n"
+        "        return int(np.sum(np.abs(np.linalg.eigvals(self._mixed.matrix) - 1.0)"
+        " < 1e-8))\n",
+        ("tests/test_shortcuts.py::test_rand_limit_makes_no_eigvals_call",),
+    ),
+    Mutant(
+        "compose cycle: phase one ahead",
+        "kernels.py",
+        "fam.matrices[(q - 1 + step) % fam.k]",
+        "fam.matrices[(q + step) % fam.k]",
+        ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        # the two rotations agree for k <= 2 coordinates
+        "simulate: coordinate rotation reversed",
+        "simulate.py",
+        "(np.arange(width) - times) % width",
+        "(np.arange(width) + times) % width",
+        ("tests/test_simulate.py::TestReferenceSimulator::test_paths[embedded-3]",),
+    ),
+    Mutant(
         "exact sum: half-way correction dropped",
         "kernels.py",
         "return np.where(same_sign & (up - hi == twice), up, hi)",
