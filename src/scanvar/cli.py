@@ -85,11 +85,12 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _raise_problems(path: str, n: int, pi, f_values, kernels) -> None:
+def _raise_problems(path: str, n: int, pi, f_values, kernels, diag=None) -> None:
     """Raise ValidationError listing every violated invariant of the raw data,
     if any: shapes, then each kernel's negative entries and balance, the
-    target's sum and sign, and each kernel's worst row sum. This is the one
-    place that words a model's faults."""
+    target's sum and sign, and each kernel's worst row sum. The residuals
+    are `diag` when a refusal already measured them. This is the one place
+    that words a model's faults."""
     problems: list[str] = []
     if pi.shape != (n,):
         problems.append(f"pi has shape {pi.shape}, expected ({n},)")
@@ -101,7 +102,7 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels) -> None:
         if m.shape != (n, n):
             problems.append(f"kernel {i + 1} has shape {m.shape}, expected ({n}, {n})")
     if not problems:
-        diag = family_diagnostics(pi, kernels)
+        diag = diag or family_diagnostics(pi, kernels)
         for i, (g, b) in enumerate(zip(diag.negative_entry, diag.balance_residual)):
             if g > NUMERIC_TOL:
                 problems.append(f"kernel {i + 1}: negative entry of magnitude {g:.3g}")
@@ -127,6 +128,79 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels) -> None:
         )
 
 
+def _scan_kernels(text: str, i: int, scan, ws) -> tuple[list, int]:
+    """The `kernels` array whose '[' is at text[i], and the index after its
+    ']'. Each matrix becomes a float array as soon as it is scanned, so its
+    lists die before the next is built; one that does not convert stays as
+    parsed, for load_model's conversion step to report in its place."""
+    kernels, sep = [], ","
+    while sep == ",":
+        matrix, i = scan(text, ws(text, i + 1).end())
+        try:
+            matrix = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        kernels.append(matrix)
+        i = ws(text, i).end()
+        sep = text[i : i + 1]
+    if sep != "]":
+        raise ValueError("not a JSON array")
+    return kernels, i + 1
+
+
+def _scan_model(text: str) -> dict:
+    """The top-level object of a model file, parsed by json's own scanner
+    one value at a time, with `kernels` read by _scan_kernels. Anything
+    else (another top level, an empty object or array, a syntax error,
+    trailing data) raises ValueError, StopIteration or RecursionError."""
+    scan, ws = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
+    i = ws(text).end()
+    if text[i : i + 1] != "{":
+        raise ValueError("not a JSON object")
+    raw, sep = {}, ","
+    while sep == ",":
+        i = ws(text, i + 1).end()
+        if text[i : i + 1] != '"':
+            raise ValueError("not a JSON object")
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = ws(text, i).end()
+        if text[i : i + 1] != ":":
+            raise ValueError("not a JSON object")
+        i = ws(text, i + 1).end()
+        if key == "kernels" and text[i : i + 1] == "[":
+            raw[key], i = _scan_kernels(text, i, scan, ws)
+        else:
+            raw[key], i = scan(text, i)
+        i = ws(text, i).end()
+        sep = text[i : i + 1]
+    if sep != "}" or ws(text, i + 1).end() != len(text):
+        raise ValueError("not one JSON object")
+    return raw
+
+
+def _read_model(path: str):
+    """The parsed model file. The text lives only here, and at most one
+    kernel's lists live beside it. A text _scan_model does not take is
+    parsed again by json.loads, so its value or its error is json's own."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ModelFormatError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ModelFormatError(f"{path} is not valid UTF-8: {err}") from err
+    try:
+        try:
+            return _scan_model(text)
+        except (ValueError, StopIteration, RecursionError):
+            return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ModelFormatError(
+            f"{path} is not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
+        ) from err
+    except (ValueError, RecursionError) as err:  # too many digits, or too deep
+        raise ModelFormatError(f"{path} cannot be parsed: {err}") from err
+
+
 def load_model(path: str) -> Model:
     """Parse and validate a JSON model file.
 
@@ -136,16 +210,7 @@ def load_model(path: str) -> Model:
     The field `states` is read only here: its count must be the target's
     length, and its labels must be distinct; they are checked, not kept.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ModelFormatError(f"cannot read {path}: {err}") from err
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(
-            f"{path} is not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
-        ) from err
+    raw = _read_model(path)
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
     for field in ("states", "pi", "kernels", "f"):
@@ -167,13 +232,15 @@ def load_model(path: str) -> Model:
         kernels = [np.asarray(m, dtype=float) for m in raw["kernels"]]
     except (TypeError, ValueError) as err:
         raise ModelFormatError(f"{path}: non-numeric entries: {err}") from err
+    except OverflowError as err:
+        raise ModelFormatError(f"{path}: a number is out of range: {err}") from err
 
     try:
         if len(set(labels)) != len(labels):
             raise ValidationError("state labels must be distinct")
         family = make_family(pi, kernels)
-    except ValidationError:
-        _raise_problems(path, n, pi, f_values, kernels)
+    except ValidationError as err:
+        _raise_problems(path, n, pi, f_values, kernels, err.diagnostics)
         raise
     if family.n != n or f_values.shape != (n,):  # the family knows only pi's length
         _raise_problems(path, n, pi, f_values, kernels)
@@ -184,7 +251,12 @@ def load_model(path: str) -> Model:
         )
         if not numbers:
             raise ModelFormatError(f"{path}: field 'lambda_grid' must be a list of numbers")
-        grid = tuple(float(x) for x in grid)
+        try:
+            grid = tuple(float(x) for x in grid)
+        except OverflowError as err:
+            raise ModelFormatError(
+                f"{path}: field 'lambda_grid' has a number out of range: {err}"
+            ) from err
     sim = raw.get("simulation")
     if sim is not None:
         if not isinstance(sim, dict):

@@ -59,7 +59,11 @@ __all__ = [
 
 
 class ValidationError(ValueError):
-    """A structural invariant fails (row sums, positivity, detailed balance)."""
+    """A structural invariant fails (row sums, positivity, detailed balance).
+    A family's balance refusal carries the residuals it measured as
+    `diagnostics`; every other refusal carries None."""
+
+    diagnostics: FamilyDiagnostics | None = None
 
 
 class DegenerateConditionalError(ValueError):
@@ -245,10 +249,12 @@ class KernelFamily:
         worst_rel = max(diag.relative_balance_residual)
         if worst_rel > REVERSIBILITY_TOL:
             which = int(np.argmax(diag.relative_balance_residual))
-            raise ValidationError(
+            err = ValidationError(
                 f"kernel {which + 1} breaks detailed balance: relative residual "
                 f"{worst_rel:.3g} exceeds {REVERSIBILITY_TOL:g}"
             )
+            err.diagnostics = diag
+            raise err
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,8 @@ class TestLoadModel:
 
     def test_valid_model_diagnosed_once(self, tmp_path, monkeypatch, capsys):
         # the family's own diagnosis is the only one, per model file and
-        # for every command: validate reads it back
+        # for every command: validate reads it back, and the fault listing
+        # of a model refused for detailed balance reads the refusal's record
         calls = []
         diagnose = scanvar.kernels.family_diagnostics
 
@@ -173,6 +175,13 @@ class TestLoadModel:
             assert main(argv) == EXIT_OK, command
             model_files = 2 if command == "peskun" else 1
             assert len(calls) == model_files, command
+        calls.clear()
+        refused = write_model(
+            tmp_path / "r.json", kernels=[[[0.9, 0.1], [0.2, 0.8]], helpers.E1_P2]
+        )
+        with pytest.raises(ValidationError, match="kernel 1: detailed-balance residual"):
+            load_model(refused)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -198,6 +207,100 @@ class TestLoadModel:
         with pytest.raises(ValidationError) as err:
             load_model(path)
         assert "f has shape" in str(err.value)
+
+    def test_load_holds_the_text_and_one_kernel_tree(self, tmp_path):
+        # Reading a file of F bytes holds its bytes and its ASCII text
+        # together: 2F. A parsed kernel entry is a float object (24 bytes)
+        # and at least a list slot (8 bytes), about 1.4 times the 23
+        # characters it takes in the file, so the text beside every
+        # kernel's lists at once (as one json.loads of the file holds them)
+        # is more than 2.3F. Decoding the kernels one at a time holds the
+        # text, one kernel's lists (about 1.4F / k) and the arrays made so
+        # far (8 bytes an entry, 0.35F): about 1.7F at k = 4, so the read's
+        # 2F is the peak, and 2.2F leaves room for the other fields.
+        n, k = 200, 4
+        fam = helpers.random_family(np.random.default_rng(5), n, k)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "states": n, "pi": fam.pi.weights.tolist(),
+            "kernels": [m.tolist() for m in fam.matrices], "f": [1.0] * n,
+        }))
+        size = path.stat().st_size
+        assert 32 * k * n * n > 1.3 * size  # every kernel's lists outweigh 1.3F
+        tracemalloc.start()
+        try:
+            load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * size
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"states": 2, "pi": [0.5, 0.5], "f": "\xff"}')
+        assert main(["validate", "--model", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error: {path} is not valid UTF-8: ")
+        assert "byte 0xff in position 38" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["pi", "f", "kernels", "lambda_grid"])
+    def test_out_of_range_integer_is_parse_error(self, tmp_path, capsys, field):
+        huge = 10**400  # a float holds no integer past about 1.8e308
+        overrides = {
+            "pi": [huge, 0.5],
+            "f": [1.0, huge],
+            "kernels": [helpers.E1_P1, [[0.6, huge], [0.4, 0.6]]],
+            "lambda_grid": [0.5, huge],
+        }
+        path = write_model(tmp_path / "m.json", **{field: overrides[field]})
+        assert main(["compare", "--model", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        named = "field 'lambda_grid' has a number" if field == "lambda_grid" else "a number is"
+        assert captured.err == (
+            f"parse error: {path}: {named} out of range: "
+            "int too large to convert to float\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"states": 2, "kernels": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "maximum recursion depth exceeded"),
+            ('{"states": 2, "pi": [' + "1" * 5000 + "]}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["deep-top-level", "deep-kernels", "long-integer"],
+    )
+    def test_unparsable_json_is_parse_error(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--model", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error: {path} cannot be parsed: {reason}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[0.6, "x"], [0.4, 0.6]], [[0.6, {}], [0.4, 0.6]], [[0.6], [0.4, 0.6]]],
+        ids=["string", "object", "ragged"],
+    )
+    def test_unconvertible_kernel_reported_after_required_fields(self, tmp_path, capsys, bad):
+        with pytest.raises((TypeError, ValueError)) as numpy_err:
+            np.asarray(bad, dtype=float)
+        path = write_model(tmp_path / "m.json", kernels=[helpers.E1_P1, bad])
+        assert main(["validate", "--model", path]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"parse error: {path}: non-numeric entries: {numpy_err.value}\n"
+        )
+        model = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        del model["pi"]
+        (tmp_path / "m.json").write_text(json.dumps(model), encoding="utf-8")
+        assert main(["validate", "--model", path]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"parse error: {path}: missing required field 'pi'\n"
+        )
 
 
 class TestCompare:

@@ -25,7 +25,8 @@ flipping with probability 1e-9, on one kernel with an eigenvalue
 1 - 1e-8 and on two kernels whose target weights span six decades, `validate`, `compare`
 and `limit` on a labelled model and on model files that the loader
 refuses (duplicate labels, alone and with other faults, state counts
-that disagree with the data, and one fault of each kind it checks), plus
+that disagree with the data, and one fault of each kind it checks), on
+model files that test the parser (see `model_texts`), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
 check could exit 2).
@@ -177,6 +178,47 @@ def invalid_models() -> dict[str, dict]:
     }
 
 
+def model_texts() -> dict[str, bytes]:
+    """Model files as bytes, for the parser: kernels that do not convert
+    (alone and with a required field missing), `kernels` not a list or
+    given twice, trailing data, a UTF-8 BOM, a top-level array, syntax
+    errors, CRLF and whitespace-heavy formatting, and text that is not
+    UTF-8, numbers past a float's range or too long to read, and nesting
+    too deep to parse."""
+    string, ragged = [[0.6, "x"], [0.4, 0.6]], [[0.6], [0.4, 0.6]]
+    e1 = json.dumps(E1)
+    deep = "[" * 100_000 + "]" * 100_000
+    texts = {
+        "string-entry": json.dumps(dict(E1, kernels=[E1["kernels"][0], string])),
+        "ragged": json.dumps(dict(E1, kernels=[E1["kernels"][0], ragged])),
+        "string-entry-no-pi": json.dumps({k: v for k, v in E1.items() if k != "pi"}
+                                         | {"kernels": [string]}),
+        "kernels-object": json.dumps(dict(E1, kernels={"a": E1["kernels"][0]})),
+        "kernels-number": json.dumps(dict(E1, kernels=3)),
+        "kernels-twice": e1[:-1] + ', "kernels": ' + json.dumps([string]) + "}",
+        "kernels-twice-last-good": '{"kernels": ' + json.dumps([string]) + ", " + e1[1:],
+        "empty-object": "{}",
+        "trailing-data": e1 + " x",
+        "trailing-comma": e1[:-1] + ",}",
+        "kernels-trailing-comma": e1.replace("]]]", "]],]"),
+        "unterminated": e1[:-20],
+        "bom": "\ufeff" + e1,
+        "top-level-array": json.dumps([E1]),
+        "crlf": json.dumps(dict(E1, lambda_grid=[0.5]), indent=2).replace("\n", "\r\n"),
+        "whitespace": " \t\r\n" + json.dumps(E1, indent="\t \r\n", separators=(" \n,\t", "\r : ")),
+        "huge-pi": json.dumps(dict(E1, pi=[10**400, 0.5])),
+        "huge-f": json.dumps(dict(E1, f=[1.0, 10**400])),
+        "huge-kernel": json.dumps(dict(E1, kernels=[E1["kernels"][0], [[0.6, 10**400], [0.4, 0.6]]])),
+        "huge-grid": json.dumps(dict(E1, lambda_grid=[0.5, 10**400])),
+        "long-integer": json.dumps(E1).replace("0.5, 0.5", "1" * 5000 + ", 0.5"),
+        "deep-top-level": deep,
+        "deep-kernels": json.dumps(dict(E1, kernels="DEEP")).replace('"DEEP"', deep),
+    }
+    out = {name: text.encode("utf-8") for name, text in texts.items()}
+    out["not-utf8"] = e1.replace('"f"', '"\xff"').encode("latin-1")
+    return out
+
+
 def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
     """name -> (model, its kernelwise identity blend, simulation sizes)."""
     (models / "e1.json").write_text(json.dumps(E1))
@@ -322,6 +364,10 @@ def command_lines(models: Path) -> list[list[str]]:
     for name, model in invalid_models().items():
         m = models / f"invalid-{name}.json"
         m.write_text(json.dumps(model))
+        lines += [[command, "--model", str(m)] for command in ("validate", "compare", "limit")]
+    for name, data in model_texts().items():
+        m = models / f"text-{name}.json"
+        m.write_bytes(data)
         lines += [[command, "--model", str(m)] for command in ("validate", "compare", "limit")]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))

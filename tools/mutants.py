@@ -176,6 +176,52 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "load_model: every kernel's lists kept until the file is read",
+        "cli.py",
+        "        try:\n"
+        "            matrix = np.asarray(matrix, dtype=float)\n"
+        "        except (TypeError, ValueError, OverflowError):\n"
+        "            pass\n",
+        "",
+        ("tests/test_cli.py::TestLoadModel::test_load_holds_the_text_and_one_kernel_tree",),
+    ),
+    Mutant(
+        # a ValueError from the conversion sends the text to json.loads,
+        # whose value the conversion step then reports as before, so a
+        # string entry alone does not tell; an object entry's TypeError does
+        "load_model: a bad matrix converted inside the walk",
+        "cli.py",
+        "        try:\n"
+        "            matrix = np.asarray(matrix, dtype=float)\n"
+        "        except (TypeError, ValueError, OverflowError):\n"
+        "            pass\n",
+        "        matrix = np.asarray(matrix, dtype=float)\n",
+        ("tests/test_cli.py::TestLoadModel::test_unconvertible_kernel_reported_after_required_fields",),
+    ),
+    Mutant(
+        "load_model: UTF-8 mapping dropped",
+        "cli.py",
+        "    except UnicodeDecodeError as err:\n"
+        "        raise ModelFormatError(f\"{path} is not valid UTF-8: {err}\") from err\n",
+        "",
+        ("tests/test_cli.py::TestLoadModel::test_non_utf8_file_is_parse_error",),
+    ),
+    Mutant(
+        "load_model: out-of-range mapping dropped",
+        "cli.py",
+        "    except OverflowError as err:\n"
+        "        raise ModelFormatError(f\"{path}: a number is out of range: {err}\") from err\n",
+        "",
+        ("tests/test_cli.py::TestLoadModel::test_out_of_range_integer_is_parse_error",),
+    ),
+    Mutant(
+        "fault listing: the refusal's record diagnosed again",
+        "cli.py",
+        "diag = diag or family_diagnostics(pi, kernels)",
+        "diag = family_diagnostics(pi, kernels)",
+        ("tests/test_cli.py::TestLoadModel::test_valid_model_diagnosed_once",),
+    ),
+    Mutant(
         "validate: verdict <= made <",
         "cli.py",
         "passes = worst <= args.tol",
