@@ -84,19 +84,21 @@ class OrderingReport:
 
     var_a is the variance the ordering says is the smaller one (the cycle's
     for the scan check, the dominating family's cycle for the Peskun
-    check) and var_b the other; gap = var_b - var_a and holds asks for
-    gap >= -tol. gap_lower_bound is NaN where no bound is computed, and
-    bound_holds is then vacuously true.
+    check) and var_b the other; gap_lower_bound is NaN where no bound is
+    computed. The row is a measurement with no verdict: a caller compares
+    gap with its own tolerance.
     """
 
     lam: float
     var_a: float
     var_b: float
-    gap: float
     gap_lower_bound: float
-    holds: bool
-    bound_holds: bool
-    method: str = "resolvent"
+    method: str
+
+    @property
+    def gap(self) -> float:
+        """var_b - var_a, which the ordering says is nonnegative."""
+        return self.var_b - self.var_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,34 +124,20 @@ class VariationalIdentityReport:
     passes: bool
 
 
-def _walk(lambda_grid, tol: float, at, limit) -> list[OrderingReport]:
+def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     """The rows of a grid, read alike by both checkers. Every discount is
     checked before any solve; at(lam) gives (var_a, var_b, bound, method)
     at each. A grid value within 1e-12 of one asks for the limit row, from
     limit() as (var_a, var_b, bound), last and once, and dropped when
     limit() raises SummabilityError."""
-
-    def row(lam, var_a, var_b, bound, method):
-        gap = var_b - var_a
-        return OrderingReport(
-            lam=lam,
-            var_a=var_a,
-            var_b=var_b,
-            gap=gap,
-            gap_lower_bound=bound,
-            holds=bool(gap >= -tol),
-            bound_holds=bool(math.isnan(bound) or gap >= bound - tol),
-            method=method,
-        )
-
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
         _check_lam(lam)
-    rows = [row(lam, *at(lam)) for lam in discounts]
+    rows = [OrderingReport(lam, *at(lam)) for lam in discounts]
     if len(discounts) < len(grid):
         try:
-            rows.append(row(1.0, *limit(), "limit"))
+            rows.append(OrderingReport(1.0, *limit(), "limit"))
         except SummabilityError:
             pass
     return rows
@@ -197,7 +185,6 @@ def check_scan_ordering(
     lambda_grid: Sequence[float],
     method: str = "resolvent",
     series_terms: int = DEFAULT_SERIES_TERMS,
-    tol: float = NUMERIC_TOL,
 ) -> list[OrderingReport]:
     """Compare the two scan schemes on a discount grid: each row's var_a is
     the cycle's (strat) variance and var_b the random scan's.
@@ -209,7 +196,9 @@ def check_scan_ordering(
     other than it and "resolvent" raises ValueError. The certified gap
     bound is a two-kernel statement: for two kernels it is zero in the
     limit, the weakest certified value there; for any other number of
-    kernels it is NaN, not computed, and bound_holds is vacuously true.
+    kernels it is NaN, not computed. The rows judge nothing: for two
+    kernels the theorem says gap >= gap_lower_bound >= 0, and a caller
+    compares them with its own tolerance.
     """
     if method not in ("resolvent", "series"):
         raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
@@ -229,7 +218,7 @@ def check_scan_ordering(
     def limit():  # strat first: a refused cycle drops the row before rand's guard
         return var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), 0.0 if two else math.nan
 
-    return _walk(lambda_grid, tol, at, limit)
+    return _walk(lambda_grid, at, limit)
 
 
 def _pi_adjoint(mat: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -337,11 +326,11 @@ def check_peskun_ordering(
     fam_b: KernelFamily,
     f: Observable,
     lambda_grid: Sequence[float],
-    tol: float = NUMERIC_TOL,
 ) -> list[OrderingReport]:
-    """Check that the first two-kernel family has the smaller cycle variance
-    on every grid point, read as in check_scan_ordering; the limit row needs
-    both families to pass the summability check. The ordering is a theorem
+    """Compare the cycle variances of two two-kernel families on a grid,
+    read as in check_scan_ordering: var_a is the first family's and var_b
+    the second's, and gap_lower_bound is NaN. The limit row needs both
+    families to pass the summability check. That gap >= 0 is a theorem
     when the first family dominates the second (peskun_dominates); the rows
     are reported either way, so counterexample hunting stays possible."""
     _check_comparable(fam_a, fam_b)
@@ -355,7 +344,7 @@ def check_peskun_ordering(
     def limit():
         return var_limit(fam_a, f, "strat"), var_limit(fam_b, f, "strat"), math.nan
 
-    return _walk(lambda_grid, tol, at, limit)
+    return _walk(lambda_grid, at, limit)
 
 
 class BetaPath:

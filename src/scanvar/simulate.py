@@ -38,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Length, seeding and scheme for one simulation run.
+    """Length, seeding and scheme for one simulation run: 1 <= steps < 2**63
+    and 0 <= seed < 2**64, or ValidationError.
 
     Every path starts stationary, the regime every exact reference quantity
     assumes. A path burned in for b steps is the longer path sliced,
@@ -52,6 +53,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError(f"steps must be at least 1, got {self.steps}")
+        if self.steps >= 2**63:  # numpy counts and indexes in int64
+            raise ValidationError("steps must be below 2**63")
         if self.scheme not in SIM_SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {SIM_SCHEMES}, got {self.scheme!r}"
@@ -249,7 +252,8 @@ def estimate_variance(
     Each replica runs an independent path from a derived seed and reports
     sqrt(M) S_M(f - mean); the point estimate is the sample variance across
     replicas and its standard error comes from the spread of the squared
-    deviations. f needs one value per state (ValidationError otherwise).
+    deviations. f needs one value per state, and 2 <= replicas < 2**63,
+    checked before any replica seed is derived (ValidationError otherwise).
     Only slot 0 is stepped, for every scheme: the embedded estimate reads
     only the diagonal component, and as no slot reads another and every
     generator is read at full width, that slot has the same bits as in the
@@ -257,6 +261,8 @@ def estimate_variance(
     """
     if replicas < 2:
         raise ValidationError(f"need at least 2 replicas, got {replicas}")
+    if replicas >= 2**63:
+        raise ValidationError("replicas must be below 2**63")
     cfg = SimulationConfig(steps=steps, seed=seed, scheme=scheme)
     fc = center(f, fam.pi).values
     blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)], slots=1)

@@ -48,7 +48,6 @@ __all__ = [
     "finite_m_variance_exact",
     "summability_check",
     "joint_law_exact",
-    "series_truncation_bound",
 ]
 
 
@@ -64,13 +63,6 @@ def _check_scheme(scheme: str) -> str:
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     return scheme
-
-
-def series_truncation_bound(f_norm_sq: float, lam: float, terms: int) -> float:
-    """Worst-case tail of the covariance series beyond `terms` steps."""
-    if lam == 0.0:
-        return 0.0
-    return 2.0 * f_norm_sq * lam ** (terms + 1) / (1.0 - lam)
 
 
 def _solve(
@@ -131,7 +123,8 @@ def var_lambda_strat_series(
 
     Returns (value, truncation_bound). The per-phase covariance at lag d is
     advanced by the embedding's row, h_q <- K_q h_{sigma(q)}, so each
-    extra lag costs k matrix-vector products.
+    extra lag costs k matrix-vector products. The bound is the worst-case
+    tail beyond `terms` lags, 2 |f|^2 lam^(terms + 1) / (1 - lam).
     """
     _check_lam(lam)
     if terms < 0:
@@ -149,7 +142,9 @@ def var_lambda_strat_series(
         lam_pow *= lam
         acc += lam_pow * float(np.sum(h @ wf))
     value = norm_sq + (2.0 / fam.k) * acc
-    return value, series_truncation_bound(norm_sq, lam, terms)
+    if lam == 0.0:
+        return value, 0.0
+    return value, 2.0 * norm_sq * lam ** (terms + 1) / (1.0 - lam)
 
 
 def var_lambda_rand(fam: KernelFamily, f: Observable, lam: float) -> float:
@@ -220,6 +215,8 @@ def finite_m_variance_exact(
     _check_scheme(scheme)
     if m_steps < 1:
         raise ValueError(f"step count must be at least 1, got {m_steps}")
+    if m_steps >= 2**63:
+        raise ValueError("step count must be below 2**63")
     if scheme == "rand":
         mixed = random_scan(fam).matrix
         mats, prod = (mixed,), mixed

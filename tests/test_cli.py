@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from scanvar.cli import (
 )
 import scanvar.cli
 import scanvar.kernels
-from scanvar.kernels import Dist, ValidationError, gibbs_kernel
+from scanvar.kernels import NUMERIC_TOL, Dist, ValidationError, gibbs_kernel
+from scanvar.ordering import OrderingReport
 
 
 def write_model(path, **overrides):
@@ -566,6 +568,94 @@ class TestPeskun:
         assert "exactly two kernels" in capsys.readouterr().err
 
 
+# Rows for compare's verdicts, each with the stderr lines it draws at the
+# default tolerance on two kernels: a negative gap, a gap below its bound,
+# a NaN bound (never a violation) and a NaN gap (always one).
+CRAFTED_ROWS = [
+    (OrderingReport(0.3, 2.0, 1.5, float("nan"), "resolvent"), [
+        "FAIL: scan-order comparison violated at lambda=0.3: "
+        "random-scan minus deterministic-scan gap -0.5 < -1e-10",
+    ]),
+    (OrderingReport(0.6, 1.0, 1.25, 0.5, "resolvent"), [
+        "FAIL: gap lower bound violated at lambda=0.6: "
+        "gap 0.25 below its certified bound 0.5 beyond 1e-10",
+    ]),
+    (OrderingReport(0.9, 1.0, 1.5, float("nan"), "resolvent"), []),
+    (OrderingReport(1.0, float("nan"), 1.0, 0.0, "limit"), [
+        "FAIL: scan-order comparison violated at lambda=1: "
+        "random-scan minus deterministic-scan gap nan < -1e-10",
+        "FAIL: gap lower bound violated at lambda=1: "
+        "gap nan below its certified bound 0 beyond 1e-10",
+    ]),
+]
+CRAFTED_CSV = (
+    "lambda,var_strat,var_rand,gap,gap_lower_bound,method\n"
+    "0.3,2,1.5,-0.5,nan,resolvent\n"
+    "0.6,1,1.25,0.25,0.5,resolvent\n"
+    "0.9,1,1.5,0.5,nan,resolvent\n"
+    "1,nan,1,nan,0,limit\n"
+)
+
+
+class TestVerdicts:
+    """The library's rows are measurements; compare (on two kernels) and
+    peskun judge them against --tol. The rows here are crafted."""
+
+    @staticmethod
+    def returning(monkeypatch, name, rows):
+        monkeypatch.setattr(scanvar.cli, name, lambda *args, **kwargs: list(rows))
+
+    @pytest.mark.parametrize("kernels, code", [(2, EXIT_ASSERTION), (3, EXIT_OK)])
+    def test_compare_reports_every_violation(self, tmp_path, capsys, monkeypatch, kernels, code):
+        third = [[0.8, 0.2], [0.2, 0.8]]
+        path = write_model(
+            tmp_path / "m.json", kernels=[helpers.E1_P1, helpers.E1_P2, third][:kernels]
+        )
+        self.returning(monkeypatch, "check_scan_ordering", [row for row, _ in CRAFTED_ROWS])
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--model", path, "--out", str(out)]) == code
+        lines = [line for _, drawn in CRAFTED_ROWS for line in drawn] if kernels == 2 else []
+        assert capsys.readouterr().err == "".join(line + "\n" for line in lines)
+        assert out.read_bytes() == CRAFTED_CSV.encode()
+
+    @pytest.mark.parametrize("t", [NUMERIC_TOL, 0.375])
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            (lambda t: OrderingReport(0.5, t, 0.0, float("nan"), "resolvent"),
+             "FAIL: scan-order comparison violated at lambda=0.5"),
+            (lambda t: OrderingReport(0.5, 1.0, 1.0, t, "resolvent"),
+             "FAIL: gap lower bound violated at lambda=0.5"),
+        ],
+        ids=["order", "bound"],
+    )
+    def test_compare_tolerance_boundary(self, tmp_path, capsys, monkeypatch, t, row, line):
+        # the row is exactly t past its rule: gap = -t, or gap = bound - t
+        path = write_model(tmp_path / "m.json")
+        self.returning(monkeypatch, "check_scan_ordering", [row(t)])
+        assert main(["compare", "--model", path, "--tol", repr(t)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        below = repr(float(np.nextafter(t, 0.0)))
+        assert main(["compare", "--model", path, "--tol", below]) == EXIT_ASSERTION
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(line + ": ")
+
+    @pytest.mark.parametrize("t", [NUMERIC_TOL, 0.375])
+    def test_peskun_tolerance_boundary(self, tmp_path, capsys, monkeypatch, t):
+        path = write_model(tmp_path / "m.json")
+        rows = [OrderingReport(0.5, 1.0, 1.0, float("nan"), "resolvent"),
+                OrderingReport(1.0, t, 0.0, float("nan"), "limit")]
+        self.returning(monkeypatch, "check_peskun_ordering", rows)
+        argv = ["peskun", "--model", path, "--model-b", path, "--tol"]
+        assert main([*argv, repr(t)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main([*argv, repr(float(np.nextafter(t, 0.0)))]) == EXIT_ASSERTION
+        assert capsys.readouterr().err == (
+            "FAIL: dominated-family cycle variance dropped below the dominating "
+            f"one (worst difference {-t:.3g})\n"
+        )
+
+
 class TestLimitAndSimulate:
     def test_limit_values(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json")
@@ -671,6 +761,25 @@ class TestLimitAndSimulate:
         captured = capsys.readouterr()
         assert code == EXIT_VALIDATION
         assert "validation error" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, count, message",
+        [("--steps", 10**400, "steps must be below 2**63"),
+         ("--replicas", 10**30, "replicas must be below 2**63")],
+    )
+    def test_simulate_count_past_int64_refused(
+        self, tmp_path, capsys, monkeypatch, flag, count, message
+    ):
+        # refused before any seed is derived, so a regression fails fast
+        def derive_seed(master, index):
+            raise AssertionError("a replica seed was derived")
+
+        monkeypatch.setattr(sys.modules["scanvar.simulate"], "derive_seed", derive_seed)
+        path = write_model(tmp_path / "m.json")
+        assert main(["simulate", "--model", path, flag, str(count)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])

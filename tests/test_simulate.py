@@ -67,6 +67,21 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="f has"):
             estimate_variance(e1, Observable(values), 16, 5, 0, scheme)
 
+    def test_counts_from_2_to_the_63_refused(self, monkeypatch, e1, e1_f):
+        # numpy counts in int64; replicas are refused before any seed is
+        # derived, so a regression fails fast instead of deriving 10**30
+        with pytest.raises(ValidationError, match=r"^steps must be below 2\*\*63$"):
+            SimulationConfig(steps=2**63)
+        assert SimulationConfig(steps=2**63 - 1).steps == 2**63 - 1
+
+        def refuse(master, index):
+            raise AssertionError("a replica seed was derived")
+
+        monkeypatch.setattr(simulate_module, "derive_seed", refuse)
+        for replicas in (2**63, 10**30):
+            with pytest.raises(ValidationError, match=r"^replicas must be below 2\*\*63$"):
+                estimate_variance(e1, e1_f, 16, replicas, 0, "strat")
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, e1, e1_f, seed):
         # derive_seed reads the seed modulo 2**64, so -1 would alias 2**64 - 1

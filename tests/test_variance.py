@@ -336,6 +336,14 @@ class TestFiniteM:
     def test_rejects_bad_horizon(self, e1, e1_f):
         with pytest.raises(ValueError):
             finite_m_variance_exact(e1, e1_f, 0, "strat")
+        for m in (2**63, 10**400):
+            with pytest.raises(ValueError, match=r"^step count must be below 2\*\*63$"):
+                finite_m_variance_exact(e1, e1_f, m, "strat")
+
+    @pytest.mark.parametrize("scheme", ["strat", "rand"])
+    def test_longest_horizon_is_the_limit(self, e1, e1_f, scheme):
+        value = finite_m_variance_exact(e1, e1_f, 2**63 - 1, scheme)
+        assert value == pytest.approx(var_limit(e1, e1_f, scheme), rel=1e-12)
 
 
 def route_values(fam, f, m_steps, scheme):

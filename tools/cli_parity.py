@@ -29,7 +29,8 @@ that disagree with the data, and one fault of each kind it checks), on
 model files that test the parser (see `model_texts`), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
-check could exit 2).
+check could exit 2, and `simulate` with 10**400 steps), and the `compare`
+and `peskun` verdicts on e1 at `--tol 0`.
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -384,6 +385,12 @@ def command_lines(models: Path) -> list[list[str]]:
         ["peskun", "--model", m, "--model-b", m, "--lambda", "0.5,nan"],
         ["compare", "--model", m, "--lambda", "0.3,a"],
         ["simulate", "--model", m, "--steps", "0", "--replicas", "5", "--seed", "1"],
+        ["simulate", "--model", m, "--steps", str(10**400), "--replicas", "5", "--seed", "1"],
+    ]
+    # verdicts at --tol 0: e1 against itself has every gap exactly 0
+    lines += [
+        ["peskun", "--model", m, "--model-b", m, "--tol", "0"],
+        ["compare", "--model", m, "--tol", "0"],
     ]
     return lines
 

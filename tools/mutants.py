@@ -229,6 +229,55 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "compare: ordering verdict >= made >",
+        "cli.py",
+        "if not gap >= -args.tol:",
+        "if not gap > -args.tol:",
+        ("tests/test_cli.py::TestVerdicts",),
+    ),
+    Mutant(
+        "compare: bound verdict's - tol made + tol",
+        "cli.py",
+        "gap >= bound - args.tol",
+        "gap >= bound + args.tol",
+        ("tests/test_cli.py::TestVerdicts",),
+    ),
+    Mutant(
+        "compare: a NaN bound no longer vacuous",
+        "cli.py",
+        "if not (math.isnan(bound) or gap >= bound - args.tol):",
+        "if not gap >= bound - args.tol:",
+        ("tests/test_cli.py::TestVerdicts",),
+    ),
+    Mutant(
+        "peskun: verdict >= made >",
+        "cli.py",
+        "all(r.gap >= -args.tol for r in rows)",
+        "all(r.gap > -args.tol for r in rows)",
+        ("tests/test_cli.py::TestVerdicts",),
+    ),
+    Mutant(
+        "simulation config: steps bound dropped",
+        "simulate.py",
+        "if self.steps >= 2**63:",
+        "if False:",
+        ("tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",),
+    ),
+    Mutant(
+        "estimate: replicas bound dropped",
+        "simulate.py",
+        "if replicas >= 2**63:",
+        "if False:",
+        ("tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",),
+    ),
+    Mutant(
+        "finite horizon: step bound dropped",
+        "variance.py",
+        "if m_steps >= 2**63:",
+        "if False:",
+        ("tests/test_variance.py",),
+    ),
+    Mutant(
         "symmetric row: blocks K_q instead of the mean",
         "embedding.py",
         "return [(mats[q] + mats[q - 1]) / 2.0 for q in range(k)], 1",
