@@ -22,8 +22,6 @@ ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-10
 # Generic numeric equality.
 NUMERIC_TOL = 1e-10
-# Eigenvalue threshold for positive-semidefiniteness verdicts.
-PSD_TOL = 1e-10
 # Seeded proposals random_reversible tries for an irreducible kernel.
 REVERSIBLE_TRIES = 100
 
@@ -33,7 +31,6 @@ __all__ = [
     "ROW_SUM_TOL",
     "REVERSIBILITY_TOL",
     "NUMERIC_TOL",
-    "PSD_TOL",
     "REVERSIBLE_TRIES",
     "ValidationError",
     "DegenerateConditionalError",

@@ -23,7 +23,6 @@ from scanvar.kernels import (
     Kernel,
     KernelFamily,
     NUMERIC_TOL,
-    PSD_TOL,
     Observable,
     SummabilityError,
     ValidationError,
@@ -33,42 +32,32 @@ from scanvar.kernels import (
     make_family,
 )
 from scanvar.variance import (
-    DEFAULT_SERIES_TERMS,
     _solve,
     _variance,
     var_lambda_rand,
     var_lambda_strat,
-    var_lambda_strat_series,
     var_limit,
 )
 
-# Residual and probe excess that variational_identity_check allows, and
-# the number of random probes it draws and their seed.
-IDENTITY_TOL = 1e-9
+# The number of random probes variational_identity_check draws and their
+# seed.
 IDENTITY_PROBES = 200
 IDENTITY_SEED = 0
-# palindrome_check: the hold of the lazified perturbation, the largest
-# forward/backward component gap and the most negative derivative allowed,
-# and how many evenly spaced blend weights in [0, 1] it evaluates.
+# palindrome_check: the hold of the lazified perturbation, and how many
+# evenly spaced blend weights in [0, 1] it evaluates.
 PALINDROME_HOLD = 0.5
-PALINDROME_COMPONENT_TOL = 1e-11
-PALINDROME_DERIVATIVE_TOL = 1e-9
 PALINDROME_BETAS = 11
 
 __all__ = [
-    "IDENTITY_TOL",
     "IDENTITY_PROBES",
     "IDENTITY_SEED",
     "PALINDROME_HOLD",
-    "PALINDROME_COMPONENT_TOL",
-    "PALINDROME_DERIVATIVE_TOL",
     "PALINDROME_BETAS",
     "OrderingReport",
     "PeskunComparison",
     "VariationalIdentityReport",
     "BetaPath",
     "PalindromeCase",
-    "PalindromeReport",
     "gap_lower_bound",
     "check_scan_ordering",
     "variational_identity_check",
@@ -103,16 +92,15 @@ class OrderingReport:
 
 @dataclass(frozen=True, eq=False)
 class PeskunComparison:
-    """Per-kernel Dirichlet-form dominance between two families.
-
-    Kernel i of the second family is dominated when the symmetrised
-    difference (second minus first) is positive semidefinite within PSD_TOL.
+    """Per-kernel Dirichlet-form gaps between two families: the least
+    eigenvalue of each kernel's symmetrised difference (second minus
+    first), and the least of them. The record judges nothing: kernelwise
+    dominance is that least eigenvalue >= 0, which a caller reads against
+    its own tolerance.
     """
 
-    dominance_per_kernel: tuple[bool, ...]
     per_kernel_min_eigenvalue: tuple[float, ...]
     min_dirichlet_gap_eigenvalue: float
-    dominates: bool
 
 
 @dataclass(frozen=True)
@@ -121,20 +109,19 @@ class VariationalIdentityReport:
     rhs: float
     residual: float
     max_probe_excess: float
-    passes: bool
 
 
 def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     """The rows of a grid, read alike by both checkers. Every discount is
-    checked before any solve; at(lam) gives (var_a, var_b, bound, method)
-    at each. A grid value within 1e-12 of one asks for the limit row, from
-    limit() as (var_a, var_b, bound), last and once, and dropped when
-    limit() raises SummabilityError."""
+    checked before any solve; at(lam) gives (var_a, var_b, bound) at each,
+    a "resolvent" row. A grid value within 1e-12 of one asks for the limit
+    row, from limit() as (var_a, var_b, bound), last and once, and dropped
+    when limit() raises SummabilityError."""
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
         _check_lam(lam)
-    rows = [OrderingReport(lam, *at(lam)) for lam in discounts]
+    rows = [OrderingReport(lam, *at(lam), "resolvent") for lam in discounts]
     if len(discounts) < len(grid):
         try:
             rows.append(OrderingReport(1.0, *limit(), "limit"))
@@ -180,40 +167,26 @@ def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
 
 
 def check_scan_ordering(
-    fam: KernelFamily,
-    f: Observable,
-    lambda_grid: Sequence[float],
-    method: str = "resolvent",
-    series_terms: int = DEFAULT_SERIES_TERMS,
+    fam: KernelFamily, f: Observable, lambda_grid: Sequence[float]
 ) -> list[OrderingReport]:
     """Compare the two scan schemes on a discount grid: each row's var_a is
     the cycle's (strat) variance and var_b the random scan's.
 
     A grid value within 1e-12 of one asks for the limit report (discount
-    one), which comes last, once, and only when the cycle passes the
-    summability check; any other value outside [0, 1) raises ValueError.
-    method "series" takes var_strat from var_lambda_strat_series; a method
-    other than it and "resolvent" raises ValueError. The certified gap
-    bound is a two-kernel statement: for two kernels it is zero in the
-    limit, the weakest certified value there; for any other number of
-    kernels it is NaN, not computed. The rows judge nothing: for two
-    kernels the theorem says gap >= gap_lower_bound >= 0, and a caller
+    one), which comes last, once, and only when the cycle is certified
+    summable; any other value outside [0, 1) raises ValueError. The
+    certified gap bound is a two-kernel statement: for two kernels it is
+    zero in the limit, the weakest certified value there; for any other
+    number of kernels it is NaN, not computed. The rows judge nothing: for
+    two kernels the theorem says gap >= gap_lower_bound >= 0, and a caller
     compares them with its own tolerance.
     """
-    if method not in ("resolvent", "series"):
-        raise ValueError(f"method must be 'resolvent' or 'series', got {method!r}")
     two = fam.k == 2
-    series = method == "series"
 
-    def at(lam):
-        if two or not series:  # series needs the solve only for the bound
-            fbar, forward = _solve(fam, f, lam, "strat")
+    def at(lam):  # one strat solve gives the variance and the bound
+        fbar, forward = _solve(fam, f, lam, "strat")
         bound = _gap_bound(fam, forward, lam) if two else math.nan
-        if series:
-            v_strat, _ = var_lambda_strat_series(fam, f, lam, series_terms)
-        else:
-            v_strat = _variance(fbar, forward, fam.pi)
-        return v_strat, var_lambda_rand(fam, f, lam), bound, method
+        return _variance(fbar, forward, fam.pi), var_lambda_rand(fam, f, lam), bound
 
     def limit():  # strat first: a refused cycle drops the row before rand's guard
         return var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), 0.0 if two else math.nan
@@ -235,8 +208,8 @@ def variational_identity_check(
     2<f, g> - <g, (I - lam S) g> - lam^2 <A g, (I - lam S)^{-1} A g>
     at the optimiser g, where S and A are the self-adjoint and skew parts;
     IDENTITY_PROBES random probes, drawn from IDENTITY_SEED, can only fall
-    below it. The check passes when both the residual and the largest probe
-    excess are within IDENTITY_TOL.
+    below it. The report gives the residual |lhs - rhs| and the largest
+    probe excess over lhs, both zero up to rounding, and judges neither.
     """
     _check_lam(lam)
     w = pi.weights
@@ -272,18 +245,13 @@ def variational_identity_check(
 
     g_hat = np.linalg.solve(eye - lam * adj, sym_sys @ resolvent)
     rhs = objective(g_hat)
-    residual = abs(lhs - rhs)
     rng = np.random.default_rng(IDENTITY_SEED)
     max_excess = -np.inf
     for _ in range(IDENTITY_PROBES):
         g = rng.standard_normal(n)
         max_excess = max(max_excess, objective(g) - lhs)
     return VariationalIdentityReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        max_probe_excess=float(max_excess),
-        passes=bool(residual <= IDENTITY_TOL and max_excess <= IDENTITY_TOL),
+        lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), max_probe_excess=float(max_excess)
     )
 
 
@@ -297,27 +265,23 @@ def _check_comparable(fam_a: KernelFamily, fam_b: KernelFamily) -> None:
 
 
 def peskun_dominates(fam_a: KernelFamily, fam_b: KernelFamily) -> PeskunComparison:
-    """Kernelwise Dirichlet-form comparison: does the first family dominate?
+    """Kernelwise Dirichlet-form comparison of two families.
 
     Kernel by kernel, the first family dominates when the second one's
     kernel is larger as a quadratic form, equivalently when the symmetrised
-    difference (second minus first) has no eigenvalue below -PSD_TOL. The
+    difference (second minus first) has no negative eigenvalue. The
     symmetrisation D^{1/2} (B - A) D^{-1/2} with D = diag(pi) has real
-    spectrum for reversible kernels.
+    spectrum for reversible kernels. Gives each kernel's least eigenvalue
+    and the least of them; a caller judges them.
     """
     _check_comparable(fam_a, fam_b)
-    verdicts = []
     min_eigs = []
     for ka, kb in zip(fam_a.kernels, fam_b.kernels):
         s = _pi_similar(kb.matrix - ka.matrix, fam_a.pi.weights)
-        low = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
-        min_eigs.append(low)
-        verdicts.append(bool(low >= -PSD_TOL))
+        min_eigs.append(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]))
     return PeskunComparison(
-        dominance_per_kernel=tuple(verdicts),
         per_kernel_min_eigenvalue=tuple(min_eigs),
-        min_dirichlet_gap_eigenvalue=float(min(min_eigs)),
-        dominates=bool(all(verdicts)),
+        min_dirichlet_gap_eigenvalue=min(min_eigs),
     )
 
 
@@ -338,8 +302,7 @@ def check_peskun_ordering(
         raise ValueError(f"the cycle comparison needs exactly two kernels, got {fam_a.k}")
 
     def at(lam):
-        va = var_lambda_strat(fam_a, f, lam)
-        return va, var_lambda_strat(fam_b, f, lam), math.nan, "resolvent"
+        return var_lambda_strat(fam_a, f, lam), var_lambda_strat(fam_b, f, lam), math.nan
 
     def limit():
         return var_limit(fam_a, f, "strat"), var_limit(fam_b, f, "strat"), math.nan
@@ -421,13 +384,6 @@ class PalindromeCase:
     max_component_gap: float
     derivatives: tuple[float, ...]
     min_derivative: float
-    passes: bool
-
-
-@dataclass(frozen=True)
-class PalindromeReport:
-    cases: tuple[PalindromeCase, ...]
-    passes: bool
 
 
 def _palindrome_cycles(p: int) -> list[tuple[list[int], list[int]]]:
@@ -438,7 +394,7 @@ def _palindrome_cycles(p: int) -> list[tuple[list[int], list[int]]]:
 
 def palindrome_check(
     generators: Sequence[Kernel], pi: Dist, lam: float, f: Observable
-) -> PalindromeReport:
+) -> tuple[PalindromeCase, ...]:
     """Check mirror-symmetric cycles built from p generators.
 
     Builds the odd cycle of length 2p-1 (mirror around the lone first
@@ -448,9 +404,9 @@ def palindrome_check(
     perturbed at that index a plain quadratic form, hence nonnegative.
     The derivative is evaluated against the kernel at that index lazified
     with hold PALINDROME_HOLD, at PALINDROME_BETAS evenly spaced blend
-    weights from 0 to 1. A case passes when its largest component gap is
-    within PALINDROME_COMPONENT_TOL and no derivative falls below
-    -PALINDROME_DERIVATIVE_TOL.
+    weights from 0 to 1. Gives one case per distinguished index, with its
+    largest component gap (zero up to rounding) and its derivatives
+    (nonnegative up to rounding); a caller judges them.
     """
     p = len(generators)
     if p < 2:
@@ -477,12 +433,6 @@ def palindrome_check(
                 max_component_gap=max(gaps),
                 derivatives=tuple(derivs),
                 min_derivative=min(derivs),
-                passes=bool(
-                    max(gaps) <= PALINDROME_COMPONENT_TOL
-                    and min(derivs) >= -PALINDROME_DERIVATIVE_TOL
-                ),
             )
             cases.append(case)
-    return PalindromeReport(
-        cases=tuple(cases), passes=bool(all(c.passes for c in cases))
-    )
+    return tuple(cases)

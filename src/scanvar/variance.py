@@ -31,14 +31,12 @@ from scanvar.kernels import (
     random_scan,
 )
 
-DEFAULT_SERIES_TERMS = 400
 SCHEMES = ("strat", "rand")
 
 # Table-size guard for exact joint laws.
 JOINT_LAW_MAX_CELLS = 1_000_000
 
 __all__ = [
-    "DEFAULT_SERIES_TERMS",
     "SCHEMES",
     "SummabilityReport",
     "var_lambda_strat",
@@ -117,7 +115,7 @@ def var_lambda_strat_series(
     fam: KernelFamily,
     f: Observable,
     lam: float,
-    terms: int = DEFAULT_SERIES_TERMS,
+    terms: int = 400,
 ) -> tuple[float, float]:
     """Series evaluation of the discounted cycle variance.
 

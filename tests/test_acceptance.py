@@ -195,7 +195,7 @@ def test_criterion_7_peskun_comparison():
         holds = rng.uniform(0.2, 0.7, size=2)
         dominated = helpers.lazified(fam, holds)
         f = helpers.random_centered(rng, fam)
-        assert peskun_dominates(fam, dominated).dominates
+        assert peskun_dominates(fam, dominated).min_dirichlet_gap_eigenvalue >= -1e-10
         for lam in (0.3, 0.6, 0.9):
             diff = var_lambda_strat(dominated, f, lam) - var_lambda_strat(fam, f, lam)
             worst_order = min(worst_order, diff)
@@ -310,19 +310,16 @@ def test_criterion_11_palindromic_cycles():
     rng = np.random.default_rng(1111)
     worst_gap = 0.0
     worst_derivative = np.inf
-    ok = True
     for p in (2, 3):
         pi = helpers.random_dist(rng, 4)
         generators = [
             helpers.random_reversible(pi, int(rng.integers(2**62))) for _ in range(p)
         ]
         f = Observable(rng.standard_normal(4))
-        report = palindrome_check(generators, pi, 0.5, f)
-        for case in report.cases:
+        for case in palindrome_check(generators, pi, 0.5, f):
             worst_gap = max(worst_gap, case.max_component_gap)
             worst_derivative = min(worst_derivative, case.min_derivative)
-        ok = ok and report.passes
-    ok = ok and worst_gap <= 1e-11 and worst_derivative >= -1e-9
+    ok = worst_gap <= 1e-11 and worst_derivative >= -1e-9
     _verdict(
         11,
         "palindromic cycles",

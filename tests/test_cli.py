@@ -14,13 +14,14 @@ from scanvar.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    PSD_TOL,
     load_model,
     main,
 )
 import scanvar.cli
 import scanvar.kernels
 from scanvar.kernels import NUMERIC_TOL, Dist, ValidationError, gibbs_kernel
-from scanvar.ordering import OrderingReport
+from scanvar.ordering import OrderingReport, PeskunComparison
 
 
 def write_model(path, **overrides):
@@ -333,15 +334,6 @@ class TestCompare:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert b"\r" not in out_a.read_bytes()
 
-    def test_series_method_column(self, tmp_path, capsys):
-        path = write_model(tmp_path / "m.json")
-        code = main(
-            ["compare", "--model", path, "--lambda", "0.5", "--method", "series"]
-        )
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert out.splitlines()[1].endswith(",series")
-
     def test_three_kernel_model_gets_nan_bound(self, tmp_path, capsys):
         path = write_model(
             tmp_path / "m.json",
@@ -353,16 +345,15 @@ class TestCompare:
         row = out.splitlines()[1].split(",")
         assert row[4] == "nan"
 
-    @pytest.mark.parametrize("method", ["resolvent", "series"])
-    def test_three_kernel_csv_bytes(self, tmp_path, capsys, method):
+    def test_three_kernel_csv_bytes(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)
         out = tmp_path / "out.csv"
-        args = ["compare", "--model", path, "--lambda", "0.3,0.9", "--method", method]
+        args = ["compare", "--model", path, "--lambda", "0.3,0.9"]
         assert main(args + ["--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == (
             "lambda,var_strat,var_rand,gap,gap_lower_bound,method\n"
-            f"0.3,1.48746344,1.50323301,0.0157695627,nan,{method}\n"
-            f"0.9,1.5980428,1.79947998,0.201437171,nan,{method}\n"
+            "0.3,1.48746344,1.50323301,0.0157695627,nan,resolvent\n"
+            "0.9,1.5980428,1.79947998,0.201437171,nan,resolvent\n"
             "1,1.59592294,1.85492701,0.259004063,nan,limit\n"
         ).encode()
 
@@ -598,8 +589,10 @@ CRAFTED_CSV = (
 
 
 class TestVerdicts:
-    """The library's rows are measurements; compare (on two kernels) and
-    peskun judge them against --tol. The rows here are crafted."""
+    """The library's rows and records are measurements; compare (on two
+    kernels) and peskun judge the rows against --tol, and peskun judges
+    the dominance record against PSD_TOL. The rows and records here are
+    crafted."""
 
     @staticmethod
     def returning(monkeypatch, name, rows):
@@ -653,6 +646,28 @@ class TestVerdicts:
         assert capsys.readouterr().err == (
             "FAIL: dominated-family cycle variance dropped below the dominating "
             f"one (worst difference {-t:.3g})\n"
+        )
+
+    @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+    def test_peskun_dominance_boundary(self, tmp_path, capsys, monkeypatch, below):
+        # the least Dirichlet-form eigenvalue may be exactly -PSD_TOL; one
+        # ulp lower, every row says false and the command exits 2
+        low = float(np.nextafter(-PSD_TOL, -np.inf)) if below else -PSD_TOL
+        comparison = PeskunComparison((0.0, low), low)
+        monkeypatch.setattr(scanvar.cli, "peskun_dominates", lambda *args: comparison)
+        path = write_model(tmp_path / "m.json")
+        out = tmp_path / "p.csv"
+        code = main(["peskun", "--model", path, "--model-b", path, "--out", str(out)])
+        assert code == (EXIT_ASSERTION if below else EXIT_OK)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert {row.split(",")[4] for row in rows} == {"false" if below else "true"}
+        assert capsys.readouterr().err == (
+            "FAIL: kernelwise Dirichlet-form dominance does not hold (smallest "
+            "eigenvalue -1e-10 below -1e-10); comparison reported outside the "
+            "dominance hypothesis\n"
+            if below
+            else ""
         )
 
 
@@ -884,11 +899,11 @@ class TestDemo:
 # every one of them and no other flag is accepted.
 COMMAND_FLAGS = {
     "validate": {"model", "tol"},
-    "compare": {"model", "lambdas", "method", "series_terms", "tol", "out"},
+    "compare": {"model", "lambdas", "tol", "out"},
     "peskun": {"model", "model_b", "lambdas", "tol", "out"},
     "limit": {"model", "out"},
     "simulate": {"model", "seed", "steps", "replicas", "out"},
-    "demo": {"method", "series_terms", "tol", "out"},
+    "demo": {"tol", "out"},
 }
 
 FLAG_ARGS = {

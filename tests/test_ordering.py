@@ -34,7 +34,6 @@ from scanvar.variance import (
     summability_check,
     var_lambda_rand,
     var_lambda_strat,
-    var_lambda_strat_series,
     var_limit,
 )
 
@@ -116,29 +115,6 @@ class TestCheckScanOrdering:
         check_scan_ordering(fam, f, [0.5, 1.0])
         assert eigh_calls == [(6, 6)]
 
-    def test_series_route_without_bound_skips_the_strat_solve(self, monkeypatch):
-        # with three kernels no gap bound needs the strat solve, so the series
-        # route solves only the one-block rand system per discount
-        import scanvar.variance as variance
-
-        rng = np.random.default_rng(75)
-        fam = helpers.random_family(rng, 5, 3)
-        f = helpers.random_centered(rng, fam)
-        calls = []
-        for name in ("_cycle_solve", "_mixed_solve"):
-            solve = getattr(variance, name)
-
-            def counted(*args, name=name, solve=solve, **kwargs):
-                calls.append(name)
-                return solve(*args, **kwargs)
-
-            monkeypatch.setattr(variance, name, counted)
-        rows = check_scan_ordering(fam, f, [0.3, 0.9], method="series")
-        assert calls == ["_mixed_solve", "_mixed_solve"]
-        assert [r.var_a for r in rows] == [
-            var_lambda_strat_series(fam, f, lam)[0] for lam in (0.3, 0.9)
-        ]
-
     def test_e1_limit_row(self, e1, e1_f):
         reports = check_scan_ordering(e1, e1_f, [0.5, 1.0])
         assert reports[-1].method == "limit"
@@ -211,16 +187,6 @@ class TestCheckScanOrdering:
         reports = check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99, 1.0])
         assert [rep.method for rep in reports] == ["resolvent"] * 4 + ["limit"]
         assert calls == [(8, 100)]
-
-    def test_series_method_threads_through(self, e1, e1_f):
-        rep = check_scan_ordering(e1, e1_f, [0.5], method="series")[0]
-        assert rep.method == "series"
-        assert rep.var_a == pytest.approx(helpers.E1_VAR_STRAT_HALF, abs=1e-10)
-
-    @pytest.mark.parametrize("grid", [[0.5], [1.0], []])
-    def test_unknown_method_refused(self, e1, e1_f, grid):
-        with pytest.raises(ValueError, match="method must be 'resolvent' or 'series'"):
-            check_scan_ordering(e1, e1_f, grid, method="magic")
 
 
 def centred_bottom(form: np.ndarray, pi: np.ndarray) -> float:
@@ -381,7 +347,7 @@ class TestBellman:
 class TestVariationalIdentity:
     def test_reversible_kernel_reduces_to_resolvent(self, e1, e1_f):
         rep = variational_identity_check(e1.kernels[0], e1.pi, e1_f, 0.5)
-        assert rep.passes
+        assert rep.residual <= 1e-9 and rep.max_probe_excess <= 1e-9
         assert rep.residual <= 1e-12
         # for a reversible kernel the skew part vanishes and the form is the
         # plain resolvent quadratic form
@@ -405,7 +371,6 @@ class TestVariationalIdentity:
         rep = variational_identity_check(kern, pi, f, 0.5)
         assert rep.residual <= 1e-10
         assert rep.max_probe_excess <= 1e-10
-        assert rep.passes
 
     def test_rejects_non_invariant(self):
         kern = Kernel([[0.9, 0.1], [0.5, 0.5]])
@@ -418,21 +383,32 @@ class TestPeskunDominance:
         rng = np.random.default_rng(43)
         fam = helpers.random_family(rng, 5, 2)
         comparison = peskun_dominates(fam, helpers.lazified(fam, 0.3))
-        assert comparison.dominates
-        assert all(comparison.dominance_per_kernel)
+        assert comparison.min_dirichlet_gap_eigenvalue >= -1e-10
+        assert all(low >= -1e-10 for low in comparison.per_kernel_min_eigenvalue)
         assert comparison.min_dirichlet_gap_eigenvalue >= -1e-12
 
     def test_self_comparison(self, e1):
         comparison = peskun_dominates(e1, e1)
-        assert comparison.dominates
+        assert comparison.min_dirichlet_gap_eigenvalue >= -1e-10
         assert comparison.min_dirichlet_gap_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
     def test_reversed_roles_fail(self):
         rng = np.random.default_rng(44)
         fam = helpers.random_family(rng, 5, 2)
         comparison = peskun_dominates(helpers.lazified(fam, 0.3), fam)
-        assert not comparison.dominates
+        assert comparison.min_dirichlet_gap_eigenvalue < -1e-10
         assert comparison.min_dirichlet_gap_eigenvalue < -1e-6
+
+    def test_least_eigenvalue_reads_every_kernel(self):
+        # only kernel 2 is lazified, so only kernel 2 fails dominance, and
+        # the least eigenvalue over the family is kernel 2's
+        rng = np.random.default_rng(44)
+        fam = helpers.random_family(rng, 5, 2)
+        comparison = peskun_dominates(helpers.lazified(fam, [0.0, 0.3]), fam)
+        first, second = comparison.per_kernel_min_eigenvalue
+        assert first == pytest.approx(0.0, abs=1e-12)
+        assert second < -1e-6
+        assert comparison.min_dirichlet_gap_eigenvalue == second
 
     def test_eigenvalues_match_direct_eigensolve(self):
         rng = np.random.default_rng(45)
@@ -459,7 +435,7 @@ class TestCheckPeskunOrdering:
     def test_e1_versus_lazified(self, e1, e1_f):
         dominated = helpers.lazified(e1, 0.5)
         rows = check_peskun_ordering(e1, dominated, e1_f, [0.5, 1.0])
-        assert peskun_dominates(e1, dominated).dominates
+        assert peskun_dominates(e1, dominated).min_dirichlet_gap_eigenvalue >= -1e-10
         assert all(row.gap >= -NUMERIC_TOL for row in rows)
         assert rows[-1].method == "limit"
         for row in rows:
@@ -468,7 +444,7 @@ class TestCheckPeskunOrdering:
 
     def test_self_comparison_equality(self, e1, e1_f):
         rows = check_peskun_ordering(e1, e1, e1_f, [0.3, 0.9, 1.0])
-        assert peskun_dominates(e1, e1).dominates
+        assert peskun_dominates(e1, e1).min_dirichlet_gap_eigenvalue >= -1e-10
         for row in rows:
             assert abs(row.gap) <= 1e-10
 
@@ -490,7 +466,7 @@ class TestCheckPeskunOrdering:
     def test_failed_dominance_still_reports(self, e1, e1_f):
         stronger = helpers.lazified(e1, 0.5)
         rows = check_peskun_ordering(stronger, e1, e1_f, [0.5, 1.0])
-        assert not peskun_dominates(stronger, e1).dominates
+        assert peskun_dominates(stronger, e1).min_dirichlet_gap_eigenvalue < -1e-10
         assert len(rows) >= 1
 
 
@@ -590,7 +566,7 @@ def test_lazified_family_is_dominated_and_ordered(case):
     fam, f = case
     for hold in (0.3, 0.9):
         dominated = helpers.lazified(fam, hold)
-        assert peskun_dominates(fam, dominated).dominates
+        assert peskun_dominates(fam, dominated).min_dirichlet_gap_eigenvalue >= -1e-10
         rows = check_peskun_ordering(fam, dominated, f, PROPERTY_GRID)
         assert [r.lam for r in rows[:4]] == PROPERTY_GRID[:4]
         assert all(r.gap >= -NUMERIC_TOL for r in rows)
@@ -655,11 +631,10 @@ class TestPalindrome:
         pi = helpers.random_dist(rng, 4)
         gens = [random_reversible(pi, s) for s in (100, 200)]
         f = Observable(rng.standard_normal(4))
-        report = palindrome_check(gens, pi, 0.5, f)
-        assert report.passes
-        cycles = {case.cycle for case in report.cases}
+        cases = palindrome_check(gens, pi, 0.5, f)
+        cycles = {case.cycle for case in cases}
         assert (2, 1, 2) in cycles and (1, 2) in cycles
-        for case in report.cases:
+        for case in cases:
             assert case.max_component_gap <= 1e-11
             assert case.min_derivative >= -1e-9
 
@@ -668,16 +643,17 @@ class TestPalindrome:
         pi = helpers.random_dist(rng, 4)
         gens = [random_reversible(pi, s) for s in (7, 8, 9)]
         f = Observable(rng.standard_normal(4))
-        report = palindrome_check(gens, pi, 0.5, f)
-        assert report.passes
-        cycles = {case.cycle for case in report.cases}
+        cases = palindrome_check(gens, pi, 0.5, f)
+        for case in cases:
+            assert case.max_component_gap <= 1e-11
+            assert case.min_derivative >= -1e-9
+        cycles = {case.cycle for case in cases}
         assert (3, 2, 1, 2, 3) in cycles and (2, 1, 2, 3) in cycles
 
     def test_identity_generators_zero_derivative(self):
         pi = Dist([0.25, 0.75])
         gens = [Kernel(np.eye(2)), Kernel(np.eye(2))]
-        report = palindrome_check(gens, pi, 0.5, Observable([1.0, -1.0]))
-        for case in report.cases:
+        for case in palindrome_check(gens, pi, 0.5, Observable([1.0, -1.0])):
             assert case.min_derivative == pytest.approx(0.0, abs=1e-13)
             assert max(abs(d) for d in case.derivatives) <= 1e-13
 
@@ -698,10 +674,10 @@ class TestPalindrome:
 
         monkeypatch.setattr(ordering, "_cycle_solve", counted)
         monkeypatch.setattr(ordering, "PALINDROME_BETAS", len(betas))
-        report = palindrome_check(gens, pi, 0.5, f)
-        assert len(calls) == 2 * len(report.cases) * len(betas)
+        cases = palindrome_check(gens, pi, 0.5, f)
+        assert len(calls) == 2 * len(cases) * len(betas)
         monkeypatch.undo()
-        for case in report.cases:
+        for case in cases:
             kernels = [gens[j - 1] for j in case.cycle]
             perturbed = list(kernels)
             index = case.distinguished_index - 1

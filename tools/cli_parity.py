@@ -29,8 +29,9 @@ that disagree with the data, and one fault of each kind it checks), on
 model files that test the parser (see `model_texts`), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
-check could exit 2, and `simulate` with 10**400 steps), and the `compare`
-and `peskun` verdicts on e1 at `--tol 0`.
+check could exit 2, `simulate` with 10**400 steps, and `--method` or
+`--series-terms` on `demo` and `compare`, a usage error), and the
+`compare` and `peskun` verdicts on e1 at `--tol 0`.
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -241,10 +242,7 @@ def write_models(models: Path) -> dict[str, tuple[Path, Path, list[str]]]:
 
 
 def command_lines(models: Path) -> list[list[str]]:
-    lines = [
-        ["demo"],
-        ["demo", "--out", "x.csv", "--method", "series", "--series-terms", "60", "--tol", "1e-9"],
-    ]
+    lines = [["demo"], ["demo", "--out", "x.csv", "--tol", "1e-9"]]
     for model, lazy, sizes in write_models(models).values():
         m, b = str(model), str(lazy)
         lines += [
@@ -252,9 +250,8 @@ def command_lines(models: Path) -> list[list[str]]:
             ["validate", "--model", m, "--tol", "1e-13"],
             ["compare", "--model", m],
             ["compare", "--model", m, "--out", "c.csv", "--tol", "1e-9"],
-            ["compare", "--model", m, "--method", "series", "--series-terms", "80",
-             "--lambda", "0.3,0.9,1", "--out", "s.csv"],
-            ["compare", "--model", m, "--method", "series", "--lambda", "0.5"],
+            ["compare", "--model", m, "--lambda", "0.3,0.9,1", "--out", "s.csv"],
+            ["compare", "--model", m, "--lambda", "0.5"],
             ["compare", "--model", m, "--lambda", "0,0.5"],
             ["peskun", "--model", m, "--model-b", b],
             ["peskun", "--model", m, "--model-b", b, "--lambda", "0.2,1", "--out", "p.csv"],
@@ -324,7 +321,7 @@ def command_lines(models: Path) -> list[list[str]]:
     lines += [
         ["compare", "--model", str(k3), "--lambda", "0.5,0.9"],
         ["compare", "--model", str(k3), "--lambda", "0,0.5"],
-        ["compare", "--model", str(k3), "--method", "series", "--out", "k.csv"],
+        ["compare", "--model", str(k3), "--out", "k.csv"],
         ["limit", "--model", str(k3), "--out", "l.csv"],
     ]
     for name, model in (("k1", K1), ("n1", N1)):
@@ -332,7 +329,7 @@ def command_lines(models: Path) -> list[list[str]]:
         m.write_text(json.dumps(model))
         lines += [
             ["compare", "--model", str(m)],
-            ["compare", "--model", str(m), "--method", "series", "--lambda", "0.3,1"],
+            ["compare", "--model", str(m), "--lambda", "0.3,1"],
             ["limit", "--model", str(m)],
             ["validate", "--model", str(m)],
         ]
@@ -386,6 +383,9 @@ def command_lines(models: Path) -> list[list[str]]:
         ["compare", "--model", m, "--lambda", "0.3,a"],
         ["simulate", "--model", m, "--steps", "0", "--replicas", "5", "--seed", "1"],
         ["simulate", "--model", m, "--steps", str(10**400), "--replicas", "5", "--seed", "1"],
+        # compare and demo take one route, so a route flag is a usage error
+        ["demo", "--out", "x.csv", "--method", "series", "--series-terms", "60", "--tol", "1e-9"],
+        ["compare", "--model", m, "--method", "series", "--lambda", "0.5"],
     ]
     # verdicts at --tol 0: e1 against itself has every gap exactly 0
     lines += [

@@ -257,6 +257,27 @@ MUTANTS = (
         ("tests/test_cli.py::TestVerdicts",),
     ),
     Mutant(
+        "peskun: dominance verdict >= made >",
+        "cli.py",
+        "dominates = comparison.min_dirichlet_gap_eigenvalue >= -PSD_TOL",
+        "dominates = comparison.min_dirichlet_gap_eigenvalue > -PSD_TOL",
+        ("tests/test_cli.py::TestVerdicts",),
+    ),
+    Mutant(
+        "peskun dominance: least eigenvalue read from the first kernel only",
+        "ordering.py",
+        "min_dirichlet_gap_eigenvalue=min(min_eigs),",
+        "min_dirichlet_gap_eigenvalue=min_eigs[0],",
+        ("tests/test_ordering.py",),
+    ),
+    Mutant(
+        "grid walk: limit row labelled resolvent",
+        "ordering.py",
+        'rows.append(OrderingReport(1.0, *limit(), "limit"))',
+        'rows.append(OrderingReport(1.0, *limit(), "resolvent"))',
+        ("tests/test_ordering.py",),
+    ),
+    Mutant(
         "simulation config: steps bound dropped",
         "simulate.py",
         "if self.steps >= 2**63:",
