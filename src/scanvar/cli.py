@@ -5,6 +5,12 @@ Model files are JSON with fields `states` (a count or a list of labels),
 optional `simulation` block. All numeric CSV fields use 9 significant
 digits and LF line endings, so identical inputs give byte-identical files.
 
+A model file is read as one text. json's scanner walks its top-level
+object, orjson decodes each kernel row, and json scans again any matrix
+whose rows orjson refuses, so every value or error is json's own. Each
+kernel becomes a float array as soon as it is read, so a load peaks at
+about twice the file's size: its bytes and its text while it is read.
+
 Exit codes: 0 success, 1 validation failure, 2 assertion failure or usage error,
 3 I/O or parse error.
 """
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from scanvar.kernels import (
     KernelFamily,
@@ -86,10 +93,12 @@ def _fmt(x) -> str:
 
 def _raise_problems(path: str, n: int, pi, f_values, kernels, diag=None) -> None:
     """Raise ValidationError listing every violated invariant of the raw data,
-    if any: shapes, then each kernel's negative entries and balance, the
-    target's sum and sign, and each kernel's worst row sum. The residuals
-    are `diag` when a refusal already measured them. This is the one place
-    that words a model's faults."""
+    if any: shapes and the first non-finite entry of pi, f and each kernel,
+    or, when there are none of those to make the residuals meaningless,
+    each kernel's negative entries and balance, the target's sum and sign,
+    and each kernel's worst row sum. The residuals are `diag` when a
+    refusal already measured them. This is the one place that words a
+    model's faults."""
     problems: list[str] = []
     if pi.shape != (n,):
         problems.append(f"pi has shape {pi.shape}, expected ({n},)")
@@ -100,6 +109,13 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag=None) -> None
     for i, m in enumerate(kernels):
         if m.shape != (n, n):
             problems.append(f"kernel {i + 1} has shape {m.shape}, expected ({n}, {n})")
+    named = [("pi", pi), ("f", f_values)]
+    named += [(f"kernel {i + 1}", m) for i, m in enumerate(kernels)]
+    for name, values in named:
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            where = "".join(f"[{j}]" for j in bad[0])
+            problems.append(f"{name}: non-finite entry {values[tuple(bad[0])]:g} at {where}")
     if not problems:
         diag = diag or family_diagnostics(pi, kernels)
         for i, (g, b) in enumerate(zip(diag.negative_entry, diag.balance_residual)):
@@ -127,14 +143,42 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag=None) -> None
         )
 
 
+def _scan_matrix(text: str, i: int, scan, ws) -> tuple[list, int]:
+    """The matrix whose first character is text[i], and the index after it.
+    Each row, from its '[' to the first ']' after it, is decoded by orjson,
+    whose floats are json's bit for bit (an integer past 64 bits comes as
+    the float json's int converts to). Anything else (not a list of rows,
+    a bad separator, a row orjson refuses, such as one holding a NaN, a
+    number past a float's range, a nested list or a string with a ']')
+    sends the whole matrix to json's scanner, so its value or its error is
+    json's own."""
+    if text[i : i + 1] == "[":
+        rows, j, sep = [], i, ","
+        try:
+            while sep == ",":
+                j = ws(text, j + 1).end()
+                if text[j : j + 1] != "[":
+                    break
+                end = text.index("]", j) + 1
+                rows.append(orjson.loads(text[j:end]))
+                j = ws(text, end).end()
+                sep = text[j : j + 1]
+            if sep == "]":
+                return rows, j + 1
+        except ValueError:  # orjson.JSONDecodeError is one
+            pass
+    return scan(text, i)
+
+
 def _scan_kernels(text: str, i: int, scan, ws) -> tuple[list, int]:
     """The `kernels` array whose '[' is at text[i], and the index after its
-    ']'. Each matrix becomes a float array as soon as it is scanned, so its
-    lists die before the next is built; one that does not convert stays as
-    parsed, for load_model's conversion step to report in its place."""
+    ']'. Each matrix is read by _scan_matrix and becomes a float array as
+    soon as it is read, so its lists die before the next is built; one
+    that does not convert stays as parsed, for load_model's conversion
+    step to report in its place."""
     kernels, sep = [], ","
     while sep == ",":
-        matrix, i = scan(text, ws(text, i + 1).end())
+        matrix, i = _scan_matrix(text, ws(text, i + 1).end(), scan, ws)
         try:
             matrix = np.asarray(matrix, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -179,8 +223,10 @@ def _scan_model(text: str) -> dict:
 
 def _read_model(path: str):
     """The parsed model file. The text lives only here, and at most one
-    kernel's lists live beside it. A text _scan_model does not take is
-    parsed again by json.loads, so its value or its error is json's own."""
+    kernel's lists live beside it, so the peak is the read's: about twice
+    the file. Kernel rows go through orjson, the rest through json's
+    scanner; a text _scan_model does not take is parsed again by
+    json.loads, so its value or its error is json's own."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -241,7 +287,8 @@ def load_model(path: str) -> Model:
     except ValidationError as err:
         _raise_problems(path, n, pi, f_values, kernels, err.diagnostics)
         raise
-    if family.n != n or f_values.shape != (n,):  # the family knows only pi's length
+    # the family knows only pi's length, and nothing of f
+    if family.n != n or f_values.shape != (n,) or not np.isfinite(f_values).all():
         _raise_problems(path, n, pi, f_values, kernels)
     grid = raw.get("lambda_grid")
     if grid is not None:

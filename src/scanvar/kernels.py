@@ -178,10 +178,13 @@ class FamilyDiagnostics:
     min_pi: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
     """Diagnose raw kernel matrices against a target without constructing types.
 
-    Accepts anything array-like, so invalid input can still be quantified.
+    Accepts anything array-like, so invalid input can still be quantified: a
+    non-finite entry or an overflowing sum gives an inf or NaN residual,
+    without a warning.
     """
     w = pi.weights if isinstance(pi, Dist) else np.asarray(pi, dtype=float)
     row_dev, neg, bal, rel_bal = [], [], [], []

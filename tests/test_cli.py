@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from scanvar.cli import (
@@ -211,6 +213,37 @@ class TestLoadModel:
             load_model(path)
         assert "f has shape" in str(err.value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field, value, lines",
+        [
+            ("pi", "[1e400, 0.5]", ["pi: non-finite entry inf at [0]"]),
+            ("pi", "[NaN, 0.5]", ["pi: non-finite entry nan at [0]"]),
+            ("f", "[1.0, -1e400]", ["f: non-finite entry -inf at [1]"]),
+            (
+                "kernels",
+                "[[[0.9, 0.1], [0.1, NaN]], [[0.6, 1e400], [Infinity, 0.6]]]",
+                ["kernel 1: non-finite entry nan at [1][1]",
+                 "kernel 2: non-finite entry inf at [0][1]"],
+            ),
+        ],
+        ids=["inf-pi", "nan-pi", "inf-f", "kernels"],
+    )
+    def test_non_finite_entry_listed_alone(self, tmp_path, capsys, field, value, lines):
+        # json reads NaN, Infinity and a float literal past a float's range;
+        # the residuals they make are inf or NaN, so only the entries are
+        # listed, with no RuntimeWarning on the way
+        path = write_model(tmp_path / "m.json", **{field: "X"})
+        text = (tmp_path / "m.json").read_text(encoding="utf-8").replace('"X"', value)
+        (tmp_path / "m.json").write_text(text, encoding="utf-8")
+        for command in ("validate", "compare"):
+            assert main([command, "--model", path]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"validation error: {path} failed validation:\n  " + "\n  ".join(lines) + "\n"
+            )
+            assert captured.out == ""
+
     def test_load_holds_the_text_and_one_kernel_tree(self, tmp_path):
         # Reading a file of F bytes holds its bytes and its ASCII text
         # together: 2F. A parsed kernel entry is a float object (24 bytes)
@@ -304,6 +337,136 @@ class TestLoadModel:
         assert capsys.readouterr().err == (
             f"parse error: {path}: missing required field 'pi'\n"
         )
+
+
+# Number tokens as a model file may write them: float reprs of every
+# magnitude (subnormals and both zeros among them), integers past 64 bits,
+# -0, and decimals of up to 40 digits whose exponents reach past a float's
+# range either way.
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.just("-0"),
+    st.builds(
+        lambda sign, digits, point, exponent: sign
+        + (digits.lstrip("0") or "0")[:point]
+        + ("." + digits[point:] if digits[point:] else "")
+        + exponent,
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=1, max_size=40),
+        st.integers(1, 40),
+        st.sampled_from(["", "e"]).flatmap(
+            lambda e: st.just("") if not e else st.integers(-400, 400).map(lambda x: f"e{x:+d}")
+        ),
+    ),
+)
+# JSON whitespace as indent=2, tabs and CRLF layouts put it between tokens
+SPACE = st.sampled_from(["", " ", "\n  ", "\n    ", "\t", "\r\n", "\r\n\t\t", " \t\r\n"])
+
+
+def json_own(text):
+    """json's reading of a model text: its kernels, or the error it raises."""
+    try:
+        return json.loads(text)["kernels"], None
+    except (ValueError, RecursionError) as err:
+        return None, err
+
+
+def assert_read_as_json(path):
+    """_read_model gives json's own kernels, each the float array json's
+    lists convert to, bit for bit, or the lists themselves when they do not
+    convert, or fails on json's own error."""
+    want, err = json_own(path.read_text(encoding="utf-8"))
+    if err is not None:
+        with pytest.raises(scanvar.cli.ModelFormatError) as got:
+            scanvar.cli._read_model(str(path))
+        cause = got.value.__cause__
+        assert (type(cause), str(cause)) == (type(err), str(err))
+        return
+    got = scanvar.cli._read_model(str(path))["kernels"]
+    assert len(got) == len(want)
+    for matrix, lists in zip(got, want):
+        try:
+            array = np.asarray(lists, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            assert matrix == lists
+            continue
+        assert isinstance(matrix, np.ndarray) and matrix.dtype == float
+        assert matrix.shape == array.shape
+        assert matrix.tobytes() == array.tobytes()
+
+
+class TestRowDecode:
+    """Kernel rows are decoded by orjson, and anything it refuses or the
+    row walk does not take is scanned again by json. The fixed refusals
+    run first, so that a broken walk fails fast under `pytest -x`."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[NaN, 0.4], [0.4, 0.6]]",
+            "[[0.6, 0.4], [Infinity, -Infinity]]",
+            "[[0.6, 1e400], [0.4, 0.6]]",
+            "[[0.6, 18446744073709551616], [0.4, -9223372036854775809]]",
+            "[[0.6, 1" + "0" * 5000 + "], [0.4, 0.6]]",
+            "[[[0.6], [0.4]], [[0.4], [0.6]]]",
+            '[[0.6, "]"], [0.4, 0.6]]',
+            "[[0.6, 0.4], []]",
+            "[[], []]",
+            "[]",
+            "[[0.6, {}], [0.4, 0.6]]",
+            '[["\\ud800", 0.4], [0.4, 0.6]]',
+            "[[0.6, 0.4]; [0.4, 0.6]]",
+            "[[0.6, 0.4] [0.4, 0.6]]",
+            "[[0.6, 0.4], [0.4, 0.6],]",
+            "[0.6, [0.4, 0.6]]",
+            "[[0.6, 0.4], 7]",
+            "[[0.6, 0.4], [0.4, 0.6",
+        ],
+        ids=[
+            "nan", "infinity", "past-float-range", "past-64-bits", "5000-digits",
+            "nested", "string-bracket", "empty-row", "empty-rows", "empty-matrix",
+            "object", "lone-surrogate", "semicolon", "no-separator", "trailing-comma",
+            "number-first", "number-row", "unclosed",
+        ],
+    )
+    def test_refused_matrix_read_by_json_in_place(self, tmp_path, monkeypatch, matrix):
+        # json's value, and from the one walk: a refused matrix is scanned
+        # again where it stands, so a valid text is never parsed whole
+        text = json.dumps({"states": 2, "pi": helpers.E1_PI, "kernels": ["P1", "M"]})
+        text = text.replace('"P1"', json.dumps(helpers.E1_P1)).replace('"M"', matrix)
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        valid, loads, whole = json_own(text)[1] is None, json.loads, []
+        monkeypatch.setattr(json, "loads", lambda s: whole.append(s) or loads(s))
+        assert_read_as_json(path)
+        assert len(whole) == (1 if valid else 2)  # json_own's, and the fallback's
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+                lambda shape: st.lists(
+                    st.lists(TOKENS, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0], max_size=shape[0],
+                )
+            ),
+            min_size=1, max_size=3,
+        ),
+        SPACE,
+        SPACE,
+    )
+    def test_rows_read_as_json_reads_them(self, tmp_path_factory, kernels, outer, inner):
+        def array(items, space):
+            return "[" + space + ("," + space).join(items) + space + "]"
+
+        matrices = [array([array(row, inner) for row in m], outer) for m in kernels]
+        text = (
+            '{"states": 2,' + outer + '"pi": [0.5, 0.5],' + outer + '"kernels": '
+            + array(matrices, outer) + "," + outer + '"f": [1.0, -1.0]}'
+        )
+        path = tmp_path_factory.getbasetemp() / "rows.json"
+        path.write_text(text, encoding="utf-8")
+        assert_read_as_json(path)
 
 
 class TestCompare:

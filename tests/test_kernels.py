@@ -144,6 +144,15 @@ class TestValidateFamily:
     def test_e1_passes_tight_tolerance(self, e1):
         assert worst_residual(family_diagnostics(e1.pi, e1.kernels)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_input_measured_without_warnings(self):
+        # inf - inf in the flows gives a NaN residual, and a sum past a
+        # float's range an inf one, without a RuntimeWarning
+        diag = family_diagnostics([math.inf, 0.5], [[[0.9, 0.1], [0.1, 0.9]]])
+        assert math.isnan(diag.balance_residual[0]) and diag.pi_sum_deviation == math.inf
+        diag = family_diagnostics([1e308, 1e308], [[[1e308, 1e308], [0.1, 0.9]]])
+        assert diag.row_sum_deviation == (math.inf,) and diag.pi_sum_deviation == math.inf
+
     def test_family_keeps_its_diagnosis(self, e1):
         assert e1.diagnostics == family_diagnostics(e1.pi, e1.kernels)
 

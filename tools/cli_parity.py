@@ -185,8 +185,13 @@ def model_texts() -> dict[str, bytes]:
     (alone and with a required field missing), `kernels` not a list or
     given twice, trailing data, a UTF-8 BOM, a top-level array, syntax
     errors, CRLF and whitespace-heavy formatting, and text that is not
-    UTF-8, numbers past a float's range or too long to read, and nesting
-    too deep to parse."""
+    UTF-8, numbers past a float's range (integers, and float literals in
+    pi and f) or too long to read, nesting too
+    deep to parse, and kernel matrices whose rows orjson refuses or the
+    row walk does not take (NaN and Infinity literals, floats past a
+    float's range, integers past 64 bits or of 5000 digits, nested rows,
+    a string holding ']', an empty row or matrix, an object entry, a lone
+    surrogate escape, and bad row separators)."""
     string, ragged = [[0.6, "x"], [0.4, 0.6]], [[0.6], [0.4, 0.6]]
     e1 = json.dumps(E1)
     deep = "[" * 100_000 + "]" * 100_000
@@ -212,10 +217,32 @@ def model_texts() -> dict[str, bytes]:
         "huge-f": json.dumps(dict(E1, f=[1.0, 10**400])),
         "huge-kernel": json.dumps(dict(E1, kernels=[E1["kernels"][0], [[0.6, 10**400], [0.4, 0.6]]])),
         "huge-grid": json.dumps(dict(E1, lambda_grid=[0.5, 10**400])),
+        "float-past-range-pi": e1.replace('"pi": [0.5, 0.5]', '"pi": [1e400, 0.5]'),
+        "float-past-range-f": e1.replace('"f": [1.0, -1.0]', '"f": [1.0, -1e400]'),
         "long-integer": json.dumps(E1).replace("0.5, 0.5", "1" * 5000 + ", 0.5"),
         "deep-top-level": deep,
         "deep-kernels": json.dumps(dict(E1, kernels="DEEP")).replace('"DEEP"', deep),
     }
+    # kernel matrices whose rows orjson refuses or the row walk does not take
+    p2 = json.dumps(E1["kernels"][1])
+    for name, matrix in {
+        "nan-literal": "[[NaN, 0.4], [0.4, 0.6]]",
+        "infinity-literal": "[[0.6, 0.4], [Infinity, -Infinity]]",
+        "float-past-range": "[[0.6, 1e400], [0.4, 0.6]]",
+        "past-64-bits": "[[0.6, 18446744073709551616], [0.4, 0.6]]",
+        "long-integer-row": "[[0.6, 1" + "0" * 5000 + "], [0.4, 0.6]]",
+        "nested-rows": "[[[0.6], [0.4]], [[0.4], [0.6]]]",
+        "string-bracket": '[[0.6, "]"], [0.4, 0.6]]',
+        "empty-row": "[[0.6, 0.4], []]",
+        "empty-matrix": "[]",
+        "object-entry": "[[0.6, {}], [0.4, 0.6]]",
+        "lone-surrogate": '[["\\ud800", 0.4], [0.4, 0.6]]',
+        "row-semicolon": "[[0.6, 0.4]; [0.4, 0.6]]",
+        "row-no-separator": "[[0.6, 0.4] [0.4, 0.6]]",
+        "row-trailing-comma": "[[0.6, 0.4], [0.4, 0.6],]",
+        "number-row": "[[0.6, 0.4], 7]",
+    }.items():
+        texts[f"matrix-{name}"] = e1.replace(p2, matrix)
     out = {name: text.encode("utf-8") for name, text in texts.items()}
     out["not-utf8"] = e1.replace('"f"', '"\xff"').encode("latin-1")
     return out

@@ -199,6 +199,26 @@ MUTANTS = (
         ("tests/test_cli.py::TestLoadModel::test_unconvertible_kernel_reported_after_required_fields",),
     ),
     Mutant(
+        # the whole-text fallback would still give json's value, but after
+        # a second parse of the file: the test counts json.loads calls
+        "load_model: a refused row no longer re-scans with json",
+        "cli.py",
+        "        except ValueError:  # orjson.JSONDecodeError is one\n"
+        "            pass\n",
+        "        except ValueError:  # orjson.JSONDecodeError is one\n"
+        "            raise\n",
+        ("tests/test_cli.py::TestRowDecode",),
+    ),
+    Mutant(
+        "load_model: row separator check dropped",
+        "cli.py",
+        "            while sep == \",\":\n"
+        "                j = ws(text, j + 1).end()\n",
+        "            while sep != \"]\" and sep:\n"
+        "                j = ws(text, j + 1).end()\n",
+        ("tests/test_cli.py::TestRowDecode",),
+    ),
+    Mutant(
         "load_model: UTF-8 mapping dropped",
         "cli.py",
         "    except UnicodeDecodeError as err:\n"
@@ -220,6 +240,27 @@ MUTANTS = (
         "diag = diag or family_diagnostics(pi, kernels)",
         "diag = family_diagnostics(pi, kernels)",
         ("tests/test_cli.py::TestLoadModel::test_valid_model_diagnosed_once",),
+    ),
+    Mutant(
+        "fault listing: non-finite entries not listed",
+        "cli.py",
+        "if bad.size:",
+        "if False:",
+        ("tests/test_cli.py::TestLoadModel::test_non_finite_entry_listed_alone",),
+    ),
+    Mutant(
+        "load_model: f's finiteness left to the Observable type",
+        "cli.py",
+        " or not np.isfinite(f_values).all():",
+        ":",
+        ("tests/test_cli.py::TestLoadModel::test_non_finite_entry_listed_alone",),
+    ),
+    Mutant(
+        "diagnostics: overflow and invalid warnings no longer silenced",
+        "kernels.py",
+        '@np.errstate(over="ignore", invalid="ignore")\n',
+        "",
+        ("tests/test_kernels.py::TestValidateFamily",),
     ),
     Mutant(
         "validate: verdict <= made <",
