@@ -37,15 +37,12 @@ from scanvar.kernels import (
     random_scan,
 )
 from scanvar.ordering import (
-    BetaPath,
     OrderingReport,
     PeskunComparison,
     check_peskun_ordering,
     check_scan_ordering,
     gap_lower_bound,
-    palindrome_check,
     peskun_dominates,
-    variational_identity_check,
 )
 from scanvar.simulate import (
     SimulationConfig,
@@ -56,11 +53,9 @@ from scanvar.simulate import (
 from scanvar.variance import (
     SummabilityReport,
     finite_m_variance_exact,
-    joint_law_exact,
     summability_check,
     var_lambda_rand,
     var_lambda_strat,
-    var_lambda_strat_series,
     var_limit,
 )
 

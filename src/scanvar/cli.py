@@ -91,14 +91,17 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _raise_problems(path: str, n: int, pi, f_values, kernels, diag=None) -> None:
+def _raise_problems(
+    path: str, n: int, pi, f_values, kernels, diag=None, labels=()
+) -> None:
     """Raise ValidationError listing every violated invariant of the raw data,
     if any: shapes and the first non-finite entry of pi, f and each kernel,
     or, when there are none of those to make the residuals meaningless,
     each kernel's negative entries and balance, the target's sum and sign,
-    and each kernel's worst row sum. The residuals are `diag` when a
-    refusal already measured them. This is the one place that words a
-    model's faults."""
+    and each kernel's worst row sum; repeated state `labels` head a
+    listing of any of these. The residuals are `diag` when a refusal
+    already measured them. This is the one place that words a model's
+    faults."""
     problems: list[str] = []
     if pi.shape != (n,):
         problems.append(f"pi has shape {pi.shape}, expected ({n},)")
@@ -131,13 +134,16 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag=None) -> None
             problems.append(f"target has a nonpositive weight ({diag.min_pi:.3g})")
         for i, (m, dev) in enumerate(zip(kernels, diag.row_sum_deviation)):
             if dev > ROW_SUM_TOL:
-                sums = m.sum(axis=1)
+                with np.errstate(over="ignore"):  # an overflow is listed as inf
+                    sums = m.sum(axis=1)
                 worst = int(np.abs(sums - 1.0).argmax())
                 problems.append(
                     f"kernel {i + 1} row {worst} sums to {sums[worst]:.10g} "
                     f"(residual {dev:.3g})"
                 )
     if problems:
+        if len(set(labels)) != len(labels):
+            problems.insert(0, "state labels must be distinct")
         raise ValidationError(
             f"{path} failed validation:\n  " + "\n  ".join(problems)
         )
@@ -285,7 +291,7 @@ def load_model(path: str) -> Model:
             raise ValidationError("state labels must be distinct")
         family = make_family(pi, kernels)
     except ValidationError as err:
-        _raise_problems(path, n, pi, f_values, kernels, err.diagnostics)
+        _raise_problems(path, n, pi, f_values, kernels, err.diagnostics, labels)
         raise
     # the family knows only pi's length, and nothing of f
     if family.n != n or f_values.shape != (n,) or not np.isfinite(f_values).all():

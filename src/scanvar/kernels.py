@@ -97,7 +97,8 @@ class Dist:
             raise ValidationError("weights must be finite")
         if w.min() < 0.0:
             raise ValidationError(f"negative weight {w.min():.3g}")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = float(w.sum())
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise ValidationError(
                 f"weights sum to {total:.17g}, expected 1 within {ROW_SUM_TOL:g}"
@@ -144,11 +145,13 @@ class Kernel:
             raise ValidationError("kernel entries must be finite")
         if m.min() < 0.0:
             raise ValidationError(f"negative kernel entry {m.min():.3g}")
-        row_dev = float(np.abs(m.sum(axis=1) - 1.0).max())
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            sums = m.sum(axis=1)
+        row_dev = float(np.abs(sums - 1.0).max())
         if row_dev > ROW_SUM_TOL:
-            worst = int(np.abs(m.sum(axis=1) - 1.0).argmax())
+            worst = int(np.abs(sums - 1.0).argmax())
             raise ValidationError(
-                f"row {worst} sums to {m.sum(axis=1)[worst]:.17g}, "
+                f"row {worst} sums to {sums[worst]:.17g}, "
                 f"deviation {row_dev:.3g} exceeds {ROW_SUM_TOL:g}"
             )
         m.setflags(write=False)

@@ -1,14 +1,16 @@
 """Exact discounted and limiting variances for the two scan schemes.
 
-The discounted variance of the deterministic cycle is available two ways:
-one resolvent solve on the embedded block space, eliminated around the
-cycle to a single n x n system, or direct summation of the covariance
-series with a reported truncation bound. The random scan, and a cycle of
-one kernel, solve with the mixed kernel alone, in its eigenbasis cached on
-the family (embedding._mixed_solve). Limits as the discount approaches one
+The discounted variance of the deterministic cycle is one resolvent solve
+on the embedded block space, eliminated around the cycle to a single
+n x n system. The random scan, and a cycle of one kernel, solve with the
+mixed kernel alone, in its eigenbasis cached on the family
+(embedding._mixed_solve). Limits as the discount approaches one
 are the same solves at discount one on the centered subspace (deflating the
 constant direction), never a naive substitution. Observables are centered
-internally, so inputs need not be pre-centered.
+internally, so inputs need not be pre-centered. The covariance series of
+the cycle variance and the exact joint laws of the cycle and embedded
+chains are independent references that the test suite keeps
+(tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.embedding import _apply, _cycle_solve, _mixed_solve
+from scanvar.embedding import _cycle_solve, _mixed_solve
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -33,19 +35,14 @@ from scanvar.kernels import (
 
 SCHEMES = ("strat", "rand")
 
-# Table-size guard for exact joint laws.
-JOINT_LAW_MAX_CELLS = 1_000_000
-
 __all__ = [
     "SCHEMES",
     "SummabilityReport",
     "var_lambda_strat",
-    "var_lambda_strat_series",
     "var_lambda_rand",
     "var_limit",
     "finite_m_variance_exact",
     "summability_check",
-    "joint_law_exact",
 ]
 
 
@@ -104,45 +101,9 @@ def var_lambda_strat(fam: KernelFamily, f: Observable, lam: float) -> float:
     """Discounted asymptotic variance of the deterministic cycle.
 
     Solves one block system of size n*k by elimination around the cycle.
-    var_lambda_strat_series sums the discounted covariances directly
-    instead and returns its truncation bound; the two agree within it.
     """
     _check_lam(lam)
     return _variance(*_solve(fam, f, lam, "strat"), fam.pi)
-
-
-def var_lambda_strat_series(
-    fam: KernelFamily,
-    f: Observable,
-    lam: float,
-    terms: int = 400,
-) -> tuple[float, float]:
-    """Series evaluation of the discounted cycle variance.
-
-    Returns (value, truncation_bound). The per-phase covariance at lag d is
-    advanced by the embedding's row, h_q <- K_q h_{sigma(q)}, so each
-    extra lag costs k matrix-vector products. The bound is the worst-case
-    tail beyond `terms` lags, 2 |f|^2 lam^(terms + 1) / (1 - lam).
-    """
-    _check_lam(lam)
-    if terms < 0:
-        raise ValueError(f"series_terms must be nonnegative, got {terms}")
-    fc = center(f, fam.pi).values
-    weights = fam.pi.weights
-    norm_sq = float(np.dot(weights, fc * fc))
-    mats = fam.matrices
-    wf = weights * fc
-    h = np.tile(fc, (fam.k, 1))
-    acc = 0.0
-    lam_pow = 1.0
-    for _ in range(terms):
-        h = _apply(mats, 1, h)
-        lam_pow *= lam
-        acc += lam_pow * float(np.sum(h @ wf))
-    value = norm_sq + (2.0 / fam.k) * acc
-    if lam == 0.0:
-        return value, 0.0
-    return value, 2.0 * norm_sq * lam ** (terms + 1) / (1.0 - lam)
 
 
 def var_lambda_rand(fam: KernelFamily, f: Observable, lam: float) -> float:
@@ -309,56 +270,3 @@ def _squared(prod, pi, cycles, u, acc, g, d, r) -> float:
         aff = aff @ aff
         power = aff[:n, :n]
         power[np.abs(power) < 1e-100] = 0.0
-
-
-def joint_law_exact(fam: KernelFamily, m: int, scheme: str) -> np.ndarray:
-    """Exact law of (X_0, ..., X_m) as an (n, ..., n) table.
-
-    strat multiplies the per-step kernels along the cycle; embedded runs the
-    product chain from the tensorised target and marginalises onto the
-    staggered diagonal components. The two tables agree identically.
-    """
-    if m < 0:
-        raise ValueError(f"horizon must be nonnegative, got {m}")
-    if scheme not in ("strat", "embedded"):
-        raise ValueError(
-            f"scheme must be 'strat' or 'embedded', got {scheme!r}"
-        )
-    n = fam.n
-    if float(n) ** (m + 1) > JOINT_LAW_MAX_CELLS:
-        raise ValueError(
-            f"joint law table with {n}^{m + 1} cells exceeds the "
-            f"{JOINT_LAW_MAX_CELLS} cell guard"
-        )
-    pi = fam.pi.weights
-    if scheme == "strat":
-        table = pi.copy()
-        for step in range(1, m + 1):
-            mat = fam.kernels[(step - 1) % fam.k].matrix
-            table = table[..., np.newaxis] * mat
-        return table
-    k = fam.k
-    big = n**k
-    if big * big > 100_000_000:
-        raise ValueError(f"product chain with {big} states is too large")
-    comps = np.indices((n,) * k).reshape(k, big)
-    mats = fam.matrices
-    step_mat = np.ones((big, big))
-    for b in range(k):
-        step_mat *= mats[b][comps[b][:, None], comps[(b + 1) % k][None, :]]
-    start = np.ones(big)
-    for b in range(k):
-        start *= pi[comps[b]]
-    # front[y_0..y_i, z]: law of the extracted prefix jointly with the
-    # current product state; the time-i component index is i mod k.
-    front = np.zeros((n, big))
-    front[comps[0], np.arange(big)] = start
-    for step in range(1, m + 1):
-        pushed = front @ step_mat
-        comp = comps[step % k]
-        indicator = np.zeros((n, big))
-        indicator[comp, np.arange(big)] = 1.0
-        front = (pushed[:, np.newaxis, :] * indicator[np.newaxis, :, :]).reshape(
-            -1, big
-        )
-    return front.sum(axis=1).reshape((n,) * (m + 1))

@@ -8,11 +8,17 @@ library bug cannot hide in both routes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from scanvar.embedding import BlockVector, apply_embedding, embedding_realization
+from scanvar.embedding import (
+    BlockVector,
+    apply_embedding,
+    diag_realization,
+    embedding_realization,
+)
 from scanvar.kernels import (
     NUMERIC_TOL,
     Dist,
@@ -44,6 +50,16 @@ E1_RESOLVENT_FORM_HALF = 125.0 / 48.0
 # a theorem for two kernels only: each flips the state with probability
 # 0.9, 0.9 and 0.1 in turn.
 K3_COUNTER_KERNELS = [[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 0.1)]
+
+# variational_identity_check: the number of random probes and their seed.
+IDENTITY_PROBES = 200
+IDENTITY_SEED = 0
+# palindrome_check: the hold of the lazified perturbation, and how many
+# evenly spaced blend weights in [0, 1] it evaluates.
+PALINDROME_HOLD = 0.5
+PALINDROME_BETAS = 11
+# joint_law_exact: the largest table it builds.
+JOINT_LAW_MAX_CELLS = 1_000_000
 
 
 def e1_family() -> KernelFamily:
@@ -461,3 +477,226 @@ def oracle_gap_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     ag = skew @ g
     z = np.linalg.solve(eye - lam * sym, ag)
     return (2.0 / k) * lam * lam * float(np.dot(np.tile(pi, k), ag * z))
+
+
+def var_lambda_strat_series(
+    fam: KernelFamily, f: Observable, lam: float, terms: int = 400
+) -> tuple[float, float]:
+    """Series evaluation of the discounted cycle variance, as (value,
+    truncation bound). The per-phase covariance at lag d is advanced by the
+    embedding's row, h_q <- K_q h_{q+1}, so each extra lag costs k
+    matrix-vector products. The bound is the worst-case tail beyond `terms`
+    lags, 2 |f|^2 lam^(terms + 1) / (1 - lam)."""
+    pi = fam.pi.weights
+    fc = f.values - float(np.dot(pi, f.values))
+    norm_sq = float(np.dot(pi, fc * fc))
+    mats, k, wf = fam.matrices, fam.k, pi * fc
+    h = np.tile(fc, (k, 1))
+    acc, lam_pow = 0.0, 1.0
+    for _ in range(terms):
+        h = np.stack([mats[q] @ h[(q + 1) % k] for q in range(k)])
+        lam_pow *= lam
+        acc += lam_pow * float(np.sum(h @ wf))
+    return norm_sq + (2.0 / k) * acc, 2.0 * norm_sq * lam ** (terms + 1) / (1.0 - lam)
+
+
+def joint_law_exact(fam: KernelFamily, m: int, scheme: str) -> np.ndarray:
+    """Exact law of (X_0, ..., X_m) as an (n, ..., n) table.
+
+    strat multiplies the per-step kernels along the cycle; embedded runs the
+    product chain from the tensorised target and marginalises onto the
+    staggered diagonal components. The two tables agree identically.
+    """
+    if scheme not in ("strat", "embedded"):
+        raise ValueError(f"scheme must be 'strat' or 'embedded', got {scheme!r}")
+    n = fam.n
+    if float(n) ** (m + 1) > JOINT_LAW_MAX_CELLS:
+        raise ValueError(
+            f"joint law table with {n}^{m + 1} cells exceeds the "
+            f"{JOINT_LAW_MAX_CELLS} cell guard"
+        )
+    pi = fam.pi.weights
+    if scheme == "strat":
+        table = pi.copy()
+        for step in range(1, m + 1):
+            table = table[..., np.newaxis] * fam.matrices[(step - 1) % fam.k]
+        return table
+    k = fam.k
+    big = n**k
+    if big * big > 100_000_000:
+        raise ValueError(f"product chain with {big} states is too large")
+    comps = np.indices((n,) * k).reshape(k, big)
+    mats = fam.matrices
+    step_mat = np.ones((big, big))
+    for b in range(k):
+        step_mat *= mats[b][comps[b][:, None], comps[(b + 1) % k][None, :]]
+    start = np.ones(big)
+    for b in range(k):
+        start *= pi[comps[b]]
+    # front[y_0..y_i, z]: law of the extracted prefix jointly with the
+    # current product state; the time-i component index is i mod k.
+    front = np.zeros((n, big))
+    front[comps[0], np.arange(big)] = start
+    for step in range(1, m + 1):
+        pushed = front @ step_mat
+        indicator = np.zeros((n, big))
+        indicator[comps[step % k], np.arange(big)] = 1.0
+        front = (pushed[:, np.newaxis, :] * indicator[np.newaxis, :, :]).reshape(-1, big)
+    return front.sum(axis=1).reshape((n,) * (m + 1))
+
+
+@dataclass(frozen=True)
+class VariationalIdentityReport:
+    lhs: float
+    rhs: float
+    residual: float
+    max_probe_excess: float
+
+
+def variational_identity_check(
+    kernel: Kernel, pi: Dist, f: Observable, lam: float
+) -> VariationalIdentityReport:
+    """The resolvent quadratic form against its variational expression.
+
+    For a target-invariant (not necessarily reversible) kernel, the form
+    <f, (I - lam K)^{-1} f> equals the objective
+    2<f, g> - <g, (I - lam S) g> - lam^2 <A g, (I - lam S)^{-1} A g>
+    at the optimiser g, where S and A are the self-adjoint and skew parts;
+    IDENTITY_PROBES random probes, drawn from IDENTITY_SEED, can only fall
+    below it. Gives the residual |lhs - rhs| and the largest probe excess
+    over lhs, both zero up to rounding. A kernel that moves the target by
+    more than NUMERIC_TOL raises ValidationError.
+    """
+    w, mat, fv = pi.weights, kernel.matrix, f.values
+    invariance = float(np.abs(w @ mat - w).max())
+    if invariance > NUMERIC_TOL:
+        raise ValidationError(
+            f"kernel does not leave the target invariant (residual {invariance:.3g})"
+        )
+    adj = pi_adjoint(mat, w)
+    skew = (mat - adj) / 2.0
+    eye = np.eye(w.size)
+    sym_sys = eye - lam * (mat + adj) / 2.0
+
+    def wdot(a, b):
+        return float(np.dot(w, a * b))
+
+    def objective(g):
+        ag = skew @ g
+        return (
+            2.0 * wdot(fv, g)
+            - wdot(g, sym_sys @ g)
+            - lam * lam * wdot(ag, np.linalg.solve(sym_sys, ag))
+        )
+
+    resolvent = np.linalg.solve(eye - lam * mat, fv)
+    lhs = wdot(fv, resolvent)
+    rhs = objective(np.linalg.solve(eye - lam * adj, sym_sys @ resolvent))
+    rng = np.random.default_rng(IDENTITY_SEED)
+    excess = max(objective(rng.standard_normal(w.size)) for _ in range(IDENTITY_PROBES)) - lhs
+    return VariationalIdentityReport(lhs, rhs, abs(lhs - rhs), float(excess))
+
+
+class BetaPath:
+    """Linear blend between the embeddings of two kernel families, solved
+    on dense kn x kn realisations.
+
+    beta = 0 reproduces the first family, beta = 1 the second. For a
+    dominated pair (first family stronger kernelwise) the resolvent
+    quadratic form delta is nondecreasing along the path, so its
+    derivative is nonnegative.
+    """
+
+    def __init__(self, family_a: KernelFamily, family_b: KernelFamily):
+        self.family_a = family_a
+        self.family_b = family_b
+        self.k, self.n = family_a.k, family_a.n
+        self.weights = np.tile(family_a.pi.weights, self.k)
+
+    def blocks(self, beta: float) -> list[np.ndarray]:
+        return [
+            (1.0 - beta) * a + beta * b
+            for a, b in zip(self.family_a.matrices, self.family_b.matrices)
+        ]
+
+    def _resolvent(self, op: str, f: Observable, lam: float, beta: float) -> np.ndarray:
+        """(I - lam Op)^{-1} applied to f tiled over the phases, with Op the
+        dense realisation of the selector on the blend, as a (k, n) array."""
+        dense = embedding_realization(op, self.blocks(beta))
+        rhs = np.tile(f.values, self.k)
+        return np.linalg.solve(np.eye(self.k * self.n) - lam * dense, rhs).reshape(self.k, -1)
+
+    def delta(self, f: Observable, lam: float, beta: float) -> float:
+        """Resolvent quadratic form of the blended embedding at the constant
+        block built from f."""
+        x = self._resolvent("embed", f, lam, beta)
+        return float(np.dot(self.weights, np.tile(f.values, self.k) * x.ravel()))
+
+    def _resolvents_and_derivative(
+        self, f: Observable, lam: float, beta: float
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """The forward shifted-diagonal and the backward (embedding adjoint)
+        resolvents of the blend at the constant block built from f, as
+        (k, n) arrays, and the derivative of delta that they give: lam times
+        their pairing through blockdiag(K_b - K_a)."""
+        forward = self._resolvent("shift_diag", f, lam, beta)
+        backward = self._resolvent("embed_adjoint", f, lam, beta)
+        diffs = diag_realization(
+            [b - a for a, b in zip(self.family_a.matrices, self.family_b.matrices)]
+        )
+        pairing = np.dot(self.weights, backward.ravel() * (diffs @ forward.ravel()))
+        return forward, backward, lam * float(pairing)
+
+    def derivative(self, f: Observable, lam: float, beta: float) -> float:
+        """Closed-form derivative of delta along the path; matches a central
+        finite difference of delta."""
+        return self._resolvents_and_derivative(f, lam, beta)[2]
+
+
+@dataclass(frozen=True)
+class PalindromeCase:
+    cycle: tuple[int, ...]
+    distinguished_index: int
+    max_component_gap: float
+    derivatives: tuple[float, ...]
+    min_derivative: float
+
+
+def palindrome_check(
+    generators, pi: Dist, lam: float, f: Observable
+) -> tuple[PalindromeCase, ...]:
+    """Mirror-symmetric cycles built from p generators.
+
+    Builds the odd cycle of length 2p-1 (mirror around the lone first
+    generator) and the even variant of length 2p-2. At each distinguished
+    index the forward and backward shifted-diagonal resolvent components
+    must coincide, which makes the blend derivative against a family
+    perturbed at that index a plain quadratic form, hence nonnegative.
+    The derivative is evaluated against the kernel at that index lazified
+    with hold PALINDROME_HOLD, at PALINDROME_BETAS evenly spaced blend
+    weights from 0 to 1. Gives one case per distinguished index, with its
+    largest component gap (zero up to rounding) and its derivatives
+    (nonnegative up to rounding).
+    """
+    p = len(generators)
+    if p < 2:
+        raise ValueError(f"need at least two generators, got {p}")
+    odd = list(range(p, 0, -1)) + list(range(2, p + 1))
+    even = list(range(p - 1, 0, -1)) + list(range(2, p + 1))
+    cases = []
+    for cycle, indices in ((odd, [p]), (even, [p - 1, 2 * p - 2])):
+        kernels = [generators[j - 1] for j in cycle]
+        fam = make_family(pi.weights, kernels)
+        for index in indices:
+            perturbed = list(kernels)
+            perturbed[index - 1] = lazy(perturbed[index - 1], PALINDROME_HOLD)
+            path = BetaPath(fam, make_family(pi.weights, perturbed))
+            gaps, derivs = [], []
+            for beta in np.linspace(0.0, 1.0, PALINDROME_BETAS):
+                fwd, bwd, deriv = path._resolvents_and_derivative(f, lam, float(beta))
+                gaps.append(float(np.abs(fwd[index - 1] - bwd[index - 1]).max()))
+                derivs.append(deriv)
+            cases.append(
+                PalindromeCase(tuple(cycle), index, max(gaps), tuple(derivs), min(derivs))
+            )
+    return tuple(cases)

@@ -10,7 +10,13 @@ from functools import lru_cache
 import numpy as np
 
 import helpers
-from helpers import bellman_value
+from helpers import (
+    BetaPath,
+    bellman_value,
+    joint_law_exact,
+    palindrome_check,
+    var_lambda_strat_series,
+)
 from scanvar.embedding import (
     BlockVector,
     CycleEmbedding,
@@ -21,19 +27,12 @@ from scanvar.embedding import (
     shift_realization,
 )
 from scanvar.kernels import Dist, Observable, gibbs_kernel, inner, make_family
-from scanvar.ordering import (
-    BetaPath,
-    gap_lower_bound,
-    palindrome_check,
-    peskun_dominates,
-)
+from scanvar.ordering import gap_lower_bound, peskun_dominates
 from scanvar.simulate import estimate_variance
 from scanvar.variance import (
     finite_m_variance_exact,
-    joint_law_exact,
     var_lambda_rand,
     var_lambda_strat,
-    var_lambda_strat_series,
     var_limit,
 )
 

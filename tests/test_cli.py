@@ -244,6 +244,52 @@ class TestLoadModel:
             )
             assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "overrides, lines",
+        [
+            ({"pi": [1e308, 1e308]}, ["target weights sum off by inf"]),
+            (
+                {"kernels": [[[1e308, 1e308], [0.1, 0.9]], helpers.E1_P2]},
+                ["kernel 1: detailed-balance residual 5e+307 > 1e-10",
+                 "kernel 1 row 0 sums to inf (residual inf)"],
+            ),
+        ],
+        ids=["pi", "kernel-row"],
+    )
+    def test_overflowing_sum_listed_without_warnings(self, tmp_path, capsys, overrides, lines):
+        # finite entries whose sum overflows: the sums are inf, refused and
+        # listed, with no RuntimeWarning from the types or the listing
+        path = write_model(tmp_path / "m.json", **overrides)
+        for command in ("validate", "compare", "limit"):
+            assert main([command, "--model", path]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"validation error: {path} failed validation:\n  " + "\n  ".join(lines) + "\n"
+            )
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "overrides, lines",
+        [
+            ({"pi": [float("nan"), 0.5]}, ["pi: non-finite entry nan at [0]"]),
+            (
+                {"kernels": [[[0.9, 0.09], [0.1, 0.9]], helpers.E1_P2]},
+                ["kernel 1: detailed-balance residual 0.005 > 1e-10",
+                 "kernel 1 row 0 sums to 0.99 (residual 0.01)"],
+            ),
+        ],
+        ids=["nan-weight", "row-sum"],
+    )
+    def test_repeated_labels_listed_with_other_faults(self, tmp_path, overrides, lines):
+        path = write_model(tmp_path / "m.json", states=["a", "a"], **overrides)
+        with pytest.raises(ValidationError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path} failed validation:\n  state labels must be distinct\n  "
+            + "\n  ".join(lines)
+        )
+
     def test_load_holds_the_text_and_one_kernel_tree(self, tmp_path):
         # Reading a file of F bytes holds its bytes and its ASCII text
         # together: 2F. A parsed kernel entry is a float object (24 bytes)

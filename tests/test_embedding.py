@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import embedding_power
+from helpers import BetaPath, embedding_power
 from scanvar.embedding import (
     OPERATORS,
     BlockVector,
@@ -22,7 +22,6 @@ from scanvar.embedding import (
     symmetric_part,
 )
 from scanvar.kernels import Observable, compose_cycle, make_family
-from scanvar.ordering import BetaPath
 
 
 def random_block(rng, fam):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import helpers
-from helpers import extract_embedded_component
+from helpers import extract_embedded_component, joint_law_exact
 from scanvar.kernels import Observable, ValidationError, make_family
 from scanvar.seeding import derive_seed, splitmix64
 from scanvar.simulate import SimulationConfig, estimate_variance, simulate
-from scanvar.variance import finite_m_variance_exact, joint_law_exact
+from scanvar.variance import finite_m_variance_exact
 
 # the package re-exports the function `simulate` under the module's name
 simulate_module = importlib.import_module("scanvar.simulate")

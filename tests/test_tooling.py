@@ -5,6 +5,9 @@
 for its per-layer values. A stale `__all__` entry or a removed name makes
 the install raise or a span read nothing, and READ_SPANS must list every
 span bench/run.py reads, so no pinned name can leave `src/` unnoticed.
+
+The oracles in tests/helpers.py import no private name from scanvar, so
+no private route of the library can hide on both sides of a check.
 """
 
 import ast
@@ -83,3 +86,17 @@ def test_read_spans_are_the_spans_bench_reads():
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
     }
     assert sorted(read) == sorted(READ_SPANS)
+
+
+def test_oracles_import_no_private_name():
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scanvar":
+            names = [node.module + "." + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "scanvar"]
+        else:
+            continue
+        private += [name for name in names if any(p.startswith("_") for p in name.split("."))]
+    assert private == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import joint_law_exact, var_lambda_strat_series
 from scanvar import variance
 from scanvar.embedding import CycleEmbedding
 from scanvar.kernels import (
@@ -19,11 +20,9 @@ from scanvar.kernels import (
 )
 from scanvar.variance import (
     finite_m_variance_exact,
-    joint_law_exact,
     summability_check,
     var_lambda_rand,
     var_lambda_strat,
-    var_lambda_strat_series,
     var_limit,
 )
 

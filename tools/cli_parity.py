@@ -25,7 +25,8 @@ flipping with probability 1e-9, on one kernel with an eigenvalue
 1 - 1e-8 and on two kernels whose target weights span six decades, `validate`, `compare`
 and `limit` on a labelled model and on model files that the loader
 refuses (duplicate labels, alone and with other faults, state counts
-that disagree with the data, and one fault of each kind it checks), on
+that disagree with the data, one fault of each kind it checks, and
+finite weights or a kernel row whose sum overflows), on
 model files that test the parser (see `model_texts`), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
@@ -150,8 +151,9 @@ def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> 
 
 def invalid_models() -> dict[str, dict]:
     """Model files for the loader's checks: labels, state counts that
-    disagree with the data, and one fault of each kind the validation
-    lists or the domain types refuse (NaN is written as JSON's NaN)."""
+    disagree with the data, one fault of each kind the validation lists or
+    the domain types refuse (NaN is written as JSON's NaN), and finite
+    weights or a kernel row whose sum overflows."""
     nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
     return {
         "labelled": dict(E1, states=["lo", "hi"]),
@@ -177,6 +179,9 @@ def invalid_models() -> dict[str, dict]:
         "nan-f": dict(E1, f=[1.0, nan]),
         "shapes": dict(E1, kernels=[E1["kernels"][0], np.eye(3).tolist()]),
         "nan-kernel": dict(E1, kernels=[[[nan, 0.1], [0.1, 0.9]], p2]),
+        # finite entries whose sums overflow to inf
+        "overflow-pi": dict(E1, pi=[1e308, 1e308]),
+        "overflow-row": dict(E1, kernels=[[[1e308, 1e308], [0.1, 0.9]], p2]),
     }
 
 

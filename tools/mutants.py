@@ -263,6 +263,44 @@ MUTANTS = (
         ("tests/test_kernels.py::TestValidateFamily",),
     ),
     Mutant(
+        "target type: an overflowing weight sum warns",
+        "kernels.py",
+        "        with np.errstate(over=\"ignore\"):  # an overflowing sum is refused below\n"
+        "            total = float(w.sum())\n",
+        "        total = float(w.sum())\n",
+        ("tests/test_cli.py::TestLoadModel::test_overflowing_sum_listed_without_warnings",),
+    ),
+    Mutant(
+        "kernel type: an overflowing row sum warns",
+        "kernels.py",
+        "        with np.errstate(over=\"ignore\"):  # an overflowing sum is refused below\n"
+        "            sums = m.sum(axis=1)\n",
+        "        sums = m.sum(axis=1)\n",
+        ("tests/test_cli.py::TestLoadModel::test_overflowing_sum_listed_without_warnings",),
+    ),
+    Mutant(
+        "fault listing: an overflowing row sum warns",
+        "cli.py",
+        "                with np.errstate(over=\"ignore\"):  # an overflow is listed as inf\n"
+        "                    sums = m.sum(axis=1)\n",
+        "                sums = m.sum(axis=1)\n",
+        ("tests/test_cli.py::TestLoadModel::test_overflowing_sum_listed_without_warnings",),
+    ),
+    Mutant(
+        "fault listing: repeated labels not listed",
+        "cli.py",
+        "problems.insert(0, \"state labels must be distinct\")",
+        "pass",
+        ("tests/test_cli.py::TestLoadModel::test_repeated_labels_listed_with_other_faults",),
+    ),
+    Mutant(
+        "load_model: labels not passed to the fault listing",
+        "cli.py",
+        "err.diagnostics, labels)",
+        "err.diagnostics)",
+        ("tests/test_cli.py::TestLoadModel::test_repeated_labels_listed_with_other_faults",),
+    ),
+    Mutant(
         "validate: verdict <= made <",
         "cli.py",
         "passes = worst <= args.tol",
