@@ -1,19 +1,7 @@
 """Exact and empirical asymptotic-variance comparison for kernel scan orders
 on finite state spaces."""
 
-from scanvar.embedding import (
-    BlockVector,
-    CycleEmbedding,
-    apply_embedding,
-    apply_embedding_adjoint,
-    block_inner,
-    block_norm,
-    diag_apply,
-    resolvent_solve,
-    shift,
-    skew_part,
-    symmetric_part,
-)
+from scanvar.embedding import CycleEmbedding, resolvent_solve
 from scanvar.kernels import (
     DegenerateConditionalError,
     Dist,

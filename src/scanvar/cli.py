@@ -303,6 +303,8 @@ def load_model(path: str) -> Model:
         )
         if not numbers:
             raise ModelFormatError(f"{path}: field 'lambda_grid' must be a list of numbers")
+        if not grid:
+            raise ModelFormatError(f"{path}: field 'lambda_grid' must not be empty")
         try:
             grid = tuple(float(x) for x in grid)
         except OverflowError as err:
@@ -354,7 +356,7 @@ def _grid(args, model: Model) -> tuple[float, ...]:
             raise ModelFormatError(
                 f"--lambda must be a comma-separated list of numbers, got {args.lambdas!r}"
             ) from err
-    if model.lambda_grid:
+    if model.lambda_grid is not None:
         return model.lambda_grid
     return DEFAULT_GRID
 

@@ -61,12 +61,16 @@ class OrderingReport:
     var_a: float
     var_b: float
     gap_lower_bound: float
-    method: str
 
     @property
     def gap(self) -> float:
         """var_b - var_a, which the ordering says is nonnegative."""
         return self.var_b - self.var_a
+
+    @property
+    def method(self) -> str:
+        """The row's route: "limit" at lam = 1, "resolvent" below one."""
+        return "limit" if self.lam == 1.0 else "resolvent"
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +88,19 @@ class PeskunComparison:
 
 def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     """The rows of a grid, read alike by both checkers. Every discount is
-    checked before any solve; at(lam) gives (var_a, var_b, bound) at each,
-    a "resolvent" row. A grid value within 1e-12 of one asks for the limit
-    row, from limit() as (var_a, var_b, bound), last and once, and dropped
-    when limit() raises SummabilityError."""
+    checked before any solve, so every discount row has lam < 1; at(lam)
+    gives (var_a, var_b, bound) at each. A grid value within 1e-12 of one
+    asks for the limit row, at lam = 1, from limit() as (var_a, var_b,
+    bound), last and once, and dropped when limit() raises
+    SummabilityError."""
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
         _check_lam(lam)
-    rows = [OrderingReport(lam, *at(lam), "resolvent") for lam in discounts]
+    rows = [OrderingReport(lam, *at(lam)) for lam in discounts]
     if len(discounts) < len(grid):
         try:
-            rows.append(OrderingReport(1.0, *limit(), "limit"))
+            rows.append(OrderingReport(1.0, *limit()))
         except SummabilityError:
             pass
     return rows

@@ -82,7 +82,7 @@ def _solve(
         return fc[None, :], _mixed_solve(fam, lam, fc, floor=floor)[None, :]
     fbar = np.tile(fc, (fam.k, 1))
     floor = fam.k * (fam.n + 2) * _EPS * f_norm
-    return fbar, _cycle_solve(fam.matrices, 1, lam, fbar, weights, fam._cycle, floor=floor)
+    return fbar, _cycle_solve(fam.matrices, lam, fbar, weights, fam._cycle, floor=floor)
 
 
 def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
@@ -185,8 +185,11 @@ def finite_m_variance_exact(
     fc = center(f, fam.pi).values
     norm_sq = float(np.dot(pi, fc * fc))
     cycle_map = _cycle_map(mats, pi, fc, m_steps)
-    evaluate = _squared if _squares(fam.n, cycle_map[0]) else _stepped
-    return norm_sq + 2.0 * evaluate(prod, pi, *cycle_map) / m_steps
+    if _squares(fam.n, cycle_map[0]):
+        total = _squared(prod, pi, *cycle_map)
+    else:
+        total = _stepped(prod, *cycle_map)
+    return norm_sq + 2.0 * total / m_steps
 
 
 def _cycle_map(mats, pi: np.ndarray, fc: np.ndarray, m_steps: int):
@@ -228,7 +231,7 @@ def _squares(n: int, cycles: int) -> bool:
     return cycles > 8 + (3 + n / 6) * math.log2(max(cycles, 1))
 
 
-def _stepped(prod, pi, cycles, u, acc, g, d, r) -> float:
+def _stepped(prod, cycles, u, acc, g, d, r) -> float:
     """The sum after c steps of u <- P u + g, each adding r u + d. The
     differences v_b = u_b - u_{b-1} of successive inputs follow v <- P v,
     so the c inputs sum to c u_0 + sum_{0<b<c} (c - b) v_b: c - 1

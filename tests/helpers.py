@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from scanvar.embedding import (
-    BlockVector,
-    apply_embedding,
-    diag_realization,
-    embedding_realization,
-)
+from scanvar.embedding import diag_realization, embedding_realization
 from scanvar.kernels import (
     NUMERIC_TOL,
     Dist,
@@ -193,7 +188,58 @@ def cycle_product(mats, q: int, s: int) -> np.ndarray:
     return out
 
 
-def embedding_power(fam: KernelFamily, phi: BlockVector, i: int) -> BlockVector:
+# Block vectors: k functions on the state space, one per cycle phase, as a
+# (k, n) array whose row q is the function at phase q.
+
+
+def shift(phi: np.ndarray, direction: int) -> np.ndarray:
+    """Cyclic shift of phases: phase q of the result reads phase
+    q + direction of phi. Directions +1 and -1 are inverse to each other
+    (and coincide for k = 2)."""
+    return np.roll(phi, -direction, axis=0)
+
+
+def diag_apply(fam: KernelFamily, phi: np.ndarray) -> np.ndarray:
+    """Blockwise kernel action: phase q becomes kernel q applied to phase q."""
+    return np.stack([m @ row for m, row in zip(fam.matrices, phi)])
+
+
+def apply_embedding(fam: KernelFamily, phi: np.ndarray) -> np.ndarray:
+    """One step of the embedded product chain on functions: phase q is
+    kernel q applied to phase q + 1, the blockwise action after a forward
+    shift."""
+    return diag_apply(fam, shift(phi, +1))
+
+
+def apply_embedding_adjoint(fam: KernelFamily, phi: np.ndarray) -> np.ndarray:
+    """Adjoint of the embedding in the block inner product, for reversible
+    kernels: the backward shift after the blockwise action."""
+    return shift(diag_apply(fam, phi), -1)
+
+
+def symmetric_part(fam: KernelFamily, phi: np.ndarray) -> np.ndarray:
+    """Self-adjoint part: the mean of the embedding and its adjoint."""
+    return (apply_embedding(fam, phi) + apply_embedding_adjoint(fam, phi)) / 2.0
+
+
+def skew_part(fam: KernelFamily, phi: np.ndarray) -> np.ndarray:
+    """Skew part: half the difference of the embedding and its adjoint;
+    its quadratic form vanishes."""
+    return (apply_embedding(fam, phi) - apply_embedding_adjoint(fam, phi)) / 2.0
+
+
+def block_inner(phi: np.ndarray, psi: np.ndarray, pi: Dist) -> float:
+    """Sum of the phasewise pi-weighted inner products, each one np.dot,
+    added with exact rounding: any permutation of the phases leaves the
+    value unchanged bit for bit."""
+    return math.fsum(np.dot(pi.weights, row) for row in phi * psi)
+
+
+def block_norm(phi: np.ndarray, pi: Dist) -> float:
+    return math.sqrt(max(block_inner(phi, phi, pi), 0.0))
+
+
+def embedding_power(fam: KernelFamily, phi: np.ndarray, i: int) -> np.ndarray:
     """i-fold application of the embedding; phase j of the result is the
     forward cycle product of length i (from phase j) applied to the
     phase (j - 1 + i) mod k + 1 component."""

@@ -12,20 +12,17 @@ import numpy as np
 import helpers
 from helpers import (
     BetaPath,
-    bellman_value,
-    joint_law_exact,
-    palindrome_check,
-    var_lambda_strat_series,
-)
-from scanvar.embedding import (
-    BlockVector,
-    CycleEmbedding,
     apply_embedding,
     apply_embedding_adjoint,
+    bellman_value,
     block_inner,
+    joint_law_exact,
+    palindrome_check,
     shift,
-    shift_realization,
+    var_lambda_strat_series,
 )
+from numpy import asarray as BlockVector  # a block vector is a (k, n) array
+from scanvar.embedding import CycleEmbedding, shift_realization
 from scanvar.kernels import Dist, Observable, gibbs_kernel, inner, make_family
 from scanvar.ordering import gap_lower_bound, peskun_dominates
 from scanvar.simulate import estimate_variance

@@ -123,6 +123,8 @@ class TestLoadModel:
             ("simulate", {"simulation": {"steps": 2.5}}, "'simulation.steps'"),
             ("simulate", {"simulation": {"replicas": True}}, "'simulation.replicas'"),
             ("simulate", {"simulation": {"scheme": 1}}, "'simulation.scheme'"),
+            # not taken for an absent grid, as --lambda '' is not taken for an absent flag
+            ("compare", {"lambda_grid": []}, "field 'lambda_grid' must not be empty"),
         ],
     )
     def test_malformed_optional_field_is_parse_error(
@@ -772,16 +774,16 @@ class TestPeskun:
 # default tolerance on two kernels: a negative gap, a gap below its bound,
 # a NaN bound (never a violation) and a NaN gap (always one).
 CRAFTED_ROWS = [
-    (OrderingReport(0.3, 2.0, 1.5, float("nan"), "resolvent"), [
+    (OrderingReport(0.3, 2.0, 1.5, float("nan")), [
         "FAIL: scan-order comparison violated at lambda=0.3: "
         "random-scan minus deterministic-scan gap -0.5 < -1e-10",
     ]),
-    (OrderingReport(0.6, 1.0, 1.25, 0.5, "resolvent"), [
+    (OrderingReport(0.6, 1.0, 1.25, 0.5), [
         "FAIL: gap lower bound violated at lambda=0.6: "
         "gap 0.25 below its certified bound 0.5 beyond 1e-10",
     ]),
-    (OrderingReport(0.9, 1.0, 1.5, float("nan"), "resolvent"), []),
-    (OrderingReport(1.0, float("nan"), 1.0, 0.0, "limit"), [
+    (OrderingReport(0.9, 1.0, 1.5, float("nan")), []),
+    (OrderingReport(1.0, float("nan"), 1.0, 0.0), [
         "FAIL: scan-order comparison violated at lambda=1: "
         "random-scan minus deterministic-scan gap nan < -1e-10",
         "FAIL: gap lower bound violated at lambda=1: "
@@ -824,9 +826,9 @@ class TestVerdicts:
     @pytest.mark.parametrize(
         "row, line",
         [
-            (lambda t: OrderingReport(0.5, t, 0.0, float("nan"), "resolvent"),
+            (lambda t: OrderingReport(0.5, t, 0.0, float("nan")),
              "FAIL: scan-order comparison violated at lambda=0.5"),
-            (lambda t: OrderingReport(0.5, 1.0, 1.0, t, "resolvent"),
+            (lambda t: OrderingReport(0.5, 1.0, 1.0, t),
              "FAIL: gap lower bound violated at lambda=0.5"),
         ],
         ids=["order", "bound"],
@@ -845,8 +847,8 @@ class TestVerdicts:
     @pytest.mark.parametrize("t", [NUMERIC_TOL, 0.375])
     def test_peskun_tolerance_boundary(self, tmp_path, capsys, monkeypatch, t):
         path = write_model(tmp_path / "m.json")
-        rows = [OrderingReport(0.5, 1.0, 1.0, float("nan"), "resolvent"),
-                OrderingReport(1.0, t, 0.0, float("nan"), "limit")]
+        rows = [OrderingReport(0.5, 1.0, 1.0, float("nan")),
+                OrderingReport(1.0, t, 0.0, float("nan"))]
         self.returning(monkeypatch, "check_peskun_ordering", rows)
         argv = ["peskun", "--model", path, "--model-b", path, "--tol"]
         assert main([*argv, repr(t)]) == EXIT_OK

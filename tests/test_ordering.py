@@ -320,17 +320,19 @@ class TestBellman:
 
     def test_block_space_operator(self, e1, e1_f):
         # the symmetric-part resolvent system is positive self-adjoint on the
-        # stacked space with phase-tiled weights
-        from scanvar.embedding import BlockVector, CycleEmbedding, block_inner
+        # stacked space with phase-tiled weights; for two kernels its form
+        # at the tiled f is the random scan's variance plus |f|^2
+        from scanvar.embedding import CycleEmbedding
 
-        emb = CycleEmbedding(e1)
         lam = 0.5
-        op = np.eye(4) - lam * emb.realization("symmetric")
-        fbar = BlockVector.repeat(e1_f, 2)
-        value, argmax = bellman_value(op, fbar.flat(), np.tile(e1.pi.weights, 2))
-        solved = emb.resolvent_solve("symmetric", lam, fbar)
-        assert value == pytest.approx(block_inner(fbar, solved, e1.pi), abs=1e-12)
-        np.testing.assert_allclose(argmax, solved.flat(), atol=1e-12)
+        op = np.eye(4) - lam * CycleEmbedding(e1).realization("symmetric")
+        fbar = np.tile(e1_f.values, (2, 1))
+        value, argmax = bellman_value(op, fbar.ravel(), np.tile(e1.pi.weights, 2))
+        solved = np.linalg.solve(op, fbar.ravel()).reshape(2, -1)
+        assert value == pytest.approx(helpers.block_inner(fbar, solved, e1.pi), abs=1e-12)
+        np.testing.assert_allclose(argmax, solved.ravel(), atol=1e-12)
+        rand = var_lambda_rand(e1, e1_f, lam) + inner(e1_f, e1_f, e1.pi)
+        assert value == pytest.approx(rand, abs=1e-12)
 
     def test_rejects_non_self_adjoint(self):
         with pytest.raises(ValidationError):
@@ -520,12 +522,13 @@ def test_closed_form_bound_and_eigenbasis_rand_match_dense_routes(case):
     w = fam.pi.weights
     fc = f.values - float(np.dot(w, f.values))
     floor = (fam.n + 2) * np.finfo(float).eps * float(np.sqrt(np.dot(w, f.values**2)))
+    mixed = fam._mixed.matrix
     for lam in PROPERTY_GRID[:4]:
         bound = gap_lower_bound(fam, f, lam)
         assert bound == pytest.approx(
             helpers.oracle_gap_bound(fam, f, lam), rel=1e-10, abs=1e-14 * np.dot(w, fc * fc)
         )
-        lu = _cycle_solve([fam._mixed.matrix], 1, lam, fc[None], w, floor=floor)
+        lu = _cycle_solve([mixed], lam, fc[None], w, mixed, floor=floor)
         rand = var_lambda_rand(fam, f, lam)
         assert rand == pytest.approx(2.0 * np.dot(w, fc * lu[0]) - np.dot(w, fc * fc), rel=1e-12)
     # at discount zero both solves return the right-hand side bit for bit,

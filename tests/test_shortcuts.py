@@ -158,7 +158,7 @@ def test_tiny_weight_residual_refusal(monkeypatch):
     rhs = center(f, fam.pi).values
     assert len(floors) == 2 and floors[0] == floors[1] < 1e-15
     with pytest.raises(np.linalg.LinAlgError):
-        _cycle_solve(fam.matrices, 1, 1.0, rhs[None] + 10 * floors[0], w, floor=floors[0])
+        _cycle_solve(fam.matrices, 1.0, rhs[None] + 10 * floors[0], w, fam._cycle, floor=floors[0])
     with pytest.raises(np.linalg.LinAlgError):
         _mixed_solve(fam, 1.0, rhs + 10 * floors[0], floor=floors[0])
 
@@ -337,7 +337,7 @@ def test_eigenbasis_guard_falls_back_to_the_one_block_lu(monkeypatch):
     solve = embedding._cycle_solve
 
     def counted(*args, **kwargs):
-        fallbacks.append(args[2])
+        fallbacks.append(args[1])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(embedding, "_cycle_solve", counted)
@@ -347,8 +347,9 @@ def test_eigenbasis_guard_falls_back_to_the_one_block_lu(monkeypatch):
     w = fam.pi.weights
     fc = center(f, fam.pi).values[None]
     floor = (fam.n + 2) * np.finfo(float).eps * float(np.sqrt(np.dot(w, f.values**2)))
+    mixed = fam._mixed.matrix
     lu = [
-        _variance(fc, _cycle_solve([fam._mixed.matrix], 1, lam, fc, w, floor=floor), fam.pi)
+        _variance(fc, _cycle_solve([mixed], lam, fc, w, mixed, floor=floor), fam.pi)
         for lam in (0.3, 0.99, 1.0)
     ]
     assert values[1:] == lu[1:]

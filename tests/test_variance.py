@@ -359,10 +359,8 @@ def route_values(fam, f, m_steps, scheme):
     norm_sq = float(np.dot(pi, fc * fc))
     loop = norm_sq + 2.0 * helpers.lag_sum(mats, pi, fc, m_steps) / m_steps
     cycle_map = variance._cycle_map(mats, pi, fc, m_steps)
-    stepped, squared = (
-        norm_sq + 2.0 * evaluate(prod, pi, *cycle_map) / m_steps
-        for evaluate in (variance._stepped, variance._squared)
-    )
+    stepped = norm_sq + 2.0 * variance._stepped(prod, *cycle_map) / m_steps
+    squared = norm_sq + 2.0 * variance._squared(prod, pi, *cycle_map) / m_steps
     return loop, stepped, squared, norm_sq
 
 

@@ -26,7 +26,8 @@ flipping with probability 1e-9, on one kernel with an eigenvalue
 and `limit` on a labelled model and on model files that the loader
 refuses (duplicate labels, alone and with other faults, state counts
 that disagree with the data, one fault of each kind it checks, and
-finite weights or a kernel row whose sum overflows), on
+finite weights or a kernel row whose sum overflows, and an empty
+`lambda_grid`), on
 model files that test the parser (see `model_texts`), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
@@ -152,8 +153,9 @@ def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> 
 def invalid_models() -> dict[str, dict]:
     """Model files for the loader's checks: labels, state counts that
     disagree with the data, one fault of each kind the validation lists or
-    the domain types refuse (NaN is written as JSON's NaN), and finite
-    weights or a kernel row whose sum overflows."""
+    the domain types refuse (NaN is written as JSON's NaN), finite
+    weights or a kernel row whose sum overflows, and an empty
+    `lambda_grid`."""
     nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
     return {
         "labelled": dict(E1, states=["lo", "hi"]),
@@ -182,6 +184,8 @@ def invalid_models() -> dict[str, dict]:
         # finite entries whose sums overflow to inf
         "overflow-pi": dict(E1, pi=[1e308, 1e308]),
         "overflow-row": dict(E1, kernels=[[[1e308, 1e308], [0.1, 0.9]], p2]),
+        # an empty grid is refused, not taken for an absent one
+        "empty-grid": dict(E1, lambda_grid=[]),
     }
 
 

@@ -157,8 +157,8 @@ MUTANTS = (
     Mutant(
         "finite horizon: divides by M + 1",
         "variance.py",
-        "2.0 * evaluate(prod, pi, *cycle_map) / m_steps",
-        "2.0 * evaluate(prod, pi, *cycle_map) / (m_steps + 1)",
+        "2.0 * total / m_steps",
+        "2.0 * total / (m_steps + 1)",
         ("tests/test_variance.py",),
     ),
     Mutant(
@@ -352,8 +352,8 @@ MUTANTS = (
     Mutant(
         "grid walk: limit row labelled resolvent",
         "ordering.py",
-        'rows.append(OrderingReport(1.0, *limit(), "limit"))',
-        'rows.append(OrderingReport(1.0, *limit(), "resolvent"))',
+        'return "limit" if self.lam == 1.0 else "resolvent"',
+        'return "resolvent"',
         ("tests/test_ordering.py",),
     ),
     Mutant(
@@ -378,11 +378,25 @@ MUTANTS = (
         ("tests/test_variance.py",),
     ),
     Mutant(
-        "symmetric row: blocks K_q instead of the mean",
+        "cycle solve: back-substitution reads its own phase",
         "embedding.py",
-        "return [(mats[q] + mats[q - 1]) / 2.0 for q in range(k)], 1",
-        "return [mats[q] for q in range(k)], 1",
+        "x[q] = rhs[q] + lam * (blocks[q] @ x[(q + 1) % k])",
+        "x[q] = rhs[q] + lam * (blocks[q] @ x[q])",
         ("tests/test_embedding.py",),
+    ),
+    Mutant(
+        "resolvent solve: shape check dropped",
+        "embedding.py",
+        "if rhs.shape != (fam.k, fam.n):",
+        "if False:",
+        ("tests/test_embedding.py::TestResolvent::test_refuses_a_rhs_of_another_shape",),
+    ),
+    Mutant(
+        "load_model: an empty lambda_grid accepted",
+        "cli.py",
+        "        if not grid:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestLoadModel::test_malformed_optional_field_is_parse_error",),
     ),
 )
 
