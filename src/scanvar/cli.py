@@ -45,7 +45,7 @@ from scanvar.ordering import (
     peskun_dominates,
 )
 from scanvar.simulate import estimate_variance
-from scanvar.variance import finite_m_variance_exact, summability_check
+from scanvar.variance import finite_m_variance_exact, summability_check, var_limit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -458,7 +458,10 @@ def _cmd_limit(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    (rep,) = check_scan_ordering(fam, f, (1.0,))
+    rows = check_scan_ordering(fam, f, (1.0,))
+    if not rows:  # the random-scan limit was refused: report its ReducibilityError
+        var_limit(fam, f, "rand")
+    (rep,) = rows
     print(f"limit var_strat: {_fmt(rep.var_a)}")
     print(f"limit var_rand:  {_fmt(rep.var_b)}")
     if args.out:

@@ -89,18 +89,16 @@ def embedding_realization(op: str, blocks: Sequence[np.ndarray]) -> np.ndarray:
     raise ValueError(f"unknown operator selector {op!r}; choose from {OPERATORS}")
 
 
-def _check_residual(
-    blocks: Sequence[np.ndarray], lam: float, x, rhs, weights, floor: float
-) -> None:
+def _check_residual(blocks: Sequence[np.ndarray], lam: float, x, rhs, weights) -> None:
     """Raise LinAlgError unless x solves x_q = rhs_q + lam * blocks[q] @
-    x_{q+1} to within RESOLVENT_RTOL of rhs in the weighted norm, or
-    within `floor`. A residual that is not a number is refused too."""
+    x_{q+1} to within RESOLVENT_RTOL of rhs in the weighted norm. A
+    residual that is not a number is refused too."""
     k = len(blocks)
     image = np.stack([m @ x[(q + 1) % k] for q, m in enumerate(blocks)])
     residual = x - rhs - lam * image
     res_norm = float(np.sqrt(np.sum(residual**2 @ weights)))
     rhs_norm = float(np.sqrt(np.sum(rhs**2 @ weights)))
-    if not res_norm <= max(RESOLVENT_RTOL * max(rhs_norm, 1e-300), floor):
+    if not res_norm <= RESOLVENT_RTOL * max(rhs_norm, 1e-300):
         raise np.linalg.LinAlgError(
             f"resolvent residual {res_norm:.3g} exceeds "
             f"{RESOLVENT_RTOL:g} * {rhs_norm:.3g}"
@@ -113,8 +111,6 @@ def _cycle_solve(
     rhs: np.ndarray,
     weights: np.ndarray,
     product: np.ndarray,
-    *,
-    floor: float = 0.0,
 ) -> np.ndarray:
     """Solve x_q = rhs_q + lam * blocks[q] @ x_{q+1} for every phase q.
 
@@ -127,10 +123,9 @@ def _cycle_solve(
     direction, which is valid only when every phase of rhs is centred for
     weights and the blocks leave weights invariant; the solution is then
     the centred one. The residual of the full block system must stay
-    within RESOLVENT_RTOL of rhs in the weighted norm, or within `floor`,
-    the absolute residual the rounding of rhs accounts for (its caller
-    knows it; zero otherwise). This also rejects a rhs that is not
-    centred at lam = 1 by more than that rounding.
+    within RESOLVENT_RTOL of rhs in the weighted norm. This also rejects a
+    rhs that is not centred at lam = 1 beyond the rounding of its own norm
+    (kernels.center leaves it there).
     """
     k, n = rhs.shape
     reduced = rhs[-1]
@@ -146,13 +141,11 @@ def _cycle_solve(
         raise np.linalg.LinAlgError(f"cycle system singular at lam={lam}") from err
     for q in range(k - 1, 0, -1):
         x[q] = rhs[q] + lam * (blocks[q] @ x[(q + 1) % k])
-    _check_residual(blocks, lam, x, rhs, weights, floor)
+    _check_residual(blocks, lam, x, rhs, weights)
     return x
 
 
-def _mixed_solve(
-    fam: KernelFamily, lam: float, rhs: np.ndarray, *, floor: float = 0.0
-) -> np.ndarray:
+def _mixed_solve(fam: KernelFamily, lam: float, rhs: np.ndarray) -> np.ndarray:
     """Solve x = rhs + lam * M @ x for one function rhs, with M the
     family's mixed kernel and lam in (-1, 1].
 
@@ -164,9 +157,9 @@ def _mixed_solve(
     eigenvalue, the unit one, is deflated (its term dropped), which gives
     the centred solution as _cycle_solve's rank-one term does; the callers
     have shown that eigenvalue alone. The skew part and the rounding of
-    the basis are left out, so _cycle_solve's residual guard, with
-    `floor`, is checked on the original system; where it refuses, the
-    one-block LU of _cycle_solve gives the solution.
+    the basis are left out, so _cycle_solve's residual guard is checked on
+    the original system; where it refuses, the one-block LU of _cycle_solve
+    gives the solution.
     """
     mu, vecs, _ = fam._spectrum
     weights = fam.pi.weights
@@ -177,9 +170,9 @@ def _mixed_solve(
     x = rhs + (vecs @ ((vecs.T @ (root * rhs)) * (scaled / (1.0 - scaled)))) / root
     mixed = fam._mixed.matrix
     try:
-        _check_residual([mixed], lam, x[None], rhs[None], weights, floor)
+        _check_residual([mixed], lam, x[None], rhs[None], weights)
     except np.linalg.LinAlgError:
-        return _cycle_solve([mixed], lam, rhs[None], weights, mixed, floor=floor)[0]
+        return _cycle_solve([mixed], lam, rhs[None], weights, mixed)[0]
     return x
 
 

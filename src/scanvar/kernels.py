@@ -422,11 +422,15 @@ def inner(f: Observable, g: Observable, pi: Dist) -> float:
 
 
 def center(f: Observable, pi: Dist) -> Observable:
-    """Subtract the mean under pi, so the result integrates to zero."""
+    """Subtract the mean under pi, so the result integrates to zero.
+
+    The mean is taken off twice: one pass leaves pi . fc at the rounding of
+    the uncentred f, about (n + 2) eps |f|_pi, the second at that of fc,
+    (n + 2) eps |fc|_pi, which the solves' relative residual guard allows."""
     if f.n != pi.n:
         raise ValidationError(f"dimension mismatch: f has {f.n}, target has {pi.n}")
-    mean = float(np.dot(pi.weights, f.values))
-    return Observable(f.values - mean)
+    fc = f.values - float(np.dot(pi.weights, f.values))
+    return Observable(fc - float(np.dot(pi.weights, fc)))
 
 
 def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:

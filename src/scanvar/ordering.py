@@ -23,6 +23,7 @@ from scanvar.embedding import _mixed_solve
 from scanvar.kernels import (
     KernelFamily,
     Observable,
+    ReducibilityError,
     SummabilityError,
     ValidationError,
     _check_lam,
@@ -91,8 +92,8 @@ def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     checked before any solve, so every discount row has lam < 1; at(lam)
     gives (var_a, var_b, bound) at each. A grid value within 1e-12 of one
     asks for the limit row, at lam = 1, from limit() as (var_a, var_b,
-    bound), last and once, and dropped when limit() raises
-    SummabilityError."""
+    bound), last and once, and dropped when limit() refuses the limit
+    (SummabilityError or ReducibilityError)."""
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
@@ -101,7 +102,7 @@ def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     if len(discounts) < len(grid):
         try:
             rows.append(OrderingReport(1.0, *limit()))
-        except SummabilityError:
+        except (SummabilityError, ReducibilityError):
             pass
     return rows
 
@@ -150,12 +151,13 @@ def check_scan_ordering(
 
     A grid value within 1e-12 of one asks for the limit report (discount
     one), which comes last, once, and only when the cycle is certified
-    summable; any other value outside [0, 1) raises ValueError. The
-    certified gap bound is a two-kernel statement: for two kernels it is
-    zero in the limit, the weakest certified value there; for any other
-    number of kernels it is NaN, not computed. The rows judge nothing: for
-    two kernels the theorem says gap >= gap_lower_bound >= 0, and a caller
-    compares them with its own tolerance.
+    summable and the mixed kernel has one eigenvalue near 1; any other
+    value outside [0, 1) raises ValueError. The certified gap bound is a
+    two-kernel statement: for two kernels it is zero in the limit, the
+    weakest certified value there; for any other number of kernels it is
+    NaN, not computed. The rows judge nothing: for two kernels the theorem
+    says gap >= gap_lower_bound >= 0, and a caller compares them with its
+    own tolerance.
     """
     two = fam.k == 2
 

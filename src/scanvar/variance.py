@@ -27,7 +27,6 @@ from scanvar.kernels import (
     Observable,
     ReducibilityError,
     SummabilityError,
-    _EPS,
     _check_lam,
     center,
     random_scan,
@@ -67,22 +66,15 @@ def _solve(
     y_q = fbar_q + lam * M_q y_{q+1}, with the family's kernels (the embed
     row and its cached product) for strat and the mixed kernel alone for
     rand; lam lies in [0, 1]. A cycle of one kernel is its mixed kernel,
-    so strat then takes rand's solve, and the two agree bit for bit.
-
-    Centring rounds: pi . fbar_q can be off zero by about (n + 2) eps
-    |f|_pi, with the weighted norm of the uncentred f, which no multiple of
-    the centred f's norm bounds when f is nearly constant on the heavy
-    states. At lam = 1 the deflated solve leaves k times that offset as
-    its residual, so that is the residual guard's floor."""
-    weights = fam.pi.weights
+    so strat then takes rand's solve, and the two agree bit for bit. At
+    lam = 1 the deflated solve leaves the offset of pi . fbar_q from zero
+    as its residual; center's second pass keeps that offset at the
+    rounding of fbar's own norm, so the guard relative to fbar holds."""
     fc = center(f, fam.pi).values
-    f_norm = math.sqrt(float(np.dot(weights, f.values * f.values)))
     if scheme == "rand" or fam.k == 1:
-        floor = (fam.n + 2) * _EPS * f_norm
-        return fc[None, :], _mixed_solve(fam, lam, fc, floor=floor)[None, :]
+        return fc[None, :], _mixed_solve(fam, lam, fc)[None, :]
     fbar = np.tile(fc, (fam.k, 1))
-    floor = fam.k * (fam.n + 2) * _EPS * f_norm
-    return fbar, _cycle_solve(fam.matrices, lam, fbar, weights, fam._cycle, floor=floor)
+    return fbar, _cycle_solve(fam.matrices, lam, fbar, fam.pi.weights, fam._cycle)
 
 
 def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:

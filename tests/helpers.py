@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -413,8 +414,10 @@ def extract_embedded_component(states: np.ndarray) -> np.ndarray:
 def reference_estimate(
     fam: KernelFamily, f: Observable, steps: int, seeds, scheme: str
 ) -> np.ndarray:
-    """Per-replica sqrt(M) S_M(f - mean) from reference paths, one seed at a time."""
+    """Per-replica sqrt(M) S_M(f - mean) from reference paths, one seed at a
+    time, with f centred in two passes as the library centres it."""
     fc = f.values - float(np.dot(fam.pi.weights, f.values))
+    fc = fc - float(np.dot(fam.pi.weights, fc))
     values = np.empty(len(seeds))
     for r, seed in enumerate(seeds):
         states = reference_path(fam, scheme, seed, steps)
@@ -454,6 +457,49 @@ def oracle_var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     w = np.tile(pi, k) / k
     y = np.linalg.solve(np.eye(k * n) - embed + np.outer(np.ones(k * n), w), np.tile(fc, k))
     return 2.0 * float(np.dot(w, np.tile(fc, k) * y)) - float(np.dot(pi, fc * fc))
+
+
+def exact_variance(fam: KernelFamily, f: Observable, lam: float, scheme: str) -> float:
+    """The discounted variance at 0 <= lam < 1 in exact rational arithmetic,
+    rounded once to a float. pi, f, lam and the kernels are read exactly
+    (Fraction of each float), so the value is the truth for the input the
+    library holds. f is centred as sum w f / sum w, the block system
+    y_q = fc + lam K_q y_{q+1} is eliminated around the cycle to one n x n
+    exact solve of (I - lam^k K_0 ... K_{k-1}) y_0 = r (the exact mean
+    kernel alone for rand), and the value is 2 mean_q <fc, y_q> - |fc|^2."""
+    n, lam = fam.n, Fraction(lam)
+    total = sum(Fraction(x) for x in fam.pi.weights)
+    w = [Fraction(x) / total for x in fam.pi.weights]
+    fv = [Fraction(x) for x in f.values]
+    mean = sum(a * b for a, b in zip(w, fv))
+    fc = [x - mean for x in fv]
+    mats = [[[Fraction(x) for x in row] for row in m] for m in fam.matrices]
+    if scheme == "rand":
+        mats = [[[sum(col) / len(mats) for col in zip(*rows)] for rows in zip(*mats)]]
+    k = len(mats)
+
+    def step(q, v):  # fc + lam K_q v
+        return [c + lam * sum(a * b for a, b in zip(row, v)) for c, row in zip(fc, mats[q])]
+
+    reduced, cycle = fc, [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    for q in range(k - 2, -1, -1):
+        reduced = step(q, reduced)
+    for m in mats:
+        cycle = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in cycle]
+    rows = [[Fraction(i == j) - lam**k * x for j, x in enumerate(row)] + [r]
+            for i, (row, r) in enumerate(zip(cycle, reduced))]
+    for c in range(n):  # Gauss-Jordan; I - lam^k P is nonsingular for lam < 1
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                t = rows[r][c] / rows[c][c]
+                rows[r] = [x - t * y for x, y in zip(rows[r], rows[c])]
+    ys = [[rows[i][n] / rows[i][i] for i in range(n)]]  # y_0, then y_{k-1} down to y_1
+    for q in range(k - 1, 0, -1):
+        ys.append(step(q, ys[-1]))
+    form = sum(sum(a * b * c for a, b, c in zip(w, fc, y)) for y in ys) / k
+    return float(2 * form - sum(a * b * b for a, b in zip(w, fc)))
 
 
 def gram(op: str, mats, pi: np.ndarray, lam: float) -> np.ndarray:

@@ -944,12 +944,21 @@ class TestLimitAndSimulate:
 
     @pytest.mark.parametrize("command", ["limit", "compare"])
     def test_near_reducible_rand_limit_refused(self, tmp_path, capsys, command):
+        # limit exits 1 and names the refusal; compare leaves out its limit
+        # row and keeps the discount row, as for a cycle that is not summable
         sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
         path = write_model(tmp_path / "m.json", kernels=[sticky, sticky])
-        assert main([command, "--model", path]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ")
-        assert "within 1e-8 of 1" in err
+        code = main([command, "--model", path, *(["--lambda", "0.5"] * (command == "compare"))])
+        out, err = capsys.readouterr()
+        if command == "limit":
+            assert code == EXIT_VALIDATION
+            assert out.startswith("cycle contraction: ") and "(summable)" in out
+            assert err.startswith("validation error: mixed kernel has 2 eigenvalues")
+            assert "within 1e-8 of 1" in err
+        else:
+            assert code == EXIT_OK and err == ""
+            (row,) = out.strip().splitlines()[1:]
+            assert row.startswith("0.5,") and row.endswith(",resolvent")
 
     def test_simulate_csv(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json")

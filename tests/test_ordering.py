@@ -15,6 +15,7 @@ from scanvar.kernels import (
     NUMERIC_TOL,
     Observable,
     ValidationError,
+    center,
     gibbs_kernel,
     inner,
     lazy,
@@ -489,6 +490,15 @@ def test_grid_value_near_one_is_the_limit_row(e1, e1_f, limit_rows, one):
     assert [r.lam for r in limit_rows(e1, e1_f, [0.5])] == [0.5]
 
 
+def test_refused_rand_limit_drops_the_limit_row():
+    # the mixed kernel of a pair flipping with probability 1e-9 has a second
+    # eigenvalue within 1e-8 of one: the limit row goes, the discount row stays
+    sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
+    fam = make_family([0.5, 0.5], [sticky, sticky])
+    rows = check_scan_ordering(fam, Observable([1.0, -1.0]), [0.5, 1.0])
+    assert [(r.lam, r.method) for r in rows] == [(0.5, "resolvent")]
+
+
 @GRID_CHECKERS
 @pytest.mark.parametrize("bad", [1.5, float("nan")])
 def test_grid_checked_before_any_solve(e1, e1_f, monkeypatch, limit_rows, bad):
@@ -520,15 +530,14 @@ def test_closed_form_bound_and_eigenbasis_rand_match_dense_routes(case):
     # random scan in the mixed kernel's eigenbasis against its one-block LU
     fam, f = case
     w = fam.pi.weights
-    fc = f.values - float(np.dot(w, f.values))
-    floor = (fam.n + 2) * np.finfo(float).eps * float(np.sqrt(np.dot(w, f.values**2)))
+    fc = center(f, fam.pi).values
     mixed = fam._mixed.matrix
     for lam in PROPERTY_GRID[:4]:
         bound = gap_lower_bound(fam, f, lam)
         assert bound == pytest.approx(
             helpers.oracle_gap_bound(fam, f, lam), rel=1e-10, abs=1e-14 * np.dot(w, fc * fc)
         )
-        lu = _cycle_solve([mixed], lam, fc[None], w, mixed, floor=floor)
+        lu = _cycle_solve([mixed], lam, fc[None], w, mixed)
         rand = var_lambda_rand(fam, f, lam)
         assert rand == pytest.approx(2.0 * np.dot(w, fc * lu[0]) - np.dot(w, fc * fc), rel=1e-12)
     # at discount zero both solves return the right-hand side bit for bit,

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from scanvar import embedding, variance
+from scanvar import embedding
 from scanvar.embedding import _cycle_solve, _mixed_solve
 from scanvar.kernels import (
     REVERSIBILITY_TOL,
@@ -129,12 +129,13 @@ def test_limit_values_match_dense_oracles(case):
             var_limit(fam, f, "rand")
 
 
-def test_tiny_weight_residual_refusal(monkeypatch):
+def test_tiny_weight_residual_refusal():
     # A valid, irreducible one-kernel family with pi_0 ~ 9e-13. The weighted
-    # norm of the centred f is about 1.7e-8, so the relative guard alone
-    # allows 1.7e-18, below the 1.4e-17 that the centring's rounding leaves
-    # at discount one; the floor from the uncentred f (|f|_pi ~ 0.33) lets
-    # that through and still refuses an offset ten times the floor.
+    # norm of the centred f is about 1.7e-8, so the guard allows a residual
+    # of 1.7e-18. One centring pass leaves pi . f at 1.4e-17, the rounding
+    # of the uncentred f (|f|_pi ~ 0.33), which the deflated solve keeps as
+    # its residual at discount one: refused. center's second pass leaves
+    # 2e-30, the rounding of its own norm: accepted.
     w = np.array([8.9417519e-13, 1.0])
     w /= w.sum()
     kernel = np.zeros((2, 2))
@@ -143,24 +144,19 @@ def test_tiny_weight_residual_refusal(monkeypatch):
     kernel[1, 1] = 1.0 - kernel[1, 0]
     fam = make_family(w, [kernel])
     f = Observable([-0.31055655, -0.3288239])
-    floors = []
-
-    def recorded(*args, floor):
-        floors.append(floor)
-        return _mixed_solve(*args, floor=floor)
-
     # one kernel: both schemes solve with the mixed kernel alone
-    monkeypatch.setattr(variance, "_mixed_solve", recorded)
     for scheme in SCHEMES:
         assert var_limit(fam, f, scheme) == pytest.approx(
             helpers.oracle_var_limit(fam, f, scheme), rel=1e-8
         )
+    one_pass = f.values - float(np.dot(w, f.values))
+    with pytest.raises(np.linalg.LinAlgError):
+        _cycle_solve(fam.matrices, 1.0, one_pass[None], w, fam._cycle)
+    with pytest.raises(np.linalg.LinAlgError):
+        _mixed_solve(fam, 1.0, one_pass)
     rhs = center(f, fam.pi).values
-    assert len(floors) == 2 and floors[0] == floors[1] < 1e-15
-    with pytest.raises(np.linalg.LinAlgError):
-        _cycle_solve(fam.matrices, 1.0, rhs[None] + 10 * floors[0], w, fam._cycle, floor=floors[0])
-    with pytest.raises(np.linalg.LinAlgError):
-        _mixed_solve(fam, 1.0, rhs + 10 * floors[0], floor=floors[0])
+    _cycle_solve(fam.matrices, 1.0, rhs[None], w, fam._cycle)
+    _mixed_solve(fam, 1.0, rhs)
 
 
 def test_identity_contraction_rounded_below_one():
@@ -346,10 +342,9 @@ def test_eigenbasis_guard_falls_back_to_the_one_block_lu(monkeypatch):
     monkeypatch.undo()
     w = fam.pi.weights
     fc = center(f, fam.pi).values[None]
-    floor = (fam.n + 2) * np.finfo(float).eps * float(np.sqrt(np.dot(w, f.values**2)))
     mixed = fam._mixed.matrix
     lu = [
-        _variance(fc, _cycle_solve([mixed], lam, fc, w, mixed, floor=floor), fam.pi)
+        _variance(fc, _cycle_solve([mixed], lam, fc, w, mixed), fam.pi)
         for lam in (0.3, 0.99, 1.0)
     ]
     assert values[1:] == lu[1:]

@@ -12,10 +12,12 @@ from helpers import joint_law_exact, var_lambda_strat_series
 from scanvar import variance
 from scanvar.embedding import CycleEmbedding
 from scanvar.kernels import (
+    Dist,
     Observable,
     ReducibilityError,
     SummabilityError,
     make_family,
+    random_reversible,
     random_scan,
 )
 from scanvar.variance import (
@@ -69,6 +71,8 @@ class TestVarLambdaStrat:
         value, bound = var_lambda_strat_series(e1, e1_f, 0.5, terms=200)
         assert value == pytest.approx(helpers.E1_VAR_STRAT_HALF, abs=1e-12)
         assert bound < 1e-30
+        exact = helpers.exact_variance(e1, e1_f, 0.5, "strat")
+        assert exact == pytest.approx(helpers.E1_VAR_STRAT_HALF, rel=1e-15)
 
     def test_lambda_zero_norm(self, e1, e1_f):
         assert var_lambda_strat(e1, e1_f, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -107,6 +111,8 @@ class TestVarLambdaRand:
         assert var_lambda_rand(e1, e1_f, 0.5) == pytest.approx(
             helpers.E1_VAR_RAND_HALF, abs=1e-12
         )
+        exact = helpers.exact_variance(e1, e1_f, 0.5, "rand")
+        assert exact == pytest.approx(helpers.E1_VAR_RAND_HALF, rel=1e-15)
 
     def test_lambda_zero(self, e1, e1_f):
         assert var_lambda_rand(e1, e1_f, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -124,6 +130,29 @@ class TestVarLambdaRand:
             assert var_lambda_strat(fam, e1_f, lam) == pytest.approx(
                 var_lambda_rand(fam, e1_f, lam), abs=1e-10
             )
+
+
+def test_nearly_constant_f_near_one_prints_the_exact_digits():
+    # a target weight near 1e-12 carries f's only large deviation, and f is
+    # constant to 1e-9 elsewhere: at discount 0.999999 the solve multiplies
+    # what centring leaves off the mean by about 1e6, so every printed value
+    # must still match the exact rational value to 9 significant digits
+    wrong = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        w = rng.random(7) + 0.05
+        w[0] *= 1e-12
+        pi = Dist(w / w.sum())
+        fam = make_family(pi.weights, [random_reversible(pi, seed), random_reversible(pi, seed + 1)])
+        f = 1.0 + 1e-9 * rng.standard_normal(7)
+        f[0] = 1.01
+        f = Observable(f)
+        for scheme, var in (("strat", var_lambda_strat), ("rand", var_lambda_rand)):
+            got = format(var(fam, f, 0.999999), ".9g")
+            exact = format(helpers.exact_variance(fam, f, 0.999999, scheme), ".9g")
+            if got != exact:
+                wrong.append((seed, scheme, got, exact))
+    assert wrong == []
 
 
 class TestSummability:

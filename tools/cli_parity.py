@@ -22,9 +22,11 @@ random scan's eigenbasis solve falls back to its LU, `limit` and
 `compare` with the limit row on a model with a target weight near 1e-12,
 on a swap pair, on a pair holding with probability 1 - 1e-9, on a pair
 flipping with probability 1e-9, on one kernel with an eigenvalue
-1 - 1e-8 and on two kernels whose target weights span six decades, `validate`, `compare`
-and `limit` on a labelled model and on model files that the loader
-refuses (duplicate labels, alone and with other faults, state counts
+1 - 1e-8 and on two kernels whose target weights span six decades,
+`compare` near discount one and `limit` on a seven-state model with a
+target weight near 1e-12 and an f nearly constant on the other states,
+`validate`, `compare` and `limit` on a labelled model and on model
+files that the loader refuses (duplicate labels, alone and with other faults, state counts
 that disagree with the data, one fault of each kind it checks, and
 finite weights or a kernel row whose sum overflows, and an empty
 `lambda_grid`), on
@@ -128,6 +130,26 @@ def tiny_weight() -> dict:
     proposal = np.random.default_rng(5456677139618326403).dirichlet(np.ones(6), size=6)
     return {"states": 6, "pi": w.tolist(), "kernels": [metropolised(w, proposal).tolist()],
             "f": list(range(6))}
+
+
+def seven_state() -> dict:
+    """Two kernels on seven states whose first target weight is scaled by
+    1e-12, and an f nearly constant on the heavy states, all drawn from
+    default_rng(0): the library's random_reversible(pi, 0) and
+    random_reversible(pi, 1), whose first tries draw their proposals from
+    the seeds derive_seed(0, 0) and derive_seed(1, 0). Near discount one
+    the solve amplifies any part of f that centring leaves off the mean."""
+    rng = np.random.default_rng(0)
+    w = rng.random(7) + 0.05
+    w[0] *= 1e-12
+    w /= w.sum()
+    kernels = [
+        metropolised(w, np.random.default_rng(seed).dirichlet(np.ones(7), size=7)).tolist()
+        for seed in (15204172177749531820, 16294208416658607535)
+    ]
+    f = 1.0 + 1e-9 * rng.standard_normal(7)
+    f[0] = 1.01
+    return {"states": 7, "pi": w.tolist(), "kernels": kernels, "f": f.tolist()}
 
 
 def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> dict:
@@ -395,6 +417,11 @@ def command_lines(models: Path) -> list[list[str]]:
     for name in ("tiny-weight", "swap", "near-one", "sticky", "on-the-line", "wide-ratio"):
         m = str(models / f"{name}.json")
         lines += [["limit", "--model", m], ["compare", "--model", m, "--lambda", "0.5,1"]]
+    # near discount one on a 1e-12 weight with f nearly constant elsewhere
+    m = models / "seven-state.json"
+    m.write_text(json.dumps(seven_state()))
+    lines += [["compare", "--model", str(m), "--lambda", "0.99,0.999999,1"],
+              ["limit", "--model", str(m)]]
     for name, model in invalid_models().items():
         m = models / f"invalid-{name}.json"
         m.write_text(json.dumps(model))

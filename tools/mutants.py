@@ -155,6 +155,16 @@ MUTANTS = (
         ("tests/test_shortcuts.py", "tests/test_variance.py"),
     ),
     Mutant(
+        "center: second pass dropped",
+        "kernels.py",
+        "return Observable(fc - float(np.dot(pi.weights, fc)))",
+        "return Observable(fc)",
+        (
+            "tests/test_shortcuts.py::test_tiny_weight_residual_refusal",
+            "tests/test_variance.py::test_nearly_constant_f_near_one_prints_the_exact_digits",
+        ),
+    ),
+    Mutant(
         "finite horizon: divides by M + 1",
         "variance.py",
         "2.0 * total / m_steps",
@@ -355,6 +365,16 @@ MUTANTS = (
         'return "limit" if self.lam == 1.0 else "resolvent"',
         'return "resolvent"',
         ("tests/test_ordering.py",),
+    ),
+    Mutant(
+        "walk: reducibility refusal not dropped",
+        "ordering.py",
+        "except (SummabilityError, ReducibilityError):",
+        "except SummabilityError:",
+        (
+            "tests/test_ordering.py::test_refused_rand_limit_drops_the_limit_row",
+            "tests/test_cli.py::TestLimitAndSimulate::test_near_reducible_rand_limit_refused",
+        ),
     ),
     Mutant(
         "simulation config: steps bound dropped",
