@@ -458,10 +458,8 @@ def _cmd_limit(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    rows = check_scan_ordering(fam, f, (1.0,))
-    if not rows:  # the random-scan limit was refused: report its ReducibilityError
-        var_limit(fam, f, "rand")
-    (rep,) = rows
+    bound = 0.0 if fam.k == 2 else math.nan
+    rep = OrderingReport(1.0, var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), bound)
     print(f"limit var_strat: {_fmt(rep.var_a)}")
     print(f"limit var_rand:  {_fmt(rep.var_b)}")
     if args.out:

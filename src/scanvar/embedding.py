@@ -118,7 +118,10 @@ def _cycle_solve(
     one n x n system (I - lam^k M) x_0 = r, with M = `product`, the
     unscaled product blocks[0] @ blocks[1] @ ... @ blocks[k - 1], and r
     reduced from rhs by k - 1 matrix-vector products; the other phases
-    follow by back-substitution.
+    follow by back-substitution. The LU solves for s * x_0, s the powers of
+    two nearest sqrt(weights), so its rounding follows the weighted norm of
+    x_0 that the guard measures, not the largest entry, which a state of
+    tiny weight can carry; the scaling is exact (lam = 0 returns rhs).
     At lam = 1 the rank-one term ones * weights' pins the constant
     direction, which is valid only when every phase of rhs is centred for
     weights and the blocks leave weights invariant; the solution is then
@@ -131,12 +134,13 @@ def _cycle_solve(
     reduced = rhs[-1]
     for q in range(k - 2, -1, -1):
         reduced = rhs[q] + lam * (blocks[q] @ reduced)
-    system = np.eye(n) - lam**k * product
+    scale = np.exp2(np.round(np.log2(weights) / 2))
+    system = np.eye(n) - lam**k * (scale[:, None] * product / scale)
     if lam == 1.0:
-        system += np.outer(np.ones(n), weights)
+        system += np.outer(scale, weights / scale)
     x = np.empty((k, n))
     try:
-        x[0] = np.linalg.solve(system, reduced)
+        x[0] = np.linalg.solve(system, scale * reduced) / scale
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"cycle system singular at lam={lam}") from err
     for q in range(k - 1, 0, -1):

@@ -424,13 +424,13 @@ def inner(f: Observable, g: Observable, pi: Dist) -> float:
 def center(f: Observable, pi: Dist) -> Observable:
     """Subtract the mean under pi, so the result integrates to zero.
 
-    The mean is taken off twice: one pass leaves pi . fc at the rounding of
-    the uncentred f, about (n + 2) eps |f|_pi, the second at that of fc,
-    (n + 2) eps |fc|_pi, which the solves' relative residual guard allows."""
+    f's value at the heaviest state goes first, exactly, so a constant f
+    centres to zeros and pi . fc is off zero by the rounding of fc's own
+    norm, not f's: about (n + 2) eps |fc|_pi / sqrt(pi_max)."""
     if f.n != pi.n:
         raise ValidationError(f"dimension mismatch: f has {f.n}, target has {pi.n}")
-    fc = f.values - float(np.dot(pi.weights, f.values))
-    return Observable(fc - float(np.dot(pi.weights, fc)))
+    g = f.values - f.values[np.argmax(pi.weights)]
+    return Observable(g - float(np.dot(pi.weights, g)))
 
 
 def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:

@@ -68,8 +68,9 @@ def _solve(
     rand; lam lies in [0, 1]. A cycle of one kernel is its mixed kernel,
     so strat then takes rand's solve, and the two agree bit for bit. At
     lam = 1 the deflated solve leaves the offset of pi . fbar_q from zero
-    as its residual; center's second pass keeps that offset at the
-    rounding of fbar's own norm, so the guard relative to fbar holds."""
+    as its residual; center keeps that offset at the rounding of fbar's
+    own norm, so the guard relative to fbar holds, and a constant f
+    centres to zeros, whose solve is zero."""
     fc = center(f, fam.pi).values
     if scheme == "rand" or fam.k == 1:
         return fc[None, :], _mixed_solve(fam, lam, fc)[None, :]

@@ -22,6 +22,7 @@ from scanvar.kernels import (
     KernelFamily,
     Observable,
     ValidationError,
+    center,
     gibbs_kernel,
     lazy,
     make_family,
@@ -415,9 +416,8 @@ def reference_estimate(
     fam: KernelFamily, f: Observable, steps: int, seeds, scheme: str
 ) -> np.ndarray:
     """Per-replica sqrt(M) S_M(f - mean) from reference paths, one seed at a
-    time, with f centred in two passes as the library centres it."""
-    fc = f.values - float(np.dot(fam.pi.weights, f.values))
-    fc = fc - float(np.dot(fam.pi.weights, fc))
+    time, with f centred by the library's `center`."""
+    fc = center(f, fam.pi).values
     values = np.empty(len(seeds))
     for r, seed in enumerate(seeds):
         states = reference_path(fam, scheme, seed, steps)

@@ -22,7 +22,7 @@ from scanvar.cli import (
 )
 import scanvar.cli
 import scanvar.kernels
-from scanvar.kernels import NUMERIC_TOL, Dist, ValidationError, gibbs_kernel
+from scanvar.kernels import NUMERIC_TOL, Dist, ValidationError, gibbs_kernel, random_reversible
 from scanvar.ordering import OrderingReport, PeskunComparison
 
 
@@ -959,6 +959,22 @@ class TestLimitAndSimulate:
             assert code == EXIT_OK and err == ""
             (row,) = out.strip().splitlines()[1:]
             assert row.startswith("0.5,") and row.endswith(",resolvent")
+
+    def test_constant_f_has_zero_limit_and_rows(self, tmp_path, capsys):
+        # a target whose weights sum to one only up to rounding: a constant f
+        # still centres to zeros, so every variance and gap is exactly zero
+        pi = helpers.random_dist(np.random.default_rng(0), 5)
+        kernels = [random_reversible(pi, seed).matrix.tolist() for seed in (0, 1)]
+        path = write_model(
+            tmp_path / "m.json", states=5, pi=pi.weights.tolist(), kernels=kernels, f=[3.0] * 5
+        )
+        assert np.dot(load_model(path).family.pi.weights, np.ones(5)) != 1.0
+        assert main(["limit", "--model", path]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["limit var_strat: 0", "limit var_rand:  0"]
+        assert main(["compare", "--model", path, "--lambda", "0.5,1"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows == ["0.5,0,0,0,0,resolvent", "1,0,0,0,0,limit"]
 
     def test_simulate_csv(self, tmp_path, capsys):
         path = write_model(tmp_path / "m.json")

@@ -134,8 +134,9 @@ def test_tiny_weight_residual_refusal():
     # norm of the centred f is about 1.7e-8, so the guard allows a residual
     # of 1.7e-18. One centring pass leaves pi . f at 1.4e-17, the rounding
     # of the uncentred f (|f|_pi ~ 0.33), which the deflated solve keeps as
-    # its residual at discount one: refused. center's second pass leaves
-    # 2e-30, the rounding of its own norm: accepted.
+    # its residual at discount one: refused. center, which first takes off
+    # f's value at the heavy state, leaves 2e-30, the rounding of its own
+    # norm: accepted.
     w = np.array([8.9417519e-13, 1.0])
     w /= w.sum()
     kernel = np.zeros((2, 2))

@@ -155,6 +155,59 @@ def test_nearly_constant_f_near_one_prints_the_exact_digits():
     assert wrong == []
 
 
+def test_light_state_carrying_f_prints_the_exact_digits_at_099():
+    # f's only large deviation sits on a state of weight near 1e-12, so the
+    # solution's largest entry is there while its weighted norm is set by
+    # the heavy states: the cycle's factorisation must round with that
+    # norm, or its residual exceeds the guard and a right value is refused
+    wrong = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        w = rng.random(6) + 0.05
+        w[seed % 6] *= 1e-12
+        pi = Dist(w / w.sum())
+        fam = make_family(pi.weights, [random_reversible(pi, seed), random_reversible(pi, seed + 1)])
+        f = 1.0 + 1e-9 * rng.standard_normal(6)
+        f[seed % 6] = 1.01
+        f = Observable(f)
+        for scheme, var in (("strat", var_lambda_strat), ("rand", var_lambda_rand)):
+            exact = format(helpers.exact_variance(fam, f, 0.99, scheme), ".9g")
+            try:
+                got = format(var(fam, f, 0.99), ".9g")
+            except np.linalg.LinAlgError:
+                got = "refused"
+            if got != exact:
+                wrong.append((seed, scheme, got, exact))
+    assert wrong == []
+
+
+def test_constant_f_centres_to_zero_on_a_rounded_target():
+    # this target's weights sum to 1 - 1.1e-16 in floating point, so the
+    # pi-mean of a constant f is not f itself; centring must still give
+    # exact zeros, whose variance is zero at every discount and in the limit
+    pi = helpers.random_dist(np.random.default_rng(0), 5)
+    assert np.dot(pi.weights, np.ones(5)) != 1.0
+    fam = make_family(pi.weights, [random_reversible(pi, 0), random_reversible(pi, 1)])
+    for value in (1.0, 3.0):
+        f = Observable(np.full(5, value))
+        for scheme, var in (("strat", var_lambda_strat), ("rand", var_lambda_rand)):
+            assert var_limit(fam, f, scheme) == 0.0
+            assert var(fam, f, 0.5) == var(fam, f, 0.999999) == 0.0
+    # one ulp off constant on a state of weight near 1e-12: returned, not
+    # refused, at and near discount one, with the exact digits below one
+    w = pi.weights.copy()
+    w[0] *= 1e-12
+    pi = Dist(w / w.sum())
+    fam = make_family(pi.weights, [random_reversible(pi, 0), random_reversible(pi, 1)])
+    f = np.full(5, 3.0)
+    f[0] = np.nextafter(3.0, 4.0)
+    f = Observable(f)
+    for scheme, var in (("strat", var_lambda_strat), ("rand", var_lambda_rand)):
+        exact = helpers.exact_variance(fam, f, 0.999999, scheme)
+        assert format(var(fam, f, 0.999999), ".9g") == format(exact, ".9g")
+        assert 0.0 < var_limit(fam, f, scheme) < math.inf
+
+
 class TestSummability:
     def test_e1_contraction(self, e1):
         report = summability_check(e1)

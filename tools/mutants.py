@@ -51,7 +51,7 @@ MUTANTS = (
     Mutant(
         "cycle solve: rank-one term at discount one dropped",
         "embedding.py",
-        "system += np.outer(np.ones(n), weights)",
+        "system += np.outer(scale, weights / scale)",
         "system += 0.0",
         ("tests/test_variance.py",),
     ),
@@ -155,14 +155,22 @@ MUTANTS = (
         ("tests/test_shortcuts.py", "tests/test_variance.py"),
     ),
     Mutant(
-        "center: second pass dropped",
+        "center: heaviest-state shift dropped",
         "kernels.py",
-        "return Observable(fc - float(np.dot(pi.weights, fc)))",
-        "return Observable(fc)",
+        "g = f.values - f.values[np.argmax(pi.weights)]",
+        "g = f.values",
         (
             "tests/test_shortcuts.py::test_tiny_weight_residual_refusal",
             "tests/test_variance.py::test_nearly_constant_f_near_one_prints_the_exact_digits",
+            "tests/test_variance.py::test_constant_f_centres_to_zero_on_a_rounded_target",
         ),
+    ),
+    Mutant(
+        "cycle solve: weight scaling dropped",
+        "embedding.py",
+        "scale = np.exp2(np.round(np.log2(weights) / 2))",
+        "scale = np.ones(n)",
+        ("tests/test_variance.py::test_light_state_carrying_f_prints_the_exact_digits_at_099",),
     ),
     Mutant(
         "finite horizon: divides by M + 1",
