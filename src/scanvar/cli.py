@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import orjson
@@ -31,12 +32,15 @@ from scanvar.kernels import (
     KernelFamily,
     NUMERIC_TOL,
     Observable,
-    ROW_SUM_TOL,
     ReducibilityError,
     SummabilityError,
     ValidationError,
     family_diagnostics,
+    family_faults,
     make_family,
+    matrix_faults,
+    value_faults,
+    weight_faults,
 )
 from scanvar.ordering import (
     OrderingReport,
@@ -91,62 +95,27 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _raise_problems(
-    path: str, n: int, pi, f_values, kernels, diag=None, labels=()
-) -> None:
-    """Raise ValidationError listing every violated invariant of the raw data,
-    if any: shapes and the first non-finite entry of pi, f and each kernel,
-    or, when there are none of those to make the residuals meaningless,
-    each kernel's negative entries and balance, the target's sum and sign,
-    and each kernel's worst row sum; repeated state `labels` head a
-    listing of any of these. The residuals are `diag` when a refusal
-    already measured them. This is the one place that words a model's
-    faults."""
-    problems: list[str] = []
-    if pi.shape != (n,):
-        problems.append(f"pi has shape {pi.shape}, expected ({n},)")
-    if f_values.shape != (n,):
-        problems.append(f"f has shape {f_values.shape}, expected ({n},)")
+def _raise_problems(path: str, n: int, pi, f_values, kernels, diag, repeated) -> NoReturn:
+    """Raise ValidationError listing every violated invariant of a refused
+    model's raw data, as kernels.py's checks word them: `repeated` state
+    labels; for pi, f and each kernel, its shape if the state count asks
+    for another, or else its own faults; and the family's faults (from
+    `diag`, if a refusal measured it) when pi and every kernel have the
+    count's shapes and finite entries."""
+    problems = ["state labels must be distinct"] if repeated else []
+    parts = [("pi", pi, (n,), weight_faults), ("f", f_values, (n,), value_faults)]
+    parts += [(f"kernel {i + 1}", m, (n, n), matrix_faults) for i, m in enumerate(kernels)]
+    for name, values, shape, faults in parts:
+        if values.shape != shape:
+            problems.append(f"{name} has shape {values.shape}, expected {shape}")
+        else:
+            problems += [f"{name}: {fault}" for fault in faults(values)]
     if not kernels:
         problems.append("kernels list is empty")
-    for i, m in enumerate(kernels):
-        if m.shape != (n, n):
-            problems.append(f"kernel {i + 1} has shape {m.shape}, expected ({n}, {n})")
-    named = [("pi", pi), ("f", f_values)]
-    named += [(f"kernel {i + 1}", m) for i, m in enumerate(kernels)]
-    for name, values in named:
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            where = "".join(f"[{j}]" for j in bad[0])
-            problems.append(f"{name}: non-finite entry {values[tuple(bad[0])]:g} at {where}")
-    if not problems:
-        diag = diag or family_diagnostics(pi, kernels)
-        for i, (g, b) in enumerate(zip(diag.negative_entry, diag.balance_residual)):
-            if g > NUMERIC_TOL:
-                problems.append(f"kernel {i + 1}: negative entry of magnitude {g:.3g}")
-            if b > NUMERIC_TOL:
-                problems.append(
-                    f"kernel {i + 1}: detailed-balance residual {b:.3g} > {NUMERIC_TOL:g}"
-                )
-        if diag.pi_sum_deviation > NUMERIC_TOL:
-            problems.append(f"target weights sum off by {diag.pi_sum_deviation:.3g}")
-        if diag.min_pi <= 0.0:
-            problems.append(f"target has a nonpositive weight ({diag.min_pi:.3g})")
-        for i, (m, dev) in enumerate(zip(kernels, diag.row_sum_deviation)):
-            if dev > ROW_SUM_TOL:
-                with np.errstate(over="ignore"):  # an overflow is listed as inf
-                    sums = m.sum(axis=1)
-                worst = int(np.abs(sums - 1.0).argmax())
-                problems.append(
-                    f"kernel {i + 1} row {worst} sums to {sums[worst]:.10g} "
-                    f"(residual {dev:.3g})"
-                )
-    if problems:
-        if len(set(labels)) != len(labels):
-            problems.insert(0, "state labels must be distinct")
-        raise ValidationError(
-            f"{path} failed validation:\n  " + "\n  ".join(problems)
-        )
+    shaped = pi.shape == (n,) and all(m.shape == (n, n) for m in kernels)
+    if kernels and shaped and all(np.isfinite(a).all() for a in (pi, *kernels)):
+        problems += family_faults(diag or family_diagnostics(pi, kernels))
+    raise ValidationError(f"{path} failed validation:\n  " + "\n  ".join(problems))
 
 
 def _scan_matrix(text: str, i: int, scan, ws) -> tuple[list, int]:
@@ -256,10 +225,10 @@ def load_model(path: str) -> Model:
     """Parse and validate a JSON model file.
 
     Parse problems raise ModelFormatError with field context. Data that the
-    domain types refuse raises ValidationError listing every violated
-    invariant with its residual, or with the type's message if none is listed.
-    The field `states` is read only here: its count must be the target's
-    length, and its labels must be distinct; they are checked, not kept.
+    domain types refuse, or whose lengths or labels `states` refuses,
+    raises ValidationError listing every violated invariant. The field
+    `states` is read only here: its count must be the target's length,
+    and its labels must be distinct; they are checked, not kept.
     """
     raw = _read_model(path)
     if not isinstance(raw, dict):
@@ -268,11 +237,10 @@ def load_model(path: str) -> Model:
         if field not in raw:
             raise ModelFormatError(f"{path}: missing required field {field!r}")
     states = raw["states"]
-    labels = []
-    if isinstance(states, int) and not isinstance(states, bool):
-        n = states
+    if isinstance(states, int) and not isinstance(states, bool) and states >= 0:
+        n, repeated = states, False
     elif isinstance(states, list) and all(isinstance(s, str) for s in states):
-        n, labels = len(states), states
+        n, repeated = len(states), len(set(states)) != len(states)
     else:
         raise ModelFormatError(
             f"{path}: field 'states' must be a count or a list of labels"
@@ -287,15 +255,12 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: a number is out of range: {err}") from err
 
     try:
-        if len(set(labels)) != len(labels):
-            raise ValidationError("state labels must be distinct")
-        family = make_family(pi, kernels)
+        family, f = make_family(pi, kernels), Observable(f_values)
+        diag, valid = family.diagnostics, family.n == f.n == n
     except ValidationError as err:
-        _raise_problems(path, n, pi, f_values, kernels, err.diagnostics, labels)
-        raise
-    # the family knows only pi's length, and nothing of f
-    if family.n != n or f_values.shape != (n,) or not np.isfinite(f_values).all():
-        _raise_problems(path, n, pi, f_values, kernels)
+        diag, valid = err.diagnostics, False
+    if repeated or not valid:
+        _raise_problems(path, n, pi, f_values, kernels, diag, repeated)
     grid = raw.get("lambda_grid")
     if grid is not None:
         numbers = isinstance(grid, list) and all(
@@ -329,9 +294,7 @@ def load_model(path: str) -> Model:
                 sim[key] = value
         if "scheme" in sim and not isinstance(sim["scheme"], str):
             raise ModelFormatError(f"{path}: field 'simulation.scheme' must be a string")
-    return Model(
-        family=family, f=Observable(f_values), lambda_grid=grid, simulation=sim
-    )
+    return Model(family=family, f=f, lambda_grid=grid, simulation=sim)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -20,7 +20,7 @@ from scanvar.seeding import derive_seed
 ROW_SUM_TOL = 1e-12
 # Detailed balance, relative to the largest probability flow of the kernel.
 REVERSIBILITY_TOL = 1e-10
-# Generic numeric equality.
+# The default tolerance of the CLI's verdicts (--tol).
 NUMERIC_TOL = 1e-10
 # Seeded proposals random_reversible tries for an irreducible kernel.
 REVERSIBLE_TRIES = 100
@@ -52,13 +52,17 @@ __all__ = [
     "random_reversible",
     "is_irreducible",
     "family_diagnostics",
+    "weight_faults",
+    "value_faults",
+    "matrix_faults",
+    "family_faults",
 ]
 
 
 class ValidationError(ValueError):
     """A structural invariant fails (row sums, positivity, detailed balance).
-    A family's balance refusal carries the residuals it measured as
-    `diagnostics`; every other refusal carries None."""
+    A family's refusal by family_faults carries the residuals it measured
+    as `diagnostics`; every other refusal carries None."""
 
     diagnostics: FamilyDiagnostics | None = None
 
@@ -83,6 +87,67 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"discount must lie in [0, 1), got {lam}")
 
 
+def _entry_faults(a: np.ndarray, ndim: int) -> list[str]:
+    """The shape of `a` unless it is a nonempty vector (`ndim` 1) or square
+    matrix (`ndim` 2); or else its first non-finite entry; or nothing."""
+    if a.ndim != ndim or a.size == 0 or len(set(a.shape)) != 1:
+        kind = "vector" if ndim == 1 else "square matrix"
+        return [f"shape {a.shape} is not that of a nonempty {kind}"]
+    finite = np.isfinite(a)
+    if finite.all():
+        return []
+    first = np.argwhere(~finite)[0]
+    where = "".join(f"[{j}]" for j in first)
+    return [f"non-finite entry {a[tuple(first)]:g} at {where}"]
+
+
+def _negative_fault(a: np.ndarray) -> list[str]:
+    """The most negative entry of `a`, or nothing."""
+    low = float(a.min())
+    return [f"negative entry of magnitude {-low:.3g}"] if low < 0.0 else []
+
+
+def _sum_fault(subject: str, total: float) -> list[str]:
+    """`subject` and its sum, if that is off one by more than ROW_SUM_TOL."""
+    residual = abs(total - 1.0)
+    if residual > ROW_SUM_TOL:
+        return [f"{subject} to {total:.13g} (residual {residual:.3g})"]
+    return []
+
+
+def value_faults(v: np.ndarray) -> list[str]:
+    """Every violated invariant of observable values: a nonempty vector; then finite."""
+    return _entry_faults(v, 1)
+
+
+@np.errstate(over="ignore")  # an overflowing sum is inf, and refused
+def weight_faults(w: np.ndarray) -> list[str]:
+    """Every violated invariant of target weights: a nonempty vector; then
+    finite; then nonnegative, summing to one within ROW_SUM_TOL."""
+    if faults := _entry_faults(w, 1):
+        return faults
+    return _negative_fault(w) + _sum_fault("weights sum", float(w.sum()))
+
+
+@np.errstate(over="ignore")  # an overflowing sum is inf, and refused
+def matrix_faults(m: np.ndarray) -> list[str]:
+    """Every violated invariant of a kernel matrix: square and nonempty; then
+    finite; then nonnegative, its worst row summing to one within ROW_SUM_TOL."""
+    if faults := _entry_faults(m, 2):
+        return faults
+    sums = m.sum(axis=1)
+    worst = int(np.abs(sums - 1.0).argmax())
+    return _negative_fault(m) + _sum_fault(f"row {worst} sums", float(sums[worst]))
+
+
+def _refuse(faults: list[str], diagnostics: FamilyDiagnostics | None = None) -> None:
+    """Raise ValidationError naming every fault, if there is any."""
+    if faults:
+        err = ValidationError("; ".join(faults))
+        err.diagnostics = diagnostics
+        raise err
+
+
 @dataclass(frozen=True, eq=False)
 class Dist:
     """A probability vector: nonnegative weights summing to one."""
@@ -91,18 +156,7 @@ class Dist:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite")
-        if w.min() < 0.0:
-            raise ValidationError(f"negative weight {w.min():.3g}")
-        with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            total = float(w.sum())
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ValidationError(
-                f"weights sum to {total:.17g}, expected 1 within {ROW_SUM_TOL:g}"
-            )
+        _refuse(weight_faults(w))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -119,10 +173,7 @@ class Observable:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("observable values must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("observable values must be finite")
+        _refuse(value_faults(v))
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -139,21 +190,7 @@ class Kernel:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValidationError(f"kernel matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("kernel entries must be finite")
-        if m.min() < 0.0:
-            raise ValidationError(f"negative kernel entry {m.min():.3g}")
-        with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            sums = m.sum(axis=1)
-        row_dev = float(np.abs(sums - 1.0).max())
-        if row_dev > ROW_SUM_TOL:
-            worst = int(np.abs(sums - 1.0).argmax())
-            raise ValidationError(
-                f"row {worst} sums to {sums[worst]:.17g}, "
-                f"deviation {row_dev:.3g} exceeds {ROW_SUM_TOL:g}"
-            )
+        _refuse(matrix_faults(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -214,15 +251,31 @@ def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
     )
 
 
+def family_faults(diag: FamilyDiagnostics) -> list[str]:
+    """Every violated invariant of a family whose residuals are `diag`:
+    at least one kernel, no zero target weight (a negative one is the
+    target's own fault, see weight_faults), and each kernel's balance
+    residual within REVERSIBILITY_TOL of its largest flow."""
+    faults = [] if diag.balance_residual else ["a kernel family needs at least one kernel"]
+    if diag.min_pi == 0.0:
+        faults.append("target has a zero weight, where detailed balance is ill-posed")
+    for i, residual in enumerate(diag.relative_balance_residual):
+        if residual > REVERSIBILITY_TOL:
+            faults.append(
+                f"kernel {i + 1}: relative detailed-balance residual "
+                f"{residual:.3g} > {REVERSIBILITY_TOL:g}"
+            )
+    return faults
+
+
 @dataclass(frozen=True, eq=False)
 class KernelFamily:
     """An ordered family of kernels, each reversible for the shared target,
     on the states {0, ..., n-1}, n the length of the target.
 
-    Construction validates everything: positive target weights, stochastic
-    kernels (via the Kernel type) and detailed balance within
-    REVERSIBILITY_TOL relative to each kernel's largest flow, read from the
-    family's residuals, which it keeps as `diagnostics`. Values are
+    Construction validates everything: kernels of the target's size,
+    stochastic by the Kernel type, and the rules of family_faults, read
+    from the family's residuals, which it keeps as `diagnostics`. Values are
     immutable afterwards and safe to share across threads. Derived data
     (the mixed kernel, its symmetric eigendecomposition and the count of
     its eigenvalues near one, the full-cycle product, the cycle contraction
@@ -237,27 +290,9 @@ class KernelFamily:
     def __post_init__(self):
         kernels = tuple(self.kernels)
         object.__setattr__(self, "kernels", kernels)
-        if len(kernels) < 1:
-            raise ValidationError("a kernel family needs at least one kernel")
-        if self.pi.weights.min() <= 0.0:
-            raise ValidationError(
-                "target weights must be strictly positive: detailed balance and "
-                "conditionals are ill-posed on null states"
-            )
-        for i, k in enumerate(kernels):
-            if k.n != self.n:
-                raise ValidationError(f"kernel {i + 1} is {k.n}x{k.n}, expected {self.n}")
-        diag = family_diagnostics(self.pi, kernels)
+        diag = family_diagnostics(self.pi, kernels)  # refuses another size
         object.__setattr__(self, "diagnostics", diag)
-        worst_rel = max(diag.relative_balance_residual)
-        if worst_rel > REVERSIBILITY_TOL:
-            which = int(np.argmax(diag.relative_balance_residual))
-            err = ValidationError(
-                f"kernel {which + 1} breaks detailed balance: relative residual "
-                f"{worst_rel:.3g} exceeds {REVERSIBILITY_TOL:g}"
-            )
-            err.diagnostics = diag
-            raise err
+        _refuse(family_faults(diag), diag)
 
     @property
     def n(self) -> int:

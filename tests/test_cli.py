@@ -95,7 +95,7 @@ class TestLoadModel:
         header, *problems = str(err.value).splitlines()
         assert path in header
         assert len(problems) == 1
-        assert "kernel 1 row 0 sums to" in problems[0]
+        assert problems[0].startswith("  kernel 1: row 0 sums to ")
 
     def test_nonreversible_reports_residual(self, tmp_path):
         path = write_model(
@@ -137,8 +137,10 @@ class TestLoadModel:
         assert field in captured.err
         assert captured.out == ""
 
-    def test_boolean_state_count_is_parse_error(self, tmp_path, capsys):
-        path = write_model(tmp_path / "m.json", states=True, pi=[1.0], kernels=[[[1.0]]], f=[0.0])
+    @pytest.mark.parametrize("states", [True, -1], ids=["true", "minus-one"])
+    def test_boolean_state_count_is_parse_error(self, tmp_path, capsys, states):
+        # a boolean is no count, and neither is a negative number
+        path = write_model(tmp_path / "m.json", states=states, pi=[1.0], kernels=[[[1.0]]], f=[0.0])
         assert main(["limit", "--model", path]) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.err == (
@@ -186,28 +188,48 @@ class TestLoadModel:
         refused = write_model(
             tmp_path / "r.json", kernels=[[[0.9, 0.1], [0.2, 0.8]], helpers.E1_P2]
         )
-        with pytest.raises(ValidationError, match="kernel 1: detailed-balance residual"):
+        with pytest.raises(ValidationError) as err:
             load_model(refused)
+        assert str(err.value).endswith(
+            "\n  kernel 1: relative detailed-balance residual 0.111 > 1e-10"
+        )
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "overrides, message",
+        "overrides, lines",
         [
-            ({"states": ["a", "a"]}, "state labels must be distinct"),
-            # raw flow imbalance 8e-11 passes the listed 1e-10, but it is
-            # 1.8e-10 of the kernel's largest flow 0.45
+            ({"states": ["a", "a"]}, ["state labels must be distinct"]),
+            # raw flow imbalance 8e-11, but 1.8e-10 of the kernel's largest flow 0.45
             (
                 {"kernels": [[[0.1, 0.9], [0.9 - 1.6e-10, 0.1 + 1.6e-10]]]},
-                "kernel 1 breaks detailed balance: relative residual",
+                ["kernel 1: relative detailed-balance residual 1.78e-10 > 1e-10"],
+            ),
+            # faults below 1e-10 that the types refuse, beside larger ones
+            (
+                {"pi": [0.5, 0.5 + 5e-11], "kernels": [[[0.9, 0.09], [0.1, 0.9]], helpers.E1_P2]},
+                ["pi: weights sum to 1.00000000005 (residual 5e-11)",
+                 "kernel 1: row 0 sums to 0.99 (residual 0.01)",
+                 "kernel 1: relative detailed-balance residual 0.0111 > 1e-10"],
+            ),
+            (
+                {"kernels": [[[1.0 + 1e-11, -1e-11], [-1e-11, 1.0 + 1e-11]],
+                             [[0.6, 0.39], [0.4, 0.6]]]},
+                ["kernel 1: negative entry of magnitude 1e-11",
+                 "kernel 2: row 0 sums to 0.99 (residual 0.01)",
+                 "kernel 2: relative detailed-balance residual 0.0167 > 1e-10"],
             ),
         ],
+        ids=["labels", "relative-balance", "pi-sum", "negative-entry"],
     )
-    def test_unlisted_fault_keeps_the_type_message(self, tmp_path, overrides, message):
+    def test_type_refusal_listed(self, tmp_path, capsys, overrides, lines):
+        # every fault the types refuse is listed, at the types' thresholds
         path = write_model(tmp_path / "m.json", **overrides)
-        with pytest.raises(ValidationError) as err:
-            load_model(path)
-        assert str(err.value).startswith(message)
-        assert path not in str(err.value)
+        assert main(["validate", "--model", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"validation error: {path} failed validation:\n  " + "\n  ".join(lines) + "\n"
+        )
+        assert captured.out == ""
 
     def test_dimension_mismatch_listed(self, tmp_path):
         path = write_model(tmp_path / "m.json", f=[1.0, -1.0, 0.0])
@@ -228,8 +250,14 @@ class TestLoadModel:
                 ["kernel 1: non-finite entry nan at [1][1]",
                  "kernel 2: non-finite entry inf at [0][1]"],
             ),
+            # its balance residual would be inf
+            (
+                "kernels",
+                "[[[0.9, 0.1], [0.1, 0.9]], [[0.6, -Infinity], [0.4, 0.6]]]",
+                ["kernel 2: non-finite entry -inf at [0][1]"],
+            ),
         ],
-        ids=["inf-pi", "nan-pi", "inf-f", "kernels"],
+        ids=["inf-pi", "nan-pi", "inf-f", "kernels", "minus-inf-kernel"],
     )
     def test_non_finite_entry_listed_alone(self, tmp_path, capsys, field, value, lines):
         # json reads NaN, Infinity and a float literal past a float's range;
@@ -250,11 +278,11 @@ class TestLoadModel:
     @pytest.mark.parametrize(
         "overrides, lines",
         [
-            ({"pi": [1e308, 1e308]}, ["target weights sum off by inf"]),
+            ({"pi": [1e308, 1e308]}, ["pi: weights sum to inf (residual inf)"]),
             (
                 {"kernels": [[[1e308, 1e308], [0.1, 0.9]], helpers.E1_P2]},
-                ["kernel 1: detailed-balance residual 5e+307 > 1e-10",
-                 "kernel 1 row 0 sums to inf (residual inf)"],
+                ["kernel 1: row 0 sums to inf (residual inf)",
+                 "kernel 1: relative detailed-balance residual 1 > 1e-10"],
             ),
         ],
         ids=["pi", "kernel-row"],
@@ -277,8 +305,8 @@ class TestLoadModel:
             ({"pi": [float("nan"), 0.5]}, ["pi: non-finite entry nan at [0]"]),
             (
                 {"kernels": [[[0.9, 0.09], [0.1, 0.9]], helpers.E1_P2]},
-                ["kernel 1: detailed-balance residual 0.005 > 1e-10",
-                 "kernel 1 row 0 sums to 0.99 (residual 0.01)"],
+                ["kernel 1: row 0 sums to 0.99 (residual 0.01)",
+                 "kernel 1: relative detailed-balance residual 0.0111 > 1e-10"],
             ),
         ],
         ids=["nan-weight", "row-sum"],

@@ -114,6 +114,31 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             make_family([0.5, 0.5], [])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Dist([-0.1, 1.2]),
+             "negative entry of magnitude 0.1; weights sum to 1.1 (residual 0.1)"),
+            (lambda: Dist([[0.5, 0.5]]), "shape (1, 2) is not that of a nonempty vector"),
+            (lambda: Observable([1.0, np.inf]), "non-finite entry inf at [1]"),
+            (lambda: Kernel([[1.1, -0.1], [0.5, 0.4]]),
+             "negative entry of magnitude 0.1; row 1 sums to 0.9 (residual 0.1)"),
+            (lambda: Kernel(np.ones((2, 3)) / 3),
+             "shape (2, 3) is not that of a nonempty square matrix"),
+            (lambda: make_family([0.0, 1.0], [[[0.9, 0.1], [0.2, 0.8]]]),
+             "target has a zero weight, where detailed balance is ill-posed; "
+             "kernel 1: relative detailed-balance residual 0.25 > 1e-10"),
+            (lambda: make_family([0.5, 0.5], [np.eye(3)]),
+             "kernel shape (3, 3) does not match 2 states"),
+        ],
+        ids=["dist", "dist-shape", "observable", "kernel", "kernel-shape", "family", "family-size"],
+    )
+    def test_refusal_names_every_fault(self, build, message):
+        # a type's message is its check's words, every fault of one part at once
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_values_are_readonly(self, e1):
         with pytest.raises(ValueError):
             e1.kernels[0].matrix[0, 0] = 0.0

@@ -27,9 +27,10 @@ flipping with probability 1e-9, on one kernel with an eigenvalue
 target weight near 1e-12 and an f nearly constant on the other states,
 `validate`, `compare` and `limit` on a labelled model and on model
 files that the loader refuses (duplicate labels, alone and with other faults, state counts
-that disagree with the data, one fault of each kind it checks, and
-finite weights or a kernel row whose sum overflows, and an empty
-`lambda_grid`), on
+that disagree with the data, one fault of each kind it checks, a
+weight sum and a negative entry off by less than 1e-10 beside larger
+faults, finite weights or a kernel row whose sum overflows, and an
+empty `lambda_grid`), on
 model files that test the parser (see `model_texts`), plus
 command lines that fail with a documented exit code (among them `peskun`
 on families of different shapes, which exits 1 before the two-kernel
@@ -174,10 +175,10 @@ def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> 
 
 def invalid_models() -> dict[str, dict]:
     """Model files for the loader's checks: labels, state counts that
-    disagree with the data, one fault of each kind the validation lists or
-    the domain types refuse (NaN is written as JSON's NaN), finite
-    weights or a kernel row whose sum overflows, and an empty
-    `lambda_grid`."""
+    disagree with the data, one fault of each kind the domain types
+    refuse (NaN is written as JSON's NaN), a weight sum and a negative
+    entry off by less than 1e-10 beside larger faults, finite weights or
+    a kernel row whose sum overflows, and an empty `lambda_grid`."""
     nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
     return {
         "labelled": dict(E1, states=["lo", "hi"]),
@@ -199,6 +200,11 @@ def invalid_models() -> dict[str, dict]:
         "negative": dict(E1, kernels=[[[1.1, -0.1], [-0.1, 1.1]], p2]),
         "zero-weight": dict(E1, pi=[0.0, 1.0], kernels=[[[1.0, 0.0], [0.0, 1.0]]]),
         "weight-sum": dict(E1, pi=[0.5, 0.49]),
+        # faults below 1e-10 that the types refuse, beside a short row
+        "pi-sum-and-row-sum": dict(E1, pi=[0.5, 0.5 + 5e-11], kernels=[short_row, p2]),
+        "negative-and-short-row": dict(
+            E1, kernels=[[[1.0 + 1e-11, -1e-11], [-1e-11, 1.0 + 1e-11]], [[0.6, 0.39], [0.4, 0.6]]]
+        ),
         "short-f": dict(E1, f=[1.0]),
         "nan-f": dict(E1, f=[1.0, nan]),
         "shapes": dict(E1, kernels=[E1["kernels"][0], np.eye(3).tolist()]),

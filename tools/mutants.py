@@ -187,9 +187,9 @@ MUTANTS = (
         ("tests/test_variance.py",),
     ),
     Mutant(
-        "load_model: row-sum listing dropped",
-        "cli.py",
-        "if dev > ROW_SUM_TOL:",
+        "sum rule: row and weight sums not judged",
+        "kernels.py",
+        "if residual > ROW_SUM_TOL:",
         "if False:",
         ("tests/test_cli.py",),
     ),
@@ -255,23 +255,59 @@ MUTANTS = (
     Mutant(
         "fault listing: the refusal's record diagnosed again",
         "cli.py",
-        "diag = diag or family_diagnostics(pi, kernels)",
-        "diag = family_diagnostics(pi, kernels)",
+        "family_faults(diag or family_diagnostics(pi, kernels))",
+        "family_faults(family_diagnostics(pi, kernels))",
         ("tests/test_cli.py::TestLoadModel::test_valid_model_diagnosed_once",),
     ),
     Mutant(
-        "fault listing: non-finite entries not listed",
-        "cli.py",
-        "if bad.size:",
-        "if False:",
+        "finiteness rule: non-finite entries accepted",
+        "kernels.py",
+        "    if finite.all():\n",
+        "    if True:\n",
         ("tests/test_cli.py::TestLoadModel::test_non_finite_entry_listed_alone",),
     ),
     Mutant(
-        "load_model: f's finiteness left to the Observable type",
+        "fault listing: family judged on non-finite parts",
         "cli.py",
-        " or not np.isfinite(f_values).all():",
+        " and all(np.isfinite(a).all() for a in (pi, *kernels)):",
         ":",
         ("tests/test_cli.py::TestLoadModel::test_non_finite_entry_listed_alone",),
+    ),
+    Mutant(
+        "fault listing: threshold of its own",
+        "cli.py",
+        '    parts = [("pi", pi, (n,), weight_faults),',
+        "    loose = np.errstate(over=\"ignore\")(lambda w: [  # the weight sum against 1e-10\n"
+        '        x for x in weight_faults(w) if "sum" not in x or abs(w.sum() - 1.0) > 1e-10\n'
+        "    ])\n"
+        '    parts = [("pi", pi, (n,), loose),',
+        ("tests/test_cli.py::TestLoadModel::test_type_refusal_listed",),
+    ),
+    Mutant(
+        "load_model: f checked outside the listing",
+        "cli.py",
+        "    try:\n"
+        "        family, f = make_family(pi, kernels), Observable(f_values)\n"
+        "        diag, valid = family.diagnostics, family.n == f.n == n\n",
+        "    f = Observable(f_values)\n"
+        "    try:\n"
+        "        family = make_family(pi, kernels)\n"
+        "        diag, valid = family.diagnostics, family.n == f.n == n\n",
+        ("tests/test_cli.py::TestLoadModel::test_non_finite_entry_listed_alone",),
+    ),
+    Mutant(
+        "load_model: f's length not checked",
+        "cli.py",
+        "family.n == f.n == n",
+        "family.n == n",
+        ("tests/test_cli.py::TestLoadModel::test_dimension_mismatch_listed",),
+    ),
+    Mutant(
+        "load_model: a negative state count taken",
+        "cli.py",
+        " and states >= 0:",
+        ":",
+        ("tests/test_cli.py::TestLoadModel::test_boolean_state_count_is_parse_error",),
     ),
     Mutant(
         "diagnostics: overflow and invalid warnings no longer silenced",
@@ -283,40 +319,39 @@ MUTANTS = (
     Mutant(
         "target type: an overflowing weight sum warns",
         "kernels.py",
-        "        with np.errstate(over=\"ignore\"):  # an overflowing sum is refused below\n"
-        "            total = float(w.sum())\n",
-        "        total = float(w.sum())\n",
+        '@np.errstate(over="ignore")  # an overflowing sum is inf, and refused\n'
+        "def weight_faults(",
+        "def weight_faults(",
         ("tests/test_cli.py::TestLoadModel::test_overflowing_sum_listed_without_warnings",),
     ),
     Mutant(
         "kernel type: an overflowing row sum warns",
         "kernels.py",
-        "        with np.errstate(over=\"ignore\"):  # an overflowing sum is refused below\n"
-        "            sums = m.sum(axis=1)\n",
-        "        sums = m.sum(axis=1)\n",
-        ("tests/test_cli.py::TestLoadModel::test_overflowing_sum_listed_without_warnings",),
-    ),
-    Mutant(
-        "fault listing: an overflowing row sum warns",
-        "cli.py",
-        "                with np.errstate(over=\"ignore\"):  # an overflow is listed as inf\n"
-        "                    sums = m.sum(axis=1)\n",
-        "                sums = m.sum(axis=1)\n",
+        '@np.errstate(over="ignore")  # an overflowing sum is inf, and refused\n'
+        "def matrix_faults(",
+        "def matrix_faults(",
         ("tests/test_cli.py::TestLoadModel::test_overflowing_sum_listed_without_warnings",),
     ),
     Mutant(
         "fault listing: repeated labels not listed",
         "cli.py",
-        "problems.insert(0, \"state labels must be distinct\")",
-        "pass",
+        '["state labels must be distinct"] if repeated else []',
+        "[]",
         ("tests/test_cli.py::TestLoadModel::test_repeated_labels_listed_with_other_faults",),
     ),
     Mutant(
         "load_model: labels not passed to the fault listing",
         "cli.py",
-        "err.diagnostics, labels)",
-        "err.diagnostics)",
+        "_raise_problems(path, n, pi, f_values, kernels, diag, repeated)",
+        "_raise_problems(path, n, pi, f_values, kernels, diag, False)",
         ("tests/test_cli.py::TestLoadModel::test_repeated_labels_listed_with_other_faults",),
+    ),
+    Mutant(
+        "load_model: repeated labels of a valid family taken",
+        "cli.py",
+        "if repeated or not valid:",
+        "if not valid:",
+        ("tests/test_cli.py::TestLoadModel::test_type_refusal_listed",),
     ),
     Mutant(
         "validate: verdict <= made <",
