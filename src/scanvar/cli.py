@@ -237,7 +237,7 @@ def load_model(path: str) -> Model:
         if field not in raw:
             raise ModelFormatError(f"{path}: missing required field {field!r}")
     states = raw["states"]
-    if isinstance(states, int) and not isinstance(states, bool) and states >= 0:
+    if isinstance(states, int) and not isinstance(states, bool) and states > 0:
         n, repeated = states, False
     elif isinstance(states, list) and all(isinstance(s, str) for s in states):
         n, repeated = len(states), len(set(states)) != len(states)

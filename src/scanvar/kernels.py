@@ -308,13 +308,12 @@ class KernelFamily:
 
     @cached_property
     def _mixed(self) -> Kernel:
-        """The value of random_scan."""
+        """The value of random_scan; two terms add alike in either order."""
         if self.k == 1:
             return self.kernels[0]
-        if self.k == 2:  # two-term addition is commutative bit for bit
+        if self.k == 2:
             return Kernel((self.matrices[0] + self.matrices[1]) / 2.0)
-        stack = np.stack(self.matrices).reshape(self.k, -1)
-        return Kernel(_exact_sum(stack).reshape(self.n, self.n) / self.k)
+        return Kernel(_ascending_sum(np.stack(self.matrices)) / self.k)
 
     @cached_property
     def _cycle(self) -> np.ndarray:
@@ -483,50 +482,21 @@ def compose_cycle(fam: KernelFamily, q: int, s: int) -> Kernel:
     return Kernel(_cycle_product([np.eye(fam.n), *mats]))
 
 
-def _exact_sum(stack: np.ndarray) -> np.ndarray:
-    """Exactly rounded sums down the first axis, bit-identical to math.fsum
-    on every column; finite entries whose sums cannot overflow.
-
-    This is fsum's partials algorithm run on all columns at once. Each
-    incoming row cascades through the partials with one TwoSum per slot,
-    leaving the rounding error in the slot and carrying the rounded sum up
-    to the next free slot, so k rows need k slots. The partials are then
-    added from the top until a step is inexact, and fsum's half-way
-    correction rounds up when the next nonzero partial below has the sign
-    of the error. fsum drops zero partials where these slots keep them:
-    a zero slot leaves every step it takes part in unchanged.
-    """
-    partials = np.zeros_like(stack)
-    for m, x in enumerate(stack):
-        for j in range(m):
-            y = partials[j]
-            swap = np.abs(x) < np.abs(y)
-            big, small = np.where(swap, y, x), np.where(swap, x, y)
-            x = big + small
-            partials[j] = small - (x - big)
-        partials[m] = x
-    hi = np.zeros(stack.shape[1:])
-    lo = np.zeros_like(hi)
-    below = np.zeros_like(hi)  # first nonzero partial under the inexact step
-    inexact = np.zeros(hi.shape, dtype=bool)
-    for y in partials[::-1]:
-        below = np.where(inexact & (below == 0.0), y, below)
-        total = hi + y
-        lo = np.where(inexact, lo, y - (total - hi))
-        hi = np.where(inexact, hi, total)
-        inexact |= lo != 0.0
-    twice = 2.0 * lo
-    up = hi + twice
-    same_sign = ((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0))
-    return np.where(same_sign & (up - hi == twice), up, hi)
+def _ascending_sum(stack: np.ndarray) -> np.ndarray:
+    """Sums down the first axis, each column added in ascending order: the
+    same bits for every order of the rows (0.0 and -0.0 sort and add alike)."""
+    return np.add.reduce(np.sort(stack, axis=0), axis=0)
 
 
 def random_scan(fam: KernelFamily) -> Kernel:
     """Entrywise mean of the family: one uniformly chosen kernel per step.
 
-    Entries are summed with exact rounding, so any reordering of the family
-    produces the bit-identical result. The kernel is built once per family
-    and is read-only.
+    Each entry's terms are added in ascending order, so every order of the
+    family gives the same bits, within gamma_k = k u / (1 - k u), u = eps / 2,
+    of the exact mean barring underflow: recursive summation of k
+    nonnegative terms errs by at most gamma_{k-1} (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4), and the division by k by u.
+    The kernel is built once per family and is read-only.
     """
     return fam._mixed
 

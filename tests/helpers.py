@@ -436,7 +436,7 @@ def oracle_cycle_contraction(fam: KernelFamily) -> float:
 
 
 def oracle_near_one_count(fam: KernelFamily) -> int:
-    """Eigenvalues of the mean kernel (fsum_mean, the same bits as the
+    """Eigenvalues of the mean kernel (fsum_mean, within a few ulps of the
     library's mixed kernel) within 1e-8 of 1, by eigvals."""
     return int(np.sum(np.abs(np.linalg.eigvals(fsum_mean(fam)) - 1.0) < 1e-8))
 

@@ -137,9 +137,10 @@ class TestLoadModel:
         assert field in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("states", [True, -1], ids=["true", "minus-one"])
+    @pytest.mark.parametrize("states", [True, -1, 0], ids=["true", "minus-one", "zero"])
     def test_boolean_state_count_is_parse_error(self, tmp_path, capsys, states):
-        # a boolean is no count, and neither is a negative number
+        # a boolean is no count, and neither is a negative number or zero,
+        # since no family has zero states
         path = write_model(tmp_path / "m.json", states=states, pi=[1.0], kernels=[[[1.0]]], f=[0.0])
         assert main(["limit", "--model", path]) == EXIT_IO
         captured = capsys.readouterr()

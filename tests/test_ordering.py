@@ -169,22 +169,23 @@ class TestCheckScanOrdering:
             check_peskun_ordering(e1, e1, e1_f, [0.5, lam])
 
     def test_k8_sweep_sums_the_mixed_kernel_once(self, monkeypatch):
-        import scanvar.kernels as kernels
+        from scanvar.kernels import KernelFamily
 
         rng = np.random.default_rng(88)
         fam = helpers.random_family(rng, 10, 8)
         f = helpers.random_centered(rng, fam)
         calls = []
-        exact_sum = kernels._exact_sum
+        mixed = KernelFamily.__dict__["_mixed"]  # the cached property
+        build = mixed.func
 
-        def counted(stack):
-            calls.append(stack.shape)
-            return exact_sum(stack)
+        def counted(family):
+            calls.append(family.k)
+            return build(family)
 
-        monkeypatch.setattr(kernels, "_exact_sum", counted)
+        monkeypatch.setattr(mixed, "func", counted)
         reports = check_scan_ordering(fam, f, [0.3, 0.6, 0.9, 0.99, 1.0])
         assert [rep.method for rep in reports] == ["resolvent"] * 4 + ["limit"]
-        assert calls == [(8, 100)]
+        assert calls == [8]
 
 
 def centred_bottom(form: np.ndarray, pi: np.ndarray) -> float:

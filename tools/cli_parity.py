@@ -16,10 +16,12 @@ whose cumulative weights crowd a few buckets, `compare` and `limit` on a
 three-kernel model where the scan ordering fails and `compare` there at
 discount zero, `compare`, `limit` and `validate` on one kernel and on one
 state, `compare` at discount zero on one kernel and on three ring
-kernels, `compare` and `limit` on
-a model whose detailed-balance residual is near the tolerance, where the
-random scan's eigenbasis solve falls back to its LU, `limit` and
-`compare` with the limit row on a model with a target weight near 1e-12,
+kernels, `validate`, `compare`, `limit` and rand `simulate` on three
+kernels whose zero entries are 0.0 in some and -0.0 in others, `compare`
+and `limit` on a model whose detailed-balance residual is near the
+tolerance, where the random scan's eigenbasis solve falls back to its
+LU, `limit` and `compare` with the limit row on a model with a target
+weight near 1e-12,
 on a swap pair, on a pair holding with probability 1 - 1e-9, on a pair
 flipping with probability 1e-9, on one kernel with an eigenvalue
 1 - 1e-8 and on two kernels whose target weights span six decades,
@@ -75,6 +77,19 @@ E1_LAZY = dict(E1, kernels=[[[0.95, 0.05], [0.05, 0.95]], [[0.8, 0.2], [0.2, 0.8
 # three kernels flipping the state with probabilities 0.9, 0.9 and 0.1: the
 # cycle variance exceeds the random scan's at discount 0.9 and in the limit
 K3_COUNTER = dict(E1, kernels=[[[1.0 - p, p], [p, 1.0 - p]] for p in (0.9, 0.9, 0.1)])
+# three kernels on four states whose zero entries are 0.0 in some kernels
+# and -0.0 in others, or -0.0 in all (entry (1, 3)): ties in each entry's sort
+Z, M = 0.0, -0.0
+SIGNED_ZEROS = {
+    "states": 4,
+    "pi": [0.25] * 4,
+    "kernels": [
+        [[0.75, 0.25, M, Z], [0.25, 0.75, Z, M], [M, Z, 0.5, 0.5], [Z, M, 0.5, 0.5]],
+        [[1.0, Z, M, M], [Z, 0.625, 0.375, M], [M, 0.375, 0.625, M], [M, M, M, 1.0]],
+        [[0.875, M, Z, 0.125], [M, 1.0, Z, M], [Z, Z, 1.0, M], [0.125, M, M, 0.875]],
+    ],
+    "f": [1.0, -1.0, 0.5, -0.5],
+}
 # the smallest sizes: one kernel on e1's target, and one state
 K1 = dict(E1, kernels=E1["kernels"][:1])
 N1 = {"states": 1, "pi": [1.0], "kernels": [[[1.0]], [[1.0]]], "f": [2.0]}
@@ -403,6 +418,14 @@ def command_lines(models: Path) -> list[list[str]]:
     m = models / "k3-ring.json"
     BaseFamily(3, 6, 3).op(3, 0).write(m)
     lines.append(["compare", "--model", str(m), "--lambda", "0,0.5"])
+    m = models / "signed-zeros.json"
+    m.write_text(json.dumps(dict(SIGNED_ZEROS, simulation={"scheme": "rand"})))
+    lines += [
+        ["validate", "--model", str(m)],
+        ["compare", "--model", str(m), "--lambda", "0,0.5,0.9,1"],
+        ["limit", "--model", str(m)],
+        ["simulate", "--model", str(m), "--seed", "14", "--steps", "257", "--replicas", "20"],
+    ]
     near = models / "near-tolerance.json"
     near.write_text(json.dumps(near_tolerance()))
     lines += [["compare", "--model", str(near)], ["limit", "--model", str(near)]]

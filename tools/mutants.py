@@ -120,25 +120,11 @@ MUTANTS = (
         ("tests/test_simulate.py::TestReferenceSimulator::test_paths[embedded-3]",),
     ),
     Mutant(
-        "exact sum: half-way correction dropped",
+        "mixed kernel: sort dropped",
         "kernels.py",
-        "return np.where(same_sign & (up - hi == twice), up, hi)",
-        "return hi",
-        ("tests/test_kernels.py",),
-    ),
-    Mutant(
-        "exact sum: cascade reads the wrong slot",
-        "kernels.py",
-        "            y = partials[j]\n",
-        "            y = partials[0]\n",
-        ("tests/test_kernels.py",),
-    ),
-    Mutant(
-        "exact sum: swap by magnitude dropped",
-        "kernels.py",
-        "swap = np.abs(x) < np.abs(y)",
-        "swap = np.zeros(x.shape, dtype=bool)",
-        ("tests/test_kernels.py",),
+        "return np.add.reduce(np.sort(stack, axis=0), axis=0)",
+        "return np.add.reduce(stack, axis=0)",
+        ("tests/test_kernels.py::TestRandomScan",),
     ),
     Mutant(
         "summability: rounding allowance dropped",
@@ -305,9 +291,16 @@ MUTANTS = (
     Mutant(
         "load_model: a negative state count taken",
         "cli.py",
-        " and states >= 0:",
+        " and states > 0:",
         ":",
         ("tests/test_cli.py::TestLoadModel::test_boolean_state_count_is_parse_error",),
+    ),
+    Mutant(
+        "load_model: a zero state count taken",
+        "cli.py",
+        " and states > 0:",
+        " and states >= 0:",
+        ("tests/test_cli.py::TestLoadModel::test_boolean_state_count_is_parse_error[zero]",),
     ),
     Mutant(
         "diagnostics: overflow and invalid warnings no longer silenced",
