@@ -139,10 +139,7 @@ def _cycle_solve(
     if lam == 1.0:
         system += np.outer(scale, weights / scale)
     x = np.empty((k, n))
-    try:
-        x[0] = np.linalg.solve(system, scale * reduced) / scale
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(f"cycle system singular at lam={lam}") from err
+    x[0] = np.linalg.solve(system, scale * reduced) / scale
     for q in range(k - 1, 0, -1):
         x[q] = rhs[q] + lam * (blocks[q] @ x[(q + 1) % k])
     _check_residual(blocks, lam, x, rhs, weights)

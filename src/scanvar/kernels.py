@@ -87,6 +87,21 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"discount must lie in [0, 1), got {lam}")
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer (a bool is not; numpy's are)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_steps(steps) -> None:
+    """Refuse a step count that is not an integer 1 <= M < 2**63 (int64's range)."""
+    _check_integer("steps", steps)
+    if steps < 1:
+        raise ValidationError(f"steps must be at least 1, got {steps}")
+    if steps >= 2**63:
+        raise ValidationError("steps must be below 2**63")
+
+
 def _entry_faults(a: np.ndarray, ndim: int) -> list[str]:
     """The shape of `a` unless it is a nonempty vector (`ndim` 1) or square
     matrix (`ndim` 2); or else its first non-finite entry; or nothing."""
@@ -211,7 +226,6 @@ class FamilyDiagnostics:
     """
 
     row_sum_deviation: tuple[float, ...]
-    negative_entry: tuple[float, ...]
     balance_residual: tuple[float, ...]
     relative_balance_residual: tuple[float, ...]
     pi_sum_deviation: float
@@ -227,7 +241,7 @@ def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
     without a warning.
     """
     w = pi.weights if isinstance(pi, Dist) else np.asarray(pi, dtype=float)
-    row_dev, neg, bal, rel_bal = [], [], [], []
+    row_dev, bal, rel_bal = [], [], []
     for m in matrices:
         a = m.matrix if isinstance(m, Kernel) else np.asarray(m, dtype=float)
         if a.shape != (w.size, w.size):
@@ -235,7 +249,6 @@ def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
                 f"kernel shape {a.shape} does not match {w.size} states"
             )
         row_dev.append(float(np.abs(a.sum(axis=1) - 1.0).max()))
-        neg.append(float(max(0.0, -a.min())))
         flow = w[:, None] * a
         residual = float(np.abs(flow - flow.T).max())
         bal.append(residual)
@@ -243,7 +256,6 @@ def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
         rel_bal.append(residual / peak if peak > 0 else residual)
     return FamilyDiagnostics(
         row_sum_deviation=tuple(row_dev),
-        negative_entry=tuple(neg),
         balance_residual=tuple(bal),
         relative_balance_residual=tuple(rel_bal),
         pi_sum_deviation=abs(float(w.sum()) - 1.0),

@@ -30,4 +30,4 @@ def derive_seed(master: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError(f"stream index must be nonnegative, got {index}")
-    return splitmix64(splitmix64(master & _MASK64) ^ splitmix64((index + 1) & _MASK64))
+    return splitmix64(splitmix64(int(master) & _MASK64) ^ splitmix64((index + 1) & _MASK64))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scanvar.kernels import KernelFamily, Observable, ValidationError, center
+from scanvar.kernels import _check_integer, _check_steps
 from scanvar.seeding import derive_seed
 
 SIM_SCHEMES = ("rand", "strat", "embedded")
@@ -38,8 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Length, seeding and scheme for one simulation run: 1 <= steps < 2**63
-    and 0 <= seed < 2**64, or ValidationError.
+    """Length, seeding and scheme for one simulation run: integers
+    1 <= steps < 2**63 and 0 <= seed < 2**64, or ValidationError.
 
     Every path starts stationary, the regime every exact reference quantity
     assumes. A path burned in for b steps is the longer path sliced,
@@ -51,14 +52,12 @@ class SimulationConfig:
     scheme: str = "strat"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError(f"steps must be at least 1, got {self.steps}")
-        if self.steps >= 2**63:  # numpy counts and indexes in int64
-            raise ValidationError("steps must be below 2**63")
+        _check_steps(self.steps)
         if self.scheme not in SIM_SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {SIM_SCHEMES}, got {self.scheme!r}"
             )
+        _check_integer("seed", self.seed)
         if not 0 <= self.seed < 2**64:  # derive_seed reads the seed modulo 2**64
             raise ValidationError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
@@ -252,13 +251,14 @@ def estimate_variance(
     Each replica runs an independent path from a derived seed and reports
     sqrt(M) S_M(f - mean); the point estimate is the sample variance across
     replicas and its standard error comes from the spread of the squared
-    deviations. f needs one value per state, and 2 <= replicas < 2**63,
-    checked before any replica seed is derived (ValidationError otherwise).
+    deviations. f needs one value per state, and replicas an integer R with
+    2 <= R < 2**63 (ValidationError otherwise, before any seed is derived).
     Only slot 0 is stepped, for every scheme: the embedded estimate reads
     only the diagonal component, and as no slot reads another and every
     generator is read at full width, that slot has the same bits as in the
     full embedded path.
     """
+    _check_integer("replicas", replicas)
     if replicas < 2:
         raise ValidationError(f"need at least 2 replicas, got {replicas}")
     if replicas >= 2**63:

@@ -28,6 +28,7 @@ from scanvar.kernels import (
     ReducibilityError,
     SummabilityError,
     _check_lam,
+    _check_steps,
     center,
     random_scan,
 )
@@ -53,10 +54,9 @@ class SummabilityReport:
     cycle_contraction: float
 
 
-def _check_scheme(scheme: str) -> str:
+def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return scheme
 
 
 def _solve(
@@ -143,8 +143,8 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
             )
     elif not fam._summable:
         raise SummabilityError(
-            f"cycle contraction {fam._cycle_contraction:.6g} "
-            "is not below 1; the covariance series does not converge absolutely"
+            f"cycle contraction {fam._cycle_contraction:.6g} is not below 1, "
+            "so the covariance series is not absolutely summable"
         )
     return _variance(*_solve(fam, f, 1.0, scheme), fam.pi)
 
@@ -165,10 +165,7 @@ def finite_m_variance_exact(
     No inverse is formed, so no contraction is needed.
     """
     _check_scheme(scheme)
-    if m_steps < 1:
-        raise ValueError(f"step count must be at least 1, got {m_steps}")
-    if m_steps >= 2**63:
-        raise ValueError("step count must be below 2**63")
+    _check_steps(m_steps)
     if scheme == "rand":
         mixed = random_scan(fam).matrix
         mats, prod = (mixed,), mixed

@@ -4,6 +4,7 @@ import argparse
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,7 @@ class TestLoadModel:
             ("simulate", {"simulation": {"scheme": 1}}, "'simulation.scheme'"),
             # not taken for an absent grid, as --lambda '' is not taken for an absent flag
             ("compare", {"lambda_grid": []}, "field 'lambda_grid' must not be empty"),
+            ("simulate", {"simulation": [4096]}, "field 'simulation' must be an object"),
         ],
     )
     def test_malformed_optional_field_is_parse_error(
@@ -137,10 +139,12 @@ class TestLoadModel:
         assert field in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("states", [True, -1, 0], ids=["true", "minus-one", "zero"])
+    @pytest.mark.parametrize(
+        "states", [True, -1, 0, []], ids=["true", "minus-one", "zero", "no-labels"]
+    )
     def test_boolean_state_count_is_parse_error(self, tmp_path, capsys, states):
         # a boolean is no count, and neither is a negative number or zero,
-        # since no family has zero states
+        # nor an empty list a list of labels, since no family has zero states
         path = write_model(tmp_path / "m.json", states=states, pi=[1.0], kernels=[[[1.0]]], f=[0.0])
         assert main(["limit", "--model", path]) == EXIT_IO
         captured = capsys.readouterr()
@@ -219,8 +223,9 @@ class TestLoadModel:
                  "kernel 2: row 0 sums to 0.99 (residual 0.01)",
                  "kernel 2: relative detailed-balance residual 0.0167 > 1e-10"],
             ),
+            ({"kernels": []}, ["kernels list is empty"]),
         ],
-        ids=["labels", "relative-balance", "pi-sum", "negative-entry"],
+        ids=["labels", "relative-balance", "pi-sum", "negative-entry", "no-kernels"],
     )
     def test_type_refusal_listed(self, tmp_path, capsys, overrides, lines):
         # every fault the types refuse is listed, at the types' thresholds
@@ -720,6 +725,24 @@ class TestCompare:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["compare", "--model", str(tmp_path / "nope.json")]) == EXIT_IO
 
+    def test_top_level_array_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[" + Path(write_model(path)).read_text() + "]", encoding="utf-8")
+        assert main(["compare", "--model", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: {path}: top level must be an object\n"
+        assert captured.out == ""
+
+    def test_output_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        path = write_model(tmp_path / "m.json")
+        out = tmp_path / "missing" / "c.csv"
+        assert main(["compare", "--model", path, "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ")
+        assert str(out) in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
+
 
 class TestValidate:
     def test_good_model(self, tmp_path, capsys):
@@ -739,7 +762,7 @@ class TestValidate:
         kernel = [[0.9, 0.1], [0.1 + 2e-13, 0.9 - 2e-13]]
         path = write_model(tmp_path / "m.json", kernels=[kernel, helpers.E1_P2])
         diag = load_model(path).family.diagnostics
-        worst = max(*diag.row_sum_deviation, *diag.negative_entry, *diag.balance_residual)
+        worst = max(*diag.row_sum_deviation, *diag.balance_residual)
         assert worst == diag.balance_residual[0] > 0.0
         below = float(np.nextafter(worst, 0.0))
         assert main(["validate", "--model", path, "--tol", repr(worst)]) == EXIT_OK
@@ -797,6 +820,19 @@ class TestPeskun:
         assert "differ in shape" in capsys.readouterr().err
         assert main(["peskun", "--model", path_a, "--model-b", path_a] + grid) == EXIT_ASSERTION
         assert "exactly two kernels" in capsys.readouterr().err
+
+    def test_different_targets_refused(self, tmp_path, capsys):
+        # two kernels on two states each, reversible for targets that differ
+        path_a = write_model(tmp_path / "a.json")
+        kernels = [[[0.7, 0.3], [0.1, 0.9]], [[0.4, 0.6], [0.2, 0.8]]]
+        path_b = write_model(tmp_path / "b.json", pi=[0.25, 0.75], kernels=kernels)
+        out = tmp_path / "p.csv"
+        argv = ["peskun", "--model", path_a, "--model-b", path_b, "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: families must share the same target\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 # Rows for compare's verdicts, each with the stderr lines it draws at the
@@ -893,7 +929,7 @@ class TestVerdicts:
         # the least Dirichlet-form eigenvalue may be exactly -PSD_TOL; one
         # ulp lower, every row says false and the command exits 2
         low = float(np.nextafter(-PSD_TOL, -np.inf)) if below else -PSD_TOL
-        comparison = PeskunComparison((0.0, low), low)
+        comparison = PeskunComparison((0.0, low))
         monkeypatch.setattr(scanvar.cli, "peskun_dominates", lambda *args: comparison)
         path = write_model(tmp_path / "m.json")
         out = tmp_path / "p.csv"
@@ -924,6 +960,18 @@ class TestLimitAndSimulate:
         path = write_model(tmp_path / "m.json", kernels=[eye, eye])
         assert main(["limit", "--model", path]) == EXIT_VALIDATION
         assert "not absolutely summable" in capsys.readouterr().err
+
+    def test_limit_refusal_is_the_libraries(self, tmp_path, capsys):
+        # the report's line, then var_limit(strat)'s SummabilityError, once
+        path = write_model(tmp_path / "m.json", kernels=[np.eye(2).tolist()] * 2)
+        out = tmp_path / "l.csv"
+        assert main(["limit", "--model", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "cycle contraction: 1 (not summable)\n",
+            "validation error: cycle contraction 1 is not below 1, so the covariance "
+            "series is not absolutely summable\n",
+        )
+        assert not out.exists()
 
     def test_limit_unit_radius_rounded_below_one(self, tmp_path, capsys):
         # eigvals returns the exact radius 1 of I - 1 pi' as 1 - 1.1e-16 here

@@ -150,6 +150,10 @@ class TestAdjointAlgebra:
         np.testing.assert_allclose(conj, emb.realization("embed_adjoint"), atol=1e-14)
         np.testing.assert_allclose(fwd @ bwd, np.eye(fam.k * fam.n), atol=0)
 
+    def test_shift_realization_refuses_direction_zero(self):
+        with pytest.raises(ValueError, match=r"^direction must be \+1 or -1, got 0$"):
+            shift_realization(2, 3, 0)
+
     def test_skew_quadratic_form_vanishes(self):
         rng = np.random.default_rng(10)
         fam = helpers.random_family(rng, 6, 3)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from scanvar.kernels import (
     Dist,
     Kernel,
     Observable,
+    ReducibilityError,
     ValidationError,
     center,
     compose_cycle,
@@ -114,8 +116,12 @@ class TestTypeInvariants:
              "kernel 1: relative detailed-balance residual 0.25 > 1e-10"),
             (lambda: make_family([0.5, 0.5], [np.eye(3)]),
              "kernel shape (3, 3) does not match 2 states"),
+            (lambda: make_family([0.5, 0.5], []), "a kernel family needs at least one kernel"),
         ],
-        ids=["dist", "dist-shape", "observable", "kernel", "kernel-shape", "family", "family-size"],
+        ids=[
+            "dist", "dist-shape", "observable", "kernel", "kernel-shape", "family",
+            "family-size", "family-empty",
+        ],
     )
     def test_refusal_names_every_fault(self, build, message):
         # a type's message is its check's words, every fault of one part at once
@@ -131,9 +137,9 @@ class TestTypeInvariants:
 
 
 def worst_residual(diag) -> float:
-    """The largest row-sum deviation, negative entry or balance residual:
-    what `scanvar validate` compares with its tolerance."""
-    return max(*diag.row_sum_deviation, *diag.negative_entry, *diag.balance_residual)
+    """The largest row-sum deviation or balance residual: what `scanvar
+    validate` compares with its tolerance."""
+    return max(*diag.row_sum_deviation, *diag.balance_residual)
 
 
 class TestValidateFamily:
@@ -165,7 +171,6 @@ class TestValidateFamily:
     def test_family_keeps_its_diagnosis(self, e1):
         assert e1.diagnostics == family_diagnostics(e1.pi, e1.kernels)
 
-
 class TestComposeCycle:
     def test_zero_steps_identity(self, e1):
         np.testing.assert_array_equal(compose_cycle(e1, 1, 0).matrix, np.eye(2))
@@ -177,6 +182,18 @@ class TestComposeCycle:
         assert inner(e1_f, Observable(two.matrix @ e1_f.values), e1.pi) == pytest.approx(
             0.16, abs=1e-14
         )
+
+    @pytest.mark.parametrize(
+        ("q", "s", "message"),
+        [
+            (1, -1, "cycle length must be nonnegative, got -1"),
+            (0, 1, "phase 0 out of range 1..2"),
+            (3, 1, "phase 3 out of range 1..2"),
+        ],
+    )
+    def test_refuses_bad_arguments(self, e1, q, s, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compose_cycle(e1, q, s)
 
     def test_single_step_is_phase_kernel(self, e1):
         np.testing.assert_array_equal(compose_cycle(e1, 2, 1).matrix, e1.kernels[1].matrix)
@@ -338,6 +355,14 @@ class TestGibbsKernel:
         )
         assert worst_residual(family_diagnostics(fam.pi, fam.kernels)) <= 1e-12
 
+    def test_refuses_a_grid_of_another_size(self):
+        with pytest.raises(ValidationError, match=r"^joint has 6 weights, expected 2x2=4$"):
+            gibbs_kernel(Dist(np.full(6, 1.0 / 6.0)), (2, 2), 1)
+
+    def test_refuses_coordinate_three(self):
+        with pytest.raises(ValueError, match="^coordinate must be 1 or 2, got 3$"):
+            gibbs_kernel(Dist([0.25] * 4), (2, 2), 3)
+
     def test_degenerate_slice(self):
         joint = Dist([0.5, 0.0, 0.5, 0.0])
         with pytest.raises(DegenerateConditionalError):
@@ -354,6 +379,10 @@ class TestMetropolisKernel:
         out = metropolis_kernel(Dist([0.75, 0.25]), Kernel([[0.5, 0.5], [0.5, 0.5]]))
         assert out.matrix[0, 1] == pytest.approx(1.0 / 6.0, abs=1e-15)
         assert out.matrix[1, 0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_refuses_a_proposal_of_another_size(self):
+        with pytest.raises(ValidationError, match="^proposal is 3x3, target has 2 states$"):
+            metropolis_kernel(Dist([0.5, 0.5]), Kernel(np.full((3, 3), 1.0 / 3.0)))
 
     def test_detailed_balance_by_construction(self):
         rng = np.random.default_rng(5)
@@ -395,6 +424,11 @@ class TestRandomReversible:
         a = random_reversible(pi, 1)
         b = random_reversible(pi, 2)
         assert np.abs(a.matrix - b.matrix).max() > 1e-3
+
+    def test_zero_weight_has_no_irreducible_kernel(self):
+        # no flow reaches a state of zero weight, so every try is reducible
+        with pytest.raises(ReducibilityError, match="^no irreducible kernel found in 100 "):
+            random_reversible(Dist([0.5, 0.0, 0.5]), 3)
 
     def test_reversible_and_irreducible(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 """Tests for the seeded simulators and the replicated variance estimator."""
 
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,33 @@ class TestSimulate:
             simulate(e1, SimulationConfig(steps=4, seed=seed))
         with pytest.raises(ValidationError, match="0 <= seed < 2\\*\\*64"):
             estimate_variance(e1, e1_f, 16, 5, seed, "strat")
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3"])
+    def test_counts_and_seed_must_be_integers(self, e1, e1_f, value):
+        # numpy would take some of these, or raise its own TypeError
+        for name, call in (
+            ("steps", lambda: SimulationConfig(steps=value)),
+            ("seed", lambda: SimulationConfig(steps=4, seed=value)),
+            ("steps", lambda: estimate_variance(e1, e1_f, value, 5, 0, "strat")),
+            ("seed", lambda: estimate_variance(e1, e1_f, 16, 5, value, "strat")),
+            ("replicas", lambda: estimate_variance(e1, e1_f, 16, value, 0, "strat")),
+        ):
+            message = f"{name} must be an integer, got {value!r}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [3, 2**63 - 1, 2**64 - 1])
+    def test_numpy_integers_accepted(self, e1, e1_f, seed):
+        # the same bits as Python integers, with no overflow on the way
+        np_seed = np.uint64(seed) if seed >= 2**63 else np.int64(seed)
+        cfg = SimulationConfig(steps=np.int64(9), seed=np_seed, scheme="rand")
+        plain = SimulationConfig(steps=9, seed=seed, scheme="rand")
+        np.testing.assert_array_equal(simulate(e1, cfg), simulate(e1, plain))
+        numpy_args = (np.int64(16), np.int32(5), np_seed)
+        assert estimate_variance(e1, e1_f, *numpy_args, "strat") == estimate_variance(
+            e1, e1_f, 16, 5, seed, "strat"
+        )
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, e1, e1_f, seed):

@@ -1,6 +1,7 @@
 """Unit tests for discounted variances, limits, finite-horizon values and laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from scanvar.kernels import (
     Observable,
     ReducibilityError,
     SummabilityError,
+    ValidationError,
     make_family,
     random_reversible,
     random_scan,
@@ -415,11 +417,24 @@ class TestFiniteM:
             assert abs(m * (short - limit) - 2 * m * (long - limit)) <= bound + allowance
 
     def test_rejects_bad_horizon(self, e1, e1_f):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^steps must be at least 1, got 0$"):
             finite_m_variance_exact(e1, e1_f, 0, "strat")
         for m in (2**63, 10**400):
-            with pytest.raises(ValueError, match=r"^step count must be below 2\*\*63$"):
+            with pytest.raises(ValidationError, match=r"^steps must be below 2\*\*63$"):
                 finite_m_variance_exact(e1, e1_f, m, "strat")
+
+    @pytest.mark.parametrize("m", [3.0, True, np.float64(3.0), np.True_, "3"])
+    def test_horizon_must_be_an_integer(self, e1, e1_f, m):
+        # the step rule SimulationConfig applies: a bool or a float is no count
+        message = f"steps must be an integer, got {m!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            finite_m_variance_exact(e1, e1_f, m, "strat")
+
+    @pytest.mark.parametrize("scheme", ["strat", "rand"])
+    def test_numpy_integer_horizon_accepted(self, e1, e1_f, scheme):
+        for m in (1, 3, 2**62):
+            expected = finite_m_variance_exact(e1, e1_f, m, scheme)
+            assert finite_m_variance_exact(e1, e1_f, np.int64(m), scheme) == expected
 
     @pytest.mark.parametrize("scheme", ["strat", "rand"])
     def test_longest_horizon_is_the_limit(self, e1, e1_f, scheme):

@@ -28,17 +28,17 @@ flipping with probability 1e-9, on one kernel with an eigenvalue
 `compare` near discount one and `limit` on a seven-state model with a
 target weight near 1e-12 and an f nearly constant on the other states,
 `validate`, `compare` and `limit` on a labelled model and on model
-files that the loader refuses (duplicate labels, alone and with other faults, state counts
-that disagree with the data, one fault of each kind it checks, a
-weight sum and a negative entry off by less than 1e-10 beside larger
-faults, finite weights or a kernel row whose sum overflows, and an
-empty `lambda_grid`), on
-model files that test the parser (see `model_texts`), plus
-command lines that fail with a documented exit code (among them `peskun`
-on families of different shapes, which exits 1 before the two-kernel
-check could exit 2, `simulate` with 10**400 steps, and `--method` or
-`--series-terms` on `demo` and `compare`, a usage error), and the
-`compare` and `peskun` verdicts on e1 at `--tol 0`.
+files that the loader refuses (duplicate labels, alone and with other
+faults, state counts that disagree with the data, an empty list of
+labels, one fault of each kind it checks, a weight sum and a negative
+entry off by less than 1e-10 beside larger faults, finite weights or a
+kernel row whose sum overflows, and an empty `lambda_grid`), on model
+files that test the parser (see `model_texts`), plus command lines that
+fail with a documented exit code (among them `peskun` on families of
+different shapes, which exits 1 before the two-kernel check could exit
+2, and on families of different targets, `simulate` with 10**400 steps,
+and `--method` or `--series-terms` on `demo` and `compare`, a usage
+error), and the `compare` and `peskun` verdicts on e1 at `--tol 0`.
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -90,6 +90,10 @@ SIGNED_ZEROS = {
     ],
     "f": [1.0, -1.0, 0.5, -0.5],
 }
+# two kernels reversible for a target other than e1's
+OTHER_TARGET = dict(
+    E1, pi=[0.25, 0.75], kernels=[[[0.7, 0.3], [0.1, 0.9]], [[0.4, 0.6], [0.2, 0.8]]]
+)
 # the smallest sizes: one kernel on e1's target, and one state
 K1 = dict(E1, kernels=E1["kernels"][:1])
 N1 = {"states": 1, "pi": [1.0], "kernels": [[[1.0]], [[1.0]]], "f": [2.0]}
@@ -190,7 +194,7 @@ def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> 
 
 def invalid_models() -> dict[str, dict]:
     """Model files for the loader's checks: labels, state counts that
-    disagree with the data, one fault of each kind the domain types
+    disagree with the data, an empty list of labels, one fault of each kind the domain types
     refuse (NaN is written as JSON's NaN), a weight sum and a negative
     entry off by less than 1e-10 beside larger faults, finite weights or
     a kernel row whose sum overflows, and an empty `lambda_grid`."""
@@ -207,6 +211,7 @@ def invalid_models() -> dict[str, dict]:
         "states-true": dict(E1, states=True),
         "states-mixed": dict(E1, states=["a", 1]),
         "empty": {"states": 0, "pi": [], "kernels": [], "f": []},
+        "empty-labels": {"states": [], "pi": [], "kernels": [], "f": []},
         "no-kernels": dict(E1, kernels=[]),
         "row-sum": dict(E1, kernels=[short_row, p2]),
         # raw flow imbalance 8e-11 is within 1e-10, but 1.8e-10 of the largest flow
@@ -461,6 +466,7 @@ def command_lines(models: Path) -> list[list[str]]:
         lines += [[command, "--model", str(m)] for command in ("validate", "compare", "limit")]
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
+    (models / "other-target.json").write_text(json.dumps(OTHER_TARGET))
     lines += [  # documented failures
         ["simulate", "--model", m, "--seed", "-1", "--steps", "64", "--replicas", "5"],
         ["simulate", "--model", m, "--seed", str(2**64), "--steps", "64", "--replicas", "5"],
@@ -469,6 +475,7 @@ def command_lines(models: Path) -> list[list[str]]:
         ["peskun", "--model", m],
         ["peskun", "--model", m, "--model-b", str(models / "exact-k2.json")],
         ["peskun", "--model", str(models / "exact-k8.json"), "--model-b", m],
+        ["peskun", "--model", m, "--model-b", str(models / "other-target.json")],
         ["compare", "--model", str(models / "missing.json")],
         ["compare", "--model", m, "--lambda", "1.5"],
         ["peskun", "--model", m, "--model-b", m, "--lambda", "0.5,nan"],

@@ -5,10 +5,11 @@
 A mutant is a named textual patch: a file under `src/scanvar/`, the exact
 old text (which must occur once), the new text, and the pytest selections
 (test files or node ids) that must fail with it. Each mutant is applied
-alone to a copy of `src/` in a temporary directory, and `pytest -q -x`
-runs its selections against that copy. The script prints killed or
-survived per mutant and exits 1 when a must-kill mutant survives or a
-patch no longer applies, so a refactor has to move its mutants with it.
+alone to its own copy of `src/` in a temporary directory, and `pytest -q
+-x` runs its selections against that copy; WORKERS mutants run at a time.
+The script prints killed or survived per mutant, in list order, and exits
+1 when a must-kill mutant survives or a patch no longer applies, so a
+refactor has to move its mutants with it.
 
 EQUIVALENT lists mutants that no test can kill, each with the reason; they
 are run too, and a kill among them is reported, not counted as a fault.
@@ -24,11 +25,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# Mutants run at a time, each a pytest process on one BLAS thread.
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -391,8 +395,8 @@ MUTANTS = (
     Mutant(
         "peskun dominance: least eigenvalue read from the first kernel only",
         "ordering.py",
-        "min_dirichlet_gap_eigenvalue=min(min_eigs),",
-        "min_dirichlet_gap_eigenvalue=min_eigs[0],",
+        "return min(self.per_kernel_min_eigenvalue)",
+        "return self.per_kernel_min_eigenvalue[0]",
         ("tests/test_ordering.py",),
     ),
     Mutant(
@@ -413,11 +417,45 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "simulation config: steps bound dropped",
-        "simulate.py",
-        "if self.steps >= 2**63:",
+        "step rule: bound dropped",
+        "kernels.py",
+        "if steps >= 2**63:",
         "if False:",
-        ("tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",),
+        (
+            "tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",
+            "tests/test_variance.py::TestFiniteM::test_rejects_bad_horizon",
+        ),
+    ),
+    Mutant(
+        "step rule: a non-integer count taken",
+        "kernels.py",
+        '    _check_integer("steps", steps)\n',
+        "",
+        (
+            "tests/test_variance.py::TestFiniteM::test_horizon_must_be_an_integer",
+            "tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",
+        ),
+    ),
+    Mutant(
+        "integer rule: a bool taken",
+        "kernels.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "if not isinstance(value, (int, np.integer)):",
+        ("tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",),
+    ),
+    Mutant(
+        "simulation config: the step rule skipped",
+        "simulate.py",
+        "        _check_steps(self.steps)\n",
+        "",
+        ("tests/test_simulate.py::TestSimulate::test_invalid_config",),
+    ),
+    Mutant(
+        "finite horizon: the step rule skipped",
+        "variance.py",
+        "    _check_steps(m_steps)\n",
+        "",
+        ("tests/test_variance.py::TestFiniteM::test_rejects_bad_horizon",),
     ),
     Mutant(
         "estimate: replicas bound dropped",
@@ -427,11 +465,39 @@ MUTANTS = (
         ("tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",),
     ),
     Mutant(
-        "finite horizon: step bound dropped",
+        "estimate: a fractional replica count taken",
+        "simulate.py",
+        '    _check_integer("replicas", replicas)\n',
+        "",
+        ("tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",),
+    ),
+    Mutant(
+        "simulation config: a fractional seed taken",
+        "simulate.py",
+        '        _check_integer("seed", self.seed)\n',
+        "",
+        ("tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",),
+    ),
+    Mutant(
+        "limit: strat limit of a cycle that is not summable not refused",
         "variance.py",
-        "if m_steps >= 2**63:",
-        "if False:",
-        ("tests/test_variance.py",),
+        "    elif not fam._summable:\n",
+        "    elif False:\n",
+        ("tests/test_cli.py::TestLimitAndSimulate::test_limit_refusal_is_the_libraries",),
+    ),
+    Mutant(
+        "load_model: an empty label list taken",
+        "cli.py",
+        "isinstance(states, list) and states and all(",
+        "isinstance(states, list) and all(",
+        ("tests/test_cli.py::TestLoadModel::test_boolean_state_count_is_parse_error[no-labels]",),
+    ),
+    Mutant(
+        "seeding: a numpy seed masked in its own type",
+        "seeding.py",
+        "splitmix64(int(master) & _MASK64)",
+        "splitmix64(master & _MASK64)",
+        ("tests/test_simulate.py::TestSimulate::test_numpy_integers_accepted",),
     ),
     Mutant(
         "cycle solve: back-substitution reads its own phase",
@@ -473,9 +539,9 @@ EQUIVALENT = (
 
 
 def run(mutant: Mutant, work: Path) -> str:
-    """'killed', 'survived' or 'stale' (the old text is not there once)."""
+    """'killed', 'survived' or 'stale' (the old text is not there once),
+    with the mutant's copy of `src/` made under `work`, which it owns."""
     copy = work / "src"
-    shutil.rmtree(copy, ignore_errors=True)
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     target = copy / "scanvar" / mutant.file
     text = target.read_text(encoding="utf-8")
@@ -502,22 +568,20 @@ def main(argv: list[str]) -> int:
     if chosen - names:
         print(f"unknown mutant(s): {sorted(chosen - names)}", file=sys.stderr)
         return 2
+    jobs = [(m, None) for m in MUTANTS] + list(EQUIVALENT)
+    jobs = [(m, reason) for m, reason in jobs if not chosen or m.name in chosen]
     faults = 0
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for mutant in MUTANTS:
-            if chosen and mutant.name not in chosen:
-                continue
-            verdict = run(mutant, work)
-            faults += verdict != "killed"
-            print(f"{verdict}: {mutant.name}", flush=True)
-        for mutant, reason in EQUIVALENT:
-            if chosen and mutant.name not in chosen:
-                continue
-            verdict = run(mutant, work)
-            faults += verdict == "stale"
-            print(f"{verdict} (equivalent: {reason}): {mutant.name}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
+        works = [Path(tmp) / str(i) for i in range(len(jobs))]
+        verdicts = pool.map(run, [m for m, _ in jobs], works)
+        for (mutant, reason), verdict in zip(jobs, verdicts):
+            if reason is None:
+                faults += verdict != "killed"
+                print(f"{verdict}: {mutant.name}", flush=True)
+            else:
+                faults += verdict == "stale"
+                print(f"{verdict} (equivalent: {reason}): {mutant.name}", flush=True)
     print(f"{faults} fault(s), {time.perf_counter() - start:.0f} s")
     return 1 if faults else 0
 
