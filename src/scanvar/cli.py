@@ -49,7 +49,7 @@ from scanvar.ordering import (
     peskun_dominates,
 )
 from scanvar.simulate import estimate_variance
-from scanvar.variance import finite_m_variance_exact, summability_check, var_limit
+from scanvar.variance import finite_m_variance_exact, summability_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,10 +110,8 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag, repeated) ->
             problems.append(f"{name} has shape {values.shape}, expected {shape}")
         else:
             problems += [f"{name}: {fault}" for fault in faults(values)]
-    if not kernels:
-        problems.append("kernels list is empty")
     shaped = pi.shape == (n,) and all(m.shape == (n, n) for m in kernels)
-    if kernels and shaped and all(np.isfinite(a).all() for a in (pi, *kernels)):
+    if shaped and all(np.isfinite(a).all() for a in (pi, *kernels)):
         problems += family_faults(diag or family_diagnostics(pi, kernels))
     raise ValidationError(f"{path} failed validation:\n  " + "\n  ".join(problems))
 
@@ -414,8 +412,7 @@ def _cmd_limit(args) -> int:
         f"cycle contraction: {report.cycle_contraction:.9g} "
         f"({'summable' if report.absolutely_summable else 'not summable'})"
     )
-    bound = 0.0 if fam.k == 2 else math.nan
-    rep = OrderingReport(1.0, var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), bound)
+    (rep,) = check_scan_ordering(fam, f, (1.0,))
     print(f"limit var_strat: {_fmt(rep.var_a)}")
     print(f"limit var_rand:  {_fmt(rep.var_b)}")
     if args.out:

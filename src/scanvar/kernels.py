@@ -87,19 +87,15 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"discount must lie in [0, 1), got {lam}")
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a value that is not an integer (a bool is not; numpy's are)."""
+def _check_count(name: str, value, least: int, bits: int) -> None:
+    """Refuse a value that is not an integer least <= value < 2**bits (a
+    bool is not an integer; numpy's are)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_steps(steps) -> None:
-    """Refuse a step count that is not an integer 1 <= M < 2**63 (int64's range)."""
-    _check_integer("steps", steps)
-    if steps < 1:
-        raise ValidationError(f"steps must be at least 1, got {steps}")
-    if steps >= 2**63:
-        raise ValidationError("steps must be below 2**63")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    if value >= 2**bits:
+        raise ValidationError(f"{name} must be below 2**{bits}")
 
 
 def _entry_faults(a: np.ndarray, ndim: int) -> list[str]:

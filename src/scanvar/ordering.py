@@ -95,8 +95,9 @@ def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     checked before any solve, so every discount row has lam < 1; at(lam)
     gives (var_a, var_b, bound) at each. A grid value within 1e-12 of one
     asks for the limit row, at lam = 1, from limit() as (var_a, var_b,
-    bound), last and once, and dropped when limit() refuses the limit
-    (SummabilityError or ReducibilityError)."""
+    bound), last and once. A refusal by limit() (SummabilityError or
+    ReducibilityError) drops the row after a discount row, and is raised
+    when no row came before it, so only an empty grid gives no rows."""
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
@@ -106,7 +107,8 @@ def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
         try:
             rows.append(OrderingReport(1.0, *limit()))
         except (SummabilityError, ReducibilityError):
-            pass
+            if not rows:
+                raise
     return rows
 
 
@@ -154,7 +156,8 @@ def check_scan_ordering(
 
     A grid value within 1e-12 of one asks for the limit report (discount
     one), which comes last, once, and only when the cycle is certified
-    summable and the mixed kernel has one eigenvalue near 1; any other
+    summable and the mixed kernel has one eigenvalue near 1; a grid that
+    asks for nothing else gets the limit's refusal raised. Any other
     value outside [0, 1) raises ValueError. The certified gap bound is a
     two-kernel statement: for two kernels it is zero in the limit, the
     weakest certified value there; for any other number of kernels it is
@@ -211,7 +214,8 @@ def check_peskun_ordering(
     """Compare the cycle variances of two two-kernel families on a grid,
     read as in check_scan_ordering: var_a is the first family's and var_b
     the second's, and gap_lower_bound is NaN. The limit row needs both
-    families to pass the summability check. That gap >= 0 is a theorem
+    families to pass the summability check, whose refusal is raised when
+    the grid asks for nothing else. That gap >= 0 is a theorem
     when the first family dominates the second (peskun_dominates); the rows
     are reported either way, so counterexample hunting stays possible."""
     _check_comparable(fam_a, fam_b)

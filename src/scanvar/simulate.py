@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.kernels import KernelFamily, Observable, ValidationError, center
-from scanvar.kernels import _check_integer, _check_steps
+from scanvar.kernels import KernelFamily, Observable, ValidationError, _check_count, center
 from scanvar.seeding import derive_seed
 
 SIM_SCHEMES = ("rand", "strat", "embedded")
@@ -52,14 +51,12 @@ class SimulationConfig:
     scheme: str = "strat"
 
     def __post_init__(self):
-        _check_steps(self.steps)
+        _check_count("steps", self.steps, 1, 63)
         if self.scheme not in SIM_SCHEMES:
             raise ValidationError(
                 f"scheme must be one of {SIM_SCHEMES}, got {self.scheme!r}"
             )
-        _check_integer("seed", self.seed)
-        if not 0 <= self.seed < 2**64:  # derive_seed reads the seed modulo 2**64
-            raise ValidationError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+        _check_count("seed", self.seed, 0, 64)  # derive_seed reads it modulo 2**64
 
 
 @dataclass(frozen=True)
@@ -258,11 +255,7 @@ def estimate_variance(
     generator is read at full width, that slot has the same bits as in the
     full embedded path.
     """
-    _check_integer("replicas", replicas)
-    if replicas < 2:
-        raise ValidationError(f"need at least 2 replicas, got {replicas}")
-    if replicas >= 2**63:
-        raise ValidationError("replicas must be below 2**63")
+    _check_count("replicas", replicas, 2, 63)
     cfg = SimulationConfig(steps=steps, seed=seed, scheme=scheme)
     fc = center(f, fam.pi).values
     blocks = _lockstep(fam, cfg, [derive_seed(seed, r) for r in range(replicas)], slots=1)

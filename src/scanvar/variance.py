@@ -27,8 +27,8 @@ from scanvar.kernels import (
     Observable,
     ReducibilityError,
     SummabilityError,
+    _check_count,
     _check_lam,
-    _check_steps,
     center,
     random_scan,
 )
@@ -165,7 +165,7 @@ def finite_m_variance_exact(
     No inverse is formed, so no contraction is needed.
     """
     _check_scheme(scheme)
-    _check_steps(m_steps)
+    _check_count("steps", m_steps, 1, 63)
     if scheme == "rand":
         mixed = random_scan(fam).matrix
         mats, prod = (mixed,), mixed

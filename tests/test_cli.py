@@ -223,7 +223,7 @@ class TestLoadModel:
                  "kernel 2: row 0 sums to 0.99 (residual 0.01)",
                  "kernel 2: relative detailed-balance residual 0.0167 > 1e-10"],
             ),
-            ({"kernels": []}, ["kernels list is empty"]),
+            ({"kernels": []}, ["a kernel family needs at least one kernel"]),
         ],
         ids=["labels", "relative-balance", "pi-sum", "negative-entry", "no-kernels"],
     )
@@ -1081,15 +1081,20 @@ class TestLimitAndSimulate:
 
 
     @pytest.mark.parametrize(
-        "sizes", [["--steps", "0", "--replicas", "0"], ["--steps", "0", "--replicas", "5"]]
+        "sizes, message",
+        [
+            (["--steps", "0", "--replicas", "0"], "replicas must be at least 2, got 0"),
+            (["--steps", "0", "--replicas", "5"], "steps must be at least 1, got 0"),
+            (["--steps", "8", "--replicas", "1"], "replicas must be at least 2, got 1"),
+        ],
+        ids=["sizes0", "sizes1", "one-replica"],
     )
-    def test_simulate_zero_sizes_rejected(self, tmp_path, capsys, sizes):
+    def test_simulate_zero_sizes_rejected(self, tmp_path, capsys, sizes, message):
+        # the replica count is checked first, by the library's count rule
         path = write_model(tmp_path / "m.json")
         code = main(["simulate", "--model", path, "--seed", "1", *sizes])
-        captured = capsys.readouterr()
         assert code == EXIT_VALIDATION
-        assert "validation error" in captured.err
-        assert captured.out == ""
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
 
     @pytest.mark.parametrize(
         "flag, count, message",
@@ -1152,13 +1157,40 @@ class TestLimitAndSimulate:
         assert calls == [(3, 3)]
 
     def test_limit_csv_matches_compare_limit_row(self, tmp_path, capsys):
-        path = write_model(tmp_path / "m.json", **THREE_KERNEL_MODEL)
-        out = tmp_path / "limit.csv"
-        assert main(["limit", "--model", path, "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["compare", "--model", path, "--lambda", "1"]) == EXIT_OK
-        assert out.read_text() == capsys.readouterr().out
-        assert out.read_text().splitlines()[1].endswith(",nan,limit")
+        # the limit row's bound is 0 for two kernels (e1) and NaN otherwise
+        for model, tail in (({}, ",0,limit"), (THREE_KERNEL_MODEL, ",nan,limit")):
+            path = write_model(tmp_path / "m.json", **model)
+            out = tmp_path / "limit.csv"
+            assert main(["limit", "--model", path, "--out", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["compare", "--model", path, "--lambda", "1"]) == EXIT_OK
+            assert out.read_text() == capsys.readouterr().out
+            assert out.read_text().splitlines()[1].endswith(tail)
+
+    @pytest.mark.parametrize("pair", ["swap", "sticky"])
+    @pytest.mark.parametrize("command", ["compare", "peskun"])
+    def test_refused_limit_alone_is_limits_refusal(
+        self, tmp_path, capsys, monkeypatch, command, pair
+    ):
+        # a sweep whose only row is a refused limit exits 1 with the line
+        # limit prints and writes no CSV; peskun reads only the cycles'
+        # limits, which the sticky pair's summable cycle gives
+        monkeypatch.chdir(tmp_path)
+        flip = {"swap": 1.0, "sticky": 1e-9}[pair]
+        kernel = [[1.0 - flip, flip], [flip, 1.0 - flip]]
+        write_model(tmp_path / "m.json", kernels=[kernel, kernel])
+        assert main(["limit", "--model", "m.json"]) == EXIT_VALIDATION
+        refusal = capsys.readouterr().err
+        argv = [command, *model_args(command, "m.json"), "--lambda", "1"]
+        code = main(argv + ["--out", "c.csv"] * (command == "compare"))
+        out, err = capsys.readouterr()
+        if (command, pair) == ("peskun", "sticky"):
+            assert (code, err) == (EXIT_OK, "")
+            assert out.splitlines()[1].endswith(",true,limit")
+        else:
+            assert (code, out, err) == (EXIT_VALIDATION, "", refusal)
+            assert refusal.startswith("validation error: ") and refusal.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 class TestSmallestSizes:

@@ -14,6 +14,8 @@ from scanvar.kernels import (
     Kernel,
     NUMERIC_TOL,
     Observable,
+    ReducibilityError,
+    SummabilityError,
     ValidationError,
     center,
     gibbs_kernel,
@@ -498,6 +500,25 @@ def test_refused_rand_limit_drops_the_limit_row():
     fam = make_family([0.5, 0.5], [sticky, sticky])
     rows = check_scan_ordering(fam, Observable([1.0, -1.0]), [0.5, 1.0])
     assert [(r.lam, r.method) for r in rows] == [(0.5, "resolvent")]
+
+
+def test_refused_rand_limit_alone_is_raised():
+    # with no discount row before it, the refused limit row is not dropped
+    sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
+    fam = make_family([0.5, 0.5], [sticky, sticky])
+    with pytest.raises(ReducibilityError, match="mixed kernel has 2 eigenvalues"):
+        check_scan_ordering(fam, Observable([1.0, -1.0]), (1.0,))
+
+
+@GRID_CHECKERS
+def test_refused_limit_alone_is_raised(limit_rows):
+    # a swap pair's cycle never contracts: its limit row is dropped after a
+    # discount row, and its refusal raised when the grid asks only for it
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    fam, f = make_family([0.5, 0.5], [swap, swap]), Observable([1.0, -1.0])
+    assert [r.method for r in limit_rows(fam, f, [0.5, 1.0])] == ["resolvent"]
+    with pytest.raises(SummabilityError, match="cycle contraction 1 is not below 1"):
+        limit_rows(fam, f, (1.0,))
 
 
 @GRID_CHECKERS

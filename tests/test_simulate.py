@@ -86,9 +86,10 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_refused(self, e1, e1_f, seed):
         # derive_seed reads the seed modulo 2**64, so -1 would alias 2**64 - 1
-        with pytest.raises(ValidationError, match="0 <= seed < 2\\*\\*64"):
+        message = "at least 0, got -1" if seed < 0 else "below 2\\*\\*64"
+        with pytest.raises(ValidationError, match=f"^seed must be {message}$"):
             simulate(e1, SimulationConfig(steps=4, seed=seed))
-        with pytest.raises(ValidationError, match="0 <= seed < 2\\*\\*64"):
+        with pytest.raises(ValidationError, match=f"^seed must be {message}$"):
             estimate_variance(e1, e1_f, 16, 5, seed, "strat")
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3"])

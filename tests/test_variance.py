@@ -425,7 +425,7 @@ class TestFiniteM:
 
     @pytest.mark.parametrize("m", [3.0, True, np.float64(3.0), np.True_, "3"])
     def test_horizon_must_be_an_integer(self, e1, e1_f, m):
-        # the step rule SimulationConfig applies: a bool or a float is no count
+        # the count rule SimulationConfig applies: a bool or a float is no count
         message = f"steps must be an integer, got {m!r}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             finite_m_variance_exact(e1, e1_f, m, "strat")

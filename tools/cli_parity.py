@@ -25,6 +25,8 @@ weight near 1e-12,
 on a swap pair, on a pair holding with probability 1 - 1e-9, on a pair
 flipping with probability 1e-9, on one kernel with an eigenvalue
 1 - 1e-8 and on two kernels whose target weights span six decades,
+`compare` and `peskun` on the grid (1,) alone on the swap pair and on
+the pair flipping with probability 1e-9,
 `compare` near discount one and `limit` on a seven-state model with a
 target weight near 1e-12 and an f nearly constant on the other states,
 `validate`, `compare` and `limit` on a labelled model and on model
@@ -36,9 +38,10 @@ kernel row whose sum overflows, and an empty `lambda_grid`), on model
 files that test the parser (see `model_texts`), plus command lines that
 fail with a documented exit code (among them `peskun` on families of
 different shapes, which exits 1 before the two-kernel check could exit
-2, and on families of different targets, `simulate` with 10**400 steps,
-and `--method` or `--series-terms` on `demo` and `compare`, a usage
-error), and the `compare` and `peskun` verdicts on e1 at `--tol 0`.
+2, and on families of different targets, `simulate` with 10**400 steps
+or one replica, and `--method` or `--series-terms` on `demo` and
+`compare`, a usage error), and the `compare` and `peskun` verdicts on e1
+at `--tol 0`.
 Each side runs in its own empty directory, so relative output paths print
 the same. Exit codes, stdout, stderr and the bytes of every file a command
 writes must agree; the script prints one line per command line and exits
@@ -451,6 +454,12 @@ def command_lines(models: Path) -> list[list[str]]:
     for name in ("tiny-weight", "swap", "near-one", "sticky", "on-the-line", "wide-ratio"):
         m = str(models / f"{name}.json")
         lines += [["limit", "--model", m], ["compare", "--model", m, "--lambda", "0.5,1"]]
+    # a sweep whose only row is the refused limit (peskun reads only the
+    # cycles' limits, which the sticky pair's summable cycle gives)
+    for name in ("swap", "sticky"):
+        m = str(models / f"{name}.json")
+        lines += [["compare", "--model", m, "--lambda", "1", "--out", "c.csv"],
+                  ["peskun", "--model", m, "--model-b", m, "--lambda", "1"]]
     # near discount one on a 1e-12 weight with f nearly constant elsewhere
     m = models / "seven-state.json"
     m.write_text(json.dumps(seven_state()))
@@ -481,6 +490,7 @@ def command_lines(models: Path) -> list[list[str]]:
         ["peskun", "--model", m, "--model-b", m, "--lambda", "0.5,nan"],
         ["compare", "--model", m, "--lambda", "0.3,a"],
         ["simulate", "--model", m, "--steps", "0", "--replicas", "5", "--seed", "1"],
+        ["simulate", "--model", m, "--steps", "64", "--replicas", "1", "--seed", "1"],
         ["simulate", "--model", m, "--steps", str(10**400), "--replicas", "5", "--seed", "1"],
         # compare and demo take one route, so a route flag is a usage error
         ["demo", "--out", "x.csv", "--method", "series", "--series-terms", "60", "--tol", "1e-9"],

@@ -417,27 +417,50 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "step rule: bound dropped",
+        "walk: a lone refused limit row swallowed",
+        "ordering.py",
+        "            if not rows:\n                raise\n",
+        "            pass\n",
+        (
+            "tests/test_ordering.py::test_refused_limit_alone_is_raised",
+            "tests/test_ordering.py::test_refused_rand_limit_alone_is_raised",
+            "tests/test_cli.py::TestLimitAndSimulate::test_refused_limit_alone_is_limits_refusal",
+        ),
+    ),
+    Mutant(
+        "count rule: bound dropped",
         "kernels.py",
-        "if steps >= 2**63:",
+        "if value >= 2**bits:",
         "if False:",
         (
             "tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",
+            "tests/test_simulate.py::TestSimulate::test_seed_outside_64_bits_refused",
             "tests/test_variance.py::TestFiniteM::test_rejects_bad_horizon",
         ),
     ),
     Mutant(
-        "step rule: a non-integer count taken",
+        "count rule: least value dropped",
         "kernels.py",
-        '    _check_integer("steps", steps)\n',
-        "",
+        "if value < least:",
+        "if False:",
+        (
+            "tests/test_simulate.py::TestSimulate::test_seed_outside_64_bits_refused",
+            "tests/test_variance.py::TestFiniteM::test_rejects_bad_horizon",
+            "tests/test_cli.py::TestLimitAndSimulate::test_simulate_zero_sizes_rejected",
+        ),
+    ),
+    Mutant(
+        "count rule: a non-integer taken",
+        "kernels.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "if False:",
         (
             "tests/test_variance.py::TestFiniteM::test_horizon_must_be_an_integer",
             "tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",
         ),
     ),
     Mutant(
-        "integer rule: a bool taken",
+        "count rule: a bool taken",
         "kernels.py",
         "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
         "if not isinstance(value, (int, np.integer)):",
@@ -446,37 +469,36 @@ MUTANTS = (
     Mutant(
         "simulation config: the step rule skipped",
         "simulate.py",
-        "        _check_steps(self.steps)\n",
+        '        _check_count("steps", self.steps, 1, 63)\n',
         "",
         ("tests/test_simulate.py::TestSimulate::test_invalid_config",),
     ),
     Mutant(
+        "simulation config: the seed rule skipped",
+        "simulate.py",
+        '        _check_count("seed", self.seed, 0, 64)',
+        "        pass",
+        (
+            "tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",
+            "tests/test_simulate.py::TestSimulate::test_seed_outside_64_bits_refused",
+        ),
+    ),
+    Mutant(
         "finite horizon: the step rule skipped",
         "variance.py",
-        "    _check_steps(m_steps)\n",
+        '    _check_count("steps", m_steps, 1, 63)\n',
         "",
         ("tests/test_variance.py::TestFiniteM::test_rejects_bad_horizon",),
     ),
     Mutant(
-        "estimate: replicas bound dropped",
+        "estimate: the replica rule skipped",
         "simulate.py",
-        "if replicas >= 2**63:",
-        "if False:",
-        ("tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",),
-    ),
-    Mutant(
-        "estimate: a fractional replica count taken",
-        "simulate.py",
-        '    _check_integer("replicas", replicas)\n',
+        '    _check_count("replicas", replicas, 2, 63)\n',
         "",
-        ("tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",),
-    ),
-    Mutant(
-        "simulation config: a fractional seed taken",
-        "simulate.py",
-        '        _check_integer("seed", self.seed)\n',
-        "",
-        ("tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",),
+        (
+            "tests/test_simulate.py::TestSimulate::test_counts_from_2_to_the_63_refused",
+            "tests/test_simulate.py::TestSimulate::test_counts_and_seed_must_be_integers",
+        ),
     ),
     Mutant(
         "limit: strat limit of a cycle that is not summable not refused",
