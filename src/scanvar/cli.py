@@ -6,10 +6,12 @@ optional `simulation` block. All numeric CSV fields use 9 significant
 digits and LF line endings, so identical inputs give byte-identical files.
 
 A model file is read as one text. json's scanner walks its top-level
-object, orjson decodes each kernel row, and json scans again any matrix
-whose rows orjson refuses, so every value or error is json's own. Each
-kernel becomes a float array as soon as it is read, so a load peaks at
-about twice the file's size: its bytes and its text while it is read.
+object, orjson decodes each kernel row straight into the kernel's float
+array, and json scans again any matrix that is not square or whose rows
+orjson or the conversion refuses, so every value or error is json's own.
+So a load peaks at about twice the file's size, for any number of
+kernels: the read holds the bytes and the text, after which the walk
+holds the text plus the arrays, and no kernel's lists.
 
 Exit codes: 0 success, 1 validation failure, 2 assertion failure or usage error,
 3 I/O or parse error.
@@ -29,6 +31,7 @@ import numpy as np
 import orjson
 
 from scanvar.kernels import (
+    EMPTY_FAMILY_FAULT,
     KernelFamily,
     NUMERIC_TOL,
     Observable,
@@ -101,7 +104,8 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag, repeated) ->
     labels; for pi, f and each kernel, its shape if the state count asks
     for another, or else its own faults; and the family's faults (from
     `diag`, if a refusal measured it) when pi and every kernel have the
-    count's shapes and finite entries."""
+    count's shapes and finite entries, or else an empty kernel list, the
+    one family fault that pi does not enter."""
     problems = ["state labels must be distinct"] if repeated else []
     parts = [("pi", pi, (n,), weight_faults), ("f", f_values, (n,), value_faults)]
     parts += [(f"kernel {i + 1}", m, (n, n), matrix_faults) for i, m in enumerate(kernels)]
@@ -113,49 +117,62 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag, repeated) ->
     shaped = pi.shape == (n,) and all(m.shape == (n, n) for m in kernels)
     if shaped and all(np.isfinite(a).all() for a in (pi, *kernels)):
         problems += family_faults(diag or family_diagnostics(pi, kernels))
+    elif not kernels:
+        problems.append(EMPTY_FAMILY_FAULT)
     raise ValidationError(f"{path} failed validation:\n  " + "\n  ".join(problems))
 
 
-def _scan_matrix(text: str, i: int, scan, ws) -> tuple[list, int]:
+def _scan_matrix(text: str, i: int, scan, ws) -> tuple[np.ndarray | list, int]:
     """The matrix whose first character is text[i], and the index after it.
-    Each row, from its '[' to the first ']' after it, is decoded by orjson,
-    whose floats are json's bit for bit (an integer past 64 bits comes as
-    the float json's int converts to). Anything else (not a list of rows,
-    a bad separator, a row orjson refuses, such as one holding a NaN, a
-    number past a float's range, a nested list or a string with a ']')
+    A square matrix of rows is read into one m x m float array, m the
+    length of its first row: each row, from its '[' to the first ']' after
+    it, is decoded by orjson, whose floats are json's bit for bit (an
+    integer past 64 bits comes as the float json's int converts to), and
+    goes straight into its row of the array, converted as np.asarray would
+    convert it. Anything else (not a list of rows, a bad separator, a row
+    orjson or the conversion refuses, such as one holding a NaN, a number
+    past a float's range, a nested list, an object or a string with a ']',
+    a row of another length, which numpy would broadcast, one row too many
+    or too few, or a first row too long for its square to fit in the text)
     sends the whole matrix to json's scanner, so its value or its error is
-    json's own."""
+    json's own; its lists become a float array at once, or stay as parsed
+    when they do not convert, for load_model's conversion step to report
+    in its place."""
     if text[i : i + 1] == "[":
-        rows, j, sep = [], i, ","
+        matrix, r, j, sep = None, 0, i, ","
         try:
             while sep == ",":
                 j = ws(text, j + 1).end()
                 if text[j : j + 1] != "[":
                     break
                 end = text.index("]", j) + 1
-                rows.append(orjson.loads(text[j:end]))
+                row = orjson.loads(text[j:end])
+                if matrix is None and len(row) ** 2 <= len(text) - i:
+                    matrix = np.empty((len(row), len(row)))
+                if matrix is None or r == len(matrix) or len(row) != len(matrix):
+                    break
+                matrix[r] = row
+                r += 1
                 j = ws(text, end).end()
                 sep = text[j : j + 1]
-            if sep == "]":
-                return rows, j + 1
-        except ValueError:  # orjson.JSONDecodeError is one
+            if sep == "]" and r == len(matrix):
+                return matrix, j + 1
+        except (TypeError, ValueError):  # orjson.JSONDecodeError is a ValueError
             pass
-    return scan(text, i)
+    lists, end = scan(text, i)
+    try:
+        return np.asarray(lists, dtype=float), end
+    except (TypeError, ValueError, OverflowError):
+        return lists, end
 
 
 def _scan_kernels(text: str, i: int, scan, ws) -> tuple[list, int]:
     """The `kernels` array whose '[' is at text[i], and the index after its
-    ']'. Each matrix is read by _scan_matrix and becomes a float array as
-    soon as it is read, so its lists die before the next is built; one
-    that does not convert stays as parsed, for load_model's conversion
-    step to report in its place."""
+    ']'. Each matrix is read by _scan_matrix, so no matrix's lists outlive
+    its read."""
     kernels, sep = [], ","
     while sep == ",":
         matrix, i = _scan_matrix(text, ws(text, i + 1).end(), scan, ws)
-        try:
-            matrix = np.asarray(matrix, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pass
         kernels.append(matrix)
         i = ws(text, i).end()
         sep = text[i : i + 1]
@@ -195,8 +212,9 @@ def _scan_model(text: str) -> dict:
 
 
 def _read_model(path: str):
-    """The parsed model file. The text lives only here, and at most one
-    kernel's lists live beside it, so the peak is the read's: about twice
+    """The parsed model file. The text lives only here; beside it live the
+    kernels' arrays and the lists of a matrix json's scanner reads, kept
+    only where they do not convert, so the peak is the read's: about twice
     the file. Kernel rows go through orjson, the rest through json's
     scanner; a text _scan_model does not take is parsed again by
     json.loads, so its value or its error is json's own."""

@@ -122,6 +122,11 @@ def _cycle_solve(
     two nearest sqrt(weights), so its rounding follows the weighted norm of
     x_0 that the guard measures, not the largest entry, which a state of
     tiny weight can carry; the scaling is exact (lam = 0 returns rhs).
+    The system is built in one n x n buffer, M's rows times -lam^k s, then
+    its columns divided by s and one added on the diagonal: as s holds
+    powers of two, only the product by lam^k rounds, once, as in
+    I - lam^k (s M / s), whose entries it equals (a zero may carry the
+    other sign, which changes no nonzero value of the solve).
     At lam = 1 the rank-one term ones * weights' pins the constant
     direction, which is valid only when every phase of rhs is centred for
     weights and the blocks leave weights invariant; the solution is then
@@ -135,7 +140,9 @@ def _cycle_solve(
     for q in range(k - 2, -1, -1):
         reduced = rhs[q] + lam * (blocks[q] @ reduced)
     scale = np.exp2(np.round(np.log2(weights) / 2))
-    system = np.eye(n) - lam**k * (scale[:, None] * product / scale)
+    system = product * (-(lam**k) * scale)[:, None]
+    system /= scale
+    system.flat[:: n + 1] += 1.0
     if lam == 1.0:
         system += np.outer(scale, weights / scale)
     x = np.empty((k, n))

@@ -24,6 +24,9 @@ REVERSIBILITY_TOL = 1e-10
 NUMERIC_TOL = 1e-10
 # Seeded proposals random_reversible tries for an irreducible kernel.
 REVERSIBLE_TRIES = 100
+# family_faults' words for an empty kernel list, the one family fault that
+# the target does not enter.
+EMPTY_FAMILY_FAULT = "a kernel family needs at least one kernel"
 
 _EPS = float(np.finfo(float).eps)
 
@@ -32,6 +35,7 @@ __all__ = [
     "REVERSIBILITY_TOL",
     "NUMERIC_TOL",
     "REVERSIBLE_TRIES",
+    "EMPTY_FAMILY_FAULT",
     "ValidationError",
     "DegenerateConditionalError",
     "SummabilityError",
@@ -238,6 +242,7 @@ def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
     """
     w = pi.weights if isinstance(pi, Dist) else np.asarray(pi, dtype=float)
     row_dev, bal, rel_bal = [], [], []
+    flow, diff = np.empty((2, w.size, w.size))  # reused for every kernel
     for m in matrices:
         a = m.matrix if isinstance(m, Kernel) else np.asarray(m, dtype=float)
         if a.shape != (w.size, w.size):
@@ -245,8 +250,9 @@ def family_diagnostics(pi, matrices) -> FamilyDiagnostics:
                 f"kernel shape {a.shape} does not match {w.size} states"
             )
         row_dev.append(float(np.abs(a.sum(axis=1) - 1.0).max()))
-        flow = w[:, None] * a
-        residual = float(np.abs(flow - flow.T).max())
+        np.multiply(w[:, None], a, out=flow)
+        np.abs(np.subtract(flow, flow.T, out=diff), out=diff)
+        residual = float(diff.max())
         bal.append(residual)
         peak = float(flow.max())
         rel_bal.append(residual / peak if peak > 0 else residual)
@@ -264,7 +270,7 @@ def family_faults(diag: FamilyDiagnostics) -> list[str]:
     at least one kernel, no zero target weight (a negative one is the
     target's own fault, see weight_faults), and each kernel's balance
     residual within REVERSIBILITY_TOL of its largest flow."""
-    faults = [] if diag.balance_residual else ["a kernel family needs at least one kernel"]
+    faults = [] if diag.balance_residual else [EMPTY_FAMILY_FAULT]
     if diag.min_pi == 0.0:
         faults.append("target has a zero weight, where detailed balance is ill-posed")
     for i, residual in enumerate(diag.relative_balance_residual):
@@ -341,14 +347,16 @@ class KernelFamily:
         residual. _unit_count counts on mu, and every solve with the mixed
         kernel alone runs in this basis (embedding._mixed_solve)."""
         s = _pi_similar(self._mixed.matrix, self.pi.weights)
-        mu, vecs = np.linalg.eigh((s + s.T) / 2.0)
+        sym = s + s.T
+        sym /= 2.0
+        mu, vecs = np.linalg.eigh(sym)
         return mu, vecs, float(np.linalg.norm(s - s.T)) / 2.0
 
     @cached_property
     def _cycle_contraction(self) -> float:
         """Spectral radius of the phase-1 full-cycle product minus 1 pi',
         printed and named in refusals, never a verdict (see _summable)."""
-        centred = self._cycle - np.outer(np.ones(self.n), self.pi.weights)
+        centred = self._cycle - self.pi.weights
         return float(np.abs(np.linalg.eigvals(centred)).max())
 
     @cached_property
@@ -441,9 +449,12 @@ def _cycle_product(matrices) -> np.ndarray:
 def _pi_similar(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """S = D^{1/2} K D^{-1/2}, D = diag(pi), for any n x n matrix K: similar
     to K, and symmetric exactly when K is self-adjoint for pi (a kernel:
-    reversible). Its symmetric part is (S + S') / 2."""
+    reversible). Its symmetric part is (S + S') / 2. One new array: the
+    rows are scaled into it, then its columns divided in place."""
     root = np.sqrt(weights)
-    return root[:, None] * matrix / root[None, :]
+    similar = root[:, None] * matrix
+    similar /= root
+    return similar
 
 
 def make_family(pi, kernels) -> KernelFamily:

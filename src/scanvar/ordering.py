@@ -201,7 +201,9 @@ def peskun_dominates(fam_a: KernelFamily, fam_b: KernelFamily) -> PeskunComparis
     min_eigs = []
     for ka, kb in zip(fam_a.kernels, fam_b.kernels):
         s = _pi_similar(kb.matrix - ka.matrix, fam_a.pi.weights)
-        min_eigs.append(float(np.linalg.eigvalsh((s + s.T) / 2.0)[0]))
+        sym = s + s.T
+        sym /= 2.0
+        min_eigs.append(float(np.linalg.eigvalsh(sym)[0]))
     return PeskunComparison(per_kernel_min_eigenvalue=tuple(min_eigs))
 
 

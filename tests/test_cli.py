@@ -224,8 +224,18 @@ class TestLoadModel:
                  "kernel 2: relative detailed-balance residual 0.0167 > 1e-10"],
             ),
             ({"kernels": []}, ["a kernel family needs at least one kernel"]),
+            # an empty list is named beside a pi the family cannot be measured on
+            (
+                {"pi": [float("nan"), 0.5], "kernels": []},
+                ["pi: non-finite entry nan at [0]", "a kernel family needs at least one kernel"],
+            ),
+            (
+                {"pi": [0.2, 0.3, 0.5], "kernels": []},
+                ["pi has shape (3,), expected (2,)", "a kernel family needs at least one kernel"],
+            ),
         ],
-        ids=["labels", "relative-balance", "pi-sum", "negative-entry", "no-kernels"],
+        ids=["labels", "relative-balance", "pi-sum", "negative-entry", "no-kernels",
+             "no-kernels-nan-weight", "no-kernels-long-pi"],
     )
     def test_type_refusal_listed(self, tmp_path, capsys, overrides, lines):
         # every fault the types refuse is listed, at the types' thresholds
@@ -332,26 +342,44 @@ class TestLoadModel:
         # and at least a list slot (8 bytes), about 1.4 times the 23
         # characters it takes in the file, so the text beside every
         # kernel's lists at once (as one json.loads of the file holds them)
-        # is more than 2.3F. Decoding the kernels one at a time holds the
-        # text, one kernel's lists (about 1.4F / k) and the arrays made so
-        # far (8 bytes an entry, 0.35F): about 1.7F at k = 4, so the read's
-        # 2F is the peak, and 2.2F leaves room for the other fields.
-        n, k = 200, 4
-        fam = helpers.random_family(np.random.default_rng(5), n, k)
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "states": n, "pi": fam.pi.weights.tolist(),
-            "kernels": [m.tolist() for m in fam.matrices], "f": [1.0] * n,
-        }))
-        size = path.stat().st_size
-        assert 32 * k * n * n > 1.3 * size  # every kernel's lists outweigh 1.3F
+        # is more than 2.3F, and one kernel's lists at a time, converted
+        # beside the text, still peak at about 2.8F at k = 1 and 2.1F at
+        # k = 2. Decoding each row into its kernel's array holds the text,
+        # one row's list and the arrays (8 bytes an entry, 0.35F): about
+        # 1.35F at any k, so the read's 2F is the peak, and 2.2F leaves
+        # room for the other fields.
+        for n, k in ((200, 4), (200, 1), (300, 2)):
+            fam = helpers.random_family(np.random.default_rng(5), n, k)
+            path = tmp_path / f"m{k}.json"
+            path.write_text(json.dumps({
+                "states": n, "pi": fam.pi.weights.tolist(),
+                "kernels": [m.tolist() for m in fam.matrices], "f": [1.0] * n,
+            }))
+            size = path.stat().st_size
+            assert 32 * k * n * n > 1.3 * size  # every kernel's lists outweigh 1.3F
+            tracemalloc.start()
+            try:
+                load_model(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.2 * size, (n, k, peak / size)
+
+    def test_long_first_row_makes_no_square_array(self, tmp_path):
+        # A matrix is read into an m x m array, m its first row's length,
+        # only when m * m numbers fit in the text; a 1 x m kernel is read
+        # by json, and its shape is refused.
+        m = 4000
+        path = write_model(tmp_path / "m.json", kernels=[[[0.5] * m]])
         tracemalloc.start()
         try:
-            load_model(str(path))
+            with pytest.raises(ValidationError) as err:
+                load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * size
+        assert f"kernel 1 has shape (1, {m}), expected (2, 2)" in str(err.value)
+        assert peak < m * m
 
     def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -504,12 +532,18 @@ class TestRowDecode:
             "[0.6, [0.4, 0.6]]",
             "[[0.6, 0.4], 7]",
             "[[0.6, 0.4], [0.4, 0.6",
+            # rows numpy would broadcast, a matrix not square, and a 1 x 1 one
+            "[[0.6, 0.4], [0.5]]",
+            "[[0.5], [0.4, 0.6]]",
+            "[[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]]",
+            "[[1.0]]",
         ],
         ids=[
             "nan", "infinity", "past-float-range", "past-64-bits", "5000-digits",
             "nested", "string-bracket", "empty-row", "empty-rows", "empty-matrix",
             "object", "lone-surrogate", "semicolon", "no-separator", "trailing-comma",
-            "number-first", "number-row", "unclosed",
+            "number-first", "number-row", "unclosed", "short-last-row",
+            "short-first-row", "extra-row", "one-by-one",
         ],
     )
     def test_refused_matrix_read_by_json_in_place(self, tmp_path, monkeypatch, matrix):

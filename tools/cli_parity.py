@@ -32,9 +32,10 @@ target weight near 1e-12 and an f nearly constant on the other states,
 `validate`, `compare` and `limit` on a labelled model and on model
 files that the loader refuses (duplicate labels, alone and with other
 faults, state counts that disagree with the data, an empty list of
-labels, one fault of each kind it checks, a weight sum and a negative
-entry off by less than 1e-10 beside larger faults, finite weights or a
-kernel row whose sum overflows, and an empty `lambda_grid`), on model
+labels, one fault of each kind it checks, an empty kernel list beside a
+NaN weight, a weight sum and a negative entry off by less than 1e-10
+beside larger faults, finite weights or a kernel row whose sum
+overflows, and an empty `lambda_grid`), on model
 files that test the parser (see `model_texts`), plus command lines that
 fail with a documented exit code (among them `peskun` on families of
 different shapes, which exits 1 before the two-kernel check could exit
@@ -198,8 +199,9 @@ def crowded(n: int, seed: int, low: float = 1e-12, hold: float = 1.0 - 1e-9) -> 
 def invalid_models() -> dict[str, dict]:
     """Model files for the loader's checks: labels, state counts that
     disagree with the data, an empty list of labels, one fault of each kind the domain types
-    refuse (NaN is written as JSON's NaN), a weight sum and a negative
-    entry off by less than 1e-10 beside larger faults, finite weights or
+    refuse (NaN is written as JSON's NaN), an empty kernel list beside a
+    NaN weight, a weight sum and a negative entry off by less than 1e-10
+    beside larger faults, finite weights or
     a kernel row whose sum overflows, and an empty `lambda_grid`."""
     nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
     return {
@@ -216,6 +218,7 @@ def invalid_models() -> dict[str, dict]:
         "empty": {"states": 0, "pi": [], "kernels": [], "f": []},
         "empty-labels": {"states": [], "pi": [], "kernels": [], "f": []},
         "no-kernels": dict(E1, kernels=[]),
+        "empty-kernels-bad-pi": dict(E1, pi=[nan, 0.5], kernels=[]),
         "row-sum": dict(E1, kernels=[short_row, p2]),
         # raw flow imbalance 8e-11 is within 1e-10, but 1.8e-10 of the largest flow
         "relative-balance": dict(E1, kernels=[[[0.1, 0.9], [0.9 - 1.6e-10, 0.1 + 1.6e-10]]]),
@@ -251,7 +254,8 @@ def model_texts() -> dict[str, bytes]:
     row walk does not take (NaN and Infinity literals, floats past a
     float's range, integers past 64 bits or of 5000 digits, nested rows,
     a string holding ']', an empty row or matrix, an object entry, a lone
-    surrogate escape, and bad row separators)."""
+    surrogate escape, bad row separators, a short row, which numpy would
+    broadcast, and one row too many)."""
     string, ragged = [[0.6, "x"], [0.4, 0.6]], [[0.6], [0.4, 0.6]]
     e1 = json.dumps(E1)
     deep = "[" * 100_000 + "]" * 100_000
@@ -301,6 +305,8 @@ def model_texts() -> dict[str, bytes]:
         "row-no-separator": "[[0.6, 0.4] [0.4, 0.6]]",
         "row-trailing-comma": "[[0.6, 0.4], [0.4, 0.6],]",
         "number-row": "[[0.6, 0.4], 7]",
+        "short-row": "[[0.6, 0.4], [0.5]]",
+        "extra-row": "[[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]]",
     }.items():
         texts[f"matrix-{name}"] = e1.replace(p2, matrix)
     out = {name: text.encode("utf-8") for name, text in texts.items()}

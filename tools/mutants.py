@@ -53,6 +53,13 @@ MUTANTS = (
         ("tests/test_variance.py",),
     ),
     Mutant(
+        "cycle solve: unit diagonal dropped",
+        "embedding.py",
+        "system.flat[:: n + 1] += 1.0",
+        "system.flat[:: n + 1] += 0.0",
+        ("tests/test_embedding.py",),
+    ),
+    Mutant(
         "cycle solve: rank-one term at discount one dropped",
         "embedding.py",
         "system += np.outer(scale, weights / scale)",
@@ -184,13 +191,12 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        # the rows go back into lists, which load_model converts after the
+        # whole file is read
         "load_model: every kernel's lists kept until the file is read",
         "cli.py",
-        "        try:\n"
-        "            matrix = np.asarray(matrix, dtype=float)\n"
-        "        except (TypeError, ValueError, OverflowError):\n"
-        "            pass\n",
-        "",
+        "                return matrix, j + 1\n",
+        "                return matrix.tolist(), j + 1\n",
         ("tests/test_cli.py::TestLoadModel::test_load_holds_the_text_and_one_kernel_tree",),
     ),
     Mutant(
@@ -199,11 +205,11 @@ MUTANTS = (
         # string entry alone does not tell; an object entry's TypeError does
         "load_model: a bad matrix converted inside the walk",
         "cli.py",
-        "        try:\n"
-        "            matrix = np.asarray(matrix, dtype=float)\n"
-        "        except (TypeError, ValueError, OverflowError):\n"
-        "            pass\n",
-        "        matrix = np.asarray(matrix, dtype=float)\n",
+        "    try:\n"
+        "        return np.asarray(lists, dtype=float), end\n"
+        "    except (TypeError, ValueError, OverflowError):\n"
+        "        return lists, end\n",
+        "    return np.asarray(lists, dtype=float), end\n",
         ("tests/test_cli.py::TestLoadModel::test_unconvertible_kernel_reported_after_required_fields",),
     ),
     Mutant(
@@ -211,11 +217,26 @@ MUTANTS = (
         # a second parse of the file: the test counts json.loads calls
         "load_model: a refused row no longer re-scans with json",
         "cli.py",
-        "        except ValueError:  # orjson.JSONDecodeError is one\n"
+        "        except (TypeError, ValueError):  # orjson.JSONDecodeError is a ValueError\n"
         "            pass\n",
-        "        except ValueError:  # orjson.JSONDecodeError is one\n"
+        "        except (TypeError, ValueError):  # orjson.JSONDecodeError is a ValueError\n"
         "            raise\n",
         ("tests/test_cli.py::TestRowDecode",),
+    ),
+    Mutant(
+        # numpy broadcasts a length-1 row across its row of the array
+        "row fill: row length unchecked",
+        "cli.py",
+        "if matrix is None or r == len(matrix) or len(row) != len(matrix):",
+        "if matrix is None or r == len(matrix):",
+        ("tests/test_cli.py::TestRowDecode",),
+    ),
+    Mutant(
+        "row fill: a first row's square not bounded by the text",
+        "cli.py",
+        "if matrix is None and len(row) ** 2 <= len(text) - i:",
+        "if matrix is None:",
+        ("tests/test_cli.py::TestLoadModel::test_long_first_row_makes_no_square_array",),
     ),
     Mutant(
         "load_model: row separator check dropped",
@@ -241,6 +262,14 @@ MUTANTS = (
         "        raise ModelFormatError(f\"{path}: a number is out of range: {err}\") from err\n",
         "",
         ("tests/test_cli.py::TestLoadModel::test_out_of_range_integer_is_parse_error",),
+    ),
+    Mutant(
+        "fault listing: empty kernel list unnamed beside a refused pi",
+        "cli.py",
+        "    elif not kernels:\n"
+        "        problems.append(EMPTY_FAMILY_FAULT)\n",
+        "",
+        ("tests/test_cli.py::TestLoadModel::test_type_refusal_listed",),
     ),
     Mutant(
         "fault listing: the refusal's record diagnosed again",
