@@ -5,13 +5,17 @@ Model files are JSON with fields `states` (a count or a list of labels),
 optional `simulation` block. All numeric CSV fields use 9 significant
 digits and LF line endings, so identical inputs give byte-identical files.
 
-A model file is read as one text. json's scanner walks its top-level
-object, orjson decodes each kernel row straight into the kernel's float
-array, and json scans again any matrix that is not square or whose rows
-orjson or the conversion refuses, so every value or error is json's own.
-So a load peaks at about twice the file's size, for any number of
-kernels: the read holds the bytes and the text, after which the walk
-holds the text plus the arrays, and no kernel's lists.
+A model file is read once as bytes, and its top-level object is walked
+on those bytes: orjson decodes each kernel row straight into the
+kernel's float array, and json's scanner reads every other value, and
+any matrix that is not square, whose rows orjson or the conversion
+refuses, or that holds a JSON string, true, false or null, on a decoded
+window of the bytes, so every value or error is json's own. So a load
+peaks at about 1.35 times the file's size, for any number of kernels:
+the bytes plus the arrays, with no decoded copy of the file and no
+kernel's lists. A file the walk does not take (a BOM, bytes that are not
+UTF-8, a syntax error, another top level, an empty `kernels` list) is
+decoded as text and parsed by json.loads.
 
 Exit codes: 0 success, 1 validation failure, 2 assertion failure or usage error,
 3 I/O or parse error.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,113 +127,162 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag, repeated) ->
     raise ValidationError(f"{path} failed validation:\n  " + "\n  ".join(problems))
 
 
-def _scan_matrix(text: str, i: int, scan, ws) -> tuple[np.ndarray | list, int]:
-    """The matrix whose first character is text[i], and the index after it.
-    A square matrix of rows is read into one m x m float array, m the
-    length of its first row: each row, from its '[' to the first ']' after
-    it, is decoded by orjson, whose floats are json's bit for bit (an
-    integer past 64 bits comes as the float json's int converts to), and
-    goes straight into its row of the array, converted as np.asarray would
-    convert it. Anything else (not a list of rows, a bad separator, a row
-    orjson or the conversion refuses, such as one holding a NaN, a number
-    past a float's range, a nested list, an object or a string with a ']',
-    a row of another length, which numpy would broadcast, one row too many
-    or too few, or a first row too long for its square to fit in the text)
-    sends the whole matrix to json's scanner, so its value or its error is
-    json's own; its lists become a float array at once, or stay as parsed
-    when they do not convert, for load_model's conversion step to report
-    in its place."""
-    if text[i : i + 1] == "[":
-        matrix, r, j, sep = None, 0, i, ","
+# JSON's whitespace, matched on bytes
+_WHITESPACE = re.compile(rb"[ \t\n\r]*").match
+# the first decode window of a value json's scanner reads, in bytes
+_WINDOW = 4096
+
+
+def _scan(data: bytes, i: int, scan) -> tuple[object, int]:
+    """The value json's scanner reads at data[i], and the byte index after
+    it. The scanner reads a decoded window of the bytes from i that starts
+    at _WINDOW bytes, never ends inside a UTF-8 character, and doubles
+    until the value ends before the window does, so a number cut at the
+    window's edge is never taken; only a window that reaches the end of
+    the file may end with its value, or fail with json's error."""
+    view, size = memoryview(data), _WINDOW
+    while True:
+        j = min(i + size, len(data))
+        while j < len(data) and data[j] & 0xC0 == 0x80:  # a continuation byte
+            j -= 1
+        window = str(view[i:j], "utf-8")
         try:
-            while sep == ",":
-                j = ws(text, j + 1).end()
-                if text[j : j + 1] != "[":
+            value, end = scan(window, 0)
+            if end < len(window) or j == len(data):
+                break
+        except (ValueError, StopIteration):
+            if j == len(data):
+                raise
+        del window  # before the next one is decoded: two never live together
+        size *= 2
+    return value, i + (end if window.isascii() else len(window[:end].encode("utf-8")))
+
+
+def _numbers_only(data: bytes, i: int, j: int) -> bool:
+    """Whether data[i:j] holds no JSON string, true, false or null: each of
+    them holds a '"', 'u' or 'l' byte, and no number, NaN or Infinity does."""
+    return all(data.find(c, i, j) < 0 for c in (b'"', b"u", b"l"))
+
+
+def _walk_matrix(data: bytes, i: int, scan) -> tuple[np.ndarray | list, int]:
+    """The matrix whose first byte is data[i], and the index after it. A
+    square matrix of rows is read into one m x m float array, m the length
+    of its first row: each row, from its '[' to the first ']' after it, is
+    decoded by orjson from a memoryview of the bytes, whose floats are
+    json's bit for bit (an integer past 64 bits comes as the float json's
+    int converts to), and goes straight into its row of the array,
+    converted as np.asarray would convert it. Anything else (not a list of
+    rows, a bad separator, a row orjson or the conversion refuses, such as
+    one holding a NaN, a number past a float's range, a nested list, an
+    object or a string with a ']', a row of another length, which numpy
+    would broadcast, one row too many or too few, a first row too long for
+    its square to fit in the file, or a JSON string, true, false or null
+    anywhere in the matrix) is read by json's scanner, so its value or its
+    error is json's own. Its lists become a float array at once when they
+    hold numbers only and convert, or else stay as parsed, for load_model's
+    conversion step to refuse in its place."""
+    if data[i : i + 1] == b"[":
+        view, matrix, r, j, sep = memoryview(data), None, 0, i, b","
+        try:
+            while sep == b",":
+                j = _WHITESPACE(data, j + 1).end()
+                if data[j : j + 1] != b"[":
                     break
-                end = text.index("]", j) + 1
-                row = orjson.loads(text[j:end])
-                if matrix is None and len(row) ** 2 <= len(text) - i:
+                end = data.index(b"]", j) + 1
+                row = orjson.loads(view[j:end])
+                if matrix is None and len(row) ** 2 <= len(data) - i:
                     matrix = np.empty((len(row), len(row)))
                 if matrix is None or r == len(matrix) or len(row) != len(matrix):
                     break
                 matrix[r] = row
                 r += 1
-                j = ws(text, end).end()
-                sep = text[j : j + 1]
-            if sep == "]" and r == len(matrix):
+                j = _WHITESPACE(data, end).end()
+                sep = data[j : j + 1]
+            if sep == b"]" and r == len(matrix) and _numbers_only(data, i, j):
                 return matrix, j + 1
         except (TypeError, ValueError):  # orjson.JSONDecodeError is a ValueError
             pass
-    lists, end = scan(text, i)
-    try:
-        return np.asarray(lists, dtype=float), end
-    except (TypeError, ValueError, OverflowError):
-        return lists, end
+    lists, end = _scan(data, i, scan)
+    if _numbers_only(data, i, end):
+        try:
+            return np.asarray(lists, dtype=float), end
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return lists, end
 
 
-def _scan_kernels(text: str, i: int, scan, ws) -> tuple[list, int]:
-    """The `kernels` array whose '[' is at text[i], and the index after its
-    ']'. Each matrix is read by _scan_matrix, so no matrix's lists outlive
-    its read."""
-    kernels, sep = [], ","
-    while sep == ",":
-        matrix, i = _scan_matrix(text, ws(text, i + 1).end(), scan, ws)
+def _walk_kernels(data: bytes, i: int, scan) -> tuple[list, int]:
+    """The `kernels` array whose '[' is at data[i], and the index after its
+    ']'. Each matrix is read by _walk_matrix, so no matrix's lists outlive
+    its read unless they hold what load_model refuses."""
+    kernels, sep = [], b","
+    while sep == b",":
+        matrix, i = _walk_matrix(data, _WHITESPACE(data, i + 1).end(), scan)
         kernels.append(matrix)
-        i = ws(text, i).end()
-        sep = text[i : i + 1]
-    if sep != "]":
+        i = _WHITESPACE(data, i).end()
+        sep = data[i : i + 1]
+    if sep != b"]":
         raise ValueError("not a JSON array")
     return kernels, i + 1
 
 
-def _scan_model(text: str) -> dict:
-    """The top-level object of a model file, parsed by json's own scanner
-    one value at a time, with `kernels` read by _scan_kernels. Anything
-    else (another top level, an empty object or array, a syntax error,
-    trailing data) raises ValueError, StopIteration or RecursionError."""
-    scan, ws = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
-    i = ws(text).end()
-    if text[i : i + 1] != "{":
+def _walk_model(data: bytes) -> dict:
+    """The top-level object of a model file's bytes, one value at a time:
+    the top-level `kernels` by _walk_kernels, every other key and value by
+    _scan. Anything else (another top level, a BOM, an empty object or
+    array, a syntax error, trailing data, bytes that are not UTF-8) raises
+    ValueError, StopIteration or RecursionError."""
+    scan, ws = json.JSONDecoder().scan_once, _WHITESPACE
+    i = ws(data).end()
+    if data[i : i + 1] != b"{":
         raise ValueError("not a JSON object")
-    raw, sep = {}, ","
-    while sep == ",":
-        i = ws(text, i + 1).end()
-        if text[i : i + 1] != '"':
+    raw, sep = {}, b","
+    while sep == b",":
+        i = ws(data, i + 1).end()
+        if data[i : i + 1] != b'"':
             raise ValueError("not a JSON object")
-        key, i = json.decoder.scanstring(text, i + 1)
-        i = ws(text, i).end()
-        if text[i : i + 1] != ":":
+        key, i = _scan(data, i, scan)
+        i = ws(data, i).end()
+        if data[i : i + 1] != b":":
             raise ValueError("not a JSON object")
-        i = ws(text, i + 1).end()
-        if key == "kernels" and text[i : i + 1] == "[":
-            raw[key], i = _scan_kernels(text, i, scan, ws)
+        i = ws(data, i + 1).end()
+        if key == "kernels" and data[i : i + 1] == b"[":
+            raw[key], i = _walk_kernels(data, i, scan)
         else:
-            raw[key], i = scan(text, i)
-        i = ws(text, i).end()
-        sep = text[i : i + 1]
-    if sep != "}" or ws(text, i + 1).end() != len(text):
+            raw[key], i = _scan(data, i, scan)
+        i = ws(data, i).end()
+        sep = data[i : i + 1]
+    if sep != b"}" or ws(data, i + 1).end() != len(data):
         raise ValueError("not one JSON object")
     return raw
 
 
 def _read_model(path: str):
-    """The parsed model file. The text lives only here; beside it live the
-    kernels' arrays and the lists of a matrix json's scanner reads, kept
-    only where they do not convert, so the peak is the read's: about twice
-    the file. Kernel rows go through orjson, the rest through json's
-    scanner; a text _scan_model does not take is parsed again by
-    json.loads, so its value or its error is json's own."""
+    """The parsed model file. Its bytes are read once and walked by
+    _walk_model, with no decoded copy of them: beside the bytes live the
+    kernels' arrays, one row's list, a window of text for the value json's
+    scanner reads, and the lists of a matrix json's scanner reads, kept
+    only where they do not convert or hold a string, true, false or null.
+    So the peak is about 1.35 times the file, the bytes plus the arrays.
+    A file the walk does not take is decoded as read_text decodes it (with
+    universal newlines) and parsed by json.loads, so its value or its
+    error, with its line and column, is json's own."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as err:
         raise ModelFormatError(f"cannot read {path}: {err}") from err
+    try:
+        return _walk_model(data)
+    except (ValueError, StopIteration, RecursionError):
+        pass
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ModelFormatError(f"{path} is not valid UTF-8: {err}") from err
+    if "\r" in text:  # universal newlines, as read_text reads
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        try:
-            return _scan_model(text)
-        except (ValueError, StopIteration, RecursionError):
-            return json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelFormatError(
             f"{path} is not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
@@ -237,14 +291,37 @@ def _read_model(path: str):
         raise ModelFormatError(f"{path} cannot be parsed: {err}") from err
 
 
+def _is_number(x) -> bool:
+    """Whether a parsed JSON value is a number (a bool is not)."""
+    return type(x) in (int, float)
+
+
+def _refuse_non_numbers(path: str, field: str, values) -> None:
+    """Refuse, as a parse error naming the field, an entry of `values`
+    that is a JSON string, true, false or null, which np.asarray reads as
+    a number ("0.5" as 0.5, true as 1, null as NaN). `values` converted
+    to floats, so its lists are rectangular; an array is a matrix the walk
+    decoded, which holds numbers only."""
+    if isinstance(values, np.ndarray):
+        return
+    for x in np.asarray(values, dtype=object).flat:
+        if not _is_number(x):
+            raise ModelFormatError(
+                f"{path}: field {field!r} has an entry that is not a number: {json.dumps(x)}"
+            )
+
+
 def load_model(path: str) -> Model:
     """Parse and validate a JSON model file.
 
-    Parse problems raise ModelFormatError with field context. Data that the
-    domain types refuse, or whose lengths or labels `states` refuses,
+    Parse problems raise ModelFormatError with field context; among them
+    a JSON string, true, false or null in `pi`, `f` or a kernel. Data that
+    the domain types refuse, or whose lengths or labels `states` refuses,
     raises ValidationError listing every violated invariant. The field
     `states` is read only here: its count must be the target's length,
-    and its labels must be distinct; they are checked, not kept.
+    and its labels must be distinct; they are checked, not kept. The read
+    peaks at about 1.35 times the file's size, its bytes plus the arrays
+    (see _read_model).
     """
     raw = _read_model(path)
     if not isinstance(raw, dict):
@@ -269,6 +346,9 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: non-numeric entries: {err}") from err
     except OverflowError as err:
         raise ModelFormatError(f"{path}: a number is out of range: {err}") from err
+    parts = [("pi", raw["pi"]), ("f", raw["f"])] + [("kernels", m) for m in raw["kernels"]]
+    for field, values in parts:
+        _refuse_non_numbers(path, field, values)
 
     try:
         family, f = make_family(pi, kernels), Observable(f_values)
@@ -279,10 +359,7 @@ def load_model(path: str) -> Model:
         _raise_problems(path, n, pi, f_values, kernels, diag, repeated)
     grid = raw.get("lambda_grid")
     if grid is not None:
-        numbers = isinstance(grid, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in grid
-        )
-        if not numbers:
+        if not (isinstance(grid, list) and all(map(_is_number, grid))):
             raise ModelFormatError(f"{path}: field 'lambda_grid' must be a list of numbers")
         if not grid:
             raise ModelFormatError(f"{path}: field 'lambda_grid' must not be empty")

@@ -336,34 +336,98 @@ class TestLoadModel:
             + "\n  ".join(lines)
         )
 
-    def test_load_holds_the_text_and_one_kernel_tree(self, tmp_path):
-        # Reading a file of F bytes holds its bytes and its ASCII text
-        # together: 2F. A parsed kernel entry is a float object (24 bytes)
-        # and at least a list slot (8 bytes), about 1.4 times the 23
-        # characters it takes in the file, so the text beside every
-        # kernel's lists at once (as one json.loads of the file holds them)
-        # is more than 2.3F, and one kernel's lists at a time, converted
-        # beside the text, still peak at about 2.8F at k = 1 and 2.1F at
-        # k = 2. Decoding each row into its kernel's array holds the text,
-        # one row's list and the arrays (8 bytes an entry, 0.35F): about
-        # 1.35F at any k, so the read's 2F is the peak, and 2.2F leaves
-        # room for the other fields.
-        for n, k in ((200, 4), (200, 1), (300, 2)):
+    def test_load_holds_the_bytes_and_the_arrays(self, tmp_path):
+        # A kernel entry takes about 23 bytes in the file and 8 in its
+        # array, so the kernels' arrays weigh A = 8 k n^2, about 0.35F for
+        # a file of F bytes. The read holds the bytes, the arrays, one
+        # row's list (32 bytes an entry) and pi's and f's lists: F + A and
+        # a few n. Validation then holds each kernel twice (the load's
+        # array and the Kernel type's copy) beside two n x n buffers,
+        # A (2k + 2) / k: 1.4F at k = 1, and below the read's F + A at
+        # k >= 2. 0.15F more leaves room for the other fields and numpy's
+        # temporaries, and fails a load that holds a decoded copy of the
+        # file (2F) or every kernel's lists (more than 2.3F). Non-ASCII
+        # labels and CRLF line endings keep that bound.
+        for n, k, label, newline in (
+            (200, 4, "s", "\n"), (200, 1, "s", "\n"), (300, 2, "s", "\n"),
+            (300, 2, "\u00e9tat-\u03c0", "\n"), (300, 2, "s", "\r\n"),
+        ):
             fam = helpers.random_family(np.random.default_rng(5), n, k)
-            path = tmp_path / f"m{k}.json"
-            path.write_text(json.dumps({
-                "states": n, "pi": fam.pi.weights.tolist(),
-                "kernels": [m.tolist() for m in fam.matrices], "f": [1.0] * n,
-            }))
-            size = path.stat().st_size
-            assert 32 * k * n * n > 1.3 * size  # every kernel's lists outweigh 1.3F
+            kernels = [
+                "[" + ("," + newline).join(json.dumps(row) for row in m.tolist()) + "]"
+                for m in fam.matrices
+            ]
+            path = tmp_path / "m.json"
+            path.write_bytes(("{" + newline + ("," + newline).join([
+                '"states": ' + json.dumps([f"{label}{i}" for i in range(n)], ensure_ascii=False),
+                '"pi": ' + json.dumps(fam.pi.weights.tolist()),
+                '"kernels": [' + ("," + newline).join(kernels) + "]",
+                '"f": ' + json.dumps([1.0] * n),
+            ]) + newline + "}").encode("utf-8"))
+            size, arrays = path.stat().st_size, 8 * k * n * n
             tracemalloc.start()
             try:
                 load_model(str(path))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2.2 * size, (n, k, peak / size)
+            bound = max(size + arrays, arrays * (2 * k + 2) / k) + 0.15 * size
+            assert peak < bound, (n, k, label, newline, peak / size, bound / size)
+
+    def test_values_across_window_edges_read_by_the_walk(self, tmp_path, monkeypatch):
+        # json's scanner reads each value on a decoded window of the file's
+        # bytes, 4096 bytes long at first and doubled until the value ends
+        # before the window does: a number, a label or a multibyte
+        # character cut at an edge is read whole, on the walk alone
+        path = tmp_path / "m.json"
+        for pad in range(4090, 4100):
+            text = (
+                '{"states": ["a' + "\u00e9" * (pad // 2) + '", "b"], '
+                '"pi": [0.5' + "0" * pad + ", 0.5], "
+                '"padding": 1.' + "0" * pad + ", "
+                + json.dumps({"kernels": [helpers.E1_P1, helpers.E1_P2], "f": helpers.E1_F})[1:]
+            )
+            path.write_text(text, encoding="utf-8")
+            want = json.loads(text)
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "loads", None)  # no parse of the whole text
+                raw = scanvar.cli._read_model(str(path))
+            assert {k: v for k, v in raw.items() if k != "kernels"} == {
+                k: v for k, v in want.items() if k != "kernels"
+            }
+            assert [m.tolist() for m in raw["kernels"]] == want["kernels"]
+
+    @pytest.mark.parametrize("walk", [True, False], ids=["walk", "fallback"])
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("pi", ["0.5", 0.5], '"0.5"'),
+            ("pi", [None, 0.5], "null"),
+            ("f", [1.0, False], "false"),
+            ("kernels", [[[True, False], [False, True]]], "true"),
+            ("kernels", [helpers.E1_P1, [[0.6, 0.4], [0.4, None]]], "null"),
+            ("kernels", [helpers.E1_P1, [[0.6, "0.4"], [0.4, 0.6]]], '"0.4"'),
+        ],
+        ids=["string-weight", "null-weight", "false-value", "identity-of-booleans",
+             "null-entry", "string-entry"],
+    )
+    def test_non_number_entry_is_parse_error(
+        self, tmp_path, capsys, monkeypatch, walk, field, value, shown
+    ):
+        # np.asarray reads "0.5" as 0.5, true as 1 and null as NaN; JSON
+        # calls none of them a number, so each is refused as lambda_grid's
+        # entries are, from the walk and from the whole-text fallback alike
+        path = write_model(tmp_path / "m.json", **{field: value})
+        if walk:  # the walk reads this file, so json.loads is never called
+            monkeypatch.setattr(json, "loads", None)
+        else:
+            monkeypatch.setattr(scanvar.cli, "_walk_model", lambda data: json.loads(""))
+        assert main(["validate", "--model", path]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"parse error: {path}: field '{field}' has an entry that is not a number: {shown}\n"
+        )
+        assert captured.out == ""
 
     def test_long_first_row_makes_no_square_array(self, tmp_path):
         # A matrix is read into an m x m array, m its first row's length,
@@ -482,10 +546,19 @@ def json_own(text):
         return None, err
 
 
+def holds_non_numbers(value):
+    """Whether parsed JSON holds a string, true, false, null or an object
+    where a number could stand."""
+    if isinstance(value, list):
+        return any(holds_non_numbers(x) for x in value)
+    return type(value) not in (int, float)
+
+
 def assert_read_as_json(path):
     """_read_model gives json's own kernels, each the float array json's
     lists convert to, bit for bit, or the lists themselves when they do not
-    convert, or fails on json's own error."""
+    convert or hold a string, true, false or null, or fails on json's own
+    error."""
     want, err = json_own(path.read_text(encoding="utf-8"))
     if err is not None:
         with pytest.raises(scanvar.cli.ModelFormatError) as got:
@@ -499,6 +572,8 @@ def assert_read_as_json(path):
         try:
             array = np.asarray(lists, dtype=float)
         except (TypeError, ValueError, OverflowError):
+            array = None
+        if array is None or holds_non_numbers(lists):
             assert matrix == lists
             continue
         assert isinstance(matrix, np.ndarray) and matrix.dtype == float
@@ -537,13 +612,18 @@ class TestRowDecode:
             "[[0.5], [0.4, 0.6]]",
             "[[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]]",
             "[[1.0]]",
+            # entries np.asarray would read as numbers, which load_model refuses
+            "[[true, false], [false, true]]",
+            "[[0.6, 0.4], [0.4, null]]",
+            '[[0.6, 0.4], ["0.4", 0.6]]',
         ],
         ids=[
             "nan", "infinity", "past-float-range", "past-64-bits", "5000-digits",
             "nested", "string-bracket", "empty-row", "empty-rows", "empty-matrix",
             "object", "lone-surrogate", "semicolon", "no-separator", "trailing-comma",
             "number-first", "number-row", "unclosed", "short-last-row",
-            "short-first-row", "extra-row", "one-by-one",
+            "short-first-row", "extra-row", "one-by-one", "booleans", "null",
+            "numeric-string",
         ],
     )
     def test_refused_matrix_read_by_json_in_place(self, tmp_path, monkeypatch, matrix):

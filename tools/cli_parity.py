@@ -35,8 +35,9 @@ faults, state counts that disagree with the data, an empty list of
 labels, one fault of each kind it checks, an empty kernel list beside a
 NaN weight, a weight sum and a negative entry off by less than 1e-10
 beside larger faults, finite weights or a kernel row whose sum
-overflows, and an empty `lambda_grid`), on model
-files that test the parser (see `model_texts`), plus command lines that
+overflows, an empty `lambda_grid`, and a string, true, false or null
+in `pi`, `f` or a kernel), on model files that test the parser and the
+walk over a file's bytes (see `model_texts`), plus command lines that
 fail with a documented exit code (among them `peskun` on families of
 different shapes, which exits 1 before the two-kernel check could exit
 2, and on families of different targets, `simulate` with 10**400 steps
@@ -202,7 +203,8 @@ def invalid_models() -> dict[str, dict]:
     refuse (NaN is written as JSON's NaN), an empty kernel list beside a
     NaN weight, a weight sum and a negative entry off by less than 1e-10
     beside larger faults, finite weights or
-    a kernel row whose sum overflows, and an empty `lambda_grid`."""
+    a kernel row whose sum overflows, an empty `lambda_grid`, and a
+    string, true, false or null in `pi`, `f` or a kernel."""
     nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
     return {
         "labelled": dict(E1, states=["lo", "hi"]),
@@ -240,6 +242,13 @@ def invalid_models() -> dict[str, dict]:
         "overflow-row": dict(E1, kernels=[[[1e308, 1e308], [0.1, 0.9]], p2]),
         # an empty grid is refused, not taken for an absent one
         "empty-grid": dict(E1, lambda_grid=[]),
+        # entries np.asarray reads as numbers, which JSON does not call numbers
+        "string-weight": dict(E1, pi=["0.5", 0.5]),
+        "null-weight": dict(E1, pi=[None, 0.5]),
+        "boolean-f": dict(E1, f=[True, False]),
+        "boolean-kernel": dict(E1, kernels=[[[True, False], [False, True]]]),
+        "null-kernel-entry": dict(E1, kernels=[E1["kernels"][0], [[0.6, 0.4], [0.4, None]]]),
+        "string-kernel-entry": dict(E1, kernels=[E1["kernels"][0], [[0.6, "0.4"], [0.4, 0.6]]]),
     }
 
 
@@ -255,7 +264,12 @@ def model_texts() -> dict[str, bytes]:
     float's range, integers past 64 bits or of 5000 digits, nested rows,
     a string holding ']', an empty row or matrix, an object entry, a lone
     surrogate escape, bad row separators, a short row, which numpy would
-    broadcast, and one row too many)."""
+    broadcast, and one row too many), and the edges of the walk over the
+    file's bytes: a raw UTF-8 label, CRLF and lone-CR line endings with a
+    syntax error late in the file, a `pi` longer than the first decode
+    window, a number as the top level, ending at the end of the file,
+    `kernels` inside `simulation` ahead of the top-level one, and
+    `kernels` given twice, both valid."""
     string, ragged = [[0.6, "x"], [0.4, 0.6]], [[0.6], [0.4, 0.6]]
     e1 = json.dumps(E1)
     deep = "[" * 100_000 + "]" * 100_000
@@ -286,6 +300,13 @@ def model_texts() -> dict[str, bytes]:
         "long-integer": json.dumps(E1).replace("0.5, 0.5", "1" * 5000 + ", 0.5"),
         "deep-top-level": deep,
         "deep-kernels": json.dumps(dict(E1, kernels="DEEP")).replace('"DEEP"', deep),
+        "utf8-label": json.dumps(dict(E1, states=["\u00e9t\u00e9", "\u03c0"]), ensure_ascii=False),
+        "crlf-late-error": (json.dumps(E1, indent=2)[:-2] + ",\n}").replace("\n", "\r\n"),
+        "cr-late-error": (json.dumps(E1, indent=2)[:-2] + ",\n}").replace("\n", "\r"),
+        "long-pi": e1.replace('"pi": [0.5, 0.5]', '"pi": [0.5' + "0" * 5000 + "," + " " * 5000 + "0.5]"),
+        "number-top-level": "42",
+        "kernels-in-simulation": '{"simulation": {"kernels": [[[1.0]]], "steps": 64}, ' + e1[1:],
+        "kernels-twice-both-good": e1[:-1] + ', "kernels": ' + json.dumps(E1_LAZY["kernels"]) + "}",
     }
     # kernel matrices whose rows orjson refuses or the row walk does not take
     p2 = json.dumps(E1["kernels"][1])

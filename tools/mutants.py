@@ -197,19 +197,20 @@ MUTANTS = (
         "cli.py",
         "                return matrix, j + 1\n",
         "                return matrix.tolist(), j + 1\n",
-        ("tests/test_cli.py::TestLoadModel::test_load_holds_the_text_and_one_kernel_tree",),
+        ("tests/test_cli.py::TestLoadModel::test_load_holds_the_bytes_and_the_arrays",),
     ),
     Mutant(
-        # a ValueError from the conversion sends the text to json.loads,
+        # a ValueError from the conversion sends the file to json.loads,
         # whose value the conversion step then reports as before, so a
-        # string entry alone does not tell; an object entry's TypeError does
+        # ragged matrix alone does not tell, and a string entry keeps its
+        # matrix's lists by the routing check; an object entry's TypeError does
         "load_model: a bad matrix converted inside the walk",
         "cli.py",
-        "    try:\n"
-        "        return np.asarray(lists, dtype=float), end\n"
-        "    except (TypeError, ValueError, OverflowError):\n"
-        "        return lists, end\n",
-        "    return np.asarray(lists, dtype=float), end\n",
+        "        try:\n"
+        "            return np.asarray(lists, dtype=float), end\n"
+        "        except (TypeError, ValueError, OverflowError):\n"
+        "            pass\n",
+        "        return np.asarray(lists, dtype=float), end\n",
         ("tests/test_cli.py::TestLoadModel::test_unconvertible_kernel_reported_after_required_fields",),
     ),
     Mutant(
@@ -232,19 +233,53 @@ MUTANTS = (
         ("tests/test_cli.py::TestRowDecode",),
     ),
     Mutant(
-        "row fill: a first row's square not bounded by the text",
+        "row fill: a first row's square not bounded by the file",
         "cli.py",
-        "if matrix is None and len(row) ** 2 <= len(text) - i:",
+        "if matrix is None and len(row) ** 2 <= len(data) - i:",
         "if matrix is None:",
         ("tests/test_cli.py::TestLoadModel::test_long_first_row_makes_no_square_array",),
     ),
     Mutant(
+        # the rest of the number stands where the walk wants a separator,
+        # so the file is parsed again whole: the test forbids json.loads
+        "walk: a value cut at the decode window's end is accepted",
+        "cli.py",
+        "if end < len(window) or j == len(data):",
+        "if end <= len(window) or j == len(data):",
+        ("tests/test_cli.py::TestLoadModel::test_values_across_window_edges_read_by_the_walk",),
+    ),
+    Mutant(
+        # a cut character fails the window's decode, so the file is parsed
+        # again whole: the test forbids json.loads
+        "walk: a decode window may end inside a character",
+        "cli.py",
+        "        while j < len(data) and data[j] & 0xC0 == 0x80:  # a continuation byte\n"
+        "            j -= 1\n",
+        "",
+        ("tests/test_cli.py::TestLoadModel::test_values_across_window_edges_read_by_the_walk",),
+    ),
+    Mutant(
+        # a row of true and false fills its row with ones and zeros
+        "walk: non-number routing check skipped",
+        "cli.py",
+        """return all(data.find(c, i, j) < 0 for c in (b'"', b"u", b"l"))""",
+        "return True",
+        ("tests/test_cli.py::TestLoadModel::test_non_number_entry_is_parse_error",),
+    ),
+    Mutant(
+        "load_model: non-number entries taken",
+        "cli.py",
+        "        if not _is_number(x):\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestLoadModel::test_non_number_entry_is_parse_error",),
+    ),
+    Mutant(
         "load_model: row separator check dropped",
         "cli.py",
-        "            while sep == \",\":\n"
-        "                j = ws(text, j + 1).end()\n",
-        "            while sep != \"]\" and sep:\n"
-        "                j = ws(text, j + 1).end()\n",
+        "            while sep == b\",\":\n"
+        "                j = _WHITESPACE(data, j + 1).end()\n",
+        "            while sep != b\"]\" and sep:\n"
+        "                j = _WHITESPACE(data, j + 1).end()\n",
         ("tests/test_cli.py::TestRowDecode",),
     ),
     Mutant(
@@ -252,7 +287,8 @@ MUTANTS = (
         "cli.py",
         "    except UnicodeDecodeError as err:\n"
         "        raise ModelFormatError(f\"{path} is not valid UTF-8: {err}\") from err\n",
-        "",
+        "    except UnicodeDecodeError:\n"
+        "        raise\n",
         ("tests/test_cli.py::TestLoadModel::test_non_utf8_file_is_parse_error",),
     ),
     Mutant(
