@@ -1,10 +1,9 @@
-"""Check that two scanvar source trees behave the same on the command line.
+"""Record and replay the CLI transcript, tests/cli_transcript.txt.
 
-    python3 tools/cli_parity.py OLD_SRC NEW_SRC
+    python3 tools/cli_parity.py [--record]
 
-Runs a fixed list of command lines, each in a fresh interpreter, against
-each `src/` directory: every subcommand with the flags it reads, on the
-two-state example e1 and on one generated model per benchmark workload
+Runs a fixed list of command lines in-process through `scanvar.cli.main`:
+every subcommand with the flags it reads, on the two-state example e1 and on one generated model per benchmark workload
 (`bench/models.py`, same sizes), `compare` and `peskun` on grids holding
 a value within 1e-12 of one, `compare` at discount zero, `simulate` on
 e1 and on the simulate-k2 model at short and long horizons, strat and
@@ -44,33 +43,40 @@ different shapes, which exits 1 before the two-kernel check could exit
 or one replica, and `--method` or `--series-terms` on `demo` and
 `compare`, a usage error), and the `compare` and `peskun` verdicts on e1
 at `--tol 0`.
-Each side runs in its own empty directory, so relative output paths print
-the same. Exit codes, stdout, stderr and the bytes of every file a command
-writes must agree; the script prints one line per command line and exits
-1 on any difference. BLAS threads are pinned to one, so both sides round
-alike.
+Each line runs in its own empty directory, so relative output paths print
+the same, with warnings printed as a fresh interpreter prints them. Its
+record holds the line (model files by name), its exit code, its stdout,
+its stderr, each with the temporary directory written as <tmp>, and the
+bytes of every file it writes. The file's first line names the numpy
+version and BLAS build, which fix how the numbers round.
+
+With --record the script writes the transcript, so that an intended
+change shows in its diff, line by line. Without it, the script replays
+every line, prints each one whose record differs from the file's, and
+exits 1 on any difference, as tests/test_transcript.py does.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH
 
 import numpy as np  # noqa: E402
 from models import BaseFamily  # noqa: E402
 
-RUN = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from scanvar.cli import main; sys.exit(main(sys.argv[2:]))"
-)
-PINS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+from scanvar import cli  # noqa: E402
+
+TRANSCRIPT = ROOT / "tests" / "cli_transcript.txt"
 
 E1 = {
     "states": 2,
@@ -531,40 +537,97 @@ def command_lines(models: Path) -> list[list[str]]:
     return lines
 
 
-def run(src: str, argv: list[str], cwd: Path) -> tuple:
-    before = set(cwd.rglob("*"))
-    proc = subprocess.run(
-        [sys.executable, "-c", RUN, src, *argv],
-        cwd=cwd,
-        env={**os.environ, **PINS},
-        capture_output=True,
-        timeout=600,
-    )
-    written = {
-        str(p.relative_to(cwd)): p.read_bytes()
-        for p in sorted(cwd.rglob("*"))
-        if p.is_file() and p not in before
-    }
-    for p in written:
-        (cwd / p).unlink()
-    return proc.returncode, proc.stdout, proc.stderr, written
+def _escaped(text: str) -> list[str]:
+    """text as transcript lines: each line after "| ", with a backslash, a
+    carriage return and any character outside printable ASCII escaped, and
+    a last line that has no newline after "\\ " instead."""
+    lines = text.split("\n")
+    tail = lines.pop()  # "" when the text ends with a newline
+    out = ["| " + line.encode("unicode_escape").decode("ascii") for line in lines]
+    return out + (["\\ " + tail.encode("unicode_escape").decode("ascii")] if tail else [])
+
+
+def run(argv: list[str], cwd: Path, tmp: Path) -> list[str]:
+    """One command line's record: run in-process through `cli.main` in cwd,
+    which starts empty, with warnings printed as a fresh interpreter prints
+    them, and `tmp` written as <tmp> in its output; the files it writes are
+    read and removed."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.resetwarnings()
+            warnings.showwarning = lambda *w: err.write(warnings.formatwarning(*w[:4], w[5]))
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:  # argparse's usage error
+                code = stop.code
+    finally:
+        os.chdir(home)
+    label = " ".join(Path(x).name if "/" in x else x for x in argv)
+    lines = [f"=== {label}", f"exit {code}"]
+    for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+        lines += [name, *_escaped(text.replace(str(tmp), "<tmp>"))]
+    for path in sorted(cwd.rglob("*")):
+        if path.is_file():
+            lines += [f"file {path.relative_to(cwd)}", *_escaped(path.read_text("utf-8"))]
+            path.unlink()
+    return lines
+
+
+def header() -> str:
+    """The transcript's first line: the numpy version and BLAS build, which
+    fix how the numbers round."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
+def transcript() -> tuple[str, list[list[str]]]:
+    """The header and one record per command line, run in a temporary
+    directory that holds the models and an empty working directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for d in ("models", "cwd"):
+            (tmp / d).mkdir()
+        lines = command_lines(tmp / "models")
+        return header(), [run(line, tmp / "cwd", tmp) for line in lines]
+
+
+def text(head: str, records: list[list[str]]) -> str:
+    return "\n".join([head, *(line for record in records for line in record)]) + "\n"
+
+
+def read(path: Path = TRANSCRIPT) -> tuple[str, list[list[str]]]:
+    """The header and records of a transcript file."""
+    head, *lines = path.read_text(encoding="ascii").splitlines()
+    records = []
+    for line in lines:
+        if line.startswith("=== "):
+            records.append([])
+        records[-1].append(line)
+    return head, records
 
 
 def main(argv=None) -> int:
-    old, new = (str(Path(p).resolve()) for p in (argv or sys.argv[1:]))
-    differ = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for d in ("models", "old", "new"):
-            (tmp / d).mkdir()
-        for line in command_lines(tmp / "models"):
-            a = run(old, line, tmp / "old")
-            b = run(new, line, tmp / "new")
-            same = a == b
-            differ += not same
-            label = " ".join(Path(x).name if "/" in x else x for x in line)
-            print(f"{'same' if same else 'DIFFERENT'} exit {a[0]}/{b[0]}: {label}", flush=True)
-    print(f"{differ} command line(s) differ")
+    args = sys.argv[1:] if argv is None else argv
+    if args not in ([], ["--record"]):
+        print("usage: python3 tools/cli_parity.py [--record]", file=sys.stderr)
+        return 2
+    head, records = transcript()
+    if args:
+        TRANSCRIPT.write_text(text(head, records), encoding="ascii")
+        print(f"{len(records)} command lines recorded in {TRANSCRIPT.relative_to(ROOT)}")
+        return 0
+    old_head, old = read()
+    differ = [new[0] for new, was in zip(records, old) if new != was]
+    if old_head != head or len(old) != len(records):
+        print(f"recorded on {old_head[2:]!r} with {len(old)} command lines; "
+              f"running on {head[2:]!r} with {len(records)}")
+        return 1
+    for label in differ:
+        print(f"DIFFERENT {label[4:]}")
+    print(f"{len(differ)} of {len(records)} command line(s) differ")
     return 1 if differ else 0
 
 
