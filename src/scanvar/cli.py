@@ -131,6 +131,10 @@ def _raise_problems(path: str, n: int, pi, f_values, kernels, diag, repeated) ->
 _WHITESPACE = re.compile(rb"[ \t\n\r]*").match
 # the first decode window of a value json's scanner reads, in bytes
 _WINDOW = 4096
+# json's scanner fails on a value that a window cuts within this many
+# characters of the window's end, or at the start of an unterminated
+# string: at most 8 before it, at the '-' of a cut -Infinity
+_CUT = 16
 
 
 def _scan(data: bytes, i: int, scan) -> tuple[object, int]:
@@ -139,7 +143,10 @@ def _scan(data: bytes, i: int, scan) -> tuple[object, int]:
     at _WINDOW bytes, never ends inside a UTF-8 character, and doubles
     until the value ends before the window does, so a number cut at the
     window's edge is never taken; only a window that reaches the end of
-    the file may end with its value, or fail with json's error."""
+    the file may end with its value. json's error is raised from a window
+    that reaches the end of the file, or from one whose cut cannot have
+    caused it: one that points more than _CUT characters before the
+    window's end at anything but an unterminated string."""
     view, size = memoryview(data), _WINDOW
     while True:
         j = min(i + size, len(data))
@@ -150,8 +157,10 @@ def _scan(data: bytes, i: int, scan) -> tuple[object, int]:
             value, end = scan(window, 0)
             if end < len(window) or j == len(data):
                 break
-        except (ValueError, StopIteration):
-            if j == len(data):
+        except (ValueError, StopIteration) as err:  # an integer too long has no pos
+            at = err.value if isinstance(err, StopIteration) else getattr(err, "pos", 0)
+            cut = getattr(err, "msg", "").startswith("Unterminated string")
+            if j == len(data) or not cut and at < len(window) - _CUT:
                 raise
         del window  # before the next one is decoded: two never live together
         size *= 2

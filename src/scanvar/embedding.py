@@ -8,11 +8,10 @@ solved by elimination around the cycle (_cycle_solve): one n x n
 factorisation of I - lam^k M_1 ... M_k in the first phase, then k - 1
 back-substitutions, with a residual guard on the full block system. The
 product M_1 ... M_k does not depend on lam, and the family keeps it. A
-system in the family's mixed kernel alone (one block) is solved in that
-kernel's cached eigenbasis instead, O(n^2) per solve, under the same
-guard (_mixed_solve). Dense kn x kn realizations of T, its adjoint, its
-self-adjoint part and the forward shift after the blockwise action serve
-only as test oracles.
+system in the family's mixed kernel alone, the random scan's, is the
+cycle of one block, solved the same way with that kernel as its product.
+Dense kn x kn realizations of T, its adjoint, its self-adjoint part and
+the forward shift after the blockwise action serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -150,37 +149,6 @@ def _cycle_solve(
     for q in range(k - 1, 0, -1):
         x[q] = rhs[q] + lam * (blocks[q] @ x[(q + 1) % k])
     _check_residual(blocks, lam, x, rhs, weights)
-    return x
-
-
-def _mixed_solve(fam: KernelFamily, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve x = rhs + lam * M @ x for one function rhs, with M the
-    family's mixed kernel and lam in (-1, 1].
-
-    M is reversible, so S = D^{1/2} M D^{-1/2} (D = diag(pi)) is symmetric
-    up to its skew part, and the family keeps the eigendecomposition
-    V diag(mu) V' of its symmetric part. Then
-    x = rhs + D^{-1/2} V (c * lam mu / (1 - lam mu)), c = V' D^{1/2} rhs:
-    the correction is exactly zero at lam = 0. At lam = 1 the largest
-    eigenvalue, the unit one, is deflated (its term dropped), which gives
-    the centred solution as _cycle_solve's rank-one term does; the callers
-    have shown that eigenvalue alone. The skew part and the rounding of
-    the basis are left out, so _cycle_solve's residual guard is checked on
-    the original system; where it refuses, the one-block LU of _cycle_solve
-    gives the solution.
-    """
-    mu, vecs, _ = fam._spectrum
-    weights = fam.pi.weights
-    root = np.sqrt(weights)
-    scaled = lam * mu
-    if lam == 1.0:
-        scaled[-1] = 0.0
-    x = rhs + (vecs @ ((vecs.T @ (root * rhs)) * (scaled / (1.0 - scaled)))) / root
-    mixed = fam._mixed.matrix
-    try:
-        _check_residual([mixed], lam, x[None], rhs[None], weights)
-    except np.linalg.LinAlgError:
-        return _cycle_solve([mixed], lam, rhs[None], weights, mixed)[0]
     return x
 
 

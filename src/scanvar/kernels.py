@@ -291,10 +291,9 @@ class KernelFamily:
     stochastic by the Kernel type, and the rules of family_faults, read
     from the family's residuals, which it keeps as `diagnostics`. Values are
     immutable afterwards and safe to share across threads. Derived data
-    (the mixed kernel, its symmetric eigendecomposition and the count of
-    its eigenvalues near one, the full-cycle product, the cycle contraction
-    and the summability verdict) is computed on first use and kept with
-    the family.
+    (the mixed kernel and the count of its eigenvalues near one, the
+    full-cycle product, the cycle contraction and the summability verdict)
+    is computed on first use and kept with the family.
     """
 
     pi: Dist
@@ -337,20 +336,6 @@ class KernelFamily:
         prod = _cycle_product(self.matrices)
         prod.setflags(write=False)
         return prod
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(mu, V, skew): the eigenvalues, ascending, and orthonormal
-        eigenvectors of the symmetric part H = (S + S') / 2 of
-        S = _pi_similar(K, pi), K the mixed kernel, and the Frobenius norm
-        of the skew part (S - S') / 2, which measures rounding and balance
-        residual. _unit_count counts on mu, and every solve with the mixed
-        kernel alone runs in this basis (embedding._mixed_solve)."""
-        s = _pi_similar(self._mixed.matrix, self.pi.weights)
-        sym = s + s.T
-        sym /= 2.0
-        mu, vecs = np.linalg.eigh(sym)
-        return mu, vecs, float(np.linalg.norm(s - s.T)) / 2.0
 
     @cached_property
     def _cycle_contraction(self) -> float:
@@ -421,19 +406,48 @@ class KernelFamily:
     def _unit_count(self) -> int:
         """How many eigenvalues of the mixed kernel K may lie within 1e-8
         of 1: the guard of variance.var_limit(rand), which refuses a count
-        above one, read from _spectrum with no eigenproblem of its own.
+        above one. A Cholesky factorisation certifies a count of one; only
+        its refusal solves an eigenproblem, whose count it returns.
 
-        It counts the mu with 1 - mu < 1e-8 + r, r = skew + 16 n eps. S is
-        similar to K, and its symmetric part H is normal, so by Bauer-Fike
-        every eigenvalue of K lies within |S - H|_2 <= skew of an
-        eigenvalue of H. The entrywise rounding of S and H and the backward
-        error of eigh move mu by O(n eps) relative to |S|_2, which is about
-        one, and 16 n eps covers both. So an eigenvalue of K within 1e-8
-        of 1 puts some mu within 1e-8 + r of it, and nothing needs a
-        second route. No pi_max / pi_min enters: the entries of S, about
-        sqrt(K_ij K_ji), carry no ratio of weights."""
-        mu, _, skew = self._spectrum
-        radius = skew + 16.0 * self.n * _EPS
+        The count is of the eigenvalues mu of H = (S + S') / 2, S =
+        _pi_similar(K, pi), with 1 - mu < 1e-8 + r, r = skew + 16 n eps,
+        skew = |S - S'|_F / 2. S is similar to K and H is normal, so by
+        Bauer-Fike every eigenvalue of K lies within |S - H|_2 <= skew of
+        one of H's; the rounding of S and H and the eigensolver's backward
+        error move mu by O(n eps) relative to |S|_2, about one, which
+        16 n eps covers. No pi_max / pi_min enters: the entries of S, about
+        sqrt(K_ij K_ji), carry no ratio of weights.
+
+        The certificate factors A = (1 - 1e-8 - r - m) I - (H - s s'),
+        s = sqrt(pi). By interlacing, the largest eigenvalue of H - s s', a
+        rank-one step down from H, is at least H's second largest, whatever
+        s is; so if A is positive definite up to an error of 2-norm m, the
+        count is one. With u = eps / 2 and g_j = j u / (1 - j u) (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed.), m covers:
+        - Cholesky's backward error: R'R = A + dA, |dA| <= g_{n+1} |R'| |R|
+          (thm. 10.3), so |dA|_2 <= g_{n+1} |R|_F^2 = g_{n+1} trace(A + dA)
+          <= 2 n g_{n+1} / (1 - n g_{n+1}), as trace(A) <= n + 1 (H's
+          diagonal is nonnegative and |s|^2 is about one);
+        - the rounding of A from H: 2 u (|H|_F + |s s'|_F) + 5 u <= 5 n eps;
+        - the eigensolver's backward error in the count that a refusal
+          returns, within 16 n eps as above.
+        So a certificate never accepts a family whose count is above one."""
+        weights, n = self.pi.weights, self.n
+        s = _pi_similar(self._mixed.matrix, weights)
+        radius = float(np.linalg.norm(s - s.T)) / 2.0 + 16.0 * n * _EPS
+        g = (n + 1) * _EPS / (2.0 - (n + 1) * _EPS)  # g_{n+1}
+        margin = 2.0 * n * g / (1.0 - n * g) + 21.0 * n * _EPS
+        sym = s + s.T
+        sym /= 2.0
+        root = np.sqrt(weights)
+        a = np.outer(root, root)
+        a -= sym
+        a.flat[:: n + 1] += 1.0 - 1e-8 - radius - margin
+        try:
+            np.linalg.cholesky(a)
+            return 1
+        except np.linalg.LinAlgError:
+            mu = np.linalg.eigvalsh(sym)
         return int(np.sum(1.0 - mu < 1e-8 + radius))
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from scanvar.embedding import _mixed_solve
+from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     KernelFamily,
     Observable,
@@ -116,11 +116,13 @@ def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
     """gap_lower_bound from its forward solve y, var_lambda_strat's, in
     closed form: 2 lam^2 <d, (I + lam M)^{-1} d>_pi with the mixed kernel
     M, g = (y_1 + y_2) / 2 and d = (K_1 - K_2) g / 2 (see gap_lower_bound
-    for the derivation). The solve is the mixed kernel's, at -lam."""
+    for the derivation). The solve is the mixed kernel's, a cycle of one
+    block, at -lam."""
     g = (forward[0] + forward[1]) / 2.0
     m1, m2 = fam.matrices
     d = (m1 @ g - m2 @ g) / 2.0
-    z = _mixed_solve(fam, -lam, d)
+    mixed = fam._mixed.matrix
+    z = _cycle_solve([mixed], -lam, d[None], fam.pi.weights, mixed)[0]
     return 2.0 * lam * lam * float(np.dot(fam.pi.weights, d * z))
 
 
@@ -138,8 +140,8 @@ def gap_lower_bound(fam: KernelFamily, f: Observable, lam: float) -> float:
     block of g = (y_1 + y_2) / 2. A then sends (g, g) to (d, -d),
     d = (K_1 - K_2) g / 2, and on blocks (z, -z) H acts as minus the mixed
     kernel M, so (I - lam H)^{-1} (d, -d) = (z, -z) with (I + lam M) z = d.
-    The bound is 2 lam^2 <d, z>_pi: one solve in the mixed kernel's cached
-    eigenbasis per discount beyond var_lambda_strat's. Nonnegative by
+    The bound is 2 lam^2 <d, z>_pi: one solve in the mixed kernel alone
+    per discount beyond var_lambda_strat's. Nonnegative by
     construction and zero at lam = 0 or for identical kernels.
     """
     if fam.k != 2:

@@ -1,12 +1,12 @@
 """Exact discounted and limiting variances for the two scan schemes.
 
-The discounted variance of the deterministic cycle is one resolvent solve
-on the embedded block space, eliminated around the cycle to a single
-n x n system. The random scan, and a cycle of one kernel, solve with the
-mixed kernel alone, in its eigenbasis cached on the family
-(embedding._mixed_solve). Limits as the discount approaches one
-are the same solves at discount one on the centered subspace (deflating the
-constant direction), never a naive substitution. Observables are centered
+The discounted variance of either scheme is one resolvent solve on the
+embedded block space, eliminated around the cycle to a single n x n
+system (embedding._cycle_solve): the deterministic cycle's with the
+family's kernels, the random scan's with the mixed kernel as a cycle of
+one block. Limits as the discount approaches one are the same solves at
+discount one on the centered subspace (deflating the constant direction),
+never a naive substitution. Observables are centered
 internally, so inputs need not be pre-centered. The covariance series of
 the cycle variance and the exact joint laws of the cycle and embedded
 chains are independent references that the test suite keeps
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scanvar.embedding import _cycle_solve, _mixed_solve
+from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     Dist,
     KernelFamily,
@@ -30,7 +30,6 @@ from scanvar.kernels import (
     _check_count,
     _check_lam,
     center,
-    random_scan,
 )
 
 SCHEMES = ("strat", "rand")
@@ -59,23 +58,29 @@ def _check_scheme(scheme: str) -> None:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
+def _blocks(fam: KernelFamily, scheme: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The kernels of a scheme's cycle and their product: the family's
+    kernels and their cached product for strat, and for rand the mixed
+    kernel alone, a cycle of one block."""
+    if scheme == "rand":
+        return (fam._mixed.matrix,), fam._mixed.matrix
+    return fam.matrices, fam._cycle
+
+
 def _solve(
     fam: KernelFamily, f: Observable, lam: float, scheme: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(fbar, y): the centred f tiled over the phases, and the solution of
-    y_q = fbar_q + lam * M_q y_{q+1}, with the family's kernels (the embed
-    row and its cached product) for strat and the mixed kernel alone for
-    rand; lam lies in [0, 1]. A cycle of one kernel is its mixed kernel,
-    so strat then takes rand's solve, and the two agree bit for bit. At
-    lam = 1 the deflated solve leaves the offset of pi . fbar_q from zero
-    as its residual; center keeps that offset at the rounding of fbar's
-    own norm, so the guard relative to fbar holds, and a constant f
-    centres to zeros, whose solve is zero."""
-    fc = center(f, fam.pi).values
-    if scheme == "rand" or fam.k == 1:
-        return fc[None, :], _mixed_solve(fam, lam, fc)[None, :]
-    fbar = np.tile(fc, (fam.k, 1))
-    return fbar, _cycle_solve(fam.matrices, lam, fbar, fam.pi.weights, fam._cycle)
+    y_q = fbar_q + lam * M_q y_{q+1}, M_q the scheme's blocks (_blocks),
+    for lam in [0, 1]. A cycle of one kernel is its mixed kernel, so the
+    two schemes then make the same solve and agree bit for bit. At lam = 1
+    the deflated solve leaves the offset of pi . fbar_q from zero as its
+    residual; center keeps that offset at the rounding of fbar's own norm,
+    so the guard relative to fbar holds, and a constant f centres to
+    zeros, whose solve is zero."""
+    mats, prod = _blocks(fam, scheme)
+    fbar = np.tile(center(f, fam.pi).values, (len(mats), 1))
+    return fbar, _cycle_solve(mats, lam, fbar, fam.pi.weights, prod)
 
 
 def _variance(fbar: np.ndarray, y: np.ndarray, pi: Dist) -> float:
@@ -129,9 +134,9 @@ def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
     deflates the constant direction. strat is guarded by the summability
     verdict, which solves no eigenproblem (only a refusal computes the
     radius it names); rand by the count of the mixed kernel's eigenvalues
-    that may lie within 1e-8 of 1 (KernelFamily._unit_count), read from the
-    cached eigendecomposition that its solve then uses, with no
-    eigenproblem of its own.
+    that may lie within 1e-8 of 1 (KernelFamily._unit_count), which a
+    Cholesky factorisation certifies to be one, with no eigenproblem
+    unless it refuses.
     """
     _check_scheme(scheme)
     if scheme == "rand":
@@ -166,11 +171,7 @@ def finite_m_variance_exact(
     """
     _check_scheme(scheme)
     _check_count("steps", m_steps, 1, 63)
-    if scheme == "rand":
-        mixed = random_scan(fam).matrix
-        mats, prod = (mixed,), mixed
-    else:
-        mats, prod = fam.matrices, fam._cycle
+    mats, prod = _blocks(fam, scheme)
     pi = fam.pi.weights
     fc = center(f, fam.pi).values
     norm_sq = float(np.dot(pi, fc * fc))

@@ -48,3 +48,8 @@ def eigvalsh_calls(monkeypatch):
 @pytest.fixture
 def eigh_calls(monkeypatch):
     return _shapes(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    return _shapes(monkeypatch, "cholesky")

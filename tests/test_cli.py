@@ -397,6 +397,50 @@ class TestLoadModel:
             }
             assert [m.tolist() for m in raw["kernels"]] == want["kernels"]
 
+    @pytest.mark.parametrize("value", ["-Infinity", "1.5e+300", '"\\ud83d\\ude00"'])
+    def test_token_cut_at_a_window_edge_read_by_the_walk(self, tmp_path, monkeypatch, value):
+        # json's scanner fails on a token that the window's edge cuts up to
+        # 8 characters before the edge; the walk still widens the window
+        path = tmp_path / "m.json"
+        rest = json.dumps({"kernels": [helpers.E1_P1, helpers.E1_P2], "f": helpers.E1_F})
+        for start in range(4080, 4100):
+            text = '{"padding": [' + " " * (start - 1) + value + "], " + rest[1:]
+            path.write_text(text, encoding="utf-8")
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "loads", None)  # no parse of the whole text
+                raw = scanvar.cli._read_model(str(path))
+            assert raw["padding"] == [json.JSONDecoder().decode(value)]
+
+    @pytest.mark.parametrize("broken", ['"pi": [,', '"pi": ,', '"pi": [0.5 0.5]'])
+    def test_early_syntax_error_decodes_one_window(self, tmp_path, monkeypatch, broken):
+        # a syntax error well before a decode window's end cannot come from
+        # the window's cut, so the walk gives up on its first window of the
+        # value, and json.loads alone parses the whole file for the message
+        rng = np.random.default_rng(79)
+        fam = helpers.random_family(rng, 60, 2)
+        text = json.dumps({
+            "states": 60,
+            "pi": fam.pi.weights.tolist(),
+            "kernels": [m.tolist() for m in fam.matrices],
+            "f": rng.standard_normal(60).tolist(),
+        })
+        text = text[: text.index('"pi"')] + broken + text[text.index("]", text.index('"pi"')) + 1 :]
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        windows = []
+
+        class Counted(json.JSONDecoder):
+            def __init__(self):
+                super().__init__()
+                scan = self.scan_once
+                self.scan_once = lambda s, i: windows.append(len(s)) or scan(s, i)
+
+        monkeypatch.setattr(json, "JSONDecoder", Counted)
+        with pytest.raises(scanvar.cli.ModelFormatError, match="is not valid JSON"):
+            scanvar.cli._read_model(str(path))
+        assert len(text) > 100_000
+        assert windows == [4096] * 4  # states, its value, pi, and pi's value
+
     @pytest.mark.parametrize("walk", [True, False], ids=["walk", "fallback"])
     @pytest.mark.parametrize(
         "field, value, shown",
@@ -787,11 +831,16 @@ class TestCompare:
         assert capsys.readouterr().out.splitlines()[-1].endswith(",limit")
         assert calls == []
 
-    def test_two_kernel_sweep_costs(self, tmp_path, capsys, monkeypatch, eigh_calls):
-        # the default four discounts and the limit: one LU per discount and
-        # one for the limit, all strat's; one eigendecomposition of the
-        # mixed kernel for rand and the bound; one cycle product
+    def test_two_kernel_sweep_costs(
+        self, tmp_path, capsys, monkeypatch, eigh_calls, eigvalsh_calls, cholesky_calls
+    ):
+        # the default four discounts and the limit: per discount one LU on
+        # the cycle, strat's, shared with the bound, and one on the mixed
+        # kernel alone for the bound and one for rand; in the limit one for
+        # strat and one for rand, after one Cholesky certificate for rand's
+        # guard; one cycle product, and no eigenproblem
         import scanvar.embedding
+        import scanvar.ordering
         import scanvar.variance
 
         rng = np.random.default_rng(78)
@@ -814,13 +863,14 @@ class TestCompare:
             products.append(len(matrices))
             return product(matrices)
 
-        monkeypatch.setattr(scanvar.embedding, "_cycle_solve", counted_solve)
-        monkeypatch.setattr(scanvar.variance, "_cycle_solve", counted_solve)
+        for module in (scanvar.embedding, scanvar.variance, scanvar.ordering):
+            monkeypatch.setattr(module, "_cycle_solve", counted_solve)
         monkeypatch.setattr(scanvar.kernels, "_cycle_product", counted_product)
         assert main(["compare", "--model", path]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4 + 1
-        assert solves == [2] * 5
-        assert eigh_calls == [(8, 8)]
+        assert solves == [2, 1, 1] * 4 + [2, 1]
+        assert cholesky_calls == [(8, 8)]
+        assert eigh_calls == eigvalsh_calls == []
         assert products == [2]
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import helpers
 import scanvar.variance
 from helpers import BetaPath, bellman_value, palindrome_check, variational_identity_check
-from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     Dist,
     Kernel,
@@ -77,9 +76,10 @@ class TestCheckScanOrdering:
         assert rep.method == "resolvent"
 
     def test_gap_bound_shares_the_strat_solve(self, monkeypatch):
-        # per discount one LU, strat's, shared with the bound; rand and the
-        # bound's other solve run in the mixed kernel's eigenbasis
+        # per discount one LU on the cycle, strat's, shared with the bound;
+        # the bound's other solve and rand's are LUs on the mixed kernel alone
         import scanvar.embedding as embedding
+        import scanvar.ordering as ordering
         import scanvar.variance as variance
 
         fam = helpers.random_family(np.random.default_rng(73), 6, 2)
@@ -89,31 +89,34 @@ class TestCheckScanOrdering:
         solve = embedding._cycle_solve
 
         def counted(*args, **kwargs):
-            calls.append(len(args[0]))
+            calls.append((len(args[0]), args[1]))
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(embedding, "_cycle_solve", counted)
-        monkeypatch.setattr(variance, "_cycle_solve", counted)
+        for module in (embedding, variance, ordering):
+            monkeypatch.setattr(module, "_cycle_solve", counted)
         reports = check_scan_ordering(fam, f, grid)
-        assert calls == [2] * len(grid)
+        assert calls == [c for lam in grid for c in ((2, lam), (1, -lam), (1, lam))]
         monkeypatch.undo()
         for lam, rep in zip(grid, reports):
             assert rep.var_a == var_lambda_strat(fam, f, lam)
             assert rep.var_b == var_lambda_rand(fam, f, lam)
             assert rep.gap_lower_bound == gap_lower_bound(fam, f, lam)
 
-    def test_sweep_and_limit_take_one_eigh(self, eigh_calls, eigvalsh_calls):
-        # a five-point sweep and the limit read one eigendecomposition of
-        # the mixed kernel; the summability verdict solves no eigenproblem
+    def test_sweep_and_limit_take_one_cholesky(
+        self, eigh_calls, eigvalsh_calls, cholesky_calls
+    ):
+        # a five-point sweep and the limit solve no eigenproblem: the rand
+        # guard is one Cholesky certificate, kept with the family, and the
+        # summability verdict factors nothing
         fam = helpers.random_family(np.random.default_rng(76), 6, 2)
         f = helpers.random_centered(np.random.default_rng(77), fam)
         summability_check(fam)
         rows = check_scan_ordering(fam, f, [0.0, 0.3, 0.6, 0.9, 0.99, 1.0])
         assert [r.method for r in rows] == ["resolvent"] * 5 + ["limit"]
-        assert eigh_calls == [(6, 6)]
-        assert eigvalsh_calls == []
+        assert cholesky_calls == [(6, 6)]
+        assert eigh_calls == eigvalsh_calls == []
         check_scan_ordering(fam, f, [0.5, 1.0])
-        assert eigh_calls == [(6, 6)]
+        assert cholesky_calls == [(6, 6)]
 
     def test_e1_limit_row(self, e1, e1_f):
         reports = check_scan_ordering(e1, e1_f, [0.5, 1.0])
@@ -525,8 +528,8 @@ def test_refused_limit_alone_is_raised(limit_rows):
 @pytest.mark.parametrize("bad", [1.5, float("nan")])
 def test_grid_checked_before_any_solve(e1, e1_f, monkeypatch, limit_rows, bad):
     solves = []
-    for name in ("_cycle_solve", "_mixed_solve"):
-        monkeypatch.setattr(scanvar.variance, name, lambda *a, **k: solves.append(a))
+    for module in (scanvar.variance, scanvar.ordering):
+        monkeypatch.setattr(module, "_cycle_solve", lambda *a, **k: solves.append(a))
     with pytest.raises(ValueError, match=rf"discount must lie in \[0, 1\), got {bad}"):
         limit_rows(e1, e1_f, [0.3, 1.0, bad])
     assert solves == []
@@ -547,21 +550,22 @@ def test_two_kernel_scan_ordering_and_bound_hold(case):
 
 
 @given(helpers.families(k=2))
-def test_closed_form_bound_and_eigenbasis_rand_match_dense_routes(case):
+def test_closed_form_bound_and_rand_match_dense_routes(case):
     # the bound against the three dense solves of its definition, and the
-    # random scan in the mixed kernel's eigenbasis against its one-block LU
+    # random scan's one-block LU against a plain dense solve in the mean
+    # kernel
     fam, f = case
     w = fam.pi.weights
     fc = center(f, fam.pi).values
-    mixed = fam._mixed.matrix
+    mean = helpers.fsum_mean(fam)
     for lam in PROPERTY_GRID[:4]:
         bound = gap_lower_bound(fam, f, lam)
         assert bound == pytest.approx(
             helpers.oracle_gap_bound(fam, f, lam), rel=1e-10, abs=1e-14 * np.dot(w, fc * fc)
         )
-        lu = _cycle_solve([mixed], lam, fc[None], w, mixed)
+        dense = np.linalg.solve(np.eye(fam.n) - lam * mean, fc)
         rand = var_lambda_rand(fam, f, lam)
-        assert rand == pytest.approx(2.0 * np.dot(w, fc * lu[0]) - np.dot(w, fc * fc), rel=1e-12)
+        assert rand == pytest.approx(2.0 * np.dot(w, fc * dense) - np.dot(w, fc * fc), rel=1e-12)
     # at discount zero both solves return the right-hand side bit for bit,
     # every per-phase inner product rounds alike, and the bound and the gap
     # are exactly zero

@@ -3,22 +3,23 @@ routes.
 
 The summability certificate must never accept a cycle whose contraction
 is one or more and must accept every generated cycle that contracts by
-more than 1e-9; the random-scan guard, a count on the mixed kernel's
-cached eigenbasis, must give the eigenvalue problem's count wherever no
-eigenvalue lies within its radius of the 1e-8 line, with no eigvals call;
-and the solve in that eigenbasis must give the value of the LU it stands
-in for, falling back to it whenever it cannot decide: on
-property-generated families and on pinned hostile ones.
+more than 1e-9; the random-scan guard, a Cholesky certificate on the
+mixed kernel that falls back to counting eigvalsh's eigenvalues, must
+give the verdict of that count always, and the nonsymmetric eigenvalue
+problem's count wherever no eigenvalue lies within its radius of the
+1e-8 line, with no eigvals call; and every random-scan solve is the LU on
+the mixed kernel alone: on property-generated families and on pinned
+hostile ones.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
-from scanvar import embedding
-from scanvar.embedding import _cycle_solve, _mixed_solve
+from scanvar import embedding, variance
+from scanvar.embedding import _cycle_solve
 from scanvar.kernels import (
     REVERSIBILITY_TOL,
     Dist,
@@ -30,6 +31,7 @@ from scanvar.kernels import (
     gibbs_kernel,
     make_family,
     random_reversible,
+    random_scan,
 )
 from scanvar.variance import (
     SCHEMES,
@@ -47,9 +49,25 @@ def no_eigvals(call):
         return call()
 
 
+def similar_mixed(fam) -> np.ndarray:
+    """S = D^{1/2} K D^{-1/2} for the mixed kernel K, rounded as
+    KernelFamily._unit_count rounds it."""
+    root = np.sqrt(fam.pi.weights)
+    return root[:, None] * random_scan(fam).matrix / root
+
+
 def unit_radius(fam) -> float:
     """The Bauer-Fike radius of KernelFamily._unit_count."""
-    return fam._spectrum[2] + 16.0 * fam.n * np.finfo(float).eps
+    s = similar_mixed(fam)
+    return float(np.linalg.norm(s - s.T)) / 2.0 + 16.0 * fam.n * np.finfo(float).eps
+
+
+def eigvalsh_count(fam) -> int:
+    """The count that a refused certificate falls back to: the eigenvalues
+    mu of the symmetric part of S with 1 - mu < 1e-8 + radius."""
+    s = similar_mixed(fam)
+    mu = np.linalg.eigvalsh((s + s.T) / 2.0)
+    return int(np.sum(1.0 - mu < 1e-8 + unit_radius(fam)))
 
 
 @given(helpers.families(scales=helpers.TINY_SCALES))
@@ -151,13 +169,12 @@ def test_tiny_weight_residual_refusal():
             helpers.oracle_var_limit(fam, f, scheme), rel=1e-8
         )
     one_pass = f.values - float(np.dot(w, f.values))
+    # one kernel: the cycle and the mixed kernel are the same one block
+    assert fam._cycle is fam._mixed.matrix
     with pytest.raises(np.linalg.LinAlgError):
         _cycle_solve(fam.matrices, 1.0, one_pass[None], w, fam._cycle)
-    with pytest.raises(np.linalg.LinAlgError):
-        _mixed_solve(fam, 1.0, one_pass)
     rhs = center(f, fam.pi).values
     _cycle_solve(fam.matrices, 1.0, rhs[None], w, fam._cycle)
-    _mixed_solve(fam, 1.0, rhs)
 
 
 def test_identity_contraction_rounded_below_one():
@@ -170,12 +187,14 @@ def test_identity_contraction_rounded_below_one():
         var_limit(fam, Observable([1.0, 2.0]), "strat")
 
 
-def test_random_family_is_decided_without_eigvals(eigvals_calls, eigh_calls):
+def test_random_family_is_decided_without_eigvals(
+    eigvals_calls, eigh_calls, eigvalsh_calls, cholesky_calls
+):
     fam = helpers.random_family(np.random.default_rng(61), 7, 2)
     f = helpers.random_centered(np.random.default_rng(62), fam)
     values = {scheme: var_limit(fam, f, scheme) for scheme in ("strat", "rand")}
-    assert eigvals_calls == []
-    assert eigh_calls == [(7, 7)]  # the rand guard's and its solve's
+    assert eigvals_calls == eigh_calls == eigvalsh_calls == []
+    assert cholesky_calls == [(7, 7)]  # the rand guard's certificate
     for scheme, value in values.items():
         assert value == pytest.approx(helpers.oracle_var_limit(fam, f, scheme), rel=1e-10)
 
@@ -224,12 +243,15 @@ def test_norm_one_families_fall_back_and_raise(kernel, eigvals_calls):
     assert eigvals_calls == [(2, 2)]
 
 
-def test_near_reducible_two_state_counted_without_eigvals(eigvals_calls, eigh_calls):
+def test_near_reducible_two_state_counted_without_eigvals(
+    eigvals_calls, eigh_calls, eigvalsh_calls, cholesky_calls
+):
+    # the certificate refuses, and only then is the count computed
     sticky = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
     fam = make_family([0.5, 0.5], [sticky, sticky])
     assert fam._unit_count == 2
-    assert eigvals_calls == []
-    assert eigh_calls == [(2, 2)]
+    assert eigvals_calls == eigh_calls == []
+    assert cholesky_calls == eigvalsh_calls == [(2, 2)]
     with pytest.raises(ReducibilityError, match="within 1e-8 of 1"):
         var_limit(fam, Observable(helpers.E1_F), "rand")
 
@@ -262,25 +284,29 @@ def tiny_weight_family(pi_1: float):
     return make_family(pi.weights, [random_reversible(pi, 3), random_reversible(pi, 13)])
 
 
-def test_tiny_target_weight_matches_oracle_without_eigvals(eigvals_calls, eigh_calls):
+def test_tiny_target_weight_matches_oracle_without_eigvals(
+    eigvals_calls, eigh_calls, eigvalsh_calls, cholesky_calls
+):
     # no pi_max / pi_min enters the rand guard's radius, so a weight of
-    # 1e-12 is counted on the eigenbasis that the solve then reads
+    # 1e-12 is certified by one Cholesky, with no eigenproblem
     fam = tiny_weight_family(1e-12)
     f = Observable([5.0, -1.0, 2.0])
     for scheme in ("strat", "rand"):
         assert var_limit(fam, f, scheme) == pytest.approx(
             helpers.oracle_var_limit(fam, f, scheme), rel=1e-9
         )
-    assert eigvals_calls == []
-    assert eigh_calls == [(3, 3)]
+    assert eigvals_calls == eigh_calls == eigvalsh_calls == []
+    assert cholesky_calls == [(3, 3)]
 
 
-def test_moderate_target_weights_decide_without_eigvals(eigvals_calls, eigh_calls):
+def test_moderate_target_weights_decide_without_eigvals(
+    eigvals_calls, eigh_calls, eigvalsh_calls, cholesky_calls
+):
     fam = tiny_weight_family(0.1)
     for scheme in ("strat", "rand"):
         var_limit(fam, Observable([5.0, -1.0, 2.0]), scheme)
-    assert eigvals_calls == []
-    assert eigh_calls == [(3, 3)]
+    assert eigvals_calls == eigh_calls == eigvalsh_calls == []
+    assert cholesky_calls == [(3, 3)]
 
 
 def test_skew_part_counts_in_the_certificate():
@@ -294,52 +320,63 @@ def test_skew_part_counts_in_the_certificate():
     assert make_family(uniform, [0.5 * flips[0] + 0.5 / 3.0, flips[1]])._summable
 
 
-def test_tiny_weight_kernel_counted_on_the_cached_spectrum(
-    eigh_calls, eigvalsh_calls, eigvals_calls
+def test_tiny_weight_kernel_certified_by_one_cholesky(
+    eigh_calls, eigvalsh_calls, eigvals_calls, cholesky_calls
 ):
     # the radius stays near 16 n eps = 1.1e-14 for a weight of 1e-12; the
-    # cached spectrum, which the solve reads next, is the only eigenproblem
+    # certificate is the only factorisation, and no eigenproblem is solved
     fam = tiny_weight_family(1e-12)
     one = make_family(fam.pi.weights, fam.kernels[:1])
     count = one._unit_count
     assert unit_radius(one) < 2e-14
-    assert eigh_calls == [(3, 3)]
-    assert eigvalsh_calls == []
-    assert eigvals_calls == []
+    assert cholesky_calls == [(3, 3)]
+    assert eigh_calls == eigvalsh_calls == eigvals_calls == []
     assert count == int(np.sum(np.abs(np.linalg.eigvals(fam.matrices[0]) - 1.0) < 1e-8))
 
 
-def near_tolerance_family(eps: float = 2.2e-11):
+def near_tolerance_family(eps: float = 2.2e-11, resample=(0.01, 0.03)):
     """Two kernels on three states that resample from pi with probability
-    0.01 and 0.03, each plus a circulation of flow eps around the states:
-    pi stays invariant, and the flow's asymmetry is about 0.9
+    0.01 and 0.03 (by default), each plus a circulation of flow eps around
+    the states: pi stays invariant, and the flow's asymmetry is about 0.9
     REVERSIBILITY_TOL of the largest flow."""
     pi = np.array([0.2, 0.3, 0.5])
     circulation = eps * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]) / pi[:, None]
     kernels = [
-        (1 - p) * np.eye(3) + p * np.outer(np.ones(3), pi) + circulation for p in (0.01, 0.03)
+        (1 - p) * np.eye(3) + p * np.outer(np.ones(3), pi) + circulation for p in resample
     ]
     return make_family(pi, kernels)
 
 
-def test_eigenbasis_guard_falls_back_to_the_one_block_lu(monkeypatch):
-    # the mixed kernel's skew part is left out of its eigenbasis solve: at
-    # discount 0.3 the residual stays within the guard, at 0.99 and in the
-    # limit, where the slow mode amplifies it, the one-block LU takes over
+def test_skew_part_widens_the_rand_certificate():
+    # the circulation is antisymmetric for pi, so the mixed kernel's
+    # symmetric part H has the eigenvalue 1 - p twice, and its skew part
+    # is 1.8e-10; by Bauer-Fike the kernel's eigenvalues may lie within
+    # that of H's, so at p = 1e-8 + skew / 2 the certificate refuses and
+    # the count is three, while a p beyond 1e-8 + skew is certified
+    skew = unit_radius(near_tolerance_family(resample=(1e-8, 1e-8))) - 48.0 * np.finfo(float).eps
+    assert 1e-10 < skew < 1e-9
+    assert near_tolerance_family(resample=(1e-8 + skew / 2.0,) * 2)._unit_count == 3
+    assert near_tolerance_family(resample=(1e-8 + 2.0 * skew,) * 2)._unit_count == 1
+
+
+def test_near_tolerance_rand_solves_are_the_one_block_lu(monkeypatch):
+    # the mixed kernel's skew part is near the tolerance; every rand solve,
+    # at 0.3, at 0.99, where the slow mode amplifies that part, and in the
+    # limit, is the LU on the mixed kernel alone, bit for bit
     fam = near_tolerance_family()
     residual = max(family_diagnostics(fam.pi, fam.kernels).relative_balance_residual)
     assert 0.8 * REVERSIBILITY_TOL < residual <= REVERSIBILITY_TOL
     f = Observable([1.0, -1.0, 0.5])
-    fallbacks = []
+    solves = []
     solve = embedding._cycle_solve
 
     def counted(*args, **kwargs):
-        fallbacks.append(args[1])
+        solves.append((len(args[0]), args[1]))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(embedding, "_cycle_solve", counted)
+    monkeypatch.setattr(variance, "_cycle_solve", counted)
     values = [var_lambda_rand(fam, f, lam) for lam in (0.3, 0.99)] + [var_limit(fam, f, "rand")]
-    assert fallbacks == [0.99, 1.0]
+    assert solves == [(1, 0.3), (1, 0.99), (1, 1.0)]
     monkeypatch.undo()
     w = fam.pi.weights
     fc = center(f, fam.pi).values[None]
@@ -348,5 +385,59 @@ def test_eigenbasis_guard_falls_back_to_the_one_block_lu(monkeypatch):
         _variance(fc, _cycle_solve([mixed], lam, fc, w, mixed), fam.pi)
         for lam in (0.3, 0.99, 1.0)
     ]
-    assert values[1:] == lu[1:]
-    assert values[0] == pytest.approx(lu[0], rel=1e-9)
+    assert values == lu
+
+
+@st.composite
+def certificate_families(draw):
+    """helpers.random_family on one to seven states with one to four
+    kernels, one draw in three lazified by a hold of 1 - 10^-j, j from 3
+    to 9, which puts eigenvalues near the 1e-8 line."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    fam = helpers.random_family(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
+    if draw(st.integers(0, 2)) == 0:
+        fam = helpers.lazified(fam, 1.0 - 10.0 ** -draw(st.integers(3, 9)))
+    return fam
+
+
+STICKY = [[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]
+
+
+@given(certificate_families())
+@example(make_family([0.5, 0.5], [STICKY, STICKY]))
+@example(near_tolerance_family())
+def test_certificate_verdict_equals_the_eigvalsh_count(fam):
+    # the certificate accepts only where the count is one, and a refusal
+    # returns the count itself
+    assert (fam._unit_count == 1) == (eigvalsh_count(fam) == 1)
+    assert fam._unit_count == 1 or fam._unit_count == eigvalsh_count(fam)
+
+
+def test_refused_certificate_names_the_eigvalsh_count(eigvalsh_calls):
+    # a kernel resampling from the target with probability 1e-9 keeps the
+    # eigenvalue 1 - 1e-9 twice beside the unit one
+    pi = np.array([0.2, 0.3, 0.5])
+    kernel = (1.0 - 1e-9) * np.eye(3) + 1e-9 * np.outer(np.ones(3), pi)
+    fam = make_family(pi, [kernel])
+    with pytest.raises(ReducibilityError, match="mixed kernel has 3 eigenvalues within 1e-8"):
+        var_limit(fam, Observable([1.0, -1.0, 0.5]), "rand")
+    assert eigvalsh_calls == [(3, 3)]
+    assert eigvalsh_count(fam) == 3
+
+
+@pytest.mark.parametrize("n", [2, 4, 20])
+def test_certificate_verdict_on_the_line(n):
+    # random kernels lazified so that their second eigenvalue steps across
+    # the count's line, 1 - 1e-8 - radius, in steps of at most 1e-16: the
+    # rounding of the certificate and of eigvalsh decide there, and only
+    # the certificate's margin keeps it from accepting a count of two
+    for seed in range(4):
+        base = helpers.random_family(np.random.default_rng(seed), n, 1)
+        s = similar_mixed(base)
+        second = np.linalg.eigvalsh((s + s.T) / 2.0)[-2]
+        line = 1.0 - (1e-8 + unit_radius(base)) / (1.0 - second)
+        for step in range(-30, 30):
+            hold = line + step * 1e-16
+            kernel = hold * np.eye(n) + (1.0 - hold) * base.matrices[0]
+            fam = make_family(base.pi.weights, [kernel])
+            assert (fam._unit_count == 1) == (eigvalsh_count(fam) == 1), (seed, step)

@@ -18,8 +18,8 @@ state, `compare` at discount zero on one kernel and on three ring
 kernels, `validate`, `compare`, `limit` and rand `simulate` on three
 kernels whose zero entries are 0.0 in some and -0.0 in others, `compare`
 and `limit` on a model whose detailed-balance residual is near the
-tolerance, where the random scan's eigenbasis solve falls back to its
-LU, `limit` and `compare` with the limit row on a model with a target
+tolerance, where the slow mode amplifies the mixed kernel's skew part,
+`limit` and `compare` with the limit row on a model with a target
 weight near 1e-12,
 on a swap pair, on a pair holding with probability 1 - 1e-9, on a pair
 flipping with probability 1e-9, on one kernel with an eigenvalue

@@ -48,8 +48,8 @@ MUTANTS = (
     Mutant(
         "solve: strat and rand swapped",
         "variance.py",
-        'if scheme == "rand" or fam.k == 1:',
-        'if scheme == "strat" or fam.k == 1:',
+        'if scheme == "rand":\n        return (fam._mixed.matrix,)',
+        'if scheme == "strat":\n        return (fam._mixed.matrix,)',
         ("tests/test_variance.py",),
     ),
     Mutant(
@@ -95,25 +95,55 @@ MUTANTS = (
         ("tests/test_ordering.py",),
     ),
     Mutant(
+        "gap bound: mixed solve at +lam",
+        "ordering.py",
+        "z = _cycle_solve([mixed], -lam, d[None], fam.pi.weights, mixed)[0]",
+        "z = _cycle_solve([mixed], lam, d[None], fam.pi.weights, mixed)[0]",
+        ("tests/test_ordering.py",),
+    ),
+    Mutant(
+        "transcript: printed values lose a digit",
+        "cli.py",
+        'return format(float(x), ".9g")',
+        'return format(float(x), ".8g")',
+        ("tests/test_transcript.py",),
+    ),
+    Mutant(
         "unit count: radius dropped",
         "kernels.py",
-        "radius = skew + 16.0 * self.n * _EPS",
+        "radius = float(np.linalg.norm(s - s.T)) / 2.0 + 16.0 * n * _EPS",
         "radius = 0.0",
         ("tests/test_shortcuts.py",),
     ),
     Mutant(
+        "unit count: certificate shifted without the radius",
+        "kernels.py",
+        "a.flat[:: n + 1] += 1.0 - 1e-8 - radius - margin",
+        "a.flat[:: n + 1] += 1.0 - 1e-8 - margin",
+        ("tests/test_shortcuts.py::test_skew_part_widens_the_rand_certificate",),
+    ),
+    Mutant(
+        "unit count: certificate margin dropped",
+        "kernels.py",
+        "margin = 2.0 * n * g / (1.0 - n * g) + 21.0 * n * _EPS",
+        "margin = 0.0",
+        ("tests/test_shortcuts.py::test_certificate_verdict_on_the_line",),
+    ),
+    Mutant(
         "unit count: eigvals fallback restored",
         "kernels.py",
-        "        radius = skew + 16.0 * self.n * _EPS\n"
+        "        mu = np.linalg.eigvalsh(sym)\n"
         "        return int(np.sum(1.0 - mu < 1e-8 + radius))\n",
-        "        radius = skew + 16.0 * self.n * _EPS * float(self.pi.weights.max()"
-        " / self.pi.weights.min())\n"
-        "        dist = np.abs(mu - 1.0)\n"
-        "        if radius < 1e-8 and not np.any(np.abs(dist - 1e-8) <= radius):\n"
-        "            return int(np.sum(dist < 1e-8))\n"
-        "        return int(np.sum(np.abs(np.linalg.eigvals(self._mixed.matrix) - 1.0)"
-        " < 1e-8))\n",
+        "        dist = np.abs(np.linalg.eigvals(self._mixed.matrix) - 1.0)\n"
+        "        return int(np.sum(dist < 1e-8))\n",
         ("tests/test_shortcuts.py::test_rand_limit_makes_no_eigvals_call",),
+    ),
+    Mutant(
+        "unit count: the certificate's verdict ignored",
+        "kernels.py",
+        "            np.linalg.cholesky(a)\n            return 1\n",
+        "            np.linalg.cholesky(a)\n",
+        ("tests/test_shortcuts.py::test_random_family_is_decided_without_eigvals",),
     ),
     Mutant(
         "compose cycle: phase one ahead",
@@ -599,6 +629,27 @@ MUTANTS = (
         "if rhs.shape != (fam.k, fam.n):",
         "if False:",
         ("tests/test_embedding.py::TestResolvent::test_refuses_a_rhs_of_another_shape",),
+    ),
+    Mutant(
+        "scan: a token cut at the window's edge taken for a syntax error",
+        "cli.py",
+        "_CUT = 16",
+        "_CUT = 7",
+        ("tests/test_cli.py::TestLoadModel::test_token_cut_at_a_window_edge_read_by_the_walk",),
+    ),
+    Mutant(
+        "scan: a string cut at the window's edge taken for a syntax error",
+        "cli.py",
+        "if j == len(data) or not cut and at < len(window) - _CUT:",
+        "if j == len(data) or at < len(window) - _CUT:",
+        ("tests/test_cli.py::TestLoadModel::test_values_across_window_edges_read_by_the_walk",),
+    ),
+    Mutant(
+        "scan: an early syntax error widens the window to the file's end",
+        "cli.py",
+        "if j == len(data) or not cut and at < len(window) - _CUT:",
+        "if j == len(data):",
+        ("tests/test_cli.py::TestLoadModel::test_early_syntax_error_decodes_one_window",),
     ),
     Mutant(
         "load_model: an empty lambda_grid accepted",
