@@ -30,6 +30,7 @@ from scanvar.kernels import (
     _pi_similar,
 )
 from scanvar.variance import (
+    _blocks,
     _solve,
     _variance,
     var_lambda_rand,
@@ -121,8 +122,8 @@ def _gap_bound(fam: KernelFamily, forward: np.ndarray, lam: float) -> float:
     g = (forward[0] + forward[1]) / 2.0
     m1, m2 = fam.matrices
     d = (m1 @ g - m2 @ g) / 2.0
-    mixed = fam._mixed.matrix
-    z = _cycle_solve([mixed], -lam, d[None], fam.pi.weights, mixed)[0]
+    mats, prod = _blocks(fam, "rand")
+    z = _cycle_solve(mats, -lam, d[None], fam.pi.weights, prod)[0]
     return 2.0 * lam * lam * float(np.dot(fam.pi.weights, d * z))
 
 

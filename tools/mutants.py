@@ -97,8 +97,8 @@ MUTANTS = (
     Mutant(
         "gap bound: mixed solve at +lam",
         "ordering.py",
-        "z = _cycle_solve([mixed], -lam, d[None], fam.pi.weights, mixed)[0]",
-        "z = _cycle_solve([mixed], lam, d[None], fam.pi.weights, mixed)[0]",
+        "z = _cycle_solve(mats, -lam, d[None], fam.pi.weights, prod)[0]",
+        "z = _cycle_solve(mats, lam, d[None], fam.pi.weights, prod)[0]",
         ("tests/test_ordering.py",),
     ),
     Mutant(
