@@ -347,8 +347,8 @@ class KernelFamily:
     @cached_property
     def _summable(self) -> bool:
         """Whether rho(P - 1 pi') < 1 for the exact product P of the kernels:
-        the guard of variance.var_limit(strat) and the verdict of
-        variance.summability_check, from no eigenproblem.
+        the guard of the strat solve at discount one (variance._solve) and
+        the verdict of variance.summability_check, from no eigenproblem.
 
         With r = sqrt(pi), B = S - r r', S = D^{1/2} P D^{-1/2}, is similar
         to P - 1 pi'. Its value B_1 from the cached _cycle is squared to
@@ -405,9 +405,10 @@ class KernelFamily:
     @cached_property
     def _unit_count(self) -> int:
         """How many eigenvalues of the mixed kernel K may lie within 1e-8
-        of 1: the guard of variance.var_limit(rand), which refuses a count
-        above one. A Cholesky factorisation certifies a count of one; only
-        its refusal solves an eigenproblem, whose count it returns.
+        of 1: the guard of the rand solve at discount one (variance._solve),
+        which refuses a count above one. A Cholesky factorisation certifies
+        a count of one; only its refusal solves an eigenproblem, whose count
+        it returns.
 
         The count is of the eigenvalues mu of H = (S + S') / 2, S =
         _pi_similar(K, pi), with 1 - mu < 1e-8 + r, r = skew + 16 n eps,

@@ -29,14 +29,7 @@ from scanvar.kernels import (
     _check_lam,
     _pi_similar,
 )
-from scanvar.variance import (
-    _blocks,
-    _solve,
-    _variance,
-    var_lambda_rand,
-    var_lambda_strat,
-    var_limit,
-)
+from scanvar.variance import _blocks, _solve, _variance
 
 __all__ = [
     "OrderingReport",
@@ -91,14 +84,14 @@ class PeskunComparison:
         return min(self.per_kernel_min_eigenvalue)
 
 
-def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
-    """The rows of a grid, read alike by both checkers. Every discount is
-    checked before any solve, so every discount row has lam < 1; at(lam)
-    gives (var_a, var_b, bound) at each. A grid value within 1e-12 of one
-    asks for the limit row, at lam = 1, from limit() as (var_a, var_b,
-    bound), last and once. A refusal by limit() (SummabilityError or
-    ReducibilityError) drops the row after a discount row, and is raised
-    when no row came before it, so only an empty grid gives no rows."""
+def _walk(lambda_grid, at) -> list[OrderingReport]:
+    """The rows of a grid, read alike by both checkers: at(lam) gives
+    (var_a, var_b, bound) at each. Every discount is checked before any
+    solve, so every discount row has lam < 1. A grid value within 1e-12 of
+    one asks for the limit row, at(1.0), last and once. Its refusal
+    (SummabilityError or ReducibilityError, from the solve at discount
+    one) drops the row after a discount row, and is raised when no row
+    came before it, so only an empty grid gives no rows."""
     grid = [float(lam) for lam in lambda_grid]
     discounts = [lam for lam in grid if not abs(lam - 1.0) <= 1e-12]  # NaN: refused
     for lam in discounts:
@@ -106,7 +99,7 @@ def _walk(lambda_grid, at, limit) -> list[OrderingReport]:
     rows = [OrderingReport(lam, *at(lam)) for lam in discounts]
     if len(discounts) < len(grid):
         try:
-            rows.append(OrderingReport(1.0, *limit()))
+            rows.append(OrderingReport(1.0, *at(1.0)))
         except (SummabilityError, ReducibilityError):
             if not rows:
                 raise
@@ -157,28 +150,26 @@ def check_scan_ordering(
     """Compare the two scan schemes on a discount grid: each row's var_a is
     the cycle's (strat) variance and var_b the random scan's.
 
-    A grid value within 1e-12 of one asks for the limit report (discount
-    one), which comes last, once, and only when the cycle is certified
-    summable and the mixed kernel has one eigenvalue near 1; a grid that
-    asks for nothing else gets the limit's refusal raised. Any other
-    value outside [0, 1) raises ValueError. The certified gap bound is a
-    two-kernel statement: for two kernels it is zero in the limit, the
-    weakest certified value there; for any other number of kernels it is
-    NaN, not computed. The rows judge nothing: for two kernels the theorem
-    says gap >= gap_lower_bound >= 0, and a caller compares them with its
-    own tolerance.
+    A grid value within 1e-12 of one asks for the limit report, the same
+    two solves at discount one, which comes last, once, and only when the
+    strat solve certifies the cycle summable and then the rand solve the
+    mixed kernel's one eigenvalue near 1; a grid that asks for nothing else
+    gets the limit's refusal raised. Any other value outside [0, 1) raises
+    ValueError. The certified gap bound is a two-kernel statement: for two
+    kernels it is zero in the limit, the weakest certified value there; for
+    any other number of kernels it is NaN, not computed. The rows judge
+    nothing: for two kernels the theorem says gap >= gap_lower_bound >= 0,
+    and a caller compares them with its own tolerance.
     """
     two = fam.k == 2
 
-    def at(lam):  # one strat solve gives the variance and the bound
-        fbar, forward = _solve(fam, f, lam, "strat")
-        bound = _gap_bound(fam, forward, lam) if two else math.nan
-        return _variance(fbar, forward, fam.pi), var_lambda_rand(fam, f, lam), bound
+    def at(lam):  # strat first: a refused cycle drops the limit row before rand's count
+        fbar, forward = _solve(fam, f, lam, "strat")  # shared with the bound
+        bound = math.nan if not two else 0.0 if lam == 1.0 else _gap_bound(fam, forward, lam)
+        rand = _solve(fam, f, lam, "rand")
+        return _variance(fbar, forward, fam.pi), _variance(*rand, fam.pi), bound
 
-    def limit():  # strat first: a refused cycle drops the row before rand's guard
-        return var_limit(fam, f, "strat"), var_limit(fam, f, "rand"), 0.0 if two else math.nan
-
-    return _walk(lambda_grid, at, limit)
+    return _walk(lambda_grid, at)
 
 
 def _check_comparable(fam_a: KernelFamily, fam_b: KernelFamily) -> None:
@@ -228,9 +219,7 @@ def check_peskun_ordering(
         raise ValueError(f"the cycle comparison needs exactly two kernels, got {fam_a.k}")
 
     def at(lam):
-        return var_lambda_strat(fam_a, f, lam), var_lambda_strat(fam_b, f, lam), math.nan
+        a, b = (_variance(*_solve(fam, f, lam, "strat"), fam.pi) for fam in (fam_a, fam_b))
+        return a, b, math.nan
 
-    def limit():
-        return var_limit(fam_a, f, "strat"), var_limit(fam_b, f, "strat"), math.nan
-
-    return _walk(lambda_grid, at, limit)
+    return _walk(lambda_grid, at)

@@ -4,13 +4,13 @@ The discounted variance of either scheme is one resolvent solve on the
 embedded block space, eliminated around the cycle to a single n x n
 system (embedding._cycle_solve): the deterministic cycle's with the
 family's kernels, the random scan's with the mixed kernel as a cycle of
-one block. Limits as the discount approaches one are the same solves at
+one block. The limit as the discount approaches one is the same solve at
 discount one on the centered subspace (deflating the constant direction),
-never a naive substitution. Observables are centered
-internally, so inputs need not be pre-centered. The covariance series of
-the cycle variance and the exact joint laws of the cycle and embedded
-chains are independent references that the test suite keeps
-(tests/helpers.py).
+never a naive substitution, and that solve refuses a limit it cannot
+certify. Observables are centered internally, so inputs need not be
+pre-centered. The covariance series of the cycle variance and the exact
+joint laws of the cycle and embedded chains are independent references
+that the test suite keeps (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -73,11 +73,30 @@ def _solve(
     """(fbar, y): the centred f tiled over the phases, and the solution of
     y_q = fbar_q + lam * M_q y_{q+1}, M_q the scheme's blocks (_blocks),
     for lam in [0, 1]. A cycle of one kernel is its mixed kernel, so the
-    two schemes then make the same solve and agree bit for bit. At lam = 1
-    the deflated solve leaves the offset of pi . fbar_q from zero as its
-    residual; center keeps that offset at the rounding of fbar's own norm,
-    so the guard relative to fbar holds, and a constant f centres to
-    zeros, whose solve is zero."""
+    two schemes then make the same solve and agree bit for bit.
+
+    lam = 1 is the limit, refused unless certified: strat unless the cycle
+    is summable (KernelFamily._summable, which solves no eigenproblem; only
+    a refusal computes the radius it names), rand unless the mixed kernel
+    has one eigenvalue within 1e-8 of 1 (KernelFamily._unit_count, one
+    Cholesky factorisation unless it refuses). The deflated solve then
+    leaves the offset of pi . fbar_q from zero as its residual; center
+    keeps that offset at the rounding of fbar's own norm, so the guard
+    relative to fbar holds, and a constant f centres to zeros, whose solve
+    is zero."""
+    if lam == 1.0:
+        if scheme == "rand":
+            ones_count = fam._unit_count
+            if ones_count > 1:
+                raise ReducibilityError(
+                    f"mixed kernel has {ones_count} eigenvalues within 1e-8 of 1, so "
+                    "the chain is reducible or too close to it; the limit is refused"
+                )
+        elif not fam._summable:
+            raise SummabilityError(
+                f"cycle contraction {fam._cycle_contraction:.6g} is not below 1, "
+                "so the covariance series is not absolutely summable"
+            )
     mats, prod = _blocks(fam, scheme)
     fbar = np.tile(center(f, fam.pi).values, (len(mats), 1))
     return fbar, _cycle_solve(mats, lam, fbar, fam.pi.weights, prod)
@@ -118,8 +137,9 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
     The centred products from all phases are cyclic rotations of one
     another and share one spectrum, so the product from phase 1 suffices.
     The verdict is the family's certificate from powers of that product
-    (KernelFamily._summable), the guard of var_limit(strat); the radius,
-    one nonsymmetric eigenproblem per family, is only printed.
+    (KernelFamily._summable), the guard of the strat solve at discount one
+    (_solve); the radius, one nonsymmetric eigenproblem per family, is only
+    printed.
     """
     return SummabilityReport(
         absolutely_summable=fam._summable,
@@ -128,29 +148,10 @@ def summability_check(fam: KernelFamily) -> SummabilityReport:
 
 
 def var_limit(fam: KernelFamily, f: Observable, scheme: str) -> float:
-    """Limiting variance as the discount approaches one.
-
-    Both schemes take the discounted route at discount one, where the solve
-    deflates the constant direction. strat is guarded by the summability
-    verdict, which solves no eigenproblem (only a refusal computes the
-    radius it names); rand by the count of the mixed kernel's eigenvalues
-    that may lie within 1e-8 of 1 (KernelFamily._unit_count), which a
-    Cholesky factorisation certifies to be one, with no eigenproblem
-    unless it refuses.
-    """
+    """Limiting variance as the discount approaches one: the scheme's
+    discounted solve at discount one (_solve), where the constant direction
+    is deflated, and which refuses a limit it cannot certify."""
     _check_scheme(scheme)
-    if scheme == "rand":
-        ones_count = fam._unit_count
-        if ones_count > 1:
-            raise ReducibilityError(
-                f"mixed kernel has {ones_count} eigenvalues within 1e-8 of 1, so "
-                "the chain is reducible or too close to it; the limit is refused"
-            )
-    elif not fam._summable:
-        raise SummabilityError(
-            f"cycle contraction {fam._cycle_contraction:.6g} is not below 1, "
-            "so the covariance series is not absolutely summable"
-        )
     return _variance(*_solve(fam, f, 1.0, scheme), fam.pi)
 
 

@@ -1126,7 +1126,7 @@ class TestLimitAndSimulate:
         assert "not absolutely summable" in capsys.readouterr().err
 
     def test_limit_refusal_is_the_libraries(self, tmp_path, capsys):
-        # the report's line, then var_limit(strat)'s SummabilityError, once
+        # the report's line, then the strat solve's SummabilityError at discount one, once
         path = write_model(tmp_path / "m.json", kernels=[np.eye(2).tolist()] * 2)
         out = tmp_path / "l.csv"
         assert main(["limit", "--model", path, "--out", str(out)]) == EXIT_VALIDATION
@@ -1290,11 +1290,12 @@ class TestLimitAndSimulate:
             argv += ["--seed", str(seed)]
         else:
             write_model(tmp_path / "m.json", simulation={"steps": 8, "replicas": 4, "seed": seed})
-        assert main(argv) == EXIT_IO
+        # SimulationConfig's count rule refuses it, from either source, as it
+        # refuses steps and replicas
+        assert main(argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"parse error: {source} must satisfy 0 <= seed < 2**64, got {seed}\n"
-        )
+        words = "at least 0, got -1" if seed < 0 else "below 2**64"
+        assert captured.err == f"validation error: seed must be {words}\n"
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 

@@ -516,12 +516,15 @@ def test_refused_rand_limit_alone_is_raised():
 @GRID_CHECKERS
 def test_refused_limit_alone_is_raised(limit_rows):
     # a swap pair's cycle never contracts: its limit row is dropped after a
-    # discount row, and its refusal raised when the grid asks only for it
+    # discount row, and its refusal raised when the grid asks only for it;
+    # the strat solve is guarded first, so the mixed kernel's count is
+    # never read
     swap = [[0.0, 1.0], [1.0, 0.0]]
     fam, f = make_family([0.5, 0.5], [swap, swap]), Observable([1.0, -1.0])
     assert [r.method for r in limit_rows(fam, f, [0.5, 1.0])] == ["resolvent"]
     with pytest.raises(SummabilityError, match="cycle contraction 1 is not below 1"):
         limit_rows(fam, f, (1.0,))
+    assert "_unit_count" not in fam.__dict__
 
 
 @GRID_CHECKERS
@@ -575,6 +578,53 @@ def test_closed_form_bound_and_rand_match_dense_routes(case):
     assert gap_lower_bound(fam, f, 0.0) == 0.0
     (row,) = check_scan_ordering(fam, f, [0.0])
     assert row.gap == 0.0 and row.var_a == row.var_b
+
+
+def _limit_or_none(fam, f, scheme):
+    """var_limit, or None where the solve at discount one refuses it."""
+    try:
+        return var_limit(fam, f, scheme)
+    except (SummabilityError, ReducibilityError):
+        return None
+
+
+@given(helpers.families())
+def test_scan_rows_are_the_public_variances(case):
+    # one route: each row is var_lambda_strat and var_lambda_rand at its
+    # discount and var_limit on the limit row, bit for bit, with the gap
+    # bound of two kernels (0 in the limit) and NaN for any other number
+    fam, f = case
+    two = fam.k == 2
+    rows = check_scan_ordering(fam, f, PROPERTY_GRID)
+    for row in rows[:4]:
+        assert row.var_a == var_lambda_strat(fam, f, row.lam)
+        assert row.var_b == var_lambda_rand(fam, f, row.lam)
+        bound = gap_lower_bound(fam, f, row.lam) if two else np.nan
+        np.testing.assert_array_equal(row.gap_lower_bound, bound)
+    limit = [_limit_or_none(fam, f, scheme) for scheme in ("strat", "rand")]
+    if None in limit:
+        assert [r.lam for r in rows] == PROPERTY_GRID[:4]
+    else:
+        assert [rows[4].lam, rows[4].var_a, rows[4].var_b] == [1.0, *limit]
+        np.testing.assert_array_equal(rows[4].gap_lower_bound, 0.0 if two else np.nan)
+
+
+@given(helpers.families(k=2), st.sampled_from([0.3, 0.9]))
+def test_peskun_rows_are_the_strat_variances(case, hold):
+    # each row is the two families' var_lambda_strat at its discount and
+    # their var_limit(strat) on the limit row, bit for bit
+    fam_a, f = case
+    fam_b = make_family(fam_a.pi.weights, [lazy(k, hold) for k in fam_a.kernels])
+    rows = check_peskun_ordering(fam_a, fam_b, f, PROPERTY_GRID)
+    for row in rows[:4]:
+        assert row.var_a == var_lambda_strat(fam_a, f, row.lam)
+        assert row.var_b == var_lambda_strat(fam_b, f, row.lam)
+        assert np.isnan(row.gap_lower_bound)
+    limit = [_limit_or_none(fam, f, "strat") for fam in (fam_a, fam_b)]
+    if None in limit:
+        assert [r.lam for r in rows] == PROPERTY_GRID[:4]
+    else:
+        assert [rows[4].lam, rows[4].var_a, rows[4].var_b] == [1.0, *limit]
 
 
 @given(helpers.families(k=1))

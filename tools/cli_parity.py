@@ -42,9 +42,13 @@ walk over a file's bytes (see `model_texts`), plus command lines that
 fail with a documented exit code (among them `peskun` on families of
 different shapes, which exits 1 before the two-kernel check could exit
 2, and on families of different targets, `simulate` with 10**400 steps
-or one replica, and `--method` or `--series-terms` on `demo` and
-`compare`, a usage error), and the `compare` and `peskun` verdicts on e1
-at `--tol 0`.
+or one replica, with a seed out of range or an unknown scheme, `--tol`
+negative or not a number, `--out` into a missing directory, and
+`--method` or `--series-terms` on `demo` and `compare`, a usage error),
+`simulate` on counts written as integral floats, and the `compare` and
+`peskun` verdicts at `--tol 0`: on e1, on a close-kernel pair, whose
+`compare` fails both its checks, and against e1's kernels moved off the
+identity by 1e-12, whose `peskun` fails on the variance drop.
 Each line runs in its own empty directory, so relative output paths print
 the same, with warnings printed as a fresh interpreter prints them. Its
 record holds the line (model files by name), its exit code, its stdout,
@@ -210,7 +214,9 @@ def invalid_models() -> dict[str, dict]:
     refuse (NaN is written as JSON's NaN), an empty kernel list beside a
     NaN weight, a weight sum and a negative entry off by less than 1e-10
     beside larger faults, finite weights or
-    a kernel row whose sum overflows, an empty `lambda_grid`, and a
+    a kernel row whose sum overflows, an empty `lambda_grid` and one that
+    holds a string, a `simulation` that is not an object, a fractional
+    `simulation.steps`, a `simulation.scheme` that is not a string, and a
     string, true, false or null in `pi`, `f` or a kernel."""
     nan, p2, short_row = float("nan"), E1["kernels"][1], [[0.9, 0.09], [0.1, 0.9]]
     return {
@@ -249,6 +255,11 @@ def invalid_models() -> dict[str, dict]:
         "overflow-row": dict(E1, kernels=[[[1e308, 1e308], [0.1, 0.9]], p2]),
         # an empty grid is refused, not taken for an absent one
         "empty-grid": dict(E1, lambda_grid=[]),
+        # optional fields of the wrong type
+        "grid-not-numbers": dict(E1, lambda_grid=[0.5, "x"]),
+        "simulation-not-object": dict(E1, simulation=[64]),
+        "simulation-fractional-steps": dict(E1, simulation={"steps": 64.5}),
+        "simulation-scheme-number": dict(E1, simulation={"scheme": 1}),
         # entries np.asarray reads as numbers, which JSON does not call numbers
         "string-weight": dict(E1, pi=["0.5", 0.5]),
         "null-weight": dict(E1, pi=[None, 0.5]),
@@ -263,8 +274,8 @@ def model_texts() -> dict[str, bytes]:
     """Model files as bytes, for the parser: kernels that do not convert
     (alone and with a required field missing), `kernels` not a list or
     given twice, trailing data, a UTF-8 BOM, a top-level array, syntax
-    errors, CRLF and whitespace-heavy formatting, and text that is not
-    UTF-8, numbers past a float's range (integers, and float literals in
+    errors (among them a top-level key without its colon), CRLF and
+    whitespace-heavy formatting, and text that is not UTF-8, numbers past a float's range (integers, and float literals in
     pi and f) or too long to read, nesting too
     deep to parse, and kernel matrices whose rows orjson refuses or the
     row walk does not take (NaN and Infinity literals, floats past a
@@ -272,7 +283,8 @@ def model_texts() -> dict[str, bytes]:
     a string holding ']', an empty row or matrix, an object entry, a lone
     surrogate escape, bad row separators, a short row, which numpy would
     broadcast, and one row too many), and the edges of the walk over the
-    file's bytes: a raw UTF-8 label, CRLF and lone-CR line endings with a
+    file's bytes: a raw UTF-8 label, one whose first window would end
+    inside a character, CRLF and lone-CR line endings with a
     syntax error late in the file, a `pi` longer than the first decode
     window, a number as the top level, ending at the end of the file,
     `kernels` inside `simulation` ahead of the top-level one, and
@@ -292,6 +304,7 @@ def model_texts() -> dict[str, bytes]:
         "empty-object": "{}",
         "trailing-data": e1 + " x",
         "trailing-comma": e1[:-1] + ",}",
+        "key-without-colon": e1.replace('"pi":', '"pi"'),
         "kernels-trailing-comma": e1.replace("]]]", "]],]"),
         "unterminated": e1[:-20],
         "bom": "\ufeff" + e1,
@@ -308,6 +321,10 @@ def model_texts() -> dict[str, bytes]:
         "deep-top-level": deep,
         "deep-kernels": json.dumps(dict(E1, kernels="DEEP")).replace('"DEEP"', deep),
         "utf8-label": json.dumps(dict(E1, states=["\u00e9t\u00e9", "\u03c0"]), ensure_ascii=False),
+        # the first window of the labels would end inside a two-byte character
+        "utf8-label-at-window-edge": json.dumps(
+            dict(E1, states=["a" + "\u00e9" * 3000, "\u03c0"]), ensure_ascii=False
+        ),
         "crlf-late-error": (json.dumps(E1, indent=2)[:-2] + ",\n}").replace("\n", "\r\n"),
         "cr-late-error": (json.dumps(E1, indent=2)[:-2] + ",\n}").replace("\n", "\r"),
         "long-pi": e1.replace('"pi": [0.5, 0.5]', '"pi": [0.5' + "0" * 5000 + "," + " " * 5000 + "0.5]"),
@@ -510,11 +527,21 @@ def command_lines(models: Path) -> list[list[str]]:
     m = str(models / "e1.json")
     (models / "e1-seed.json").write_text(json.dumps(dict(E1, simulation={"seed": 2**64})))
     (models / "other-target.json").write_text(json.dumps(OTHER_TARGET))
+    counts = {"steps": 64.0, "replicas": 5.0, "seed": 3.0}  # integral floats are read
+    (models / "e1-float-counts.json").write_text(json.dumps(dict(E1, simulation=counts)))
+    scheme = {"scheme": "bogus"}
+    (models / "e1-bogus-scheme.json").write_text(json.dumps(dict(E1, simulation=scheme)))
     lines += [  # documented failures
         ["simulate", "--model", m, "--seed", "-1", "--steps", "64", "--replicas", "5"],
         ["simulate", "--model", m, "--seed", str(2**64), "--steps", "64", "--replicas", "5"],
         ["simulate", "--model", str(models / "e1-seed.json"), "--steps", "64",
          "--replicas", "5", "--out", "q.csv"],
+        ["simulate", "--model", str(models / "e1-float-counts.json")],
+        ["simulate", "--model", str(models / "e1-bogus-scheme.json"), "--steps", "64",
+         "--replicas", "5"],
+        ["compare", "--model", m, "--tol", "-1"],
+        ["compare", "--model", m, "--tol", "x"],
+        ["compare", "--model", m, "--out", "missing/c.csv"],
         ["peskun", "--model", m],
         ["peskun", "--model", m, "--model-b", str(models / "exact-k2.json")],
         ["peskun", "--model", str(models / "exact-k8.json"), "--model-b", m],
@@ -530,10 +557,21 @@ def command_lines(models: Path) -> list[list[str]]:
         ["demo", "--out", "x.csv", "--method", "series", "--series-terms", "60", "--tol", "1e-9"],
         ["compare", "--model", m, "--method", "series", "--lambda", "0.5"],
     ]
-    # verdicts at --tol 0: e1 against itself has every gap exactly 0
+    # verdicts at --tol 0: e1 against itself has every gap exactly 0; a
+    # pair (K, (1 - e) K + e I) with e = 1e-8 has gaps and bounds at the
+    # rounding of its variances, some gaps below zero or below their
+    # bounds; and e1's kernels moved off the identity by 1e-12 are
+    # dominated within PSD_TOL but lower every cycle variance by about 1e-12
+    kernel, eye = np.array(E1["kernels"][0]), np.eye(2)
+    close = [kernel.tolist(), ((1 - 1e-8) * kernel + 1e-8 * eye).tolist()]
+    (models / "close-pair.json").write_text(json.dumps(dict(E1, kernels=close)))
+    eager = [((1 + 1e-12) * np.array(k) - 1e-12 * eye).tolist() for k in E1["kernels"]]
+    (models / "e1-eager.json").write_text(json.dumps(dict(E1, kernels=eager)))
     lines += [
         ["peskun", "--model", m, "--model-b", m, "--tol", "0"],
         ["compare", "--model", m, "--tol", "0"],
+        ["compare", "--model", str(models / "close-pair.json"), "--tol", "0"],
+        ["peskun", "--model", m, "--model-b", str(models / "e1-eager.json"), "--tol", "0"],
     ]
     return lines
 

@@ -598,9 +598,30 @@ MUTANTS = (
     Mutant(
         "limit: strat limit of a cycle that is not summable not refused",
         "variance.py",
-        "    elif not fam._summable:\n",
-        "    elif False:\n",
+        "        elif not fam._summable:\n",
+        "        elif False:\n",
         ("tests/test_cli.py::TestLimitAndSimulate::test_limit_refusal_is_the_libraries",),
+    ),
+    Mutant(
+        "scan limit: gap bound solved at discount one",
+        "ordering.py",
+        "0.0 if lam == 1.0 else _gap_bound(fam, forward, lam)",
+        "_gap_bound(fam, forward, lam)",
+        ("tests/test_ordering.py::test_scan_rows_are_the_public_variances",),
+    ),
+    Mutant(
+        "scan row: rand solved before the strat guard",
+        "ordering.py",
+        '        fbar, forward = _solve(fam, f, lam, "strat")',
+        '        _solve(fam, f, lam, "rand")\n        fbar, forward = _solve(fam, f, lam, "strat")',
+        ("tests/test_ordering.py::test_refused_limit_alone_is_raised",),
+    ),
+    Mutant(
+        "limit: rand count not checked at discount one",
+        "variance.py",
+        "            if ones_count > 1:\n",
+        "            if False:\n",
+        ("tests/test_ordering.py::test_refused_rand_limit_alone_is_raised",),
     ),
     Mutant(
         "load_model: an empty label list taken",
