@@ -37,6 +37,7 @@ import orjson
 
 from scanvar.kernels import (
     EMPTY_FAMILY_FAULT,
+    Kernel,
     KernelFamily,
     NUMERIC_TOL,
     Observable,
@@ -330,7 +331,9 @@ def load_model(path: str) -> Model:
     `states` is read only here: its count must be the target's length,
     and its labels must be distinct; they are checked, not kept. The read
     peaks at about 1.35 times the file's size, its bytes plus the arrays
-    (see _read_model).
+    (see _read_model), and validation does not raise it: each kernel's
+    type copies the read's array, which is dropped before the family's
+    residuals are measured.
     """
     raw = _read_model(path)
     if not isinstance(raw, dict):
@@ -355,12 +358,15 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"{path}: non-numeric entries: {err}") from err
     except OverflowError as err:
         raise ModelFormatError(f"{path}: a number is out of range: {err}") from err
-    parts = [("pi", raw["pi"]), ("f", raw["f"])] + [("kernels", m) for m in raw["kernels"]]
+    parts = [("pi", raw["pi"]), ("f", raw["f"])] + [("kernels", m) for m in raw.pop("kernels")]
     for field, values in parts:
         _refuse_non_numbers(path, field, values)
+    del parts, values  # `kernels` alone holds the loader's arrays
 
     try:
-        family, f = make_family(pi, kernels), Observable(f_values)
+        copies = [Kernel(m) for m in kernels]
+        kernels = [k.matrix for k in copies]  # the loader's arrays go before validation
+        family, f = make_family(pi, copies), Observable(f_values)
         diag, valid = family.diagnostics, family.n == f.n == n
     except ValidationError as err:
         diag, valid = err.diagnostics, False
@@ -484,8 +490,13 @@ def _cmd_peskun(args) -> int:
     model_b = load_model(args.model_b)
     grid = _grid(args, model_a) + (1.0,)  # and the limit row
     comparison = peskun_dominates(model_a.family, model_b.family)
+    # a floor >= -PSD_TOL implies an eigenvalue >= -PSD_TOL; only a lower
+    # floor has the eigenproblems solved
+    dominates = (
+        comparison.min_dirichlet_gap_floor >= -PSD_TOL
+        or comparison.min_dirichlet_gap_eigenvalue >= -PSD_TOL
+    )
     rows = check_peskun_ordering(model_a.family, model_b.family, model_a.f, grid)
-    dominates = comparison.min_dirichlet_gap_eigenvalue >= -PSD_TOL
     dom = "true" if dominates else "false"
     _emit(_csv(PESKUN_HEADER, [_row(r, dom) for r in rows]), args.out)
     code = EXIT_OK

@@ -5,7 +5,12 @@ quadratic forms of a non-reversible operator in terms of its self-adjoint
 and skew parts; the skew term at its optimiser supplies an explicit lower
 bound on the gap between the random-scan and deterministic-scan
 variances. Peskun-style comparisons measure kernelwise Dirichlet-form
-dominance and compare the two families' cycle variances on a grid. The
+dominance and compare the two families' cycle variances on a grid.
+Dominance is first read off Peskun's own order (Biometrika 1973): a pair
+whose second kernel is entrywise at most the first off the diagonal has
+a symmetrised difference that is a Z-matrix, whose least eigenvalue
+Collatz-Wielandt bounds from below in O(n^2) (see peskun_dominates); the
+eigenproblem is solved only when a caller reads the eigenvalues. The
 identity itself, the blend derivative between two embeddings and
 palindromic cycles are proof devices; the test suite checks them on dense
 realisations (tests/helpers.py).
@@ -14,7 +19,8 @@ realisations (tests/helpers.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +32,7 @@ from scanvar.kernels import (
     ReducibilityError,
     SummabilityError,
     ValidationError,
+    _EPS,
     _check_lam,
     _pi_similar,
 )
@@ -70,14 +77,30 @@ class OrderingReport:
 
 @dataclass(frozen=True, eq=False)
 class PeskunComparison:
-    """Per-kernel Dirichlet-form gaps between two families: the least
-    eigenvalue of each kernel's symmetrised difference (second minus
-    first), and the least of them. The record judges nothing: kernelwise
-    dominance is that least eigenvalue >= 0, which a caller reads against
-    its own tolerance.
+    """Per-kernel Dirichlet-form gaps between two families, second minus
+    first: for each kernel, a floor under the least eigenvalue of the
+    symmetrised difference, computed with the record, and that least
+    eigenvalue, computed when first read (one eigenproblem per kernel)
+    and kept. The record holds the two families and no n x n array, and
+    judges nothing: kernelwise dominance is that least eigenvalue >= 0,
+    which a caller reads against its own tolerance, and a floor >= -t
+    implies an eigenvalue >= -t for any t >= 0, so a caller reads the
+    eigenvalues only when a floor is below its -t.
     """
 
-    per_kernel_min_eigenvalue: tuple[float, ...]
+    fam_a: KernelFamily = field(repr=False)
+    fam_b: KernelFamily = field(repr=False)
+    per_kernel_floor: tuple[float, ...]
+
+    @property
+    def min_dirichlet_gap_floor(self) -> float:
+        return min(self.per_kernel_floor)
+
+    @cached_property
+    def per_kernel_min_eigenvalue(self) -> tuple[float, ...]:
+        weights = self.fam_a.pi.weights
+        pairs = zip(self.fam_a.matrices, self.fam_b.matrices)
+        return tuple(_least_eigenvalue(a, b, weights) for a, b in pairs)
 
     @property
     def min_dirichlet_gap_eigenvalue(self) -> float:
@@ -181,24 +204,75 @@ def _check_comparable(fam_a: KernelFamily, fam_b: KernelFamily) -> None:
         raise ValidationError("families must share the same target")
 
 
+def _least_eigenvalue(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
+    """The least eigenvalue that eigvalsh computes for the symmetrised
+    difference sym = (S + S') / 2, S = _pi_similar(b - a, weights)."""
+    s = _pi_similar(b - a, weights)
+    sym = s + s.T
+    sym /= 2.0
+    return float(np.linalg.eigvalsh(sym)[0])
+
+
+@np.errstate(over="ignore")  # a ratio past a float's range makes the floor -inf
+def _floor(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
+    """A floor under _least_eigenvalue(a, b, weights) from O(n^2) work on
+    one n x n array, d = b - a, or -inf unless d is at most zero off the
+    diagonal (see peskun_dominates)."""
+    n, d = len(weights), b - a
+    diagonal = d.diagonal().copy()
+    d.flat[:: n + 1] = 0.0
+    if d.max() > 0.0:
+        return -math.inf
+    d.flat[:: n + 1] = diagonal
+    low = float((d.sum(axis=1) + weights @ d / weights).min()) / 2.0
+    np.abs(d, out=d)
+    size = float((d.sum(axis=1) + weights @ d / weights).max()) / 2.0
+    return low - (17 * n + 16) * _EPS * size
+
+
 def peskun_dominates(fam_a: KernelFamily, fam_b: KernelFamily) -> PeskunComparison:
     """Kernelwise Dirichlet-form comparison of two families.
 
     Kernel by kernel, the first family dominates when the second one's
     kernel is larger as a quadratic form, equivalently when the symmetrised
-    difference (second minus first) has no negative eigenvalue. The
-    symmetrisation D^{1/2} (B - A) D^{-1/2} with D = diag(pi) has real
-    spectrum for reversible kernels. Gives each kernel's least eigenvalue
-    and the least of them; a caller judges them.
-    """
+    difference sym = (S + S') / 2, S = D^{1/2} (B - A) D^{-1/2} with
+    D = diag(pi) (the first family's target), has no negative eigenvalue.
+    Gives each kernel's floor now and its least eigenvalue, as eigvalsh
+    computes it, on first read; a caller judges them.
+
+    The floor rests on Peskun's order (Biometrika 1973): when no entry of
+    d = B - A off the diagonal is positive, sym is a symmetric Z-matrix,
+    and Collatz-Wielandt applied to c I - sym >= 0 with the positive vector
+    r = sqrt(pi) gives lambda_min(sym) >= min_i (sym r)_i / r_i
+    = min_i [(d 1)_i + (pi' d)_i / pi_i] / 2. Both sums are about zero for
+    two stochastic kernels that leave pi invariant, so the floor costs
+    O(n^2) where the eigenvalue costs an eigenproblem. When some entry off
+    the diagonal is positive the floor is -inf, and only the eigenvalue
+    can show dominance. The same test on the nonnegative matrix
+    (|S| + |S|') / 2 >= |sym| bounds |sym|_2 <= s = max_i [(|d| 1)_i
+    + (pi' |d|)_i / pi_i] / 2, with no ratio of weights beyond pi's own.
+
+    The floor lies below the eigenvalue eigvalsh computes, so that a floor
+    >= -t implies that eigenvalue >= -t. With u = eps / 2 and
+    g_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3), barring underflow, it is widened by
+    (17 n + 16) eps s, which covers:
+    - the rounding of sym: each entry of S is rounded twice and the sum
+      S + S' once, so the computed sym is within g_3 (|S| + |S|') / 2 of
+      the exact one, a 2-norm of at most g_3 s (Weyl);
+    - the rounding of the sums: the row sums and pi' d err by at most
+      g_n times their absolute sums, the division and the addition by
+      2 u, and r o r, with r = sqrt(pi) rounded, differs from pi by
+      g_4, so each term errs by at most g_{n+6} s; the computed s is low
+      by at most g_{n+2} s, and the floor's own subtraction by u;
+    - eigvalsh's backward error, 16 n eps |sym|_2 as in
+      KernelFamily._unit_count, with |sym|_2 <= (1 + g_3) s;
+    in all at most (16.5 n + 6) eps s to first order. A sum past a
+    float's range gives -inf."""
     _check_comparable(fam_a, fam_b)
-    min_eigs = []
-    for ka, kb in zip(fam_a.kernels, fam_b.kernels):
-        s = _pi_similar(kb.matrix - ka.matrix, fam_a.pi.weights)
-        sym = s + s.T
-        sym /= 2.0
-        min_eigs.append(float(np.linalg.eigvalsh(sym)[0]))
-    return PeskunComparison(per_kernel_min_eigenvalue=tuple(min_eigs))
+    weights = fam_a.pi.weights
+    floors = tuple(_floor(a, b, weights) for a, b in zip(fam_a.matrices, fam_b.matrices))
+    return PeskunComparison(fam_a, fam_b, floors)
 
 
 def check_peskun_ordering(

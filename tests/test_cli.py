@@ -341,13 +341,15 @@ class TestLoadModel:
         # array, so the kernels' arrays weigh A = 8 k n^2, about 0.35F for
         # a file of F bytes. The read holds the bytes, the arrays, one
         # row's list (32 bytes an entry) and pi's and f's lists: F + A and
-        # a few n. Validation then holds each kernel twice (the load's
-        # array and the Kernel type's copy) beside two n x n buffers,
-        # A (2k + 2) / k: 1.4F at k = 1, and below the read's F + A at
-        # k >= 2. 0.15F more leaves room for the other fields and numpy's
-        # temporaries, and fails a load that holds a decoded copy of the
-        # file (2F) or every kernel's lists (more than 2.3F). Non-ASCII
-        # labels and CRLF line endings keep that bound.
+        # a few n. Validation then holds each kernel once (the Kernel
+        # type's copy; the load drops its own array before the family's
+        # residuals are measured) beside two n x n buffers, A (k + 2) / k:
+        # 1.05F at k = 1, below the read's F + A at every k. 0.15F more
+        # leaves room for the other fields and numpy's temporaries, and
+        # fails a load that holds a decoded copy of the file (2F), every
+        # kernel's lists (more than 2.3F) or, at k = 1, a second copy of
+        # the kernel (1.5F). Non-ASCII labels and CRLF line endings keep
+        # that bound.
         for n, k, label, newline in (
             (200, 4, "s", "\n"), (200, 1, "s", "\n"), (300, 2, "s", "\n"),
             (300, 2, "\u00e9tat-\u03c0", "\n"), (300, 2, "s", "\r\n"),
@@ -371,7 +373,7 @@ class TestLoadModel:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            bound = max(size + arrays, arrays * (2 * k + 2) / k) + 0.15 * size
+            bound = max(size + arrays, arrays * (k + 2) / k) + 0.15 * size
             assert peak < bound, (n, k, label, newline, peak / size, bound / size)
 
     def test_values_across_window_edges_read_by_the_walk(self, tmp_path, monkeypatch):
@@ -973,6 +975,21 @@ class TestPeskun:
         assert code == EXIT_ASSERTION
         assert "dominance" in err
 
+    def test_floor_spares_the_eigenproblems(self, tmp_path, capsys, eigvalsh_calls):
+        # a pair shaped as the benchmark's (two kernels, the second family
+        # lazified by 0.3) is certified by its floors with no eigenproblem;
+        # the reversed pair, which no floor certifies, solves one per kernel
+        fam = helpers.random_family(np.random.default_rng(49), 40, 2)
+        paths = [
+            write_model(tmp_path / name, states=40, pi=fam.pi.weights.tolist(),
+                        kernels=[m.tolist() for m in family.matrices], f=[1.0] * 40)
+            for name, family in (("a.json", fam), ("b.json", helpers.lazified(fam, 0.3)))
+        ]
+        assert main(["peskun", "--model", paths[0], "--model-b", paths[1]]) == EXIT_OK
+        assert eigvalsh_calls == []
+        assert main(["peskun", "--model", paths[1], "--model-b", paths[0]]) == EXIT_ASSERTION
+        assert eigvalsh_calls == [(40, 40), (40, 40)]
+        assert "dominance does not hold" in capsys.readouterr().err
 
     def test_shape_refused_before_kernel_count(self, tmp_path, capsys):
         # differing shapes exit 1 before three kernels exit 2, and both
@@ -1091,9 +1108,12 @@ class TestVerdicts:
     @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
     def test_peskun_dominance_boundary(self, tmp_path, capsys, monkeypatch, below):
         # the least Dirichlet-form eigenvalue may be exactly -PSD_TOL; one
-        # ulp lower, every row says false and the command exits 2
+        # ulp lower, every row says false and the command exits 2. No floor
+        # certifies the pair, so the verdict reads the eigenvalues.
         low = float(np.nextafter(-PSD_TOL, -np.inf)) if below else -PSD_TOL
-        comparison = PeskunComparison((0.0, low))
+        fam = helpers.e1_family()
+        comparison = PeskunComparison(fam, fam, (-np.inf, -np.inf))
+        monkeypatch.setattr(PeskunComparison, "per_kernel_min_eigenvalue", (0.0, low))
         monkeypatch.setattr(scanvar.cli, "peskun_dominates", lambda *args: comparison)
         path = write_model(tmp_path / "m.json")
         out = tmp_path / "p.csv"

@@ -1,5 +1,7 @@
 """Unit tests for ordering checkers, the gap bound, blends and palindromes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 import helpers
 import scanvar.variance
 from helpers import BetaPath, bellman_value, palindrome_check, variational_identity_check
+from scanvar.cli import PSD_TOL
 from scanvar.kernels import (
     Dist,
     Kernel,
     NUMERIC_TOL,
     Observable,
+    REVERSIBILITY_TOL,
     ReducibilityError,
     SummabilityError,
     ValidationError,
@@ -24,6 +28,8 @@ from scanvar.kernels import (
     random_reversible,
 )
 from scanvar.ordering import (
+    _floor,
+    _least_eigenvalue,
     check_peskun_ordering,
     check_scan_ordering,
     gap_lower_bound,
@@ -415,6 +421,10 @@ class TestPeskunDominance:
         assert first == pytest.approx(0.0, abs=1e-12)
         assert second < -1e-6
         assert comparison.min_dirichlet_gap_eigenvalue == second
+        # so do the floors: kernel 1's is certified, kernel 2's is not
+        first, second = comparison.per_kernel_floor
+        assert first >= -1e-12 and second == -np.inf
+        assert comparison.min_dirichlet_gap_floor == -np.inf
 
     def test_eigenvalues_match_direct_eigensolve(self):
         rng = np.random.default_rng(45)
@@ -435,6 +445,131 @@ class TestPeskunDominance:
         other = helpers.random_family(rng, 3, 2)
         with pytest.raises(ValidationError):
             peskun_dominates(e1, other)
+
+
+def off_balance(fam, hold):
+    """fam lazified by hold, then its last kernel moving mass from the
+    lightest state's hold to the heaviest state, as much as keeps the
+    relative balance residual within 0.9 REVERSIBILITY_TOL and the pair
+    ordered: a family that leaves its target invariant only to that
+    tolerance."""
+    lazy, w = helpers.lazified(fam, hold), fam.pi.weights
+    i, j = int(w.argmax()), int(w.argmin())
+    m = lazy.matrices[-1].copy()
+    flows = w[:, None] * m
+    eps = min(0.9 * REVERSIBILITY_TOL * flows.max() / w[j], 0.5 * hold * fam.matrices[-1][j, i])
+    m[j, i] += eps
+    m[j, j] -= eps
+    return make_family(w, [*lazy.matrices[:-1], m])
+
+
+@st.composite
+def peskun_pairs(draw):
+    """Two-kernel families (fam_a, fam_b) on helpers.families' targets,
+    whose weights run down to 1e-12: fam_b is fam_a lazified by one hold
+    or one per kernel, or also moved off balance (both ordered off the
+    diagonal); or the pair is reversed, or fam_b is (1 + d) K - d I of a
+    lazified fam_a (not ordered); or fam_b is K + c (I - K)^2, which
+    dominates fam_a and is not ordered where K^2 reaches past K."""
+    fam, _ = draw(helpers.families(k=2))
+    hold = draw(st.floats(1e-6, 1.0))
+    kind = draw(st.sampled_from(["lazy", "each", "off-balance", "reversed", "eager", "squared"]))
+    if kind == "lazy":
+        return fam, helpers.lazified(fam, hold)
+    if kind == "each":
+        return fam, helpers.lazified(fam, draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    if kind == "off-balance":
+        return fam, off_balance(fam, hold)
+    if kind == "reversed":
+        return helpers.lazified(fam, hold), fam
+    eye, w = np.eye(fam.n), fam.pi.weights
+    if kind == "eager":
+        base = helpers.lazified(fam, 0.5)
+        d = draw(st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
+        return base, make_family(w, [(1.0 + d) * m - d * eye for m in base.matrices])
+    c = draw(st.floats(0.01, 0.5))
+    return fam, make_family(w, [m + c * (eye - m) @ (eye - m) for m in fam.matrices])
+
+
+@given(peskun_pairs())
+def test_dominance_floor_lies_under_the_eigenvalue(pair):
+    # each kernel's floor is finite exactly when the pair is ordered off
+    # the diagonal, and lies under the least eigenvalue that eigvalsh
+    # computes, so that no floor accepts at a tolerance where the
+    # eigenvalue refuses
+    fam_a, fam_b = pair
+    comparison = peskun_dominates(*pair)
+    off = ~np.eye(fam_a.n, dtype=bool)
+    floors, eigenvalues = comparison.per_kernel_floor, comparison.per_kernel_min_eigenvalue
+    for a, b, floor, eig in zip(fam_a.matrices, fam_b.matrices, floors, eigenvalues):
+        assert (floor > -np.inf) == bool(((b - a)[off] <= 0.0).all())
+        assert floor <= eig
+        for t in (0.0, 1e-12, PSD_TOL):
+            assert eig >= -t or not floor >= -t
+
+
+@pytest.mark.parametrize("n", [2, 4, 20])
+def test_dominance_floor_on_the_line(n):
+    # the pair (K, (1 - h) K + h I - t I) is ordered off the diagonal and
+    # its least eigenvalue is -t; t steps in 1e-16 across PSD_TOL, where
+    # the eigenvalue's verdict changes, and across the floor's own line,
+    # its allowance below: the verdict the CLI reads (the floor, else the
+    # eigenvalue) is the eigenvalue's at every step
+    for seed in range(4):
+        base = helpers.random_family(np.random.default_rng(seed), n, 1)
+        a, w, eye = base.matrices[0], base.pi.weights, np.eye(n)
+        lazy = 0.7 * a + 0.3 * eye
+        allowance = -PSD_TOL - _floor(a, lazy - PSD_TOL * eye, w)
+        verdicts = set()
+        for line in (PSD_TOL, PSD_TOL - allowance):
+            for step in range(-30, 30):
+                b = lazy - (line + step * 1e-16) * eye
+                floor, eig = _floor(a, b, w), _least_eigenvalue(a, b, w)
+                assert floor <= eig, (seed, step)
+                verdicts.add((floor >= -PSD_TOL, eig >= -PSD_TOL))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "a, s",
+    [
+        ([[0.5, 0.5], [0.5, 0.5]], 0.5),
+        ([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]], 1.0),
+    ],
+)
+def test_dominance_floor_allows_for_the_eigensolver(a, s):
+    # on these pairs (K, (K + I) / 2) on a uniform target every sum is
+    # exact: the Collatz-Wielandt bound is 0 and |sym|_2 <= s, and the
+    # floor lies at least eigvalsh's backward error, 16 n eps s, below it
+    a = np.array(a)
+    n = len(a)
+    floor = _floor(a, (a + np.eye(n)) / 2.0, np.full(n, 1.0 / n))
+    assert -1e-13 < floor <= -16 * n * np.finfo(float).eps * s
+
+
+def test_dominance_floor_reads_the_stationarity_term():
+    # d = I - P for P = [[0, 1], [0, 1]], which does not leave the uniform
+    # target invariant: d's rows sum to zero and it is ordered off the
+    # diagonal, yet sym's least eigenvalue is (1 - sqrt 2) / 2; only the
+    # column term (pi' d)_1 / pi_1 = -1 brings the floor under it
+    a, w = np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([0.5, 0.5])
+    eig = _least_eigenvalue(a, np.eye(2), w)
+    assert eig == pytest.approx((1.0 - np.sqrt(2.0)) / 2.0)
+    assert _floor(a, np.eye(2), w) <= eig
+
+
+def test_dominance_floor_past_a_floats_range():
+    # a weight of 1e-320 and a flow of 1e-11 into its state, which the
+    # balance tolerance allows: (pi' d)_0 / pi_0 overflows, and the floor
+    # is -inf, with no warning
+    w = [1e-320, 0.5, 0.5]
+    a = make_family(w, [[[1.0, 0.0, 0.0], [2e-11, 0.5 - 2e-11, 0.5], [0.0, 0.5, 0.5]]])
+    b = make_family(w, [[[1.0, 0.0, 0.0], [1e-11, 0.5 - 1e-11, 0.5], [0.0, 0.5, 0.5]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comparison = peskun_dominates(a, b)
+    assert comparison.per_kernel_floor == (-np.inf,)
+    assert comparison.min_dirichlet_gap_eigenvalue < -1e100
 
 
 class TestCheckPeskunOrdering:

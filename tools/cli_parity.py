@@ -48,7 +48,10 @@ negative or not a number, `--out` into a missing directory, and
 `simulate` on counts written as integral floats, and the `compare` and
 `peskun` verdicts at `--tol 0`: on e1, on a close-kernel pair, whose
 `compare` fails both its checks, and against e1's kernels moved off the
-identity by 1e-12, whose `peskun` fails on the variance drop.
+identity by 1e-12, whose `peskun` fails on the variance drop, and
+`peskun` at the default `--tol` and at `--tol 0` on a three-state pair
+that dominates with no off-diagonal order, which only the eigenvalues
+certify.
 Each line runs in its own empty directory, so relative output paths print
 the same, with warnings printed as a fresh interpreter prints them. Its
 record holds the line (model files by name), its exit code, its stdout,
@@ -110,6 +113,17 @@ SIGNED_ZEROS = {
 OTHER_TARGET = dict(
     E1, pi=[0.25, 0.75], kernels=[[[0.7, 0.3], [0.1, 0.9]], [[0.4, 0.6], [0.2, 0.8]]]
 )
+# two lazy random walks on three states along the paths 0-1-2 and 0-2-1,
+# and each walk K moved to K + (I - K)^2 / 4: larger as a quadratic form,
+# yet larger between the path's ends, so not ordered off the diagonal
+PATHS = [
+    [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]],
+    [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]],
+]
+PATH_PAIR = {"states": 3, "pi": [1.0 / 3.0] * 3, "kernels": PATHS, "f": [1.0, -1.0, 0.5]}
+PATH_PAIR_SQUARED = dict(PATH_PAIR, kernels=[
+    (np.array(k) + (np.eye(3) - k) @ (np.eye(3) - k) / 4.0).tolist() for k in PATHS
+])
 # the smallest sizes: one kernel on e1's target, and one state
 K1 = dict(E1, kernels=E1["kernels"][:1])
 N1 = {"states": 1, "pi": [1.0], "kernels": [[[1.0]], [[1.0]]], "f": [2.0]}
@@ -572,6 +586,13 @@ def command_lines(models: Path) -> list[list[str]]:
         ["compare", "--model", m, "--tol", "0"],
         ["compare", "--model", str(models / "close-pair.json"), "--tol", "0"],
         ["peskun", "--model", m, "--model-b", str(models / "e1-eager.json"), "--tol", "0"],
+    ]
+    paths, squared = models / "path-pair.json", models / "path-pair-squared.json"
+    paths.write_text(json.dumps(PATH_PAIR))
+    squared.write_text(json.dumps(PATH_PAIR_SQUARED))
+    lines += [
+        ["peskun", "--model", str(paths), "--model-b", str(squared)],
+        ["peskun", "--model", str(paths), "--model-b", str(squared), "--tol", "0"],
     ]
     return lines
 

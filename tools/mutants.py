@@ -372,12 +372,10 @@ MUTANTS = (
         "load_model: f checked outside the listing",
         "cli.py",
         "    try:\n"
-        "        family, f = make_family(pi, kernels), Observable(f_values)\n"
-        "        diag, valid = family.diagnostics, family.n == f.n == n\n",
+        "        copies = [Kernel(m) for m in kernels]\n",
         "    f = Observable(f_values)\n"
         "    try:\n"
-        "        family = make_family(pi, kernels)\n"
-        "        diag, valid = family.diagnostics, family.n == f.n == n\n",
+        "        copies = [Kernel(m) for m in kernels]\n",
         ("tests/test_cli.py::TestLoadModel::test_non_finite_entry_listed_alone",),
     ),
     Mutant(
@@ -483,9 +481,16 @@ MUTANTS = (
     Mutant(
         "peskun: dominance verdict >= made >",
         "cli.py",
-        "dominates = comparison.min_dirichlet_gap_eigenvalue >= -PSD_TOL",
-        "dominates = comparison.min_dirichlet_gap_eigenvalue > -PSD_TOL",
+        "or comparison.min_dirichlet_gap_eigenvalue >= -PSD_TOL",
+        "or comparison.min_dirichlet_gap_eigenvalue > -PSD_TOL",
         ("tests/test_cli.py::TestVerdicts",),
+    ),
+    Mutant(
+        "peskun: floor trusted with no fallback",
+        "cli.py",
+        "\n        or comparison.min_dirichlet_gap_eigenvalue >= -PSD_TOL\n",
+        "\n",
+        ("tests/test_cli.py::TestVerdicts", "tests/test_transcript.py"),
     ),
     Mutant(
         "peskun dominance: least eigenvalue read from the first kernel only",
@@ -493,6 +498,41 @@ MUTANTS = (
         "return min(self.per_kernel_min_eigenvalue)",
         "return self.per_kernel_min_eigenvalue[0]",
         ("tests/test_ordering.py",),
+    ),
+    Mutant(
+        "load: the loader's arrays kept through validation",
+        "cli.py",
+        "        kernels = [k.matrix for k in copies]",
+        "        pass",
+        ("tests/test_cli.py::TestLoadModel::test_load_holds_the_bytes_and_the_arrays",),
+    ),
+    Mutant(
+        "peskun dominance: floor read from the first kernel only",
+        "ordering.py",
+        "return min(self.per_kernel_floor)",
+        "return self.per_kernel_floor[0]",
+        ("tests/test_ordering.py::TestPeskunDominance",),
+    ),
+    Mutant(
+        "peskun floor: sign test skipped",
+        "ordering.py",
+        "if d.max() > 0.0:",
+        "if False:",
+        ("tests/test_ordering.py::test_dominance_floor_lies_under_the_eigenvalue",),
+    ),
+    Mutant(
+        "peskun floor: stationarity term dropped",
+        "ordering.py",
+        "low = float((d.sum(axis=1) + weights @ d / weights).min()) / 2.0",
+        "low = float((d.sum(axis=1) + d.sum(axis=1)).min()) / 2.0",
+        ("tests/test_ordering.py::test_dominance_floor_reads_the_stationarity_term",),
+    ),
+    Mutant(
+        "peskun floor: eigensolver allowance dropped",
+        "ordering.py",
+        "return low - (17 * n + 16) * _EPS * size",
+        "return low - (n + 16) * _EPS * size",
+        ("tests/test_ordering.py::test_dominance_floor_allows_for_the_eigensolver",),
     ),
     Mutant(
         "grid walk: limit row labelled resolvent",
